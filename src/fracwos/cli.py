@@ -129,12 +129,7 @@ def base_mesh_for(domain: Domain):
     """Base triangulation covering the domain: the 4-triangle diagonal split
     of the bounding square for balls, a centroid fan for convex polygons."""
     if isinstance(domain, Ball):
-        cx, cy = domain.center
-        r = domain.radius
-        v = np.array([[cx - r, cy - r], [cx + r, cy - r], [cx + r, cy + r],
-                      [cx - r, cy + r], [cx, cy]])
-        t = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-        return make_base(v, t, level=1, domain=domain)
+        return square_ball_base(domain)
     verts = domain.vertices
     centroid = verts.mean(axis=0)
     v = np.vstack([verts, centroid])
@@ -152,12 +147,7 @@ def build_problem(cfg: RunConfig) -> Problem:
 
 
 def build_mesh(cfg: RunConfig, domain: Domain) -> MeshHierarchy:
-    if cfg.domain is None and isinstance(domain, Ball) \
-            and domain.center == (0.0, 0.0) and domain.radius == 1.0:
-        base = square_ball_base(domain)
-    else:
-        base = base_mesh_for(domain)
-    return build_hierarchy(base, cfg.L, domain=domain)
+    return build_hierarchy(base_mesh_for(domain), cfg.L, domain=domain)
 
 
 def fit_slope(pairs) -> float:

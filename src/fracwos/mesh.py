@@ -4,9 +4,11 @@ Each refinement splits every triangle into four through its edge midpoints,
 with children of triangle t stored at indices 4t..4t+3 (corner children
 first, medial triangle last).  Coarse vertices keep their indices in the
 fine level, so restriction is a prefix view and every new vertex is the
-exact midpoint of one coarse edge.  Point location walks this quadtree from
-the base level, giving O(depth) barycentric lookups that vectorize over
-many query points.
+exact midpoint of one coarse edge.  The depth-D descendants of a base
+triangle are therefore the cells of a uniform 2^D grid in its barycentric
+coordinates, and point location is a brute-force search over the few base
+triangles followed by one lookup in a per-level grid table: constant work
+per point at any depth, vectorized over many query points.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, unit_ball
+from .geometry import Ball, Domain, unit_ball
 
 _BARY_TOL = 1e-12
 
@@ -40,6 +42,7 @@ class MeshLevel:
     interior_mask: np.ndarray | None = None   # vertex strictly inside domain
     parent: "MeshLevel | None" = None
     _areas: np.ndarray | None = field(default=None, repr=False)
+    _cells: np.ndarray | None = field(default=None, repr=False)  # built by locate
 
     @property
     def num_vertices(self) -> int:
@@ -113,12 +116,20 @@ def make_base(vertices, triangles, level: int = 1,
     return lvl
 
 
-def square_ball_base(domain: Domain | None = None) -> MeshLevel:
-    """The 4-triangle diagonal split of [-1, 1]^2 (level 1)."""
-    v = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0],
-                  [0.0, 0.0]])
+def square_ball_base(domain: Ball | None = None) -> MeshLevel:
+    """The 4-triangle diagonal split of the square around a ball (level 1).
+
+    The square is [cx - r, cx + r] x [cy - r, cy + r] for the ball's center
+    (cx, cy) and radius r; the default unit ball gives [-1, 1]^2.
+    """
+    domain = domain or unit_ball()
+    if not isinstance(domain, Ball):
+        raise ValueError("square_ball_base needs a Ball domain")
+    (cx, cy), r = domain.center, domain.radius
+    v = np.array([[cx - r, cy - r], [cx + r, cy - r], [cx + r, cy + r],
+                  [cx - r, cy + r], [cx, cy]])
     t = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-    return make_base(v, t, level=1, domain=domain or unit_ball())
+    return make_base(v, t, level=1, domain=domain)
 
 
 def refine(level: MeshLevel, domain: Domain | None = None):
@@ -234,65 +245,111 @@ def build_hierarchy(base: MeshLevel, finest_level: int,
     return MeshHierarchy(levels=levels, parent_edges=edges, domain=domain)
 
 
-def _barycentric(level: MeshLevel, tri_idx: np.ndarray,
-                 pts: np.ndarray) -> np.ndarray:
-    tv = level.vertices[level.triangles[tri_idx]]        # (P, 3, 2)
-    v1, v2, v3 = tv[:, 0], tv[:, 1], tv[:, 2]
-    det = ((v2[:, 0] - v1[:, 0]) * (v3[:, 1] - v1[:, 1])
-           - (v2[:, 1] - v1[:, 1]) * (v3[:, 0] - v1[:, 0]))
-    w1 = ((v2[:, 0] - pts[:, 0]) * (v3[:, 1] - pts[:, 1])
-          - (v2[:, 1] - pts[:, 1]) * (v3[:, 0] - pts[:, 0])) / det
-    w2 = ((v3[:, 0] - pts[:, 0]) * (v1[:, 1] - pts[:, 1])
-          - (v3[:, 1] - pts[:, 1]) * (v1[:, 0] - pts[:, 0])) / det
-    w3 = 1.0 - w1 - w2
-    return np.column_stack([w1, w2, w3])
+def _bary(x1, y1, x2, y2, x3, y3, px, py):
+    """First two barycentric coordinates of (px, py) in triangle 1-2-3."""
+    det = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    w1 = ((x2 - px) * (y3 - py) - (y2 - py) * (x3 - px)) / det
+    w2 = ((x3 - px) * (y1 - py) - (y3 - py) * (x1 - px)) / det
+    return w1, w2
 
 
-def _chain(level: MeshLevel) -> list[MeshLevel]:
-    chain = [level]
-    while chain[-1].parent is not None:
-        chain.append(chain[-1].parent)
-    chain.reverse()
-    return chain
+# Gathers go column by column through 1-D indexing: a (P, 3) index into the
+# (N, 2) vertex array is several times slower, and np.take first copies a
+# strided column, which dominates for the many small queries of a walk.
+
+def _corners(level: MeshLevel, tri: np.ndarray):
+    """Vertex index columns of the given triangles."""
+    t = level.triangles
+    return t[:, 0][tri], t[:, 1][tri], t[:, 2][tri]
+
+
+def _coords(level: MeshLevel, tri: np.ndarray):
+    """Corner coordinates x1, y1, x2, y2, x3, y3 of the given triangles."""
+    x, y = level.vertices[:, 0], level.vertices[:, 1]
+    out = []
+    for c in _corners(level, tri):
+        out += [x[c], y[c]]
+    return out
+
+
+def _cell_table(level: MeshLevel, base: MeshLevel) -> np.ndarray:
+    """Fine triangle of every barycentric grid cell, flattened.
+
+    In the barycentric coordinates (w1, w2) of a base triangle, the depth-D
+    quadrisection descendants are the cells of a uniform grid with
+    n = 2^D: cell (i, j) is split by its diagonal into a lower half (o = 0)
+    and an upper half (o = 1).  Entry ((b n + i) n + j) 2 + o holds the
+    fine triangle covering half o of cell (i, j) of base triangle b.  Halves
+    past the far edge (i + j + o >= n) hold an inside half that touches
+    that edge, so points on it, perturbed by rounding, still resolve.
+    """
+    n = 1 << (level.level - base.level)
+    fine = np.arange(level.num_triangles)
+    owner = fine // (n * n)        # descendants of b are b n^2 .. (b + 1) n^2 - 1
+    cx = level.vertices[level.triangles, 0].mean(axis=1)
+    cy = level.vertices[level.triangles, 1].mean(axis=1)
+    w1, w2 = _bary(*_coords(base, owner), cx, cy)
+    s, t = n * w1, n * w2
+    i, j = np.floor(s).astype(np.int64), np.floor(t).astype(np.int64)
+    o = ((s - i) + (t - j) >= 1.0).astype(np.int64)
+    table = np.empty((base.num_triangles, n, n, 2), dtype=np.int64)
+    table[owner, i, j, o] = fine
+    i, j, o = np.meshgrid(np.arange(n), np.arange(n), [0, 1], indexing="ij")
+    past = i + j + o >= n
+    i, j = i[past], j[past]
+    e = i + j - (n - 1)            # grid steps past the far edge
+    di = np.where(i >= j, (e + 1) // 2, e // 2)
+    table[:, past] = table[:, i - di, j - (e - di), 0]
+    return table.ravel()
 
 
 def locate(level: MeshLevel, p):
     """Containing triangle and barycentric coordinates for query points.
 
     Accepts one point (shape (2,)) or many (shape (P, 2)); raises
-    PointOutsideMeshError when barycentric coordinates fall below -1e-12.
+    PointOutsideMeshError when barycentric coordinates fall below -1e-12
+    (or a point is not finite).  The base level is searched by brute force;
+    the base barycentric coordinates then index the level's grid table
+    directly, so the cost does not grow with depth.
     """
     pts = np.asarray(p, dtype=np.float64)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    chain = _chain(level)
-    base = chain[0]
+    px = np.ascontiguousarray(pts[:, 0])
+    py = np.ascontiguousarray(pts[:, 1])
+    base = level
+    while base.parent is not None:
+        base = base.parent
 
-    # brute-force the base level (it is small)
-    tv = base.vertices[base.triangles]                   # (T, 3, 2)
-    v1, v2, v3 = tv[:, 0], tv[:, 1], tv[:, 2]
-    det = ((v2[:, 0] - v1[:, 0]) * (v3[:, 1] - v1[:, 1])
-           - (v2[:, 1] - v1[:, 1]) * (v3[:, 0] - v1[:, 0]))
-    px = pts[:, 0][:, None]
-    py = pts[:, 1][:, None]
-    w1 = ((v2[:, 0] - px) * (v3[:, 1] - py) - (v2[:, 1] - py) * (v3[:, 0] - px)) / det
-    w2 = ((v3[:, 0] - px) * (v1[:, 1] - py) - (v3[:, 1] - py) * (v1[:, 0] - px)) / det
-    w3 = 1.0 - w1 - w2
-    worst = np.minimum(np.minimum(w1, w2), w3)           # (P, T)
-    tri = worst.argmax(axis=1)
-    scale = max(base.mesh_width, 1.0)
-    bad = worst[np.arange(pts.shape[0]), tri] < -_BARY_TOL * scale
+    # brute-force the base level (it is small); first best triangle wins
+    best = np.full(px.shape, -np.inf)
+    tri = np.zeros(px.shape, dtype=np.int64)
+    b1 = np.zeros(px.shape)
+    b2 = np.zeros(px.shape)
+    for k, corners in enumerate(base.vertices[base.triangles].tolist()):
+        (x1, y1), (x2, y2), (x3, y3) = corners
+        w1, w2 = _bary(x1, y1, x2, y2, x3, y3, px, py)
+        worst = np.minimum(np.minimum(w1, w2), 1.0 - w1 - w2)
+        better = worst > best
+        np.copyto(best, worst, where=better)
+        np.copyto(b1, w1, where=better)
+        np.copyto(b2, w2, where=better)
+        tri[better] = k
+    bad = best < -_BARY_TOL * max(base.mesh_width, 1.0)
     if bad.any():
         raise PointOutsideMeshError(pts[bad])
 
-    for lvl in chain[1:]:
-        w = _barycentric(lvl.parent, tri, pts)
-        child = np.where(w[:, 0] >= 0.5, 0,
-                         np.where(w[:, 1] >= 0.5, 1,
-                                  np.where(w[:, 2] >= 0.5, 2, 3)))
-        tri = 4 * tri + child
+    if level._cells is None:
+        level._cells = _cell_table(level, base)
+    n = 1 << (level.level - base.level)
+    s, t = n * b1, n * b2
+    i = np.clip(s.astype(np.int64), 0, n - 1)
+    j = np.clip(t.astype(np.int64), 0, n - 1)
+    o = (s - i) + (t - j) >= 1.0
+    tri = level._cells[((tri * n + i) * n + j) * 2 + o]
 
-    w = _barycentric(level, tri, pts)
+    w1, w2 = _bary(*_coords(level, tri), px, py)
+    w = np.column_stack([w1, w2, 1.0 - w1 - w2])
     bad = w.min(axis=1) < -_BARY_TOL
     if bad.any():
         raise PointOutsideMeshError(pts[bad])
@@ -311,9 +368,9 @@ def interpolate(level: MeshLevel, f, p):
     pts = np.asarray(p, dtype=np.float64)
     single = pts.ndim == 1
     tri, w = locate(level, np.atleast_2d(pts))
-    tri = np.atleast_1d(tri)
-    w = np.atleast_2d(w)
-    out = np.einsum("pk,pk->p", w, vals[level.triangles[tri]])
+    f1, f2, f3 = (vals[c] for c in _corners(level, tri))
+    # summed in the order of einsum("pk,pk->p"), which this replaced
+    out = (w[:, 0] * f1 + w[:, 2] * f3) + w[:, 1] * f2
     return float(out[0]) if single else out
 
 

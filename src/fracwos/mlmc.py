@@ -27,12 +27,14 @@ import numpy as np
 from .field import FieldMoments, batch_defects, field_values, mass_matrix
 from .mesh import FieldVector, MeshHierarchy, l2_norm, prolong_to
 from .problems import Problem
+from .sampling import NonFiniteStatisticError
 from .streams import derive_key
 
 _KIND_PLAIN = 1
 _KIND_PAIR = 2
 _VAR_FLOOR = 1e-12
 _ROW_BUDGET = 1 << 21  # batch rows scaled so rows * vertices stays bounded
+_COUNT_LIMIT = 2.0 ** 63  # sample counts and walk steps are int64
 
 BIAS_RATE = 2.0   # mean-correction norms decay like 2^(-2 l)
 COST_RATE = 2.0   # vertex count grows like 2^(2 l) per level in 2-D
@@ -282,6 +284,31 @@ def choose_levels(eps: float, bias_norms: dict[int, float], l0: int,
     return l_max
 
 
+def _term_name(kind: int, ell: int) -> str:
+    if kind == _KIND_PLAIN:
+        return f"plain term at level {ell}"
+    return f"correction term {ell}->{ell + 1}"
+
+
+def _check_statistics(alpha: float, eps: float, terms, V, C) -> None:
+    """Raise NonFiniteStatisticError for a term whose V or C is unusable.
+
+    A finite V can still be so large that the walk steps of the optimal
+    allocation, 2 eps^-2 (sum_l sqrt(V_l C_l))^2, overflow int64.
+    """
+    for (kind, ell), v, c in zip(terms, V, C):
+        for name, value in (("V", v), ("C", c)):
+            if not np.isfinite(value):
+                raise NonFiniteStatisticError(alpha, _term_name(kind, ell),
+                                              name, float(value))
+    cost = 2.0 * eps ** -2 * np.sum(np.sqrt(np.maximum(V, _VAR_FLOOR) * C)) ** 2
+    if not cost < _COUNT_LIMIT:
+        k = int(np.argmax(V * C))
+        raise NonFiniteStatisticError(
+            alpha, _term_name(*terms[k]), "V", float(V[k]),
+            f"makes the planned cost of {cost:.3g} walk steps overflow int64")
+
+
 def allocate(eps: float, V, C) -> np.ndarray:
     """Optimal sample counts: M_l = ceil(2 eps^-2 sqrt(V_l/C_l) sum sqrt(V C))."""
     V = np.maximum(np.asarray(V, dtype=np.float64), 0.0)
@@ -297,6 +324,8 @@ def allocate(eps: float, V, C) -> np.ndarray:
     V = np.maximum(V, _VAR_FLOOR)
     total = np.sum(np.sqrt(V * C))
     M = np.ceil(2.0 * eps ** -2 * np.sqrt(V / C) * total)
+    if not np.all(M < _COUNT_LIMIT):
+        raise OverflowError(f"sample allocation {M.max():.3g} overflows int64")
     return np.maximum(M, 1).astype(np.int64)
 
 
@@ -326,9 +355,12 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
     moments = [stats.plain] + [stats.trans[ell] for ell in range(l0, L)]
     V = np.array([m.variance for m in moments])
     C = np.array([m.mean_cost for m in moments])
+    _check_statistics(problem.alpha, eps, terms, V, C)
     M = allocate(eps, V, C)
     plan = MlmcPlan(eps=eps, coarsest=l0, finest=L, V=V, C=C, M=M, c1_hat=c1)
-    assert plan.stat_error_sq <= eps ** 2 / 2.0 + 1e-9
+    if not plan.stat_error_sq <= eps ** 2 / 2.0 + 1e-9:
+        raise RuntimeError(f"allocation {M.tolist()} misses the statistical "
+                           f"error target eps^2/2 = {eps ** 2 / 2.0:.3g}")
 
     extra = np.maximum(M - pilot_M, 0)
     projected = stats.total_cost + float(np.sum(extra * C))

@@ -43,6 +43,23 @@ class MaxStepsExceededError(RuntimeError):
     """A walk failed to exit within the step cap (pathological path)."""
 
 
+class NonFiniteStatisticError(ValueError):
+    """A sample statistic, or the sample count it implies, is not finite.
+
+    The alpha-stable exit law has finite moments only below order alpha, so
+    data g growing like |x|^p needs p < alpha/2 for a finite variance; past
+    that, sample moments overflow or are meaningless.  Names alpha, the term
+    whose statistic failed and the statistic itself.
+    """
+
+    def __init__(self, alpha: float, term: str, name: str, value: float,
+                 detail: str = "is not finite"):
+        self.alpha, self.term, self.name, self.value = alpha, term, name, value
+        super().__init__(
+            f"{name} = {value!r} of the {term} at alpha = {alpha!r} {detail}; "
+            f"data growing like |x|^p need p < alpha/2 for a finite variance")
+
+
 def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta (modified Lentz), 1-D x."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -328,8 +345,13 @@ def point_estimate(x, problem, M: int, seed: int,
         s, s2, steps, _ = _walk_point_batch(x, problem, seed, b, count, max_steps)
         total += (s, s2, steps)
     mean = total[0] / M
-    var = max((total[1] - M * mean * mean) / (M - 1), 0.0)
-    return PointEstimate(float(mean), float(var), int(total[2]))
+    var = (total[1] - M * mean * mean) / (M - 1)
+    for name, value in (("mean", mean), ("variance", var)):
+        if not np.isfinite(value):
+            raise NonFiniteStatisticError(problem.alpha,
+                                          f"point estimate at {tuple(x.tolist())}",
+                                          name, float(value))
+    return PointEstimate(float(mean), float(max(var, 0.0)), int(total[2]))
 
 
 def exit_step_counts(x, problem, M: int, seed: int,

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import fracwos
-from fracwos.cli import (ExprField, RunConfig, fit_slope, parse_domain,
-                         read_config)
-from fracwos.geometry import Ball, ConvexPolygon
+from fracwos.cli import (ExprField, RunConfig, base_mesh_for, build_mesh,
+                         fit_slope, parse_domain, read_config)
+from fracwos.geometry import Ball, ConvexPolygon, unit_ball
+from fracwos.mesh import square_ball_base
 
 
 # The directory holding the imported fracwos package. The child process gets it
@@ -74,6 +75,21 @@ class TestParseDomain:
         for bad in ("circle(0,0,1)", "ball(1,2)", "polygon((0,0),(1,1))"):
             with pytest.raises(ValueError):
                 parse_domain(bad)
+
+
+class TestBaseMesh:
+    def test_ball_uses_square_ball_base(self):
+        for ball in (unit_ball(), parse_domain("ball(0.5, -1.0, 2.0)")):
+            np.testing.assert_array_equal(base_mesh_for(ball).vertices,
+                                          square_ball_base(ball).vertices)
+
+    def test_build_mesh_covers_off_centre_ball(self):
+        cfg = RunConfig(command="solve", domain="ball(0.5, -1.0, 2.0)", L=3)
+        ball = parse_domain(cfg.domain)
+        lvl = build_mesh(cfg, ball).level(3)
+        assert lvl.vertices[:, 0].min() == -1.5
+        assert lvl.vertices[:, 1].max() == 1.0
+        assert lvl.interior_mask.any()
 
 
 class TestExprField:

@@ -168,6 +168,13 @@ class TestSmallestEigenvalue:
                                       l0=3)
         assert a.lam == b.lam and a.total_cost == b.total_cost
 
+    def test_golden_bits(self, hier5):
+        # pinned on the quadtree-descent point location; the grid-table
+        # location that replaced it must leave the eigenvalue bit-identical
+        res = eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=11)
+        assert res.lam.hex() == "0x1.03c8570fde110p+1"
+        assert res.total_cost == 134708
+
     def test_worker_pool_parity(self, hier5):
         a = eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=7,
                                       l0=3, workers=1)

@@ -1,7 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from fracwos.geometry import unit_ball
+from fracwos.geometry import Ball, box, unit_ball
 from fracwos.mesh import (FieldVector, PointOutsideMeshError, build_hierarchy,
                           interpolate, l2_norm, locate, make_base,
                           midpoint_defect, prolong, prolong_to, read_field_csv,
@@ -30,6 +32,71 @@ def l2_norm_quadrature_oracle(level, values, mask=None):
     node_vals = f3 @ _Q5_BARY.T             # (T, 7) interpolant at cubature nodes
     integral = (areas[:, None] * _Q5_W * node_vals ** 2).sum()
     return float(np.sqrt(integral))
+
+
+def descent_locate(level, pts):
+    """Reference point location: barycentric descent of the quadtree.
+
+    Brute-forces the base level, then at every finer level picks the child
+    from the barycentric coordinates in the parent (a coordinate >= 1/2
+    selects that corner child, otherwise the medial one), and finally
+    recomputes the weights in the fine triangle.  This was the library's
+    own method before the per-level grid table replaced it.
+    """
+    def bary(lvl, tri):
+        tv = lvl.vertices[lvl.triangles[tri]]
+        v1, v2, v3 = tv[:, 0], tv[:, 1], tv[:, 2]
+        det = ((v2[:, 0] - v1[:, 0]) * (v3[:, 1] - v1[:, 1])
+               - (v2[:, 1] - v1[:, 1]) * (v3[:, 0] - v1[:, 0]))
+        w1 = ((v2[:, 0] - pts[:, 0]) * (v3[:, 1] - pts[:, 1])
+              - (v2[:, 1] - pts[:, 1]) * (v3[:, 0] - pts[:, 0])) / det
+        w2 = ((v3[:, 0] - pts[:, 0]) * (v1[:, 1] - pts[:, 1])
+              - (v3[:, 1] - pts[:, 1]) * (v1[:, 0] - pts[:, 0])) / det
+        return np.column_stack([w1, w2, 1.0 - w1 - w2])
+
+    chain = [level]
+    while chain[-1].parent is not None:
+        chain.append(chain[-1].parent)
+    chain.reverse()
+    base = chain[0]
+    worst = np.stack([bary(base, np.full(len(pts), t)).min(axis=1)
+                      for t in range(base.num_triangles)], axis=1)
+    tri = worst.argmax(axis=1)
+    assert np.all(worst[np.arange(len(pts)), tri]
+                  >= -1e-12 * max(base.mesh_width, 1.0))
+    for lvl in chain[1:]:
+        w = bary(lvl.parent, tri)
+        child = np.where(w[:, 0] >= 0.5, 0,
+                         np.where(w[:, 1] >= 0.5, 1,
+                                  np.where(w[:, 2] >= 0.5, 2, 3)))
+        tri = 4 * tri + child
+    w = bary(level, tri)
+    assert np.all(w.min(axis=1) >= -1e-12)
+    w = np.clip(w, 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    return tri, w
+
+
+def hexagon_fan_base():
+    """Regular hexagon split into six triangles around its centre."""
+    ang = np.arange(6) * np.pi / 3.0
+    v = np.vstack([np.column_stack([np.cos(ang), np.sin(ang)]), [0.0, 0.0]])
+    return make_base(v, [[i, (i + 1) % 6, 6] for i in range(6)])
+
+
+@pytest.fixture(scope="module")
+def hex5():
+    return build_hierarchy(hexagon_fan_base(), 5)
+
+
+def probe_points(level, rng, count=4000):
+    """Random points in random triangles, every vertex, every edge midpoint."""
+    tri = rng.integers(0, level.num_triangles, count)
+    w = rng.dirichlet(np.ones(3), count)
+    tv = level.vertices[level.triangles]
+    inside = np.einsum("pk,pkd->pd", w, tv[tri])
+    mids = 0.5 * (tv + np.roll(tv, -1, axis=1)).reshape(-1, 2)
+    return inside, np.vstack([inside, level.vertices, mids])
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +208,109 @@ class TestLocate:
         tri, w = locate(lvl, pts)
         recon = np.einsum("pk,pkd->pd", w, lvl.vertices[lvl.triangles[tri]])
         np.testing.assert_allclose(recon, pts, atol=1e-12)
+
+
+LEVELS = [("hier6", ell) for ell in range(1, 7)] + \
+    [("hex5", ell) for ell in range(1, 6)]
+
+
+@pytest.mark.parametrize("mesh_name, ell", LEVELS)
+class TestLocateAgainstDescent:
+    def test_off_edge_points_match_descent(self, request, mesh_name, ell, rng):
+        lvl = request.getfixturevalue(mesh_name).level(ell)
+        pts, _ = probe_points(lvl, rng)
+        tri0, w0 = descent_locate(lvl, pts)
+        off = w0.min(axis=1) > 1e-9
+        assert off.mean() > 0.95
+        tri, w = locate(lvl, pts)
+        np.testing.assert_array_equal(tri[off], tri0[off])
+        np.testing.assert_array_equal(w[off], w0[off])
+
+    def test_interpolation_matches_descent(self, request, mesh_name, ell, rng):
+        lvl = request.getfixturevalue(mesh_name).level(ell)
+        _, pts = probe_points(lvl, rng)
+        vals = rng.normal(size=lvl.num_vertices)
+        tri0, w0 = descent_locate(lvl, pts)
+        ref = np.einsum("pk,pk->p", w0, vals[lvl.triangles[tri0]])
+        np.testing.assert_allclose(interpolate(lvl, vals, pts), ref,
+                                   rtol=0.0, atol=1e-14)
+
+    def test_centroids_locate_to_themselves(self, request, mesh_name, ell):
+        lvl = request.getfixturevalue(mesh_name).level(ell)
+        tri, _ = locate(lvl, lvl.vertices[lvl.triangles].mean(axis=1))
+        np.testing.assert_array_equal(tri, np.arange(lvl.num_triangles))
+
+    def test_outside_points_raise(self, request, mesh_name, ell):
+        lvl = request.getfixturevalue(mesh_name).level(ell)
+        base = request.getfixturevalue(mesh_name).level(1)
+        outside = np.vstack([1.01 * base.vertices[:-1], [[3.0, 0.5]]])
+        inside = 0.5 * base.vertices
+        pts = np.vstack([inside, outside])
+        with pytest.raises(PointOutsideMeshError) as exc:
+            locate(lvl, pts)
+        np.testing.assert_array_equal(exc.value.points, outside)
+        for bad in ([np.nan, 0.0], [np.inf, 0.0]):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(PointOutsideMeshError):
+                locate(lvl, np.array(bad))
+
+
+class TestLocateForms:
+    def test_single_point_form(self, hier6):
+        lvl = hier6.level(5)
+        tri, w = locate(lvl, np.array([0.1, -0.2]))
+        assert type(tri) is int and w.shape == (3,)
+        tris, ws = locate(lvl, np.array([[0.1, -0.2]]))
+        assert tris.shape == (1,) and ws.shape == (1, 3)
+        assert tris[0] == tri and np.array_equal(ws[0], w)
+        value = interpolate(lvl, np.ones(lvl.num_vertices), (0.1, -0.2))
+        assert type(value) is float
+
+    def test_empty_query(self, hier6):
+        tri, w = locate(hier6.level(4), np.empty((0, 2)))
+        assert tri.shape == (0,) and w.shape == (0, 3)
+
+    def test_table_is_lazy_and_survives_pickle(self, rng):
+        hier = build_hierarchy(square_ball_base(), 4)
+        lvl = hier.level(4)
+        assert lvl._cells is None          # building a hierarchy builds no table
+        pts = rng.uniform(-1.0, 1.0, (300, 2))
+        tri, w = locate(lvl, pts)
+        assert lvl._cells is not None
+        back = pickle.loads(pickle.dumps(lvl))
+        np.testing.assert_array_equal(back._cells, lvl._cells)
+        tri2, w2 = locate(back, pts)
+        np.testing.assert_array_equal(tri2, tri)
+        np.testing.assert_array_equal(w2, w)
+
+
+class TestSquareBallBase:
+    def test_unit_ball_vertices_unchanged(self):
+        np.testing.assert_array_equal(
+            square_ball_base(unit_ball()).vertices,
+            [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(square_ball_base().vertices,
+                                      square_ball_base(unit_ball()).vertices)
+
+    def test_off_centre_ball_locates_everywhere(self, rng):
+        ball = Ball((2.5, -1.0), 0.75)
+        hier = build_hierarchy(square_ball_base(ball), 4, domain=ball)
+        lvl = hier.level(4)
+        r = 0.75 * np.sqrt(rng.random(2000))
+        ang = 2.0 * np.pi * rng.random(2000)
+        rim = 2.0 * np.pi * np.arange(64) / 64
+        pts = np.vstack([np.column_stack([r * np.cos(ang), r * np.sin(ang)]),
+                         0.75 * np.column_stack([np.cos(rim), np.sin(rim)])])
+        pts += [2.5, -1.0]
+        assert ball.contains_closed(pts).all()
+        phi = lambda p: 2.0 * p[..., 0] - p[..., 1] + 0.5
+        np.testing.assert_allclose(interpolate(lvl, phi(lvl.vertices), pts),
+                                   phi(pts), atol=1e-12)
+        assert lvl.interior_mask.sum() > 0
+
+    def test_rejects_polygon(self):
+        with pytest.raises(ValueError):
+            square_ball_base(box(0.0, 0.0, 1.0, 1.0))
 
 
 class TestInterpolate:

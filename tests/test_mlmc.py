@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fracwos import mlmc
+from fracwos.geometry import unit_ball
+from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.problems import Problem, example1
-from fracwos.sampling import point_estimate
+from fracwos.sampling import NonFiniteStatisticError, point_estimate
 
 
 class TestAllocate:
@@ -17,6 +19,10 @@ class TestAllocate:
         m2 = mlmc.allocate(5e-3, V, C)
         # halving eps multiplies counts by 4 (up to ceil rounding)
         np.testing.assert_allclose(m2, 4 * m1, rtol=2e-3)
+
+    def test_overflowing_allocation_rejected(self):
+        with pytest.raises(OverflowError):
+            mlmc.allocate(1e-2, [1e300, 1.0], [1.0, 4.0])
 
     def test_zero_variance_level_floored(self):
         with pytest.warns(UserWarning):
@@ -253,3 +259,40 @@ class TestConvergenceOrder:
             errors.append(rel)
         slope = np.polyfit(np.log(eps_values), np.log(errors), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.3)
+
+
+class TestNonFiniteStatistics:
+    """g = x^3 is not integrable against the heavy-tailed exit law."""
+
+    @pytest.fixture(scope="class")
+    def hier3(self):
+        d = unit_ball()
+        return build_hierarchy(square_ball_base(d), 3, domain=d)
+
+    @staticmethod
+    def cubic(alpha):
+        return Problem(alpha=alpha, domain=unit_ball(),
+                       f=lambda p: np.zeros(np.asarray(p).shape[:-1]),
+                       g=lambda p: np.asarray(p)[..., 0] ** 3, name="cubic")
+
+    def test_nan_variance_names_alpha_and_term(self, hier3):
+        # max_cost keeps a missed check from planning an endless run
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteStatisticError) as exc:
+            mlmc.run(hier3, self.cubic(0.02), eps=0.05, l0=2, seed=0,
+                     max_cost=1e9)
+        e = exc.value
+        assert isinstance(e, ValueError)
+        assert e.alpha == 0.02 and e.name == "V" and np.isnan(e.value)
+        assert e.term == "plain term at level 2"
+        assert "alpha = 0.02" in str(e) and "plain term at level 2" in str(e)
+
+    def test_overflowing_plan_is_rejected(self, hier3):
+        # V is finite but its optimal allocation costs over 2^63 walk steps
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteStatisticError) as exc:
+            mlmc.run(hier3, self.cubic(0.5), eps=0.05, l0=2, seed=0,
+                     max_cost=1e9)
+        e = exc.value
+        assert e.alpha == 0.5 and e.name == "V" and np.isfinite(e.value)
+        assert "overflow" in str(e)

@@ -6,7 +6,7 @@ from scipy.special import betainc, beta as beta_fn, gamma
 from fracwos.geometry import unit_ball
 from fracwos.problems import Problem
 from fracwos.sampling import (DegenerateDistanceError, MaxStepsExceededError,
-                              StableParams, exit_step_counts, f_term,
+                              NonFiniteStatisticError, StableParams, exit_step_counts, f_term,
                               make_params, point_estimate, reg_inc_beta,
                               run_path, sample_beta, wos_step)
 from fracwos.streams import RandomSequence, batch_generator
@@ -244,6 +244,18 @@ class TestPointEstimate:
     def test_needs_two_samples(self, ex1):
         with pytest.raises(ValueError):
             point_estimate((0.0, 0.0), ex1, 1, seed=0)
+
+    def test_non_finite_moments_raise(self, ball):
+        # at alpha = 0.02 a few exits land ~1e140 away, where x^3 overflows
+        prob = Problem(alpha=0.02, domain=ball,
+                       f=lambda pts: np.zeros(np.asarray(pts).shape[:-1]),
+                       g=lambda pts: np.asarray(pts)[..., 0] ** 3)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteStatisticError) as exc:
+            point_estimate((0.3, 0.4), prob, 1000, seed=0)
+        e = exc.value
+        assert e.alpha == 0.02 and e.name == "mean"
+        assert e.term == "point estimate at (0.3, 0.4)"
 
 
 class TestCouplingContraction:
