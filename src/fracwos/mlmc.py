@@ -18,6 +18,7 @@ results are independent of batching and worker count.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -129,8 +130,8 @@ def _init_worker(hier, problem, seed, max_steps):
 def _term_chunk(task):
     """Moments of one contiguous chunk of samples of one term.
 
-    Returns (sum_vec, sum_sq, count, cost) plus the plain-field moments of
-    the fine values when the term is a transition (for vanilla planning).
+    Returns [moments] for a plain term, and [defect moments, plain moments
+    of the fine values] for a transition (the latter for vanilla planning).
     """
     kind, ell, i0, count = task
     hier: MeshHierarchy = _WORKER_CTX["hier"]
@@ -145,16 +146,14 @@ def _term_chunk(task):
     mass = masses.get(fine_ell)
     if mass is None:
         mass = masses[fine_ell] = mass_matrix(level, hier.norm_mask(fine_ell))
-    out: list = []
-    if kind == _KIND_PAIR:
-        plain = FieldMoments(mass)
-        plain.add(vals, cost)
-        out.append((plain.sum_vec, plain.sum_sq, count, cost))
-        vals = batch_defects(hier, vals, ell)
     mom = FieldMoments(mass)
-    mom.add(vals, cost)
-    out.insert(0, (mom.sum_vec, mom.sum_sq, count, cost))
-    return out
+    if kind == _KIND_PLAIN:
+        mom.add(vals, cost)
+        return [mom]
+    plain = FieldMoments(mass)
+    plain.add(vals, cost)
+    mom.add(batch_defects(hier, vals, ell), cost)
+    return [mom, plain]
 
 
 def _batch_rows(n_vertices: int) -> int:
@@ -185,27 +184,31 @@ class _Engine:
             self._pool.shutdown()
         _WORKER_CTX.clear()
 
-    def sample_term(self, kind, ell, i0, i1, defect_moments, plain_moments=None):
-        """Accumulate samples i0..i1-1 of one term into the given moments."""
+    def tasks(self, kind, ell, i0, i1):
+        """Lazy (kind, ell, first index, count) chunks covering samples i0..i1-1."""
         fine_ell = ell if kind == _KIND_PLAIN else ell + 1
         rows = _batch_rows(self.hier.level(fine_ell).num_vertices)
-        tasks = [(kind, ell, j, min(rows, i1 - j)) for j in range(i0, i1, rows)]
-        if self._pool is not None:
-            results = list(self._pool.map(_term_chunk, tasks))
-        else:
-            results = [_term_chunk(t) for t in tasks]
-        for res in results:
-            sum_vec, sum_sq, count, cost = res[0]
-            defect_moments.sum_vec += sum_vec
-            defect_moments.sum_sq += sum_sq
-            defect_moments.count += count
-            defect_moments.cost += cost
+        return ((kind, ell, j, min(rows, i1 - j)) for j in range(i0, i1, rows))
+
+    def _results(self, tasks):
+        """Chunk results in task order, at most 2 x workers chunks in flight."""
+        if self._pool is None:
+            yield from map(_term_chunk, tasks)
+            return
+        window: deque = deque()
+        for task in tasks:
+            window.append(self._pool.submit(_term_chunk, task))
+            if len(window) >= 2 * self.workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+    def sample_term(self, kind, ell, i0, i1, defect_moments, plain_moments=None):
+        """Accumulate samples i0..i1-1 of one term into the given moments."""
+        for res in self._results(self.tasks(kind, ell, i0, i1)):
+            defect_moments.merge(res[0])
             if plain_moments is not None and len(res) > 1:
-                sum_vec, sum_sq, count, cost = res[1]
-                plain_moments.sum_vec += sum_vec
-                plain_moments.sum_sq += sum_sq
-                plain_moments.count += count
-                plain_moments.cost += cost
+                plain_moments.merge(res[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fracwos import mlmc
+from fracwos.field import FieldMoments, mass_matrix
 from fracwos.geometry import unit_ball
 from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.problems import Problem, example1
@@ -108,6 +111,67 @@ class TestPilot:
     def test_minimum_pilot_size(self, hier6, ex2):
         with pytest.raises(ValueError):
             mlmc.pilot(hier6, ex2, 4, seed=5)
+
+
+class _CountingPool:
+    """Runs each chunk when its result is read; tracks chunks in flight."""
+
+    def __init__(self):
+        self.in_flight = self.peak = 0
+
+    def submit(self, fn, task):
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        pool = self
+
+        class Pending:
+            def result(self):
+                pool.in_flight -= 1
+                return fn(task)
+
+        return Pending()
+
+    def shutdown(self):
+        pass
+
+
+class TestEngine:
+    def test_tasks_are_generated_lazily(self, hier6, ex2):
+        # 2^30 samples are 2^20 chunks: an eager task list would take about
+        # 100 MB here, and a real runaway term (1e11 samples) all memory
+        with mlmc._Engine(hier6, ex2, 0, 1000, 1) as eng:
+            tracemalloc.start()
+            try:
+                tasks = eng.tasks(mlmc._KIND_PLAIN, 3, 0, 2 ** 30)
+                first = next(tasks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert iter(tasks) is tasks
+        assert first == (mlmc._KIND_PLAIN, 3, 0, 1024)
+        assert peak < 1 << 20
+
+    def test_pool_window_is_bounded_and_ordered(self, hier6, ex2):
+        mass = mass_matrix(hier6.level(3), hier6.norm_mask(3))
+        serial, windowed = FieldMoments(mass), FieldMoments(mass)
+        pool = _CountingPool()
+        with mlmc._Engine(hier6, ex2, 3, 1_000_000, 1) as eng:
+            eng.sample_term(mlmc._KIND_PLAIN, 3, 0, 5000, serial)
+            eng._pool, eng.workers = pool, 2
+            eng.sample_term(mlmc._KIND_PLAIN, 3, 0, 5000, windowed)
+        assert pool.peak == 4 and pool.in_flight == 0
+        np.testing.assert_array_equal(windowed.sum_vec, serial.sum_vec)
+        assert (windowed.sum_sq, windowed.count, windowed.cost) == \
+            (serial.sum_sq, serial.count, serial.cost)
+
+    def test_moments_bit_identical_across_workers(self, hier6, ex2):
+        # more chunks per term than the pool keeps in flight
+        s1 = mlmc.level_statistics(hier6, ex2, 3, 4, 5000, seed=3, workers=1)
+        s2 = mlmc.level_statistics(hier6, ex2, 3, 4, 5000, seed=3, workers=2)
+        for a, b in [(s1.plain, s2.plain), (s1.trans[3], s2.trans[3]),
+                     (s1.fine_plain[3], s2.fine_plain[3])]:
+            np.testing.assert_array_equal(a.sum_vec, b.sum_vec)
+            assert (a.sum_sq, a.count, a.cost) == (b.sum_sq, b.count, b.cost)
 
 
 class TestRun:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -30,6 +32,29 @@ class TestRegIncBeta:
         t = np.linspace(0.0, 1.0, 2001)
         ref = betainc(alpha / 2, 1 - alpha / 2, t)
         assert np.abs(reg_inc_beta(t, alpha) - ref).max() < 1e-12
+
+    def test_arcsine_law_stable_forms(self):
+        # alpha = 1 is the arcsine law; each branch takes arcsin at most
+        # sqrt(1/2), and the upper one uses 1 - t, which is exact there
+        t = np.concatenate([np.linspace(0.0, 1.0, 1001),
+                            1.0 - np.array([1e-3, 2e-6, 1e-6, 5e-7, 1e-9,
+                                            1e-12, 1e-15, 2.0 ** -53])])
+        ref = np.where(t <= 0.5, 2.0 / np.pi * np.arcsin(np.sqrt(t)),
+                       1.0 - 2.0 / np.pi * np.arcsin(np.sqrt(1.0 - t)))
+        assert np.abs(reg_inc_beta(t, 1.0) - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 1.0, 1.5, 1.98])
+    def test_leading_tail_terms(self, alpha):
+        # I_t(a, b) = t^a / (a B(a, b)) (1 + O(t)), and symmetrically at
+        # t = 1; within 1e-10 of either end the O(t) term is below 2e-14
+        a, b = alpha / 2, 1 - alpha / 2
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        small = np.array([1e-10, 1e-12, 1e-15, 1e-30, 1e-100, 1e-300])
+        lower = np.exp(a * np.log(small) - log_beta) / a
+        assert np.abs(reg_inc_beta(small, alpha) - lower).max() < 1e-12
+        t = 1.0 - np.array([1e-10, 1e-12, 1e-15, 2.0 ** -53])
+        upper = 1.0 - np.exp(b * np.log(1.0 - t) - log_beta) / b
+        assert np.abs(reg_inc_beta(t, alpha) - upper).max() < 1e-12
 
     def test_monotone(self):
         t = np.linspace(0, 1, 500)
