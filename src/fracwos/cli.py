@@ -220,7 +220,7 @@ def cmd_solve(cfg: RunConfig) -> dict:
     hier = build_mesh(cfg, problem.domain)
     res = mlmc.run(hier, problem, cfg.eps, cfg.l0, cfg.seed,
                    pilot_M=cfg.pilot, workers=cfg.workers,
-                   max_cost=cfg.max_cost or None)
+                   max_cost=cfg.max_cost or mlmc.MAX_COST)
     level = hier.level(res.solution.level)
     write_field_csv(os.path.join(cfg.out, "solution.csv"), level,
                     res.solution, cfg.alpha, cfg.seed)
@@ -357,8 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=int, help="samples per start point")
         p.add_argument("--J", type=int, help="number of start points")
         p.add_argument("--max-cost", dest="max_cost", type=float,
-                       help="walk-step budget cap (solve) / execute budget "
-                            "(cost-study)")
+                       help="walk-step budget cap (solve, default 2^40) / "
+                            "execute budget (cost-study)")
         p.add_argument("--fixed-accuracy", dest="fixed_accuracy",
                        action="store_const", const=True,
                        help="disable the variable solve-tolerance rule (eig)")

@@ -8,11 +8,11 @@ vertices, the multilevel fine-minus-coarse correction is exactly the
 midpoint defect of the fine field, and its variance decays with the mesh
 width -- that is the whole point of the coupling.
 
-The walker is batched: K independent realizations (one key each) times V
-start vertices run as one flat array program, with exited paths compressed
-away each step.  Per-slot draws depend only on (key, step, draw index), so
-results are bit-identical no matter how realizations are batched or
-distributed.
+The walk itself is :func:`fracwos.sampling.walk`: K independent
+realizations (one key each) times V start vertices run as one flat array
+program, with exited paths compressed away each step.  Step tuples depend
+only on (key, step), so results are bit-identical no matter how
+realizations are batched or distributed.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from scipy import sparse
 
 from .mesh import FieldVector, MeshHierarchy, MeshLevel, midpoint_defect, restrict
 from .problems import Problem
-from .sampling import MaxStepsExceededError, reg_inc_beta
+from .sampling import MAX_WALK_STEPS, walk
 from .streams import RandomSequence, step_tuples
-
-MAX_WALK_STEPS = 1_000_000
 
 
 class InsufficientSamplesError(ValueError):
@@ -50,56 +48,14 @@ def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray,
 
     starts: (V, 2) points strictly inside the domain; keys: (K,) stream
     keys, one per realization.  All V paths of realization k consume that
-    realization's step-n tuple at their n-th step.  Returns (values (K, V),
-    total steps).
+    realization's step-n tuple at their n-th step; tuples are drawn only for
+    realizations with a live path.  Returns (values (K, V), total steps).
     """
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    starts = np.asarray(starts, dtype=np.float64)
-    nk, nv = keys.size, starts.shape[0]
-    domain = problem.domain
     alpha = problem.alpha
-    params = problem.params
-    inv_alpha = 1.0 / alpha
-
-    pos = np.broadcast_to(starts[None, :, :], (nk, nv, 2)).reshape(-1, 2).copy()
-    smp = np.repeat(np.arange(nk), nv)
-    slot = np.arange(nk * nv)
-    acc = np.zeros(nk * nv)
-    out = np.empty(nk * nv)
-    cost = 0
-    for n in range(max_steps):
-        if not slot.size:
-            break
-        cost += slot.size
-        beta, theta, s, phi = step_tuples(alpha, keys, np.uint32(n))
-        weight = reg_inc_beta(1.0 - s ** (2.0 * inv_alpha), alpha)
-        s_rad = s ** inv_alpha
-
-        d = domain._distance(pos)
-        if np.any(d <= 0.0):
-            # landed within one ulp of the boundary: already exited
-            gone = d <= 0.0
-            out[slot[gone]] = np.asarray(problem.g(pos[gone])) + acc[gone]
-            keep = ~gone
-            pos, smp, slot, acc, d = (pos[keep], smp[keep], slot[keep],
-                                      acc[keep], d[keep])
-            if not slot.size:
-                break
-        y = pos + (d * s_rad[smp])[:, None] * phi[smp]
-        fx = problem.f(pos)
-        fy = problem.f(y)
-        acc = acc + params.a1 * d ** alpha * ((fy - fx) * weight[smp]
-                                              + params.a2 * fx)
-        pos = pos + (d / np.sqrt(beta[smp]))[:, None] * theta[smp]
-        inside = domain._contains(pos)
-        if not inside.all():
-            left = ~inside
-            out[slot[left]] = np.asarray(problem.g(pos[left])) + acc[left]
-            pos, smp, slot, acc = pos[inside], smp[inside], slot[inside], acc[inside]
-    if slot.size:
-        raise MaxStepsExceededError(
-            f"{slot.size} coupled walks exceeded {max_steps} steps")
-    return out.reshape(nk, nv), cost
+    return walk(starts, problem, keys.size,
+                lambda n, rows: step_tuples(alpha, keys[rows], np.uint32(n)),
+                max_steps)
 
 
 def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray,

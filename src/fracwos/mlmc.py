@@ -28,7 +28,7 @@ import numpy as np
 from .field import FieldMoments, batch_defects, field_values, mass_matrix
 from .mesh import FieldVector, MeshHierarchy, l2_norm, prolong_to
 from .problems import Problem
-from .sampling import NonFiniteStatisticError
+from .sampling import MAX_WALK_STEPS, NonFiniteStatisticError
 from .streams import derive_key
 
 _KIND_PLAIN = 1
@@ -36,6 +36,7 @@ _KIND_PAIR = 2
 _VAR_FLOOR = 1e-12
 _ROW_BUDGET = 1 << 21  # batch rows scaled so rows * vertices stays bounded
 _COUNT_LIMIT = 2.0 ** 63  # sample counts and walk steps are int64
+MAX_COST = 2.0 ** 40  # default cap on planned walk steps: ~a week at 2M steps/s
 
 BIAS_RATE = 2.0   # mean-correction norms decay like 2^(-2 l)
 COST_RATE = 2.0   # vertex count grows like 2^(2 l) per level in 2-D
@@ -216,7 +217,7 @@ class _Engine:
 
 def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
                      l_max: int, samples: int, seed: int, workers: int = 1,
-                     max_steps: int = 1_000_000) -> LevelStatistics:
+                     max_steps: int = MAX_WALK_STEPS) -> LevelStatistics:
     """Plain moments at l0 and coupled-correction moments per transition."""
     if samples < 2:
         raise ValueError("need at least two samples per level")
@@ -334,7 +335,8 @@ def allocate(eps: float, V, C) -> np.ndarray:
 
 def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
         pilot_M: int = 32, fixed_L: int | None = None, workers: int = 1,
-        max_cost: float | None = None, max_steps: int = 1_000_000) -> MlmcResult:
+        max_cost: float | None = MAX_COST,
+        max_steps: int = MAX_WALK_STEPS) -> MlmcResult:
     """Full multilevel solve: pilot, plan, sample, telescope.
 
     Parameters
@@ -343,7 +345,9 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
     l0 : coarsest level of the telescope.
     fixed_L : pin the finest level instead of choosing it from the fitted
         bias decay (used when the operator must stay identical across calls).
-    max_cost : optional cap on projected total walk steps.
+    max_cost : cap on projected total walk steps, checked after the pilot;
+        None lifts it.  The default, MAX_COST, stops data that break the
+        growth condition on g from starting a run that would last weeks.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -441,7 +445,7 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
         executed = None
         if ml_cost <= execute_budget:
             res = run(hier, problem, eps, l0, seed, pilot_M=pilot_M,
-                      workers=workers)
+                      workers=workers, max_cost=None)
             executed = res.total_cost
         rows.append({"eps": eps, "L": L, "mlmc_cost": ml_cost,
                      "vanilla_cost": float(van_cost), "M": M.tolist(),

@@ -12,6 +12,10 @@ accumulated along the walk via the estimator
 
 whose constants A1 (closed form) and A2 (quadrature) are precomputed once
 per alpha.
+
+:func:`walk` is the one step loop.  Point estimates feed it tuples from a
+numpy Generator, one realization per walk; coupled fields (fracwos.field)
+feed it counter-based tuples shared by every walk of a realization.
 """
 
 from __future__ import annotations
@@ -19,20 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
 from scipy.special import betainc, gammaln
 
-from .geometry import Domain
-from .streams import RandomSequence, batch_generator, johnk_beta_rng
+from .streams import batch_generator, johnk_beta_rng, unit_vectors
 
 POINT_BATCH = 1 << 15  # fixed batch width; estimates are pure in (seed, M)
-
-
-class DegenerateDistanceError(ValueError):
-    """A walk step was requested from a point with zero boundary distance."""
+MAX_WALK_STEPS = 1_000_000
 
 
 class MaxStepsExceededError(RuntimeError):
@@ -116,165 +116,104 @@ def make_params(alpha: float) -> StableParams:
     return StableParams(alpha=alpha, a1=a1, a2=a2)
 
 
-def sample_beta(alpha: float, u1: float, u2: float, retries=None) -> float:
-    """One Beta(alpha/2, (2-alpha)/2) variate by Johnk's generator.
-
-    The first trial consumes (u1, u2); rejection retries consume further
-    pairs from `retries` (a callable returning a uniform pair).  Without an
-    owning stream the retries come from a substream derived from the bits of
-    (u1, u2), keeping the result a pure function of the inputs.
-    """
-    _check_alpha(alpha)
-    if not (0.0 < u1 < 1.0 and 0.0 < u2 < 1.0):
-        raise ValueError("u1, u2 must be in (0, 1)")
-    if retries is None:
-        key = np.frombuffer(np.array([u1, u2]).tobytes(), dtype=np.uint64)
-        rng = batch_generator(int(key[0] ^ key[1]), 0xBE7A)
-        retries = lambda: tuple(rng.random(2))
-    inv_a = 2.0 / alpha
-    inv_b = 2.0 / (2.0 - alpha)
-    while True:
-        logx = inv_a * math.log(u1)
-        logy = inv_b * math.log(u2)
-        logsum = np.logaddexp(logx, logy)
-        if logsum <= 0.0:
-            return max(float(np.exp(logx - logsum)), 1e-280)
-        u1, u2 = retries()
-
-
-def wos_step(x, domain: Domain, beta: float, theta) -> np.ndarray:
-    """One walk update x -> x + Theta d(x)/sqrt(beta).
-
-    The jump length exceeds d(x) almost surely (beta < 1), so the walk
-    leaves the inscribed ball exactly.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = float(domain.distance(x))
-    if d <= 0.0:
-        raise DegenerateDistanceError(f"no inscribed ball at {tuple(x)}")
-    return x + np.asarray(theta, dtype=np.float64) * (d / math.sqrt(beta))
-
-
-def f_term(x, s: float, phi, params: StableParams, f: Callable,
-           domain: Domain) -> float:
-    """Source-term contribution of one walk position.
-
-    The sample point x + d(x) S^(1/alpha) Phi lies in the open inscribed
-    ball, hence inside the domain.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = float(domain.distance(x))
-    if d <= 0.0:
-        raise DegenerateDistanceError(f"no inscribed ball at {tuple(x)}")
-    if not (0.0 < s < 1.0):
-        raise ValueError("s must be in (0, 1)")
-    alpha = params.alpha
-    y = x + d * s ** (1.0 / alpha) * np.asarray(phi, dtype=np.float64)
-    w = float(reg_inc_beta(1.0 - s ** (2.0 / alpha), alpha))
-    fx = float(np.asarray(f(x[None, :])).ravel()[0])
-    fy = float(np.asarray(f(y[None, :])).ravel()[0])
-    return params.a1 * d ** alpha * ((fy - fx) * w + params.a2 * fx)
-
-
-@dataclass
-class WosPath:
-    """One realized walk: positions up to and including the exit point."""
-
-    positions: np.ndarray
-    exit_index: int
-    steps_consumed: int
-
-
-def run_path(x0, domain: Domain, seq: RandomSequence, offset: int = 0,
-             max_steps: int = 1_000_000) -> WosPath:
-    """Run one walk from x0, consuming entries offset, offset+1, ... of seq."""
-    x = np.asarray(x0, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite start point")
-    positions = [x.copy()]
-    if not bool(domain.contains(x)):
-        return WosPath(np.array(positions), 0, 0)
-    for n in range(max_steps):
-        beta, theta, _, _ = seq.entry(offset + n)
-        x = wos_step(x, domain, beta, theta)
-        positions.append(x.copy())
-        if not bool(domain.contains(x)):
-            return WosPath(np.array(positions), n + 1, n + 1)
-    raise MaxStepsExceededError(f"walk from {tuple(x0)} exceeded {max_steps} steps")
-
-
 class PointEstimate(NamedTuple):
     mean: float
     variance: float
     total_steps: int
 
 
-def _walk_point_batch(x: np.ndarray, problem, seed: int, bindex: int,
-                      count: int, max_steps: int):
-    """Vectorized batch of independent walks from one start point.
+def walk(starts: np.ndarray, problem, count: int, draw,
+         max_steps: int = MAX_WALK_STEPS):
+    """The walk-outside-spheres loop: `count` realizations, each walking
+    every start point.
 
-    Returns (sum v, sum v^2, steps, exit-step histogram sums) for `count`
-    independent realizations driven by the (seed, bindex) substream.
+    Each step jumps from x to x + Theta d(x)/sqrt(beta), leaving the
+    inscribed ball B(x, d(x)) by the exit law, and adds the source term
+    F(x; S, Phi) to the walk's sum; the value of a walk is g at its exit
+    point plus that sum.  `draw(n, rows)` returns step n's tuples
+    (beta, Theta, S, Phi) for the realizations `rows` (ascending) that still
+    have a live walk, so all walks of one realization consume the same
+    tuple at their n-th step.  Returns (values (count, V), total steps).
     """
-    rng = batch_generator(seed, 0x90, bindex)
+    starts = np.asarray(starts, dtype=np.float64)
+    nv = starts.shape[0]
     domain = problem.domain
     alpha = problem.alpha
     params = problem.params
-    pos = np.broadcast_to(x, (count, 2)).copy()
-    acc = np.zeros(count)
-    vals = np.empty(count)
-    exit_steps = np.empty(count, dtype=np.int64)
-    idx = np.arange(count)
-    steps = 0
+    inv_alpha = 1.0 / alpha
+
+    pos = np.broadcast_to(starts[None, :, :], (count, nv, 2)).reshape(-1, 2).copy()
+    smp = np.repeat(np.arange(count), nv)
+    slot = np.arange(count * nv)
+    acc = np.zeros(count * nv)
+    out = np.empty(count * nv)
+    cost = 0
     for n in range(max_steps):
-        if not idx.size:
+        if not slot.size:
             break
-        a = idx.size
-        steps += a
+        cost += slot.size
         d = domain._distance(pos)
         if np.any(d <= 0.0):
             # landed within one ulp of the boundary: already exited
             gone = d <= 0.0
-            vals[idx[gone]] = np.asarray(problem.g(pos[gone])) + acc[gone]
-            exit_steps[idx[gone]] = n
+            out[slot[gone]] = np.asarray(problem.g(pos[gone])) + acc[gone]
             keep = ~gone
-            pos, acc, idx, d = pos[keep], acc[keep], idx[keep], d[keep]
-            if not idx.size:
+            pos, smp, slot, acc, d = (pos[keep], smp[keep], slot[keep],
+                                      acc[keep], d[keep])
+            if not slot.size:
                 break
-            a = idx.size
-        u_dir = rng.random(a)
-        u_src = rng.random(a)
-        u_s = rng.random(a)
-        beta = johnk_beta_rng(alpha, rng, a)
-        # source term
-        w = reg_inc_beta(1.0 - u_s ** (2.0 / alpha), alpha)
-        src = np.cos(2.0 * np.pi * u_src), np.sin(2.0 * np.pi * u_src)
-        y = pos + (d * u_s ** (1.0 / alpha))[:, None] * np.column_stack(src)
+        # smp is ascending: its first entry per realization lists the live rows
+        rows = smp if nv == 1 else smp[np.r_[True, smp[1:] != smp[:-1]]]
+        beta, theta, s, phi = draw(n, rows)
+        weight = reg_inc_beta(1.0 - s ** (2.0 * inv_alpha), alpha)
+        s_rad = s ** inv_alpha
+        at = slice(None)
+        if rows.size < smp.size:
+            # several walks per realization: index the tuples by realization
+            beta, theta, s_rad, weight, phi = (
+                _scatter(v, rows, count) for v in (beta, theta, s_rad, weight, phi))
+            at = smp
+        y = pos + (d * s_rad[at])[:, None] * phi[at]
         fx = problem.f(pos)
         fy = problem.f(y)
-        acc += params.a1 * d ** alpha * ((fy - fx) * w + params.a2 * fx)
-        # exit-law jump
-        step_len = d / np.sqrt(beta)
-        pos = pos + step_len[:, None] * np.column_stack(
-            [np.cos(2.0 * np.pi * u_dir), np.sin(2.0 * np.pi * u_dir)])
+        acc += params.a1 * d ** alpha * ((fy - fx) * weight[at] + params.a2 * fx)
+        pos = pos + (d / np.sqrt(beta[at]))[:, None] * theta[at]
         inside = domain._contains(pos)
         if not inside.all():
-            out = ~inside
-            vals[idx[out]] = np.asarray(problem.g(pos[out])) + acc[out]
-            exit_steps[idx[out]] = n + 1
-            pos, acc, idx = pos[inside], acc[inside], idx[inside]
-    if idx.size:
-        raise MaxStepsExceededError(f"{idx.size} walks exceeded {max_steps} steps")
-    return vals.sum(), (vals * vals).sum(), steps, exit_steps
+            left = ~inside
+            out[slot[left]] = np.asarray(problem.g(pos[left])) + acc[left]
+            pos, smp, slot, acc = pos[inside], smp[inside], slot[inside], acc[inside]
+    if slot.size:
+        raise MaxStepsExceededError(f"{slot.size} walks exceeded {max_steps} steps")
+    return out.reshape(count, nv), cost
+
+
+def _scatter(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    full = np.empty((count,) + values.shape[1:])
+    full[rows] = values
+    return full
+
+
+def _generator_draw(alpha: float, rng: np.random.Generator):
+    """A `walk` draw with fresh Generator tuples for every live realization."""
+    def draw(n, rows):
+        u_dir = rng.random(rows.size)
+        u_src = rng.random(rows.size)
+        u_s = rng.random(rows.size)
+        beta = johnk_beta_rng(alpha, rng, rows.size)
+        return beta, unit_vectors(u_dir), u_s, unit_vectors(u_src)
+    return draw
 
 
 def point_estimate(x, problem, M: int, seed: int,
-                   max_steps: int = 1_000_000) -> PointEstimate:
+                   max_steps: int = MAX_WALK_STEPS) -> PointEstimate:
     """Sample mean and unbiased sample variance of M walk realizations at x.
 
-    The estimator is unbiased for the solution value u(x).  Results are a
-    pure function of (x, problem, M, seed); parallel callers can split over
-    batch index and merge in order without changing them.
+    The estimator is unbiased for the solution value u(x).  Realizations run
+    through :func:`walk` in batches of POINT_BATCH; batch b draws its tuples
+    from the numpy Generator `batch_generator(seed, 0x90, b)`, so results
+    are a pure function of (x, problem, M, seed), and parallel callers can
+    split over batch index and merge in order without changing them.
     """
     if M < 2:
         raise ValueError("need at least two samples")
@@ -286,9 +225,11 @@ def point_estimate(x, problem, M: int, seed: int,
         return PointEstimate(g0, 0.0, 0)
     total = np.zeros(3)
     for b, i0 in enumerate(range(0, M, POINT_BATCH)):
-        count = min(POINT_BATCH, M - i0)
-        s, s2, steps, _ = _walk_point_batch(x, problem, seed, b, count, max_steps)
-        total += (s, s2, steps)
+        draw = _generator_draw(problem.alpha, batch_generator(seed, 0x90, b))
+        vals, steps = walk(x[None, :], problem, min(POINT_BATCH, M - i0), draw,
+                           max_steps)
+        vals = vals[:, 0]
+        total += (vals.sum(), (vals * vals).sum(), steps)
     mean = total[0] / M
     var = (total[1] - M * mean * mean) / (M - 1)
     for name, value in (("mean", mean), ("variance", var)):
@@ -297,14 +238,3 @@ def point_estimate(x, problem, M: int, seed: int,
                                           f"point estimate at {tuple(x.tolist())}",
                                           name, float(value))
     return PointEstimate(float(mean), float(max(var, 0.0)), int(total[2]))
-
-
-def exit_step_counts(x, problem, M: int, seed: int,
-                     max_steps: int = 1_000_000) -> np.ndarray:
-    """Exit step counts of M independent walks from x (diagnostics)."""
-    counts = []
-    for b, i0 in enumerate(range(0, M, POINT_BATCH)):
-        count = min(POINT_BATCH, M - i0)
-        *_, exits = _walk_point_batch(x, problem, seed, b, count, max_steps)
-        counts.append(exits)
-    return np.concatenate(counts)

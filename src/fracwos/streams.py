@@ -7,6 +7,10 @@ rejection transforms that consume counters in a fixed per-slot order.  This
 makes any entry of any stream computable without generating its predecessors,
 so paths started at different points can share the n-th tuple (the coupling
 device) and parallel runs reproduce serial ones bit for bit.
+
+Uncoupled Monte Carlo (point estimates, assumption checks) draws instead
+from numpy Philox Generators keyed by labelled substreams
+(:func:`batch_generator`), which are pure in (seed, labels) as well.
 """
 
 from __future__ import annotations
@@ -147,10 +151,13 @@ def step_tuples(alpha: float, key, step):
     beta = johnk_beta(alpha, key, step)
     u_th, u_ph = uniform_pair(key, 0, step, TAG_DIRECTIONS)
     u_s, _ = uniform_pair(key, 0, step, TAG_SOURCE)
+    return beta, unit_vectors(u_th), u_s, unit_vectors(u_ph)
+
+
+def unit_vectors(u: np.ndarray) -> np.ndarray:
+    """Unit vectors (cos 2 pi u, sin 2 pi u), stacked on the last axis."""
     two_pi = 2.0 * np.pi
-    theta = np.stack([np.cos(two_pi * u_th), np.sin(two_pi * u_th)], axis=-1)
-    phi = np.stack([np.cos(two_pi * u_ph), np.sin(two_pi * u_ph)], axis=-1)
-    return beta, theta, u_s, phi
+    return np.stack([np.cos(two_pi * u), np.sin(two_pi * u)], axis=-1)
 
 
 class RandomSequence:
@@ -166,18 +173,6 @@ class RandomSequence:
         self.seed = int(seed)
         self.alpha = float(alpha)
         self.key = derive_key(seed)
-        self._cache: dict[int, tuple] = {}
-
-    def entry(self, n: int):
-        """Tuple (beta, theta, s, phi) at index n; theta/phi are unit 2-vectors."""
-        hit = self._cache.get(n)
-        if hit is not None:
-            return hit
-        beta, theta, s, phi = step_tuples(self.alpha, self.key, np.uint32(n))
-        ent = (float(beta[0]), theta[0].copy(), float(s[0]), phi[0].copy())
-        if len(self._cache) < 4096:
-            self._cache[n] = ent
-        return ent
 
     def entries(self, n0: int, n1: int):
         """Vectorized materialization of entries n0..n1-1 (arrays)."""

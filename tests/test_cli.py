@@ -185,6 +185,16 @@ class TestCliRuns:
         assert_ok(r)
         assert (tmp_path / "cx" / "solution.csv").exists()
 
+    def test_solve_default_cost_cap(self, tmp_path):
+        # g = x^3 breaks the growth condition at alpha = 1; without
+        # --max-cost the plan is still held to the default walk-step cap
+        r = run_cli(["solve", "--problem", "custom", "--f-expr", "0*x",
+                     "--g-expr", "x**3", "--alpha", "1.0", "--eps", "0.05",
+                     "--l0", "2", "--L", "3", "--seed", "1", "--workers", "1",
+                     "--out", "cap"], tmp_path)
+        assert r.returncode == 1
+        assert "exceeds cap 1.1e+12" in r.stderr
+
     def test_eig_writes_iterations(self, tmp_path):
         args = ["eig", "--alpha", "1.0", "--tol", "0.05", "--B", "3",
                 "--m", "3", "--l0", "3", "--L", "4", "--seed", "11",

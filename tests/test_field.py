@@ -6,8 +6,34 @@ from fracwos.field import (FieldMoments, InsufficientSamplesError,
                            mass_matrix, sample_field, sample_pair, walk_starts)
 from fracwos.mesh import FieldVector, l2_norm, midpoint_defect, restrict
 from fracwos.problems import Problem, by_name, example1
-from fracwos.sampling import point_estimate
-from fracwos.streams import RandomSequence, derive_key
+from fracwos.sampling import MaxStepsExceededError, point_estimate, reg_inc_beta
+from fracwos.streams import RandomSequence, derive_key, step_tuples
+
+
+def replay(start, key, problem):
+    """Scalar oracle: re-walk one (key, start) pair one step at a time.
+
+    Step n jumps by Theta d / sqrt(beta) and adds the source term of the
+    key's step-n tuple.  Values are kept as one-element arrays because
+    numpy's scalar power differs from its array loop in the last bit, which
+    1 - S^(2/alpha) amplifies near S = 1.  Returns (walk value, steps).
+    """
+    dom, alpha, prm = problem.domain, problem.alpha, problem.params
+    x, acc, n = np.array([start], dtype=np.float64), 0.0, 0
+    while True:
+        n += 1
+        d = dom.distance(x)
+        if d[0] <= 0.0:
+            break
+        beta, theta, s, phi = step_tuples(alpha, key, np.uint32(n - 1))
+        y = x + d * s ** (1.0 / alpha) * phi
+        w = reg_inc_beta(1.0 - s ** (2.0 / alpha), alpha)
+        fx, fy = problem.f(x), problem.f(y)
+        acc += (prm.a1 * d ** alpha * ((fy - fx) * w + prm.a2 * fx))[0]
+        x = x + theta * (d / np.sqrt(beta))
+        if not dom.contains(x)[0]:
+            break
+    return float(problem.g(x)[0]) + acc, n
 
 
 class TestSampleField:
@@ -60,6 +86,32 @@ class TestSampleField:
         perm = rng.permutation(starts.shape[0])
         vals_p, _ = walk_starts(starts[perm], ex1, keys)
         np.testing.assert_array_equal(vals_p, vals[:, perm])
+
+
+class TestWalkStarts:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_matches_scalar_replay(self, alpha):
+        # all starts of a key consume its step-n tuple at their n-th step,
+        # so (0.1, 0) and (0.2, 0) are coupled walks of each key
+        prob = by_name("example3", alpha)
+        starts = np.array([[0.1, 0.0], [0.2, 0.0], [-0.5, 0.6], [0.05, -0.9]])
+        keys = derive_key(11, np.arange(4))
+        vals, cost = walk_starts(starts, prob, keys)
+        total = 0
+        for k, key in enumerate(keys):
+            for v, start in enumerate(starts):
+                value, steps = replay(start, key, prob)
+                assert vals[k, v] == pytest.approx(value, rel=1e-12)
+                total += steps
+        assert cost == total
+
+    def test_max_steps_error(self):
+        prob = by_name("example1", 1.9)
+        starts = np.array([[0.9, 0.0], [0.0, 0.5]])
+        keys = derive_key(2, np.arange(20))
+        walk_starts(starts, prob, keys)
+        with pytest.raises(MaxStepsExceededError):
+            walk_starts(starts, prob, keys, max_steps=3)
 
 
 class TestSamplePair:

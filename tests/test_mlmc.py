@@ -351,6 +351,13 @@ class TestNonFiniteStatistics:
         assert e.term == "plain term at level 2"
         assert "alpha = 0.02" in str(e) and "plain term at level 2" in str(e)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_default_cost_cap(self, hier3, seed):
+        # finite pilot V, but the plan costs 6e12 (seed 1) and 1.5e13
+        # (seed 2) walk steps: weeks of sampling without the default cap
+        with pytest.raises(mlmc.BudgetExceededError, match="exceeds cap"):
+            mlmc.run(hier3, self.cubic(1.0), eps=0.05, l0=2, seed=seed)
+
     def test_overflowing_plan_is_rejected(self, hier3):
         # V is finite but its optimal allocation costs over 2^63 walk steps
         with np.errstate(all="ignore"), \

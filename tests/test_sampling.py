@@ -6,12 +6,44 @@ from scipy import stats
 from scipy.special import betainc, beta as beta_fn, gamma
 
 from fracwos.geometry import unit_ball
-from fracwos.problems import Problem
-from fracwos.sampling import (DegenerateDistanceError, MaxStepsExceededError,
-                              NonFiniteStatisticError, StableParams, exit_step_counts, f_term,
-                              make_params, point_estimate, reg_inc_beta,
-                              run_path, sample_beta, wos_step)
-from fracwos.streams import RandomSequence, batch_generator
+from fracwos.problems import Problem, example1
+from fracwos.field import walk_starts
+from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
+                              StableParams, make_params, point_estimate,
+                              reg_inc_beta, walk)
+from fracwos.streams import batch_generator, derive_key, johnk_beta_rng
+
+
+def zero(pts):
+    return np.zeros(np.asarray(pts).shape[:-1])
+
+
+def one(pts):
+    return np.ones(np.asarray(pts).shape[:-1])
+
+
+def x_coord(pts):
+    return np.asarray(pts)[..., 0]
+
+
+def y_coord(pts):
+    return np.asarray(pts)[..., 1]
+
+
+def hand_walk(start, tuples, f=zero, g=x_coord, alpha=1.0):
+    """Walk one start on the unit ball through the kernel, with step n
+    driven by the hand-chosen tuples[n] = (beta, Theta, S, Phi).
+
+    Returns (walk value, steps).
+    """
+    def draw(n, rows):
+        beta, theta, s, phi = tuples[n]
+        return (np.array([beta]), np.array([theta], dtype=np.float64),
+                np.array([s]), np.array([phi], dtype=np.float64))
+
+    prob = Problem(alpha=alpha, domain=unit_ball(), f=f, g=g)
+    vals, steps = walk(np.array([start], dtype=np.float64), prob, 1, draw)
+    return float(vals[0, 0]), steps
 
 
 class TestRegIncBeta:
@@ -101,128 +133,108 @@ class TestStableParams:
 
 
 class TestSampleBeta:
+    """The Generator-fed Johnk sampler of the exit-radius law."""
+
     def test_deterministic_given_inputs(self):
-        assert sample_beta(1.0, 0.3, 0.4) == sample_beta(1.0, 0.3, 0.4)
+        a = johnk_beta_rng(1.0, batch_generator(9, 1), 1000)
+        b = johnk_beta_rng(1.0, batch_generator(9, 1), 1000)
+        np.testing.assert_array_equal(a, b)
 
     def test_support(self):
-        rng = np.random.default_rng(1)
-        vals = [sample_beta(0.6, rng.random(), rng.random()) for _ in range(2000)]
-        assert 0 < min(vals) and max(vals) < 1
+        vals = johnk_beta_rng(0.6, np.random.default_rng(1), 2000)
+        assert 0 < vals.min() and vals.max() < 1
 
     @pytest.mark.parametrize("alpha,mean", [(1.0, 0.5), (0.5, 0.25)])
     def test_empirical_mean(self, alpha, mean):
-        rng = batch_generator(9, 1)
-        vals = np.array([sample_beta(alpha, rng.random(), rng.random(),
-                                     retries=lambda: tuple(rng.random(2)))
-                         for _ in range(20000)])
+        vals = johnk_beta_rng(alpha, batch_generator(9, 1), 20000)
         # Beta(a, b) mean is a/(a+b) = alpha/2
         assert vals.mean() == pytest.approx(mean, abs=0.01)
 
     def test_ks_against_cdf(self):
         alpha = 1.3
-        rng = batch_generator(77, 2)
-        vals = np.array([sample_beta(alpha, rng.random(), rng.random(),
-                                     retries=lambda: tuple(rng.random(2)))
-                         for _ in range(5000)])
+        vals = johnk_beta_rng(alpha, batch_generator(77, 2), 5000)
         assert stats.kstest(vals, lambda t: reg_inc_beta(t, alpha)).pvalue > 0.01
 
 
 class TestWosStep:
-    def test_center_jump(self, ball):
-        out = wos_step((0.0, 0.0), ball, 0.25, (1.0, 0.0))
-        np.testing.assert_allclose(out, [2.0, 0.0])
-        assert not ball.contains(out)
+    """The kernel's jump x -> x + Theta d(x)/sqrt(beta), with hand tuples."""
 
-    def test_unit_beta_is_boundary_of_inscribed_ball(self, ball):
-        out = wos_step((0.5, 0.0), ball, 1.0, (0.0, 1.0))
-        np.testing.assert_allclose(out, [0.5, 0.5])
+    def test_center_jump(self):
+        assert hand_walk((0.0, 0.0), [(0.25, (1.0, 0.0), 0.5, (1.0, 0.0))]) \
+            == (2.0, 1)
 
-    def test_half_radius(self, ball):
-        out = wos_step((0.5, 0.0), ball, 0.25, (0.0, 1.0))
-        np.testing.assert_allclose(out, [0.5, 1.0])
+    def test_unit_beta_is_boundary_of_inscribed_ball(self):
+        # beta = 1 lands on the inscribed ball's boundary at (0.5, 0.5), still
+        # inside the domain, so a second step starts from there
+        tuples = [(1.0, (0.0, 1.0), 0.5, (1.0, 0.0)),
+                  (0.25, (0.0, 1.0), 0.5, (1.0, 0.0))]
+        value, steps = hand_walk((0.5, 0.0), tuples, g=y_coord)
+        d = 1.0 - math.hypot(0.5, 0.5)
+        assert steps == 2 and value == pytest.approx(0.5 + 2.0 * d, rel=1e-14)
 
-    def test_degenerate_distance(self, ball):
-        with pytest.raises(DegenerateDistanceError):
-            wos_step((1.0, 0.0), ball, 0.5, (1.0, 0.0))
+    def test_half_radius(self):
+        assert hand_walk((0.5, 0.0), [(0.25, (0.0, 1.0), 0.5, (1.0, 0.0))],
+                         g=y_coord) == (1.0, 1)
+
+    def test_degenerate_distance(self):
+        # a point with no inscribed ball has already exited: it takes g there
+        # and draws no tuple (the empty tuple list would raise)
+        assert hand_walk((1.0, 0.0), []) == (1.0, 1)
 
 
 class TestFTerm:
-    def test_zero_source(self, ball, ex1):
-        zero = lambda pts: np.zeros(np.asarray(pts).shape[:-1])
-        assert f_term((0.3, 0.1), 0.5, (1.0, 0.0), ex1.params, zero, ball) == 0.0
+    """The source term F(x; S, Phi) the kernel adds at each step."""
 
-    def test_constant_source(self, ball, ex1):
+    def test_zero_source(self):
+        value, _ = hand_walk((0.3, 0.1), [(0.25, (1.0, 0.0), 0.5, (1.0, 0.0))],
+                             g=one)
+        assert value == 1.0
+
+    def test_constant_source(self, ex1):
         # difference term vanishes, leaving a1 * d^alpha * a2 * f
-        one = lambda pts: np.ones(np.asarray(pts).shape[:-1])
-        x = (0.5, 0.0)
-        val = f_term(x, 0.37, (0.0, 1.0), ex1.params, one, ball)
-        d = float(ball.distance(x))
-        assert val == pytest.approx(ex1.params.a1 * d * ex1.params.a2, rel=1e-12)
+        value, _ = hand_walk((0.5, 0.0), [(0.25, (1.0, 0.0), 0.37, (0.0, 1.0))],
+                             f=one, g=zero)
+        assert value == pytest.approx(ex1.params.a1 * 0.5 * ex1.params.a2,
+                                      rel=1e-12)
 
-    def test_constant_source_at_center_alpha_one(self, ball, ex1):
-        one = lambda pts: np.ones(np.asarray(pts).shape[:-1])
-        val = f_term((0.0, 0.0), 0.8, (1.0, 0.0), ex1.params, one, ball)
-        assert val == pytest.approx(ex1.params.a2, rel=1e-12)
+    def test_constant_source_at_center_alpha_one(self, ex1):
+        value, _ = hand_walk((0.0, 0.0), [(0.25, (1.0, 0.0), 0.8, (1.0, 0.0))],
+                             f=one, g=zero)
+        assert value == pytest.approx(ex1.params.a2, rel=1e-12)
 
 
 class TestRunPath:
-    def test_start_outside_exits_immediately(self, ball):
-        path = run_path((3.0, 0.0), ball, RandomSequence(1, 1.0))
-        assert path.exit_index == 0 and path.steps_consumed == 0
-        assert path.positions.shape == (1, 2)
+    """Whole walks through the kernel."""
+
+    def test_start_outside_exits_immediately(self):
+        # the boundary check counts as a step; no tuple is drawn
+        assert hand_walk((3.0, 0.0), []) == (3.0, 1)
 
     def test_positions_interior_until_exit(self, ball):
-        seq = RandomSequence(5, 1.0)
-        path = run_path((0.2, 0.1), ball, seq)
-        inside = ball.contains(path.positions)
-        assert np.all(inside[:-1]) and not inside[-1]
-        assert path.exit_index == path.positions.shape[0] - 1
+        # f is evaluated only inside the domain, g only outside it
+        seen = {"f": [], "g": []}
 
-    def test_shared_sequence_couples_steps(self, ball):
-        # the n-th update of both paths uses the identical (beta, Theta)
-        seq = RandomSequence(11, 1.0)
-        p1 = run_path((0.1, 0.0), ball, seq)
-        p2 = run_path((0.2, 0.0), ball, seq)
-        n = min(p1.exit_index, p2.exit_index)
-        for k in range(n):
-            b, t, _, _ = seq.entry(k)
-            d1 = float(ball.distance(p1.positions[k]))
-            d2 = float(ball.distance(p2.positions[k]))
-            np.testing.assert_allclose(
-                p1.positions[k + 1] - p1.positions[k], t * d1 / np.sqrt(b))
-            np.testing.assert_allclose(
-                p2.positions[k + 1] - p2.positions[k], t * d2 / np.sqrt(b))
+        def record(name):
+            def field(pts):
+                seen[name].append(np.array(pts))
+                return zero(pts)
+            return field
 
-    def test_offset_consumes_shifted_entries(self, ball):
-        # a path run with offset k sees entry k as its first tuple
-        seq = RandomSequence(31, 1.0)
-        path = run_path((0.3, 0.2), ball, seq, offset=5)
-        b, t, _, _ = seq.entry(5)
-        d0 = float(ball.distance((0.3, 0.2)))
-        np.testing.assert_allclose(path.positions[1] - path.positions[0],
-                                   t * d0 / np.sqrt(b))
+        prob = Problem(alpha=1.0, domain=ball, f=record("f"), g=record("g"))
+        starts = np.array([[0.2, 0.1], [-0.6, 0.3], [0.0, 0.95]])
+        _, cost = walk_starts(starts, prob, derive_key(5, np.arange(20)))
+        inside = np.concatenate(seen["f"])
+        exits = np.concatenate(seen["g"])
+        assert ball.contains(inside).all() and not ball.contains(exits).any()
+        assert exits.shape[0] == 60 and inside.shape[0] == 2 * cost
 
-    def test_max_steps_error(self, ball):
-        seq = RandomSequence(1, 1.9)
-        full = run_path((0.5, 0.0), ball, seq)
-        assert full.exit_index > 1
+    def test_max_steps_error(self):
+        # at alpha = 1.9 jumps barely leave the inscribed ball, so walks
+        # from near the boundary outlive a three-step cap
+        prob = example1(1.9)
+        assert np.isfinite(point_estimate((0.9, 0.0), prob, 1000, seed=1).mean)
         with pytest.raises(MaxStepsExceededError):
-            run_path((0.5, 0.0), ball, seq, max_steps=full.exit_index - 1)
-
-    def test_geometric_tail(self, ex1):
-        # survival probabilities decay roughly geometrically (off-center
-        # start: from the exact center the walk exits in one step)
-        counts = exit_step_counts((0.5, 0.1), ex1, 100000, seed=4)
-        assert counts.mean() < 20
-        ns = np.arange(1, 12)
-        surv = np.array([(counts > n).mean() for n in ns])
-        ratios = surv[1:] / surv[:-1]
-        assert np.all(ratios < 0.9)
-        # log-survival is close to linear once past the initial transient
-        tail = slice(2, None)
-        fit = np.polyfit(ns[tail], np.log(surv[tail]), 1)
-        resid = np.log(surv[tail]) - np.polyval(fit, ns[tail])
-        assert np.abs(resid).max() < 0.1
+            point_estimate((0.9, 0.0), prob, 1000, seed=1, max_steps=3)
 
 
 class TestPointEstimate:
@@ -260,6 +272,14 @@ class TestPointEstimate:
         a = point_estimate((0.4, -0.3), ex2, 30000, seed=12)
         b = point_estimate((0.4, -0.3), ex2, 30000, seed=12)
         assert a == b
+
+    def test_golden_bits(self, ex2):
+        # pinned before point estimates moved onto the shared walk kernel;
+        # M = 40000 is one full batch and one partial batch
+        est = point_estimate((0.4, -0.3), ex2, 40000, seed=12)
+        assert est.mean.hex() == "0x1.4cb9c49731505p-1"
+        assert est.variance.hex() == "0x1.cfddee6391effp-3"
+        assert est.total_steps == 96250
 
     def test_outside_returns_exterior_data(self, ex3):
         est = point_estimate((2.0, 0.0), ex3, 10, seed=0)

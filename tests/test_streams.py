@@ -115,18 +115,14 @@ class TestRandomSequence:
         s1 = RandomSequence(42, 1.0)
         s2 = RandomSequence(42, 1.0)
         for n in (0, 5, 1000):
-            b1, t1, u1, p1 = s1.entry(n)
-            b2, t2, u2, p2 = s2.entry(n)
-            assert b1 == b2 and u1 == u2
-            np.testing.assert_array_equal(t1, t2)
-            np.testing.assert_array_equal(p1, p2)
+            for a, b in zip(s1.entries(n, n + 1), s2.entries(n, n + 1)):
+                np.testing.assert_array_equal(a, b)
 
     def test_random_access_matches_block(self):
         seq = RandomSequence(7, 0.8)
-        beta, theta, s, phi = seq.entries(0, 32)
-        b5, t5, s5, p5 = seq.entry(5)
-        assert beta[5] == b5 and s[5] == s5
-        np.testing.assert_array_equal(theta[5], t5)
+        block = seq.entries(0, 32)
+        for a, b in zip(block, seq.entries(5, 6)):
+            np.testing.assert_array_equal(a[5:6], b)
 
     def test_entries_independent_across_n(self):
         beta, _, s, _ = RandomSequence(3, 1.0).entries(0, 50000)
