@@ -8,8 +8,6 @@ from .mesh import (FieldVector, MeshHierarchy, MeshLevel, build_hierarchy,
                    square_ball_base)
 from .problems import Problem, example1, example2, example3
 from .sampling import StableParams, make_params, point_estimate, reg_inc_beta
-from .streams import RandomSequence
-from .field import FieldSample, sample_field, sample_pair, defect_statistics
 from .mlmc import MlmcPlan, MlmcResult, allocate, choose_levels, run
 from .eigen import EigenResult, smallest_eigenvalue
 
@@ -19,8 +17,6 @@ __all__ = [
     "square_ball_base",
     "Problem", "example1", "example2", "example3",
     "StableParams", "make_params", "point_estimate", "reg_inc_beta",
-    "RandomSequence",
-    "FieldSample", "sample_field", "sample_pair", "defect_statistics",
     "MlmcPlan", "MlmcResult", "allocate", "choose_levels", "run",
     "EigenResult", "smallest_eigenvalue",
     "__version__",

@@ -172,34 +172,3 @@ def _boundary_pairs(domain: Domain, count: int, rng) -> np.ndarray:
         pairs[j, 1] = z + (delta + r0) * grad
     return pairs
 
-
-def sweep(kind: str, grid, template: AssumptionConfig):
-    """Run a checker over a parameter grid; returns one row dict per point.
-
-    kind "I2": grid entries are (alpha, mu); kind "I1": (alpha, A, t).
-    """
-    rows = []
-    for entry in grid:
-        if kind == "I2":
-            alpha, mu = entry
-            cfg = AssumptionConfig(alpha=alpha, mu=mu, t=template.t,
-                                   A=template.A, samples_M=template.samples_M,
-                                   start_points_J=template.start_points_J,
-                                   domain=template.domain, seed=template.seed)
-            res = check_I2(cfg)
-            rows.append({"alpha": alpha, "mu_or_t": mu, "A": "",
-                         "max_I": res.max_over_starts,
-                         "stderr": max(se for _, se in res.per_start)})
-        elif kind == "I1":
-            alpha, A, t = entry
-            cfg = AssumptionConfig(alpha=alpha, mu=template.mu, t=t, A=A,
-                                   samples_M=template.samples_M,
-                                   start_points_J=template.start_points_J,
-                                   domain=template.domain, seed=template.seed)
-            res = check_I1(cfg)
-            rows.append({"alpha": alpha, "mu_or_t": t, "A": A,
-                         "max_I": res.max_over_starts,
-                         "stderr": max(se for _, se in res.per_start)})
-        else:
-            raise ValueError("kind must be 'I1' or 'I2'")
-    return rows

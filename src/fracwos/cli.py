@@ -290,18 +290,18 @@ def cmd_cost_study(cfg: RunConfig) -> dict:
 
 def cmd_check_assumptions(cfg: RunConfig) -> dict:
     domain = parse_domain(cfg.domain) if cfg.domain else box(0.0, 0.0, 1.0, 1.0)
-    template = assumptions.AssumptionConfig(
+    acfg = assumptions.AssumptionConfig(
         alpha=cfg.alpha, mu=cfg.mu, t=cfg.t, A=cfg.A, samples_M=cfg.M,
         start_points_J=cfg.J, domain=domain, seed=cfg.seed)
     if cfg.which == "I2":
-        rows = assumptions.sweep("I2", [(cfg.alpha, cfg.mu)], template)
+        res, mu_or_t, A = assumptions.check_I2(acfg), cfg.mu, ""
     else:
-        rows = assumptions.sweep("I1", [(cfg.alpha, cfg.A, cfg.t)], template)
+        res, mu_or_t, A = assumptions.check_I1(acfg), cfg.t, cfg.A
+    stderr = max(se for _, se in res.per_start)
     _write_csv(os.path.join(cfg.out, "study.csv"),
                ["alpha", "mu_or_t", "A", "max_I", "stderr"],
-               [(r["alpha"], r["mu_or_t"], r["A"], r["max_I"], r["stderr"])
-                for r in rows])
-    return {"max_I": rows[0]["max_I"], "stderr": rows[0]["stderr"]}
+               [(cfg.alpha, mu_or_t, A, res.max_over_starts, stderr)])
+    return {"max_I": res.max_over_starts, "stderr": stderr}
 
 
 _COMMANDS = {"solve": cmd_solve, "eig": cmd_eig,
@@ -330,7 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--f-expr", dest="f_expr",
                        help="source expression in x, y, r2 (custom problem)")
         p.add_argument("--g-expr", dest="g_expr",
-                       help="exterior-data expression (custom problem)")
+                       help="exterior-data expression in x, y, r2 (custom "
+                            "problem); |g| must grow slower than "
+                            "|x|^(alpha/2), so an unbounded r2 never fits")
         p.add_argument("--domain",
                        help="ball(cx,cy,r) | box(x0,y0,x1,y1) | polygon((x,y),...)")
         p.add_argument("--l0", type=int, help="coarsest mesh level")

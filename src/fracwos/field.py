@@ -1,12 +1,15 @@
 """Coupled field realizations: one walk per mesh vertex, shared randomness.
 
-A field sample evaluates the walk functional at every interior vertex of a
-mesh level using a single tuple stream: step n of every vertex's path
-consumes entry n, and paths that exit early simply stop consuming.  Because
-the fine and coarse interpolants of one realization agree at inherited
-vertices, the multilevel fine-minus-coarse correction is exactly the
-midpoint defect of the fine field, and its variance decays with the mesh
-width -- that is the whole point of the coupling.
+:func:`field_values` evaluates the walk functional at every interior vertex
+of a mesh level, one row per realization key: step n of every vertex's path
+consumes that key's step-n tuple, and paths that exit early simply stop
+consuming.  Coarse vertices keep their indices on the finer level, so the
+level-l values of a key are the first n_l columns of its level-(l+1)
+values.  The multilevel fine-minus-coarse correction is therefore the fine
+field minus the interpolant of its own prefix (:func:`batch_defects`), and
+its variance decays with the mesh width -- that is the whole point of the
+coupling.  :class:`FieldMoments` accumulates batches of such fields in the
+L2 norm of the mass matrix, sqrt(v' M v).
 
 The walk itself is :func:`fracwos.sampling.walk`: K independent
 realizations (one key each) times V start vertices run as one flat array
@@ -17,29 +20,17 @@ realizations are batched or distributed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 from scipy import sparse
 
-from .mesh import FieldVector, MeshHierarchy, MeshLevel, midpoint_defect, restrict
+from .mesh import MeshHierarchy, MeshLevel
 from .problems import Problem
 from .sampling import MAX_WALK_STEPS, walk
-from .streams import RandomSequence, step_tuples
+from .streams import step_tuples
 
 
 class InsufficientSamplesError(ValueError):
     """Statistics over fewer than two samples were requested."""
-
-
-@dataclass
-class FieldSample:
-    """A coupled fine/coarse pair from one field realization."""
-
-    fine: FieldVector
-    coarse: FieldVector
-    cost: int
 
 
 def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray,
@@ -80,28 +71,10 @@ def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray,
     return vals, cost
 
 
-def sample_field(level: MeshLevel, problem: Problem, seq: RandomSequence,
-                 max_steps: int = MAX_WALK_STEPS):
-    """One field realization driven by the given tuple sequence."""
-    if seq.alpha != problem.alpha:
-        raise ValueError("sequence and problem disagree on alpha")
-    vals, cost = field_values(level, problem, np.array([seq.key]), max_steps)
-    return FieldVector(level.level, vals[0]), cost
-
-
-def sample_pair(hier: MeshHierarchy, ell: int, problem: Problem,
-                seq: RandomSequence, max_steps: int = MAX_WALK_STEPS) -> FieldSample:
-    """One coupled fine/coarse pair across the transition ell -> ell+1.
-
-    The realization is evaluated once at the fine vertices; the coarse field
-    is its restriction, because inherited vertices see identical paths.
-    """
-    fine, cost = sample_field(hier.level(ell + 1), problem, seq, max_steps)
-    return FieldSample(fine=fine, coarse=restrict(hier, fine), cost=cost)
-
-
 def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.ndarray:
-    """Midpoint defects of batched fine fields (rows) at transition ell -> ell+1."""
+    """Fine-minus-coarse corrections of batched fine fields (rows) at
+    transition ell -> ell+1: zero at inherited vertices, and at each new
+    vertex its value minus the mean of its two parent values."""
     parents = hier.parents(ell + 1)
     nc = hier.level(ell).num_vertices
     out = np.zeros_like(fine_vals)
@@ -112,7 +85,7 @@ def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.nd
 
 def mass_matrix(level: MeshLevel, mask: np.ndarray | None = None) -> sparse.csr_matrix:
     """PL mass matrix over (masked) triangles; phi' M phi is the squared
-    L2 norm of the interpolant, identical to the midpoint cubature."""
+    L2 norm of the piecewise-linear interpolant of phi."""
     tris = level.triangles if mask is None else level.triangles[mask]
     areas = level.areas() if mask is None else level.areas()[mask]
     t = tris.shape[0]
@@ -122,6 +95,11 @@ def mass_matrix(level: MeshLevel, mask: np.ndarray | None = None) -> sparse.csr_
     cols = np.tile(tris, (1, 3)).ravel()
     n = level.num_vertices
     return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def mass_norm(mass: sparse.csr_matrix, v: np.ndarray) -> float:
+    """L2 norm sqrt(v' M v) of the interpolant of v under mass matrix M."""
+    return float(np.sqrt(max(v @ (mass @ v), 0.0)))
 
 
 class FieldMoments:
@@ -158,8 +136,7 @@ class FieldMoments:
 
     @property
     def mean_norm(self) -> float:
-        m = self.mean_field
-        return float(np.sqrt(max(m @ (self.mass @ m), 0.0)))
+        return mass_norm(self.mass, self.mean_field)
 
     @property
     def variance(self) -> float:
@@ -173,21 +150,3 @@ class FieldMoments:
     def mean_cost(self) -> float:
         return self.cost / self.count
 
-
-def defect_statistics(samples: Iterable[FieldSample], hier: MeshHierarchy):
-    """Unbiased variance of the coupled corrections, plus mean cost.
-
-    The correction of each sample is its midpoint defect; the variance is
-    taken in the masked L2 sense.  Returns (V_hat, C_hat, M_used).
-    """
-    moments = None
-    for smp in samples:
-        if moments is None:
-            ell_fine = smp.fine.level
-            moments = FieldMoments(mass_matrix(hier.level(ell_fine),
-                                               hier.norm_mask(ell_fine)))
-        d = midpoint_defect(hier, smp.fine)
-        moments.add(d.values[None, :], smp.cost)
-    if moments is None or moments.count < 2:
-        raise InsufficientSamplesError("need at least two coupled samples")
-    return moments.variance, moments.mean_cost, moments.count

@@ -1,4 +1,4 @@
-"""Nested triangle meshes: uniform quadrisection, interpolation, norms.
+"""Nested triangle meshes: uniform quadrisection, location, interpolation.
 
 Each refinement splits every triangle into four through its edge midpoints,
 with children of triangle t stored at indices 4t..4t+3 (corner children
@@ -374,33 +374,6 @@ def interpolate(level: MeshLevel, f, p):
     return float(out[0]) if single else out
 
 
-def l2_norm(level: MeshLevel, f, mask: np.ndarray | None = None) -> float:
-    """L2 norm of the piecewise-linear interpolant over (masked) triangles.
-
-    Uses the edge-midpoint cubature Q(phi) = Area/3 sum phi(m_i), which has
-    degree of precision two and therefore integrates the square of any
-    piecewise-linear function exactly.
-    """
-    vals = _values(f)
-    if vals.shape[0] != level.num_vertices:
-        raise ValueError("field length does not match mesh level")
-    f3 = vals[level.triangles]                           # (T, 3)
-    mid = 0.5 * (f3 + np.roll(f3, -1, axis=1))
-    q = level.areas() / 3.0 * (mid * mid).sum(axis=1)
-    if mask is not None:
-        q = q[mask]
-    return float(np.sqrt(max(q.sum(), 0.0)))
-
-
-def restrict(hier: MeshHierarchy, fine_field: FieldVector) -> FieldVector:
-    """Values at inherited vertices (coarse vertices keep their indices)."""
-    coarse = hier.level(fine_field.level - 1)
-    fine = hier.level(fine_field.level)
-    if fine_field.values.shape[0] != fine.num_vertices:
-        raise ValueError("field length does not match its level")
-    return FieldVector(coarse.level, fine_field.values[:coarse.num_vertices].copy())
-
-
 def prolong(hier: MeshHierarchy, coarse_field: FieldVector) -> FieldVector:
     """Exact linear prolongation onto the next finer level."""
     fine = hier.level(coarse_field.level + 1)
@@ -419,25 +392,6 @@ def prolong_to(hier: MeshHierarchy, f: FieldVector, ell: int) -> FieldVector:
     while f.level < ell:
         f = prolong(hier, f)
     return f
-
-
-def midpoint_defect(hier: MeshHierarchy, fine_field: FieldVector) -> FieldVector:
-    """Fine field minus the interpolant of its own restriction.
-
-    Zero at inherited vertices; at each midpoint vertex, the value minus the
-    average of its two parent values.  For a coupled pair this is exactly
-    the fine-minus-coarse correction of the multilevel telescope.
-    """
-    fine = hier.level(fine_field.level)
-    parents = hier.parents(fine_field.level)
-    nc = hier.level(fine_field.level - 1).num_vertices
-    if fine_field.values.shape[0] != fine.num_vertices:
-        raise ValueError("field length does not match its level")
-    vals = fine_field.values
-    out = np.zeros(fine.num_vertices)
-    pa, pb = parents[nc:, 0], parents[nc:, 1]
-    out[nc:] = vals[nc:] - 0.5 * (vals[pa] + vals[pb])
-    return FieldVector(fine_field.level, out)
 
 
 def write_field_csv(path, level: MeshLevel, f, alpha: float, seed: int) -> None:

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import multiprocessing as mp
 import numpy as np
 
-from .field import FieldMoments, batch_defects, field_values, mass_matrix
-from .mesh import FieldVector, MeshHierarchy, l2_norm, prolong_to
+from .field import (FieldMoments, batch_defects, field_values, mass_matrix,
+                    mass_norm)
+from .mesh import FieldVector, MeshHierarchy, prolong_to
 from .problems import Problem
 from .sampling import MAX_WALK_STEPS, NonFiniteStatisticError
 from .streams import derive_key
@@ -167,6 +168,7 @@ class _Engine:
     def __init__(self, hier, problem, seed, max_steps, workers):
         self.args = (hier, problem, seed, max_steps)
         self.hier = hier
+        self.alpha = problem.alpha
         self.workers = max(1, int(workers))
         self._pool = None
 
@@ -205,8 +207,15 @@ class _Engine:
             yield window.popleft().result()
 
     def sample_term(self, kind, ell, i0, i1, defect_moments, plain_moments=None):
-        """Accumulate samples i0..i1-1 of one term into the given moments."""
+        """Accumulate samples i0..i1-1 of one term into the given moments.
+
+        Raises NonFiniteStatisticError at the first chunk whose squared
+        norms do not sum to a finite value, since V can no longer be.
+        """
         for res in self._results(self.tasks(kind, ell, i0, i1)):
+            if not np.isfinite(res[0].sum_sq):
+                raise NonFiniteStatisticError(self.alpha, _term_name(kind, ell),
+                                              "V", res[0].sum_sq)
             defect_moments.merge(res[0])
             if plain_moments is not None and len(res) > 1:
                 plain_moments.merge(res[1])
@@ -399,11 +408,10 @@ def error_vs_exact(result: MlmcResult, exact, hier: MeshHierarchy):
     Returns (abs, rel); rel is None when the exact field has zero norm.
     """
     level = hier.level(result.solution.level)
-    mask = hier.norm_mask(level.level)
+    mass = mass_matrix(level, hier.norm_mask(level.level))
     exact_vals = np.asarray(exact(level.vertices), dtype=np.float64)
-    diff = result.solution.values - exact_vals
-    abs_err = l2_norm(level, diff, mask)
-    exact_norm = l2_norm(level, exact_vals, mask)
+    abs_err = mass_norm(mass, result.solution.values - exact_vals)
+    exact_norm = mass_norm(mass, exact_vals)
     if exact_norm == 0.0:
         return abs_err, None
     return abs_err, abs_err / exact_norm

@@ -105,39 +105,45 @@ def uniform_pair(key, draw, step, tag, lane=0):
     return _to_unit(o0, o1), _to_unit(o2, o3)
 
 
+def _johnk(alpha: float, n: int, uniforms) -> np.ndarray:
+    """n Beta(alpha/2, (2-alpha)/2) draws by Johnk's rejection method.
+
+    Round r calls uniforms(pending slots, r) for two uniform arrays U1, U2
+    over the slots still pending; a slot accepts when X + Y <= 1 for
+    X = U1^(2/alpha), Y = U2^(2/(2-alpha)) and takes X/(X + Y), computed in
+    log space to survive extreme exponents at small alpha.
+    """
+    inv_a = 2.0 / alpha
+    inv_b = 2.0 / (2.0 - alpha)
+    out = np.empty(n, dtype=np.float64)
+    pend = np.arange(n)
+    r = 0
+    while pend.size:
+        u1, u2 = uniforms(pend, r)
+        logx = inv_a * np.log(u1)
+        logsum = np.logaddexp(logx, inv_b * np.log(u2))
+        accept = logsum <= 0.0
+        out[pend[accept]] = np.exp(logx[accept] - logsum[accept])
+        pend = pend[~accept]
+        r += 1
+    return np.clip(out, _BETA_FLOOR, _BETA_CEIL)
+
+
 def johnk_beta(alpha: float, key, step) -> np.ndarray:
     """Beta(alpha/2, (2-alpha)/2) variates by Johnk's rejection method.
 
     Both shape parameters are below one for alpha in (0, 2), where Johnk's
     generator is valid.  Rejection retries consume further counters in the
     `draw` word, so each slot's value depends only on (key, step) and not on
-    its neighbours in a batch.  Computed in log space to survive extreme
-    exponents at small alpha.
+    its neighbours in a batch.
     """
     key = np.asarray(key, dtype=np.uint64)
     step = np.asarray(step, dtype=np.uint32)
     shape = np.broadcast_shapes(key.shape, step.shape)
-    key = np.broadcast_to(key, shape)
-    step = np.broadcast_to(step, shape)
-
-    inv_a = 2.0 / alpha
-    inv_b = 2.0 / (2.0 - alpha)
-    out = np.empty(shape, dtype=np.float64).ravel()
-    key_flat = key.ravel()
-    step_flat = step.ravel()
-    pend_idx = np.arange(out.size)
-    draw = np.uint32(0)
-    while pend_idx.size:
-        u1, u2 = uniform_pair(key_flat[pend_idx], draw, step_flat[pend_idx],
-                              TAG_BETA)
-        logx = inv_a * np.log(u1)
-        logy = inv_b * np.log(u2)
-        logsum = np.logaddexp(logx, logy)
-        accept = logsum <= 0.0
-        out[pend_idx[accept]] = np.exp(logx[accept] - logsum[accept])
-        pend_idx = pend_idx[~accept]
-        draw = draw + np.uint32(1)
-    return np.clip(out.reshape(shape), _BETA_FLOOR, _BETA_CEIL)
+    key = np.broadcast_to(key, shape).ravel()
+    step = np.broadcast_to(step, shape).ravel()
+    return _johnk(alpha, key.size, lambda pend, r: uniform_pair(
+        key[pend], np.uint32(r), step[pend], TAG_BETA)).reshape(shape)
 
 
 def step_tuples(alpha: float, key, step):
@@ -160,26 +166,6 @@ def unit_vectors(u: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(two_pi * u), np.sin(two_pi * u)], axis=-1)
 
 
-class RandomSequence:
-    """The per-realization stream of (beta, Theta, S, Phi) tuples.
-
-    Entry n is a pure function of (seed, n); all paths of one field
-    realization consume entry n at their n-th step, which is what couples
-    them.  Entries are mutually independent across n and their four
-    components are mutually independent.
-    """
-
-    def __init__(self, seed: int, alpha: float):
-        self.seed = int(seed)
-        self.alpha = float(alpha)
-        self.key = derive_key(seed)
-
-    def entries(self, n0: int, n1: int):
-        """Vectorized materialization of entries n0..n1-1 (arrays)."""
-        ns = np.arange(n0, n1, dtype=np.uint32)
-        return step_tuples(self.alpha, self.key, ns)
-
-
 def batch_generator(seed: int, *fields) -> np.random.Generator:
     """A numpy Generator on an independent substream labelled by `fields`.
 
@@ -197,16 +183,4 @@ def johnk_beta_rng(alpha: float, rng: np.random.Generator, n: int) -> np.ndarray
     Generator for uncoupled Monte Carlo loops.  Retry rounds redraw only the
     rejected slots, so each slot is an honest independent Johnk sample.
     """
-    inv_a = 2.0 / alpha
-    inv_b = 2.0 / (2.0 - alpha)
-    out = np.empty(n, dtype=np.float64)
-    pend = np.arange(n)
-    while pend.size:
-        u = rng.random((2, pend.size))
-        logx = inv_a * np.log(u[0])
-        logy = inv_b * np.log(u[1])
-        logsum = np.logaddexp(logx, logy)
-        accept = logsum <= 0.0
-        out[pend[accept]] = np.exp(logx[accept] - logsum[accept])
-        pend = pend[~accept]
-    return np.clip(out, _BETA_FLOOR, _BETA_CEIL)
+    return _johnk(alpha, n, lambda pend, r: rng.random((2, pend.size)))

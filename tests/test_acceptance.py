@@ -13,12 +13,12 @@ from scipy import linalg, stats
 from fracwos import eigen, mlmc
 from fracwos.assumptions import AssumptionConfig, check_I1, check_I2
 from fracwos.cli import fit_slope
-from fracwos.field import sample_pair
+from fracwos.field import field_values, mass_matrix, mass_norm
 from fracwos.geometry import unit_ball
-from fracwos.mesh import build_hierarchy, l2_norm, restrict, square_ball_base
+from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.problems import by_name, example1, example2
 from fracwos.sampling import make_params, point_estimate, reg_inc_beta
-from fracwos.streams import RandomSequence, derive_key, johnk_beta
+from fracwos.streams import derive_key, johnk_beta
 
 DYDA_UPPER = {0.5: 1.34374, 1.0: 2.00612, 1.8: 4.56719}
 
@@ -177,7 +177,7 @@ def test_criterion_9_oracle_suite(hier6):
     node_vals = f3 @ q5_bary.T
     oracle = float(np.sqrt((lvl.areas()[mask][:, None] * q5_w
                             * node_vals ** 2).sum()))
-    mine = l2_norm(lvl, vals, mask)
+    mine = mass_norm(mass_matrix(lvl, mask), vals)
     checks.append(("l2-norm-oracle", abs(mine - oracle) <= 1e-10 * oracle))
 
     # quadrature constant against a Monte Carlo oracle
@@ -210,11 +210,14 @@ def test_criterion_9_oracle_suite(hier6):
             opt = False
     checks.append(("allocation-optimality", opt))
 
-    # coupling identity: the coarse half of a pair is the restriction
-    pair = sample_pair(hier6, 4, example1(1.0), RandomSequence(21, 1.0))
+    # coupling identity: for the same keys, the level-4 values are the
+    # first n_4 columns of the level-5 values
+    keys = derive_key(21, np.arange(4))
+    fine, _ = field_values(hier6.level(5), example1(1.0), keys)
+    coarse, _ = field_values(hier6.level(4), example1(1.0), keys)
     checks.append(("coupling-identity",
-                   np.array_equal(pair.coarse.values,
-                                  restrict(hier6, pair.fine).values)))
+                   np.array_equal(coarse,
+                                  fine[:, :hier6.level(4).num_vertices])))
 
     ok = all(good for _, good in checks)
     report(9, "oracle and property suite", ok,

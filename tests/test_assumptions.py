@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fracwos.assumptions import (AssumptionConfig, check_I1, check_I2, sweep)
+from fracwos.assumptions import AssumptionConfig, check_I1, check_I2
+from fracwos.cli import RunConfig, cmd_check_assumptions
 from fracwos.geometry import box
 
 
@@ -85,26 +86,37 @@ class TestCheckI1:
 
 
 class TestSweep:
-    def test_empty_grid(self):
-        assert sweep("I2", [], cfg()) == []
+    """The check-assumptions command runs one checker at one parameter point
+    and writes one study.csv row."""
 
-    def test_i2_rows(self):
-        rows = sweep("I2", [(0.5, 1.0), (0.5, 0.5)], cfg(M=20000, J=5))
-        assert len(rows) == 2
-        assert rows[0]["alpha"] == 0.5 and rows[0]["mu_or_t"] == 1.0
-        assert rows[0]["A"] == ""
-        assert rows[0]["max_I"] > 0 and rows[0]["stderr"] > 0
-        # smaller exponent cannot increase tail suppression asymmetry hugely;
-        # both stay positive and finite
-        assert np.isfinite(rows[1]["max_I"])
+    @staticmethod
+    def run(tmp_path, which):
+        cfg = RunConfig(command="check-assumptions", which=which, alpha=0.5,
+                        mu=0.5, A=1e4, t=1.0, M=20000, J=5, seed=9,
+                        out=str(tmp_path)).validate()
+        info = cmd_check_assumptions(cfg)
+        lines = (tmp_path / "study.csv").read_text().splitlines()
+        assert lines[0] == "alpha,mu_or_t,A,max_I,stderr" and len(lines) == 2
+        return info, lines[1].split(",")
 
-    def test_i1_rows(self):
-        rows = sweep("I1", [(0.5, 1e4, 1.0)], cfg(M=20000, J=5))
-        assert rows[0]["A"] == 1e4 and rows[0]["mu_or_t"] == 1.0
+    def test_i2_rows(self, tmp_path):
+        info, row = self.run(tmp_path, "I2")
+        res = check_I2(cfg(mu=0.5, M=20000, J=5))
+        assert row[:3] == ["0.5", "0.5", ""]
+        assert info["max_I"] == res.max_over_starts > 0
+        assert info["stderr"] == max(se for _, se in res.per_start) > 0
+        assert [float(v) for v in row[3:]] == [info["max_I"], info["stderr"]]
+
+    def test_i1_rows(self, tmp_path):
+        info, row = self.run(tmp_path, "I1")
+        res = check_I1(cfg(M=20000, J=5))
+        assert row[:3] == ["0.5", "1.0", "10000.0"]
+        assert info["max_I"] == res.max_over_starts
+        assert [float(v) for v in row[3:]] == [info["max_I"], info["stderr"]]
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            sweep("I3", [(0.5, 1.0)], cfg())
+        with pytest.raises(ValueError, match="which must be I1 or I2"):
+            RunConfig(command="check-assumptions", which="I3").validate()
 
 
 class TestConfigValidation:

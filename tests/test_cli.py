@@ -219,14 +219,17 @@ class TestCliRuns:
         assert text.startswith("level,h,V,C,M\n")
         assert "# slope = " in text
 
-    def test_check_assumptions_csv(self, tmp_path):
-        r = run_cli(["check-assumptions", "--which", "I1", "--alpha", "0.5",
+    @pytest.mark.parametrize("which, row", [
+        ("I1", "0.5,1.0,10000.0,0.5438942658036477,0.01486759810219655"),
+        ("I2", "0.5,1.0,,0.7074518265491584,0.00551707716840083"),
+    ], ids=["I1", "I2"])
+    def test_check_assumptions_csv(self, tmp_path, which, row):
+        r = run_cli(["check-assumptions", "--which", which, "--alpha", "0.5",
                      "--A", "1e4", "--t", "1.0", "--M", "20000", "--J", "5",
                      "--seed", "9", "--workers", "1", "--out", "ca"], tmp_path)
         assert_ok(r)
-        lines = (tmp_path / "ca" / "study.csv").read_text().splitlines()
-        assert lines[0] == "alpha,mu_or_t,A,max_I,stderr"
-        assert len(lines) == 2
+        assert (tmp_path / "ca" / "study.csv").read_text() == \
+            f"alpha,mu_or_t,A,max_I,stderr\n{row}\n"
 
     def test_cost_study_csv(self, tmp_path):
         r = run_cli(["cost-study", "--problem", "example2", "--alpha", "1.0",

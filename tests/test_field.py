@@ -2,12 +2,25 @@ import numpy as np
 import pytest
 
 from fracwos.field import (FieldMoments, InsufficientSamplesError,
-                           batch_defects, defect_statistics, field_values,
-                           mass_matrix, sample_field, sample_pair, walk_starts)
-from fracwos.mesh import FieldVector, l2_norm, midpoint_defect, restrict
-from fracwos.problems import Problem, by_name, example1
+                           batch_defects, field_values, mass_matrix, mass_norm,
+                           walk_starts)
+from fracwos.problems import Problem, by_name
 from fracwos.sampling import MaxStepsExceededError, point_estimate, reg_inc_beta
-from fracwos.streams import RandomSequence, derive_key, step_tuples
+from fracwos.streams import derive_key, step_tuples
+
+
+def midpoint_defect(hier, fine_ell, vals):
+    """Oracle defect of one fine field: each new vertex's value minus the
+    mean of its parent edge's end values; zero at inherited vertices."""
+    nc = hier.level(fine_ell - 1).num_vertices
+    out = np.zeros_like(vals)
+    for i, (a, b) in enumerate(hier.parents(fine_ell)[nc:], start=nc):
+        out[i] = vals[i] - 0.5 * (vals[a] + vals[b])
+    return out
+
+
+def zero_f(pts):
+    return np.zeros(np.asarray(pts).shape[:-1])
 
 
 def replay(start, key, problem):
@@ -38,29 +51,26 @@ def replay(start, key, problem):
 
 class TestSampleField:
     def test_constant_exterior(self, hier6, ball):
-        prob = Problem(alpha=1.0, domain=ball,
-                       f=lambda pts: np.zeros(np.asarray(pts).shape[:-1]),
+        prob = Problem(alpha=1.0, domain=ball, f=zero_f,
                        g=lambda pts: np.ones(np.asarray(pts).shape[:-1]))
-        fv, cost = sample_field(hier6.level(4), prob, RandomSequence(3, 1.0))
-        np.testing.assert_allclose(fv.values, 1.0, atol=1e-14)
+        vals, cost = field_values(hier6.level(4), prob, derive_key(3, np.arange(2)))
+        np.testing.assert_allclose(vals, 1.0, atol=1e-14)
         assert cost > 0
 
     def test_deterministic_given_sequence(self, hier6, ex1):
-        a, ca = sample_field(hier6.level(4), ex1, RandomSequence(42, 1.0))
-        b, cb = sample_field(hier6.level(4), ex1, RandomSequence(42, 1.0))
-        np.testing.assert_array_equal(a.values, b.values)
+        keys = derive_key(42, np.arange(3))
+        a, ca = field_values(hier6.level(4), ex1, keys)
+        b, cb = field_values(hier6.level(4), ex1, keys)
+        np.testing.assert_array_equal(a, b)
         assert ca == cb
-
-    def test_alpha_mismatch_rejected(self, hier6, ex1):
-        with pytest.raises(ValueError):
-            sample_field(hier6.level(4), ex1, RandomSequence(1, 0.5))
 
     def test_exterior_vertices_carry_g(self, hier6, ex3):
         lvl = hier6.level(4)
-        fv, _ = sample_field(lvl, ex3, RandomSequence(9, 1.0))
+        vals, _ = field_values(lvl, ex3, derive_key(9, np.arange(2)))
         outside = ~lvl.interior_mask
-        np.testing.assert_allclose(fv.values[outside],
-                                   ex3.g(lvl.vertices[outside]), atol=1e-14)
+        for row in vals:
+            np.testing.assert_allclose(row[outside],
+                                       ex3.g(lvl.vertices[outside]), atol=1e-14)
 
     def test_center_vertex_mean_matches_point_estimate(self, hier6, ex1):
         # field-sampler values at a vertex are the same estimator as the
@@ -86,6 +96,23 @@ class TestSampleField:
         perm = rng.permutation(starts.shape[0])
         vals_p, _ = walk_starts(starts[perm], ex1, keys)
         np.testing.assert_array_equal(vals_p, vals[:, perm])
+
+
+class TestLinearity:
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_sum_of_data_sums_values(self, hier6, alpha):
+        # walks do not depend on (f, g), so with shared keys the values are
+        # linear in the data realization by realization, steps identical
+        p1, p3 = by_name("example1", alpha), by_name("example3", alpha)
+        both = Problem(alpha=alpha, domain=p1.domain,
+                       f=lambda pts: p1.f(pts) + p3.f(pts),
+                       g=lambda pts: p1.g(pts) + p3.g(pts))
+        lvl, keys = hier6.level(4), derive_key(13, np.arange(6))
+        v1, c1 = field_values(lvl, p1, keys)
+        v3, c3 = field_values(lvl, p3, keys)
+        vb, cb = field_values(lvl, both, keys)
+        np.testing.assert_allclose(vb, v1 + v3, rtol=1e-12, atol=0.0)
+        assert c1 == c3 == cb
 
 
 class TestWalkStarts:
@@ -115,39 +142,54 @@ class TestWalkStarts:
 
 
 class TestSamplePair:
+    """A coupled pair is one field_values call on the fine level: the coarse
+    field of each key is the prefix of its fine row."""
+
     def test_coarse_is_restriction_bit_exact(self, hier6, ex1):
-        pair = sample_pair(hier6, 4, ex1, RandomSequence(21, 1.0))
-        np.testing.assert_array_equal(pair.coarse.values,
-                                      restrict(hier6, pair.fine).values)
+        keys = derive_key(21, np.arange(4))
+        fine, _ = field_values(hier6.level(6), ex1, keys)
+        for ell in (3, 4, 5):
+            coarse, _ = field_values(hier6.level(ell), ex1, keys)
+            np.testing.assert_array_equal(
+                coarse, fine[:, :hier6.level(ell).num_vertices])
 
     def test_cross_call_coupling(self, hier6, ex1):
-        # sampling the coarse level with the same sequence reproduces the
-        # restriction exactly: inherited vertices see identical paths
-        fine, _ = sample_field(hier6.level(5), ex1, RandomSequence(8, 1.0))
-        coarse, _ = sample_field(hier6.level(4), ex1, RandomSequence(8, 1.0))
+        # a separate coarse call with a subset of the keys reproduces the
+        # matching rows exactly: inherited vertices see identical paths
+        keys = derive_key(8, np.arange(5))
+        fine, _ = field_values(hier6.level(5), ex1, keys)
+        coarse, _ = field_values(hier6.level(4), ex1, keys[2:4])
         np.testing.assert_array_equal(
-            fine.values[:hier6.level(4).num_vertices], coarse.values)
+            fine[2:4, :hier6.level(4).num_vertices], coarse)
 
     def test_defect_zero_at_inherited(self, hier6, ex1):
-        pair = sample_pair(hier6, 4, ex1, RandomSequence(2, 1.0))
-        d = midpoint_defect(hier6, pair.fine)
+        fine, _ = field_values(hier6.level(5), ex1, derive_key(2, np.arange(3)))
+        d = batch_defects(hier6, fine, 4)
         nc = hier6.level(4).num_vertices
-        np.testing.assert_array_equal(d.values[:nc], 0.0)
+        np.testing.assert_array_equal(d[:, :nc], 0.0)
+        assert d[:, nc:].any()
 
     def test_zero_problem_zero_defect(self, hier6, ball):
-        prob = Problem(alpha=1.0, domain=ball,
-                       f=lambda pts: np.zeros(np.asarray(pts).shape[:-1]),
-                       g=lambda pts: np.zeros(np.asarray(pts).shape[:-1]))
-        pair = sample_pair(hier6, 3, prob, RandomSequence(4, 1.0))
-        np.testing.assert_array_equal(midpoint_defect(hier6, pair.fine).values, 0.0)
+        prob = Problem(alpha=1.0, domain=ball, f=zero_f, g=zero_f)
+        fine, _ = field_values(hier6.level(4), prob, derive_key(4, np.arange(3)))
+        np.testing.assert_array_equal(batch_defects(hier6, fine, 3), 0.0)
 
 
 class TestDefectStatistics:
+    """Defect statistics are FieldMoments(mass_matrix) over batch_defects,
+    as the multilevel engine collects them."""
+
+    @staticmethod
+    def moments(hier, fine_ell):
+        return FieldMoments(mass_matrix(hier.level(fine_ell),
+                                        hier.norm_mask(fine_ell)))
+
     def test_identical_defects_zero_variance(self, hier6, ex1):
-        pair = sample_pair(hier6, 3, ex1, RandomSequence(5, 1.0))
-        stats = defect_statistics([pair, pair, pair], hier6)
-        assert stats[0] == pytest.approx(0.0, abs=1e-18)
-        assert stats[2] == 3
+        fine, cost = field_values(hier6.level(4), ex1, derive_key(5, [0]))
+        mom = self.moments(hier6, 4)
+        mom.add(batch_defects(hier6, np.repeat(fine, 3, axis=0), 3), 3 * cost)
+        assert mom.variance == pytest.approx(0.0, abs=1e-18)
+        assert mom.count == 3 and mom.mean_cost == cost
 
     def test_alternating_signs_hand_value(self, hier6):
         # defects +w and -w with ||w|| = 1 give unbiased variance 2
@@ -155,20 +197,18 @@ class TestDefectStatistics:
         nc = hier6.level(3).num_vertices
         w = np.zeros(lvl.num_vertices)
         w[nc:] = np.random.default_rng(0).normal(size=lvl.num_vertices - nc)
-        mask = hier6.norm_mask(4)
-        w[nc:] /= l2_norm(lvl, w, mask)
-        plus = FieldVector(4, w)
-        minus = FieldVector(4, -w)
-        samples = [type("S", (), {"fine": f, "cost": 10})()
-                   for f in (plus, minus)]
-        v_hat, c_hat, m = defect_statistics(samples, hier6)
-        assert v_hat == pytest.approx(2.0, rel=1e-10)
-        assert c_hat == 10 and m == 2
+        mom = self.moments(hier6, 4)
+        w[nc:] /= mass_norm(mom.mass, w)
+        mom.add(np.stack([w, -w]), 20)
+        assert mom.variance == pytest.approx(2.0, rel=1e-10)
+        assert mom.mean_cost == 10 and mom.count == 2
 
     def test_insufficient_samples(self, hier6, ex1):
-        pair = sample_pair(hier6, 3, ex1, RandomSequence(5, 1.0))
+        fine, cost = field_values(hier6.level(4), ex1, derive_key(5, [0]))
+        mom = self.moments(hier6, 4)
+        mom.add(batch_defects(hier6, fine, 3), cost)
         with pytest.raises(InsufficientSamplesError):
-            defect_statistics([pair], hier6)
+            mom.variance
 
 
 class TestFieldMoments:
@@ -180,9 +220,9 @@ class TestFieldMoments:
         mom = FieldMoments(mass)
         for chunk in np.split(vals, [7, 19, 33]):
             mom.add(chunk, cost=chunk.shape[0])
-        norms_sq = np.array([l2_norm(lvl, v, mask) ** 2 for v in vals])
+        norms_sq = np.array([mass_norm(mass, v) ** 2 for v in vals])
         mean = vals.mean(axis=0)
-        direct_var = (norms_sq.sum() - 40 * l2_norm(lvl, mean, mask) ** 2) / 39
+        direct_var = (norms_sq.sum() - 40 * mass_norm(mass, mean) ** 2) / 39
         assert mom.variance == pytest.approx(direct_var, rel=1e-10)
         np.testing.assert_allclose(mom.mean_field, mean, atol=1e-12)
         assert mom.mean_cost == 1.0
@@ -191,8 +231,8 @@ class TestFieldMoments:
         vals = rng.normal(size=(5, hier6.level(5).num_vertices))
         batched = batch_defects(hier6, vals, 4)
         for i in range(5):
-            single = midpoint_defect(hier6, FieldVector(5, vals[i]))
-            np.testing.assert_array_equal(batched[i], single.values)
+            np.testing.assert_array_equal(batched[i],
+                                          midpoint_defect(hier6, 5, vals[i]))
 
 
 class TestVarianceDecay:

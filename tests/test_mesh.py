@@ -3,11 +3,12 @@ import pickle
 import numpy as np
 import pytest
 
+from fracwos.field import batch_defects, mass_matrix, mass_norm
 from fracwos.geometry import Ball, box, unit_ball
 from fracwos.mesh import (FieldVector, PointOutsideMeshError, build_hierarchy,
-                          interpolate, l2_norm, locate, make_base,
-                          midpoint_defect, prolong, prolong_to, read_field_csv,
-                          refine, restrict, square_ball_base, write_field_csv)
+                          interpolate, locate, make_base, prolong, prolong_to,
+                          read_field_csv, refine, square_ball_base,
+                          write_field_csv)
 
 # degree-5 cubature on the reference triangle (7-point rule)
 _Q5_BARY = np.array([
@@ -32,6 +33,25 @@ def l2_norm_quadrature_oracle(level, values, mask=None):
     node_vals = f3 @ _Q5_BARY.T             # (T, 7) interpolant at cubature nodes
     integral = (areas[:, None] * _Q5_W * node_vals ** 2).sum()
     return float(np.sqrt(integral))
+
+
+def midpoint_norm_oracle(level, values, mask=None):
+    """L2 norm of the interpolant by the edge-midpoint cubature
+    Area/3 sum phi(m_i), which is exact for squares of linear functions."""
+    f3 = values[level.triangles]
+    mid = 0.5 * (f3 + np.roll(f3, -1, axis=1))
+    q = level.areas() / 3.0 * (mid * mid).sum(axis=1)
+    return float(np.sqrt((q if mask is None else q[mask]).sum()))
+
+
+def mass_l2(level, values, mask=None):
+    """The production L2 norm: sqrt(v' M v) with the (masked) mass matrix."""
+    return mass_norm(mass_matrix(level, mask), values)
+
+
+def defect(hier, fine_ell, values):
+    """batch_defects of one fine field."""
+    return batch_defects(hier, np.asarray(values)[None, :], fine_ell - 1)[0]
 
 
 def descent_locate(level, pts):
@@ -336,22 +356,22 @@ class TestInterpolate:
 class TestL2Norm:
     def test_unit_constant_on_unit_square(self, unit_square_hier):
         lvl = unit_square_hier.level(3)
-        assert l2_norm(lvl, np.ones(lvl.num_vertices)) == pytest.approx(1.0, rel=1e-14)
+        assert mass_l2(lvl, np.ones(lvl.num_vertices)) == pytest.approx(1.0, rel=1e-14)
 
     def test_linear_field_analytic(self, unit_square_hier):
         # integral of x^2 over the unit square is 1/3
         lvl = unit_square_hier.level(4)
-        assert l2_norm(lvl, lvl.vertices[:, 0]) == pytest.approx(
+        assert mass_l2(lvl, lvl.vertices[:, 0]) == pytest.approx(
             1 / np.sqrt(3), rel=1e-14)
 
     def test_zero_field(self, unit_square_hier):
         lvl = unit_square_hier.level(2)
-        assert l2_norm(lvl, np.zeros(lvl.num_vertices)) == 0.0
+        assert mass_l2(lvl, np.zeros(lvl.num_vertices)) == 0.0
 
     def test_against_degree5_oracle(self, hier6, rng):
         lvl = hier6.level(4)
         vals = rng.normal(size=lvl.num_vertices)
-        mine = l2_norm(lvl, vals)
+        mine = mass_l2(lvl, vals)
         oracle = l2_norm_quadrature_oracle(lvl, vals)
         assert mine == pytest.approx(oracle, rel=1e-10)
 
@@ -359,53 +379,57 @@ class TestL2Norm:
         lvl = hier6.level(5)
         mask = hier6.norm_mask(5)
         vals = rng.normal(size=lvl.num_vertices)
-        assert l2_norm(lvl, vals, mask) == pytest.approx(
+        assert mass_l2(lvl, vals, mask) == pytest.approx(
             l2_norm_quadrature_oracle(lvl, vals, mask), rel=1e-10)
 
     def test_refinement_invariance(self, hier6, rng):
         vals = rng.normal(size=hier6.level(4).num_vertices)
-        f4 = FieldVector(4, vals)
-        f5 = prolong(hier6, f4)
-        assert l2_norm(hier6.level(4), f4) == pytest.approx(
-            l2_norm(hier6.level(5), f5), rel=1e-12)
+        f5 = prolong(hier6, FieldVector(4, vals))
+        assert mass_l2(hier6.level(4), vals) == pytest.approx(
+            mass_l2(hier6.level(5), f5.values), rel=1e-12)
 
     def test_mass_matrix_route_agrees(self, hier6, rng):
-        from fracwos.field import mass_matrix
         lvl = hier6.level(5)
         mask = hier6.norm_mask(5)
         vals = rng.normal(size=lvl.num_vertices)
-        m = mass_matrix(lvl, mask)
-        assert np.sqrt(vals @ (m @ vals)) == pytest.approx(
-            l2_norm(lvl, vals, mask), rel=1e-12)
+        assert mass_l2(lvl, vals, mask) == pytest.approx(
+            midpoint_norm_oracle(lvl, vals, mask), rel=1e-12)
 
 
 class TestTransferOperators:
+    """Coarse vertices keep their indices, so restriction is the prefix
+    values[:n_coarse]; the defect is the fine field minus the prolonged
+    prefix."""
+
     def test_restrict_copies_inherited(self, hier6, rng):
-        vals = rng.normal(size=hier6.level(5).num_vertices)
-        fine = FieldVector(5, vals)
-        coarse = restrict(hier6, fine)
-        np.testing.assert_array_equal(coarse.values,
-                                      vals[:hier6.level(4).num_vertices])
+        # the prefix of a prolonged field gives the coarse field back exactly
+        vals = rng.normal(size=hier6.level(4).num_vertices)
+        fine = prolong(hier6, FieldVector(4, vals))
+        np.testing.assert_array_equal(fine.values[:vals.size], vals)
 
     def test_restrict_constant(self, hier6):
-        fine = FieldVector(5, np.full(hier6.level(5).num_vertices, 4.2))
-        assert np.all(restrict(hier6, fine).values == 4.2)
+        fine = prolong_to(hier6, FieldVector(3, np.full(
+            hier6.level(3).num_vertices, 4.2)), 6)
+        assert np.all(fine.values == 4.2)
 
     def test_restrict_linear_field(self, hier6):
+        # the prefix is the fine interpolant evaluated at the coarse vertices
         phi = lambda p: 2.0 * p[..., 0] + p[..., 1] - 0.3
-        fine = FieldVector(5, phi(hier6.level(5).vertices))
-        np.testing.assert_allclose(restrict(hier6, fine).values,
-                                   phi(hier6.level(4).vertices))
+        fine = phi(hier6.level(5).vertices)
+        coarse_v = hier6.level(4).vertices
+        nc = coarse_v.shape[0]
+        np.testing.assert_array_equal(fine[:nc], phi(coarse_v))
+        np.testing.assert_allclose(interpolate(hier6.level(5), fine, coarse_v),
+                                   fine[:nc], atol=1e-12)
 
     def test_defect_zero_for_linear(self, hier6):
         phi = lambda p: -1.5 * p[..., 0] + 0.7 * p[..., 1] + 2.0
-        fine = FieldVector(5, phi(hier6.level(5).vertices))
-        np.testing.assert_allclose(midpoint_defect(hier6, fine).values, 0.0,
-                                   atol=1e-13)
+        np.testing.assert_allclose(defect(hier6, 5, phi(hier6.level(5).vertices)),
+                                   0.0, atol=1e-13)
 
     def test_defect_zero_for_constant(self, hier6):
-        fine = FieldVector(5, np.full(hier6.level(5).num_vertices, 2.2))
-        assert np.all(midpoint_defect(hier6, fine).values == 0.0)
+        vals = np.full(hier6.level(5).num_vertices, 2.2)
+        assert np.all(defect(hier6, 5, vals) == 0.0)
 
     def test_defect_hand_value(self, hier6):
         # midpoint value 3 with parent values 0 and 2 leaves a defect of 2
@@ -414,17 +438,15 @@ class TestTransferOperators:
         vals = np.zeros(hier6.level(5).num_vertices)
         a, b = parents[nc]
         vals[a], vals[b], vals[nc] = 0.0, 2.0, 3.0
-        d = midpoint_defect(hier6, FieldVector(5, vals))
-        assert d.values[nc] == pytest.approx(2.0)
+        assert defect(hier6, 5, vals)[nc] == pytest.approx(2.0)
 
     def test_defect_norm_identity(self, hier6, rng):
         # defect norm equals the norm of fine minus prolonged restriction
         vals = rng.normal(size=hier6.level(5).num_vertices)
-        fine = FieldVector(5, vals)
-        d = midpoint_defect(hier6, fine)
-        recon = prolong(hier6, restrict(hier6, fine))
-        assert l2_norm(hier6.level(5), d) == pytest.approx(
-            l2_norm(hier6.level(5), vals - recon.values), rel=1e-12)
+        nc = hier6.level(4).num_vertices
+        recon = prolong(hier6, FieldVector(4, vals[:nc]))
+        assert mass_l2(hier6.level(5), defect(hier6, 5, vals)) == pytest.approx(
+            mass_l2(hier6.level(5), vals - recon.values), rel=1e-12)
 
     def test_prolong_to_multiple_levels(self, hier6):
         phi = lambda p: p[..., 0] - 3.0 * p[..., 1]
@@ -434,8 +456,10 @@ class TestTransferOperators:
                                    atol=1e-12)
 
     def test_level_mismatch_rejected(self, hier6):
-        with pytest.raises(ValueError):
-            restrict(hier6, FieldVector(5, np.zeros(7)))
+        with pytest.raises(ValueError, match="does not match"):
+            prolong(hier6, FieldVector(5, np.zeros(7)))
+        with pytest.raises(ValueError, match="does not match"):
+            interpolate(hier6.level(5), np.zeros(7), (0.0, 0.0))
 
 
 class TestFieldCsv:

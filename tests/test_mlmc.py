@@ -358,6 +358,25 @@ class TestNonFiniteStatistics:
         with pytest.raises(mlmc.BudgetExceededError, match="exceeds cap"):
             mlmc.run(hier3, self.cubic(1.0), eps=0.05, l0=2, seed=seed)
 
+    @pytest.mark.parametrize("seed, term", [(0, "plain term at level 2"),
+                                            (4, "correction term 3->4")],
+                             ids=["plain", "correction"])
+    def test_nan_production_chunk_names_term(self, seed, term):
+        # g is NaN only at exits beyond |x| = 1e9, which the pilot misses;
+        # the production chunk that first meets one raises at once
+        d = unit_ball()
+        hier4 = build_hierarchy(square_ball_base(d), 4, domain=d)
+        far_nan = lambda p: np.where((np.asarray(p) ** 2).sum(-1) > 1e18,
+                                     np.nan, 1.0)
+        prob = Problem(alpha=0.5, domain=d, g=far_nan,
+                       f=lambda p: np.ones(np.asarray(p).shape[:-1]))
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteStatisticError) as exc:
+            mlmc.run(hier4, prob, eps=0.01, l0=2, seed=seed, fixed_L=4)
+        e = exc.value
+        assert e.alpha == 0.5 and e.term == term and e.name == "V"
+        assert term in str(e)
+
     def test_overflowing_plan_is_rejected(self, hier3):
         # V is finite but its optimal allocation costs over 2^63 walk steps
         with np.errstate(all="ignore"), \

@@ -3,9 +3,8 @@ import pytest
 from scipy import stats
 
 from fracwos.sampling import reg_inc_beta
-from fracwos.streams import (RandomSequence, batch_generator, derive_key,
-                             johnk_beta, johnk_beta_rng, step_tuples,
-                             uniform_pair)
+from fracwos.streams import (batch_generator, derive_key, johnk_beta,
+                             johnk_beta_rng, step_tuples, uniform_pair)
 
 
 class TestCounterHash:
@@ -111,25 +110,32 @@ class TestStepTuples:
 
 
 class TestRandomSequence:
+    """The tuple sequence of one realization: entry n of the seed-s
+    realization is step_tuples(alpha, derive_key(s), n)."""
+
+    @staticmethod
+    def entries(seed, alpha, n0, n1):
+        return step_tuples(alpha, derive_key(seed),
+                           np.arange(n0, n1, dtype=np.uint32))
+
     def test_entry_pure(self):
-        s1 = RandomSequence(42, 1.0)
-        s2 = RandomSequence(42, 1.0)
         for n in (0, 5, 1000):
-            for a, b in zip(s1.entries(n, n + 1), s2.entries(n, n + 1)):
+            for a, b in zip(self.entries(42, 1.0, n, n + 1),
+                            self.entries(42, 1.0, n, n + 1)):
                 np.testing.assert_array_equal(a, b)
 
     def test_random_access_matches_block(self):
-        seq = RandomSequence(7, 0.8)
-        block = seq.entries(0, 32)
-        for a, b in zip(block, seq.entries(5, 6)):
+        block = self.entries(7, 0.8, 0, 32)
+        single = step_tuples(0.8, derive_key(7), np.uint32(5))
+        for a, b in zip(block, single):
             np.testing.assert_array_equal(a[5:6], b)
 
     def test_entries_independent_across_n(self):
-        beta, _, s, _ = RandomSequence(3, 1.0).entries(0, 50000)
+        beta, _, s, _ = self.entries(3, 1.0, 0, 50000)
         assert abs(np.corrcoef(beta[:-1], beta[1:])[0, 1]) < 0.01
         assert abs(np.corrcoef(s[:-1], s[1:])[0, 1]) < 0.01
 
     def test_different_seeds_differ(self):
-        a = RandomSequence(1, 1.0).entries(0, 100)[0]
-        b = RandomSequence(2, 1.0).entries(0, 100)[0]
+        a = self.entries(1, 1.0, 0, 100)[0]
+        b = self.entries(2, 1.0, 0, 100)[0]
         assert not np.any(a == b)
