@@ -35,7 +35,7 @@ from .streams import derive_key
 _KIND_PLAIN = 1
 _KIND_PAIR = 2
 _VAR_FLOOR = 1e-12
-_ROW_BUDGET = 1 << 21  # batch rows scaled so rows * vertices stays bounded
+_ROW_BUDGET = 1 << 21  # walks (rows * vertices) of one task's field_values call
 _COUNT_LIMIT = 2.0 ** 63  # sample counts and walk steps are int64
 MAX_COST = 2.0 ** 40  # default cap on planned walk steps: ~a week at 2M steps/s
 
@@ -130,12 +130,18 @@ def _init_worker(hier, problem, seed, max_steps):
 
 
 def _term_chunk(task):
-    """Moments of one contiguous chunk of samples of one term.
+    """Moments of consecutive chunks of samples of one term, walked together.
 
-    Returns [moments] for a plain term, and [defect moments, plain moments
-    of the fine values] for a transition (the latter for vanilla planning).
+    The task's samples i0..i0+count-1 take one `field_values` call, which
+    keeps the walk's vector lanes full; the values are then summed in chunks
+    of `rows` samples, so every chunk's moments, and the order in which they
+    are merged, match walking each chunk on its own.  Returns one entry per
+    chunk, in sample order: [moments] for a plain term, and [defect moments,
+    plain moments of the fine values] for a transition (the latter for
+    vanilla planning).  The walk steps of the whole call go to the first
+    chunk, since a term only ever adds them up.
     """
-    kind, ell, i0, count = task
+    kind, ell, i0, count, rows = task
     hier: MeshHierarchy = _WORKER_CTX["hier"]
     problem: Problem = _WORKER_CTX["problem"]
     seed = _WORKER_CTX["seed"]
@@ -143,19 +149,20 @@ def _term_chunk(task):
     fine_ell = ell if kind == _KIND_PLAIN else ell + 1
     level = hier.level(fine_ell)
     keys = derive_key(seed, kind, ell, np.arange(i0, i0 + count))
-    vals, cost = field_values(level, problem, keys, max_steps)
+    values, cost = field_values(level, problem, keys, max_steps)
     masses = _WORKER_CTX.setdefault("masses", {})
     mass = masses.get(fine_ell)
     if mass is None:
         mass = masses[fine_ell] = mass_matrix(level, hier.norm_mask(fine_ell))
-    mom = FieldMoments(mass)
-    if kind == _KIND_PLAIN:
-        mom.add(vals, cost)
-        return [mom]
-    plain = FieldMoments(mass)
-    plain.add(vals, cost)
-    mom.add(batch_defects(hier, vals, ell), cost)
-    return [mom, plain]
+    summed = ([values] if kind == _KIND_PLAIN
+              else [batch_defects(hier, values, ell), values])
+    chunks = []
+    for j in range(0, count, rows):
+        moments = [FieldMoments(mass) for _ in summed]
+        for mom, vals in zip(moments, summed):
+            mom.add(vals[j:j + rows], cost if j == 0 else 0)
+        chunks.append(moments)
+    return chunks
 
 
 def _batch_rows(n_vertices: int) -> int:
@@ -163,7 +170,7 @@ def _batch_rows(n_vertices: int) -> int:
 
 
 class _Engine:
-    """Runs term chunks serially or on a fork pool, merging in chunk order."""
+    """Runs term tasks serially or on a fork pool, merging in chunk order."""
 
     def __init__(self, hier, problem, seed, max_steps, workers):
         self.args = (hier, problem, seed, max_steps)
@@ -188,13 +195,23 @@ class _Engine:
         _WORKER_CTX.clear()
 
     def tasks(self, kind, ell, i0, i1):
-        """Lazy (kind, ell, first index, count) chunks covering samples i0..i1-1."""
+        """Lazy (kind, ell, first index, count, rows) tasks covering samples
+        i0..i1-1.
+
+        A chunk of `rows` samples (at most 1024) fixes the order of the
+        moment sums.  A task walks as many consecutive chunks as fit in
+        _ROW_BUDGET walks, so a coarse term needs few walk calls, and the
+        chunks, hence the results, do not depend on the worker count.
+        """
         fine_ell = ell if kind == _KIND_PLAIN else ell + 1
-        rows = _batch_rows(self.hier.level(fine_ell).num_vertices)
-        return ((kind, ell, j, min(rows, i1 - j)) for j in range(i0, i1, rows))
+        nv = self.hier.level(fine_ell).num_vertices
+        rows = _batch_rows(nv)
+        span = rows * max(1, _ROW_BUDGET // (rows * max(nv, 1)))
+        return ((kind, ell, j, min(span, i1 - j), rows)
+                for j in range(i0, i1, span))
 
     def _results(self, tasks):
-        """Chunk results in task order, at most 2 x workers chunks in flight."""
+        """Task results in task order, at most 2 x workers tasks in flight."""
         if self._pool is None:
             yield from map(_term_chunk, tasks)
             return
@@ -212,13 +229,14 @@ class _Engine:
         Raises NonFiniteStatisticError at the first chunk whose squared
         norms do not sum to a finite value, since V can no longer be.
         """
-        for res in self._results(self.tasks(kind, ell, i0, i1)):
-            if not np.isfinite(res[0].sum_sq):
-                raise NonFiniteStatisticError(self.alpha, _term_name(kind, ell),
-                                              "V", res[0].sum_sq)
-            defect_moments.merge(res[0])
-            if plain_moments is not None and len(res) > 1:
-                plain_moments.merge(res[1])
+        for chunks in self._results(self.tasks(kind, ell, i0, i1)):
+            for res in chunks:
+                if not np.isfinite(res[0].sum_sq):
+                    raise NonFiniteStatisticError(
+                        self.alpha, _term_name(kind, ell), "V", res[0].sum_sq)
+                defect_moments.merge(res[0])
+                if plain_moments is not None and len(res) > 1:
+                    plain_moments.merge(res[1])
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +267,15 @@ def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
 
 def pilot(hier: MeshHierarchy, problem: Problem, pilot_M: int, seed: int,
           l0: int | None = None, l_max: int | None = None,
-          workers: int = 1) -> LevelStatistics:
+          workers: int = 1,
+          max_steps: int = MAX_WALK_STEPS) -> LevelStatistics:
     """Pilot estimates of (V_l, C_l) per term for planning."""
     if pilot_M < 8:
         raise ValueError("pilot needs at least 8 samples")
     return level_statistics(hier, problem,
                             hier.coarsest if l0 is None else l0,
                             hier.finest if l_max is None else l_max,
-                            pilot_M, seed, workers)
+                            pilot_M, seed, workers, max_steps)
 
 
 def fit_bias_coefficient(bias_norms: dict[int, float],
@@ -362,7 +381,7 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
         raise ValueError("eps must be positive")
     l_max = hier.finest if fixed_L is None else fixed_L
     stats = pilot(hier, problem, pilot_M, seed, l0=l0, l_max=l_max,
-                  workers=workers)
+                  workers=workers, max_steps=max_steps)
     c1 = fit_bias_coefficient(stats.bias_norms) if stats.bias_norms else 0.0
     L = fixed_L if fixed_L is not None else choose_levels(
         eps, stats.bias_norms, l0, l_max)
@@ -428,9 +447,10 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
     level follows the dyadic schedule L = log2(1/eps)/2 (clamped to the
     hierarchy) unless `L_list` pins it explicitly; pilot mean-correction
     norms are too noisy to resolve bias at these tolerances.  Runs whose
-    planned cost fits `execute_budget` are also executed to report realized
-    cost (tolerances far below that are reported as plans, which is the only
-    meaningful scale for costs near 1e16 steps).
+    planned cost fits `execute_budget` are also executed, with the row's
+    finest level, to report realized cost (tolerances far below that are
+    reported as plans, which is the only meaningful scale for costs near
+    1e16 steps).
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -453,7 +473,7 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
         executed = None
         if ml_cost <= execute_budget:
             res = run(hier, problem, eps, l0, seed, pilot_M=pilot_M,
-                      workers=workers, max_cost=None)
+                      fixed_L=L, workers=workers, max_cost=None)
             executed = res.total_cost
         rows.append({"eps": eps, "L": L, "mlmc_cost": ml_cost,
                      "vanilla_cost": float(van_cost), "M": M.tolist(),

@@ -4,6 +4,7 @@ import pytest
 from fracwos.field import (FieldMoments, InsufficientSamplesError,
                            batch_defects, field_values, mass_matrix, mass_norm,
                            walk_starts)
+from fracwos.geometry import Ball, box
 from fracwos.problems import Problem, by_name
 from fracwos.sampling import MaxStepsExceededError, point_estimate, reg_inc_beta
 from fracwos.streams import derive_key, step_tuples
@@ -113,6 +114,44 @@ class TestLinearity:
         vb, cb = field_values(lvl, both, keys)
         np.testing.assert_allclose(vb, v1 + v3, rtol=1e-12, atol=0.0)
         assert c1 == c3 == cb
+
+
+class TestPowerOfTwoScaling:
+    """With f = 0, scaling the domain and the starts by s = 2^k and reading
+    the exterior data at x/s scales every distance and jump exactly, so the
+    walks of each key agree bit for bit."""
+
+    # name: (domain scaled by s, centre and radius of a disc inside it)
+    DOMAINS = {
+        "unit_ball": (lambda s: Ball((0.0, 0.0), s), (0.0, 0.0), 1.0),
+        "off_centre_ball": (lambda s: Ball((0.25 * s, -0.5 * s), 0.75 * s),
+                            (0.25, -0.5), 0.75),
+        "unit_box": (lambda s: box(0.0, 0.0, s, s), (0.5, 0.5), 0.5),
+    }
+
+    @staticmethod
+    def g(pts):
+        pts = np.asarray(pts)
+        return np.cos(3.0 * pts[..., 0]) + pts[..., 1] ** 2
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("k", [-3, 2, 5])
+    @pytest.mark.parametrize("name", ["unit_ball", "off_centre_ball", "unit_box"])
+    def test_scaled_walks_bit_identical(self, name, k, alpha):
+        s = 2.0 ** k
+        domain, centre, radius = self.DOMAINS[name]
+        angles = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+        offsets = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        starts = np.asarray(centre) + 0.9 * radius * \
+            np.linspace(0.0, 1.0, 7)[:, None] * offsets
+        base = Problem(alpha=alpha, domain=domain(1.0), f=zero_f, g=self.g)
+        scaled = Problem(alpha=alpha, domain=domain(s), f=zero_f,
+                         g=lambda pts: self.g(np.asarray(pts) / s))
+        keys = derive_key(17, np.arange(20))
+        vals, steps = walk_starts(starts, base, keys)
+        vals_s, steps_s = walk_starts(starts * s, scaled, keys)
+        assert np.array_equal(vals_s, vals)
+        assert steps_s == steps
 
 
 class TestWalkStarts:

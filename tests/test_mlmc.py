@@ -7,8 +7,9 @@ from fracwos import mlmc
 from fracwos.field import FieldMoments, mass_matrix
 from fracwos.geometry import unit_ball
 from fracwos.mesh import build_hierarchy, square_ball_base
-from fracwos.problems import Problem, example1
-from fracwos.sampling import NonFiniteStatisticError, point_estimate
+from fracwos.problems import Problem, example1, example2
+from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
+                              point_estimate)
 
 
 class TestAllocate:
@@ -114,12 +115,13 @@ class TestPilot:
 
 
 class _CountingPool:
-    """Runs each chunk when its result is read; tracks chunks in flight."""
+    """Runs each task when its result is read; tracks tasks in flight."""
 
     def __init__(self):
-        self.in_flight = self.peak = 0
+        self.in_flight = self.peak = self.submitted = 0
 
     def submit(self, fn, task):
+        self.submitted += 1
         self.in_flight += 1
         self.peak = max(self.peak, self.in_flight)
         pool = self
@@ -137,39 +139,55 @@ class _CountingPool:
 
 class TestEngine:
     def test_tasks_are_generated_lazily(self, hier6, ex2):
-        # 2^30 samples are 2^20 chunks: an eager task list would take about
-        # 100 MB here, and a real runaway term (1e11 samples) all memory
+        # 2^40 samples are 2e7 tasks: an eager task list would take GBs
+        # here, and a real runaway term (1e11 samples) all memory
         with mlmc._Engine(hier6, ex2, 0, 1000, 1) as eng:
             tracemalloc.start()
             try:
-                tasks = eng.tasks(mlmc._KIND_PLAIN, 3, 0, 2 ** 30)
-                first = next(tasks)
+                tasks = eng.tasks(mlmc._KIND_PLAIN, 3, 0, 2 ** 40)
+                first, second = next(tasks), next(tasks)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert iter(tasks) is tasks
-        assert first == (mlmc._KIND_PLAIN, 3, 0, 1024)
+        # one task walks as many 1024-row chunks as fit in the row budget
+        span = 1024 * (mlmc._ROW_BUDGET // (1024 * hier6.level(3).num_vertices))
+        assert span > 1024
+        assert first == (mlmc._KIND_PLAIN, 3, 0, span, 1024)
+        assert second == (mlmc._KIND_PLAIN, 3, span, span, 1024)
         assert peak < 1 << 20
 
-    def test_pool_window_is_bounded_and_ordered(self, hier6, ex2):
+    def test_pool_window_is_bounded_and_ordered(self, hier6, ex2, monkeypatch):
+        # the default budget walks all 12000 samples as one task; two chunks
+        # per task make six tasks, the last of them 1024 + 736 rows
         mass = mass_matrix(hier6.level(3), hier6.norm_mask(3))
         serial, windowed = FieldMoments(mass), FieldMoments(mass)
         pool = _CountingPool()
         with mlmc._Engine(hier6, ex2, 3, 1_000_000, 1) as eng:
-            eng.sample_term(mlmc._KIND_PLAIN, 3, 0, 5000, serial)
+            eng.sample_term(mlmc._KIND_PLAIN, 3, 0, 12000, serial)
+            monkeypatch.setattr(mlmc, "_ROW_BUDGET",
+                                2048 * hier6.level(3).num_vertices)
             eng._pool, eng.workers = pool, 2
-            eng.sample_term(mlmc._KIND_PLAIN, 3, 0, 5000, windowed)
+            eng.sample_term(mlmc._KIND_PLAIN, 3, 0, 12000, windowed)
+        assert pool.submitted == 6
         assert pool.peak == 4 and pool.in_flight == 0
         np.testing.assert_array_equal(windowed.sum_vec, serial.sum_vec)
         assert (windowed.sum_sq, windowed.count, windowed.cost) == \
             (serial.sum_sq, serial.count, serial.cost)
 
-    def test_moments_bit_identical_across_workers(self, hier6, ex2):
-        # more chunks per term than the pool keeps in flight
-        s1 = mlmc.level_statistics(hier6, ex2, 3, 4, 5000, seed=3, workers=1)
-        s2 = mlmc.level_statistics(hier6, ex2, 3, 4, 5000, seed=3, workers=2)
-        for a, b in [(s1.plain, s2.plain), (s1.trans[3], s2.trans[3]),
-                     (s1.fine_plain[3], s2.fine_plain[3])]:
+    @pytest.mark.parametrize("alpha", [0.05, 1.95])
+    def test_moments_bit_identical_across_workers(self, hier6, alpha,
+                                                  monkeypatch):
+        # one task per term on one worker against more tasks per term than
+        # two workers keep in flight: the plain term at level 2 walks three
+        # tasks of three 1024-row chunks, the correction 2->3 seven tasks
+        prob = example2(alpha)
+        s1 = mlmc.level_statistics(hier6, prob, 2, 3, 7000, seed=3, workers=1)
+        monkeypatch.setattr(mlmc, "_ROW_BUDGET",
+                            1024 * hier6.level(3).num_vertices)
+        s2 = mlmc.level_statistics(hier6, prob, 2, 3, 7000, seed=3, workers=2)
+        for a, b in [(s1.plain, s2.plain), (s1.trans[2], s2.trans[2]),
+                     (s1.fine_plain[2], s2.fine_plain[2])]:
             np.testing.assert_array_equal(a.sum_vec, b.sum_vec)
             assert (a.sum_sq, a.count, a.cost) == (b.sum_sq, b.count, b.cost)
 
@@ -200,6 +218,12 @@ class TestRun:
         r2 = mlmc.run(hier6, ex2, eps=4e-2, l0=3, seed=5, workers=2)
         np.testing.assert_array_equal(r1.solution.values, r2.solution.values)
         assert r1.total_cost == r2.total_cost
+
+    def test_pilot_honours_max_steps(self, hier6, ex2):
+        # every pilot walk takes at least one step, and few exit in one
+        with pytest.raises(MaxStepsExceededError):
+            mlmc.run(hier6, ex2, eps=1.0, l0=2, seed=1, fixed_L=3,
+                     max_steps=1)
 
     def test_budget_cap(self, hier6, ex2):
         with pytest.raises(mlmc.BudgetExceededError):
@@ -310,6 +334,26 @@ class TestCostComparison:
         assert rows[0]["executed_cost"] is not None
         # executed cost includes pilot overhead but stays the same order
         assert rows[0]["executed_cost"] <= 10 * rows[0]["mlmc_cost"] + 1e6
+
+
+    def test_executed_runs_end_at_the_row_level(self, hier6, ex2,
+                                                 monkeypatch):
+        # both rows have L = 3; an executed run that chose its own L would
+        # pilot and sample finer levels than the cost it is compared with
+        finest = []
+        run = mlmc.run
+
+        def spy(*args, **kwargs):
+            res = run(*args, **kwargs)
+            finest.append(res.plan.finest)
+            return res
+
+        monkeypatch.setattr(mlmc, "run", spy)
+        rows = mlmc.cost_comparison(hier6, ex2, [0.3, 0.1], l0=3, seed=3,
+                                    pilot_M=16, execute_budget=1e7)
+        executed = [r["L"] for r in rows if r["executed_cost"] is not None]
+        assert executed == [3, 3]
+        assert finest == executed
 
 
 class TestConvergenceOrder:
