@@ -65,12 +65,11 @@ def spectral_gap(H: np.ndarray) -> float:
 
 
 def wos_tolerance(k: int, tol: float, B: float, m: int,
-                  gap: float | None, r_prev: float | None,
-                  relax_cap: float = RELAX_CAP) -> float:
+                  gap: float | None, r_prev: float | None) -> float:
     """Per-step solve tolerance: base tol/(B m), relaxed by gap/residual.
 
     The relaxation factor is floored at 1 (never tighter than the base) and
-    capped at `relax_cap` so one noisy residual cannot blow up a run.
+    capped at RELAX_CAP so one noisy residual cannot blow up a run.
     """
     if tol <= 0 or B <= 0 or m <= 0:
         raise ValueError("tol, B, m must be positive")
@@ -79,95 +78,21 @@ def wos_tolerance(k: int, tol: float, B: float, m: int,
         return base
     with np.errstate(divide="ignore"):
         ratio = gap / r_prev if r_prev > 0 else np.inf
-    return base * float(min(max(ratio, 1.0), relax_cap))
+    return base * float(min(max(ratio, 1.0), RELAX_CAP))
 
 
 @dataclass
 class ArnoldiState:
     """Orthonormal Krylov basis, growing Hessenberg matrix, and history."""
 
-    m: int
-    tol: float
-    B: float
-    basis: list = dfield(default_factory=list)
-    H: np.ndarray | None = None
+    basis: list
+    H: np.ndarray
     k: int = 0
-    theta: float | None = None
-    w: np.ndarray | None = None
+    breakdown: bool = False
     residual_history: list = dfield(default_factory=list)
     gap_history: list = dfield(default_factory=list)
     tol_history: list = dfield(default_factory=list)
     cost_history: list = dfield(default_factory=list)
-    variable: bool = True
-    relax_cap: float = RELAX_CAP
-    breakdown: bool = False
-
-    @property
-    def residual(self) -> float:
-        return self.residual_history[-1]
-
-
-def start_state(v0: np.ndarray, m: int, tol: float, B: float,
-                variable: bool = True, relax_cap: float = RELAX_CAP) -> ArnoldiState:
-    if m < 2:
-        raise ValueError("need at least two iterations")
-    v0 = np.asarray(v0, dtype=np.float64)
-    nrm = np.linalg.norm(v0)
-    if nrm == 0:
-        raise ValueError("zero start vector")
-    state = ArnoldiState(m=m, tol=tol, B=B, variable=variable,
-                         relax_cap=relax_cap)
-    state.basis.append(v0 / nrm)
-    state.H = np.zeros((m + 1, m))
-    return state
-
-
-def arnoldi_step(state: ArnoldiState, apply_op) -> ArnoldiState:
-    """One inexact Arnoldi step: apply, orthogonalize, update Ritz data.
-
-    `apply_op(v, wos_tol, k)` must return (A^{-1} v estimate, cost).
-    Classical Gram-Schmidt with one reorthogonalization pass keeps the
-    basis orthonormal; a vanishing continuation norm declares a converged
-    invariant subspace.
-    """
-    if state.breakdown or state.k >= state.m:
-        raise RuntimeError("Arnoldi iteration already finished")
-    k = state.k + 1
-    gap = None
-    if state.variable and k >= 3:
-        gap = spectral_gap(state.H[:k - 1, :k - 1])
-    r_prev = state.residual_history[-1] if state.residual_history else None
-    if state.variable:
-        wtol = wos_tolerance(k, state.tol, state.B, state.m, gap, r_prev,
-                             state.relax_cap)
-    else:
-        wtol = state.tol / (state.B * state.m)
-
-    u, cost = apply_op(state.basis[k - 1], wtol, k)
-    u = np.asarray(u, dtype=np.float64)
-
-    V = np.column_stack(state.basis)
-    h = V.T @ u
-    u = u - V @ h
-    h2 = V.T @ u          # one reorthogonalization pass
-    u = u - V @ h2
-    h = h + h2
-    state.H[:k, k - 1] = h
-    h_next = float(np.linalg.norm(u))
-    state.H[k, k - 1] = h_next
-
-    state.theta, state.w = leading_ritz(state.H[:k, :k])
-    residual = h_next * abs(state.w[-1])
-    state.k = k
-    state.residual_history.append(residual)
-    state.gap_history.append(gap)
-    state.tol_history.append(wtol)
-    state.cost_history.append(cost)
-    if h_next < _BREAKDOWN:
-        state.breakdown = True
-    else:
-        state.basis.append(u / h_next)
-    return state
 
 
 @dataclass
@@ -194,13 +119,55 @@ class EigenResult:
         return rows
 
 
-def run_arnoldi(apply_op, v0, m, tol, B, variable=True,
-                relax_cap=RELAX_CAP) -> EigenResult:
-    state = start_state(v0, m, tol, B, variable, relax_cap)
+def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
+    """m inexact Arnoldi steps: apply, orthogonalize, update Ritz data.
+
+    `apply_op(v, wos_tol, k)` must return (A^{-1} v estimate, cost).
+    Classical Gram-Schmidt with one reorthogonalization pass keeps the
+    basis orthonormal; a vanishing continuation norm declares a converged
+    invariant subspace and ends the iteration.  Without `variable`, every
+    step gets the base tolerance tol/(B m).
+    """
+    if m < 2:
+        raise ValueError("need at least two iterations")
+    v0 = np.asarray(v0, dtype=np.float64)
+    nrm = np.linalg.norm(v0)
+    if nrm == 0:
+        raise ValueError("zero start vector")
+    state = ArnoldiState(basis=[v0 / nrm], H=np.zeros((m + 1, m)))
     while state.k < m and not state.breakdown:
-        arnoldi_step(state, apply_op)
-    return EigenResult(lam=1.0 / state.theta, theta=state.theta,
-                       residual=state.residual, iterations=state.k,
+        k = state.k + 1
+        gap = None
+        if variable and k >= 3:
+            gap = spectral_gap(state.H[:k - 1, :k - 1])
+        r_prev = state.residual_history[-1] if state.residual_history else None
+        wtol = wos_tolerance(k, tol, B, m, gap, r_prev)
+
+        u, cost = apply_op(state.basis[k - 1], wtol, k)
+        u = np.asarray(u, dtype=np.float64)
+
+        V = np.column_stack(state.basis)
+        h = V.T @ u
+        u = u - V @ h
+        h2 = V.T @ u          # one reorthogonalization pass
+        u = u - V @ h2
+        h = h + h2
+        state.H[:k, k - 1] = h
+        h_next = float(np.linalg.norm(u))
+        state.H[k, k - 1] = h_next
+
+        theta, w = leading_ritz(state.H[:k, :k])
+        state.k = k
+        state.residual_history.append(h_next * abs(w[-1]))
+        state.gap_history.append(gap)
+        state.tol_history.append(wtol)
+        state.cost_history.append(cost)
+        if h_next < _BREAKDOWN:
+            state.breakdown = True
+        else:
+            state.basis.append(u / h_next)
+    return EigenResult(lam=1.0 / theta, theta=theta,
+                       residual=state.residual_history[-1], iterations=state.k,
                        total_cost=int(sum(state.cost_history)), state=state)
 
 

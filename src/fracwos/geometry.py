@@ -85,9 +85,6 @@ class Ball:
         return np.column_stack([self.center[0] + rad * np.cos(ang),
                                 self.center[1] + rad * np.sin(ang)])
 
-    def describe(self) -> str:
-        return f"ball({self.center[0]}, {self.center[1]}, {self.radius})"
-
 
 @dataclass(frozen=True)
 class ConvexPolygon:
@@ -109,22 +106,18 @@ class ConvexPolygon:
             raise ValueError("polygon needs at least 3 vertices of shape (n, 2)")
         if not np.isfinite(v).all():
             raise ValueError("non-finite polygon vertex")
+        area2 = np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
+        if area2 < 0:
+            v = v[::-1].copy()  # was clockwise; normalize to CCW
         edges = np.roll(v, -1, axis=0) - v
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lengths == 0.0):
             raise ValueError("polygon has a zero-length edge")
         cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
             - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.all(cross <= 0) and np.any(cross < 0):
-            v = v[::-1].copy()  # was clockwise; normalize to CCW
-            edges = np.roll(v, -1, axis=0) - v
-            lengths = np.hypot(edges[:, 0], edges[:, 1])
-            cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-                - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
         if np.any(cross < 0):
             raise ValueError("polygon is not convex (or self-intersecting)")
-        area2 = np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
-        if area2 <= 0:
+        if area2 == 0:
             raise ValueError("polygon is degenerate (zero area)")
         normals = np.column_stack([-edges[:, 1], edges[:, 0]]) / lengths[:, None]
         object.__setattr__(self, "vertices", v)
@@ -179,10 +172,6 @@ class ConvexPolygon:
             out[have:have + take] = cand[:take]
             have += take
         return out
-
-    def describe(self) -> str:
-        pts = ", ".join(f"({x}, {y})" for x, y in self.vertices)
-        return f"polygon({pts})"
 
 
 Domain = Ball | ConvexPolygon

@@ -40,7 +40,6 @@ _COUNT_LIMIT = 2.0 ** 63  # sample counts and walk steps are int64
 MAX_COST = 2.0 ** 40  # default cap on planned walk steps: ~a week at 2M steps/s
 
 BIAS_RATE = 2.0   # mean-correction norms decay like 2^(-2 l)
-COST_RATE = 2.0   # vertex count grows like 2^(2 l) per level in 2-D
 
 
 class BudgetExceededError(RuntimeError):
@@ -58,14 +57,6 @@ class MlmcPlan:
     C: np.ndarray
     M: np.ndarray
     c1_hat: float
-    a: float = BIAS_RATE
-    gamma: float = COST_RATE
-
-    @property
-    def terms(self) -> list[tuple[int, int]]:
-        """(kind, level) per term, aligned with V/C/M."""
-        return [(_KIND_PLAIN, self.coarsest)] + [
-            (_KIND_PAIR, ell) for ell in range(self.coarsest, self.finest)]
 
     @property
     def planned_cost(self) -> float:
@@ -83,33 +74,32 @@ class MlmcResult:
     total_cost: int
     samples_used: np.ndarray
     stat_error_est: float
-    pilot_M: int
+
+
+def _terms(l0: int, L: int) -> list[tuple[int, int]]:
+    """(kind, level) of the telescope's terms: plain at l0, then transitions."""
+    return [(_KIND_PLAIN, l0)] + [(_KIND_PAIR, ell) for ell in range(l0, L)]
 
 
 @dataclass
 class LevelStatistics:
-    """Pilot moments per term, reusable as the head of production sampling."""
+    """Pilot moments per term, reusable as the head of production sampling.
+
+    `fine_plain[l]` holds the plain moments at level l for vanilla planning
+    (`plain` itself at l0); `terms(L)` lists the moments in `_terms` order.
+    """
 
     l0: int
-    l_max: int
-    count: int
     plain: FieldMoments                    # plain fields at l0
     trans: dict[int, FieldMoments]         # defect moments, keyed by coarse level
-    fine_plain: dict[int, FieldMoments]    # plain moments of transition fine fields
+    fine_plain: dict[int, FieldMoments]    # plain moments, keyed by field level
 
     @property
     def bias_norms(self) -> dict[int, float]:
         return {ell: m.mean_norm for ell, m in self.trans.items()}
 
-    def plain_variance(self, ell: int) -> float:
-        if ell == self.l0:
-            return self.plain.variance
-        return self.fine_plain[ell - 1].variance
-
-    def plain_cost(self, ell: int) -> float:
-        if ell == self.l0:
-            return self.plain.mean_cost
-        return self.fine_plain[ell - 1].mean_cost
+    def terms(self, L: int) -> list[FieldMoments]:
+        return [self.plain] + [self.trans[ell] for ell in range(self.l0, L)]
 
     @property
     def total_cost(self) -> int:
@@ -250,18 +240,17 @@ def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
         raise ValueError("need at least two samples per level")
     if not hier.coarsest <= l0 <= l_max <= hier.finest:
         raise ValueError("levels out of hierarchy range")
-    stats = LevelStatistics(
-        l0=l0, l_max=l_max, count=samples,
-        plain=FieldMoments(mass_matrix(hier.level(l0), hier.norm_mask(l0))),
-        trans={}, fine_plain={})
+    plain = FieldMoments(mass_matrix(hier.level(l0), hier.norm_mask(l0)))
+    stats = LevelStatistics(l0=l0, plain=plain, trans={},
+                            fine_plain={l0: plain})
     with _Engine(hier, problem, seed, max_steps, workers) as eng:
-        eng.sample_term(_KIND_PLAIN, l0, 0, samples, stats.plain)
+        eng.sample_term(_KIND_PLAIN, l0, 0, samples, plain)
         for ell in range(l0, l_max):
             mass = mass_matrix(hier.level(ell + 1), hier.norm_mask(ell + 1))
             stats.trans[ell] = FieldMoments(mass)
-            stats.fine_plain[ell] = FieldMoments(mass)
+            stats.fine_plain[ell + 1] = FieldMoments(mass)
             eng.sample_term(_KIND_PAIR, ell, 0, samples,
-                            stats.trans[ell], stats.fine_plain[ell])
+                            stats.trans[ell], stats.fine_plain[ell + 1])
     return stats
 
 
@@ -278,38 +267,35 @@ def pilot(hier: MeshHierarchy, problem: Problem, pilot_M: int, seed: int,
                             pilot_M, seed, workers, max_steps)
 
 
-def fit_bias_coefficient(bias_norms: dict[int, float],
-                         rate: float = BIAS_RATE) -> float:
-    """Least-squares fit of ||mean correction||_l ~ c1 2^(-rate*l) in log scale."""
+def fit_bias_coefficient(bias_norms: dict[int, float]) -> float:
+    """Log-scale least-squares fit of ||mean correction||_l ~ c1 2^(-BIAS_RATE l)."""
     ls = np.array(sorted(bias_norms))
     md = np.array([bias_norms[ell] for ell in ls])
     if np.all(md < 1e-300):
         return 0.0
     md = np.maximum(md, 1e-300)
-    return float(2.0 ** np.mean(np.log2(md) + rate * ls))
+    return float(2.0 ** np.mean(np.log2(md) + BIAS_RATE * ls))
 
 
 def choose_levels(eps: float, bias_norms: dict[int, float], l0: int,
-                  l_max: int, rate: float = BIAS_RATE) -> int:
-    """Smallest L with fitted bias c1 2^(-rate*L) at most eps/2.
+                  l_max: int) -> int:
+    """Smallest L with fitted bias c1 2^(-BIAS_RATE*L) at most eps/2.
 
     Falls back to the maximum available level (with a warning) when the
     bias estimates do not decay or no level satisfies the condition.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not bias_norms:
-        return l0
     ls = sorted(bias_norms)
     md = [bias_norms[ell] for ell in ls]
     if len(md) >= 2 and md[-1] >= md[0] and max(md) > 0:
         warnings.warn("bias estimates do not decay; using all levels")
         return l_max
-    c1 = fit_bias_coefficient(bias_norms, rate)
+    c1 = fit_bias_coefficient(bias_norms)
     if c1 == 0.0:
         return l0
     for ell in range(l0, l_max + 1):
-        if c1 * 2.0 ** (-rate * ell) <= eps / 2.0:
+        if c1 * 2.0 ** (-BIAS_RATE * ell) <= eps / 2.0:
             return ell
     warnings.warn(f"bias target eps/2 unreachable at level {l_max}; "
                   "using the finest available level")
@@ -382,12 +368,12 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
     l_max = hier.finest if fixed_L is None else fixed_L
     stats = pilot(hier, problem, pilot_M, seed, l0=l0, l_max=l_max,
                   workers=workers, max_steps=max_steps)
-    c1 = fit_bias_coefficient(stats.bias_norms) if stats.bias_norms else 0.0
+    c1 = fit_bias_coefficient(stats.bias_norms)
     L = fixed_L if fixed_L is not None else choose_levels(
         eps, stats.bias_norms, l0, l_max)
 
-    terms = [(_KIND_PLAIN, l0)] + [(_KIND_PAIR, ell) for ell in range(l0, L)]
-    moments = [stats.plain] + [stats.trans[ell] for ell in range(l0, L)]
+    terms = _terms(l0, L)
+    moments = stats.terms(L)
     V = np.array([m.variance for m in moments])
     C = np.array([m.mean_cost for m in moments])
     _check_statistics(problem.alpha, eps, terms, V, C)
@@ -414,11 +400,10 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
         solution = FieldVector(L, solution.values + corr.values)
 
     used = np.array([m.count for m in moments])
-    total_cost = stats.plain.cost + sum(m.cost for m in stats.trans.values())
     stat_est = float(np.sum([m.variance / m.count for m in moments]))
-    return MlmcResult(solution=solution, plan=plan, total_cost=int(total_cost),
-                      samples_used=used, stat_error_est=stat_est,
-                      pilot_M=pilot_M)
+    return MlmcResult(solution=solution, plan=plan,
+                      total_cost=int(stats.total_cost),
+                      samples_used=used, stat_error_est=stat_est)
 
 
 def error_vs_exact(result: MlmcResult, exact, hier: MeshHierarchy):
@@ -438,38 +423,38 @@ def error_vs_exact(result: MlmcResult, exact, hier: MeshHierarchy):
 
 def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
                     seed: int, pilot_M: int = 32, workers: int = 1,
-                    execute_budget: float = 0.0, L_list=None):
+                    execute_budget: float = 0.0):
     """Projected multilevel vs single-level (vanilla) step costs per tolerance.
 
     One pilot estimates all level statistics; each eps then gets its finest
     level, its multilevel allocation cost, and the matching vanilla cost
     M C at the same finest level with M = ceil(2 eps^-2 V_L).  The finest
     level follows the dyadic schedule L = log2(1/eps)/2 (clamped to the
-    hierarchy) unless `L_list` pins it explicitly; pilot mean-correction
-    norms are too noisy to resolve bias at these tolerances.  Runs whose
-    planned cost fits `execute_budget` are also executed, with the row's
-    finest level, to report realized cost (tolerances far below that are
-    reported as plans, which is the only meaningful scale for costs near
+    hierarchy), since pilot mean-correction norms are too noisy to resolve
+    bias at these tolerances; the pilot stops at the largest such L.  Runs
+    whose planned cost fits `execute_budget` are also executed, with the
+    row's finest level, to report realized cost (tolerances far below that
+    are reported as plans, which is the only meaningful scale for costs near
     1e16 steps).
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if L_list is None:
-        L_list = [int(np.clip(round(np.log2(1.0 / eps) / 2.0), l0, hier.finest))
-                  for eps in eps_list]
-    stats = pilot(hier, problem, pilot_M, seed, l0=l0, workers=workers)
+    levels = [int(np.clip(round(np.log2(1.0 / eps) / 2.0), l0, hier.finest))
+              for eps in eps_list]
+    stats = pilot(hier, problem, pilot_M, seed, l0=l0,
+                  l_max=max(levels, default=l0), workers=workers)
     rows = []
-    for eps, L in zip(eps_list, L_list):
-        moments = [stats.plain] + [stats.trans[ell] for ell in range(l0, L)]
+    for eps, L in zip(eps_list, levels):
+        moments = stats.terms(L)
         V = np.array([m.variance for m in moments])
         C = np.array([m.mean_cost for m in moments])
         M = allocate(eps, V, C)
         ml_cost = float(np.sum(M * C))
-        v_var = stats.plain_variance(L)
-        v_cost_per = stats.plain_cost(L)
-        m_vanilla = max(int(np.ceil(2.0 * eps ** -2 * max(v_var, _VAR_FLOOR))), 1)
-        van_cost = m_vanilla * v_cost_per
+        vanilla = stats.fine_plain[L]
+        v_var = max(vanilla.variance, _VAR_FLOOR)
+        m_vanilla = max(int(np.ceil(2.0 * eps ** -2 * v_var)), 1)
+        van_cost = m_vanilla * vanilla.mean_cost
         executed = None
         if ml_cost <= execute_budget:
             res = run(hier, problem, eps, l0, seed, pilot_M=pilot_M,

@@ -111,11 +111,6 @@ def example3(alpha: float) -> Problem:
                    f=_Example3Source(), g=_Example3Exterior(), name="example3")
 
 
-def custom(alpha: float, domain: Domain, f: Callable, g: Callable,
-           exact: Callable | None = None) -> Problem:
-    return Problem(alpha=alpha, domain=domain, f=f, g=g, exact=exact)
-
-
 BY_NAME = {"example1": example1, "example2": example2, "example3": example3}
 
 

@@ -82,8 +82,8 @@ def _to_unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def uniform_pair(key, draw, step, tag, lane=0):
-    """Two independent U(0,1) arrays at counter (draw, step, tag, lane).
+def uniform_pair(key, draw, step, tag):
+    """Two independent U(0,1) arrays at counter (draw, step, tag, 0).
 
     All index arguments broadcast; `key` is a uint64 key (scalar or array)
     from :func:`derive_key`.
@@ -94,14 +94,11 @@ def uniform_pair(key, draw, step, tag, lane=0):
     draw = np.asarray(draw, dtype=np.uint32)
     step = np.asarray(step, dtype=np.uint32)
     tag = np.asarray(tag, dtype=np.uint32)
-    lane = np.asarray(lane, dtype=np.uint32)
-    shape = np.broadcast_shapes(key.shape, draw.shape, step.shape,
-                                tag.shape, lane.shape)
-    c0, c1, c2, c3 = (np.broadcast_to(w, shape).copy() for w in
-                      (draw, step, tag, lane))
+    shape = np.broadcast_shapes(key.shape, draw.shape, step.shape, tag.shape)
+    c0, c1, c2 = (np.broadcast_to(w, shape).copy() for w in (draw, step, tag))
     k0 = np.broadcast_to(k0, shape).copy()
     k1 = np.broadcast_to(k1, shape).copy()
-    o0, o1, o2, o3 = _philox(c0, c1, c2, c3, k0, k1)
+    o0, o1, o2, o3 = _philox(c0, c1, c2, np.uint32(0), k0, k1)
     return _to_unit(o0, o1), _to_unit(o2, o3)
 
 

@@ -108,6 +108,13 @@ class TestArnoldiStub:
         assert res.residual == pytest.approx(0.0, abs=1e-13)
         assert res.lam == pytest.approx(0.5)  # inverse of leading theta = 2
 
+    def test_fixed_accuracy_tolerances(self):
+        D = np.diag(1.0 / np.arange(1, 7))
+        res = eigen.run_arnoldi(_stub_op(D), np.ones(6), m=4, tol=0.02, B=3,
+                                variable=False)
+        assert res.state.tol_history == [0.02 / (3 * 4)] * 4
+        assert res.state.gap_history == [None] * 4
+
     def test_zero_start_rejected(self):
         with pytest.raises(ValueError):
             eigen.run_arnoldi(_stub_op(np.eye(3)), np.zeros(3), m=2,

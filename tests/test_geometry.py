@@ -129,11 +129,3 @@ class TestProperties:
         pts = domain.sample_uniform(rng, 500)
         assert np.all(np.asarray(domain.distance(pts)) <= domain.diameter / 2 + 1e-12)
 
-
-def test_describe_round_trip():
-    from fracwos.cli import parse_domain
-    for dom in (unit_ball(), Ball((0.5, -1.0), 2.0), box(0.0, 0.0, 1.0, 1.0),
-                ConvexPolygon([[0, 0], [1, 0], [1, 1]])):
-        again = parse_domain(dom.describe())
-        pts = np.array([[0.1, 0.1], [5.0, 5.0]])
-        np.testing.assert_array_equal(dom.contains(pts), again.contains(pts))

@@ -187,7 +187,7 @@ class TestEngine:
                             1024 * hier6.level(3).num_vertices)
         s2 = mlmc.level_statistics(hier6, prob, 2, 3, 7000, seed=3, workers=2)
         for a, b in [(s1.plain, s2.plain), (s1.trans[2], s2.trans[2]),
-                     (s1.fine_plain[2], s2.fine_plain[2])]:
+                     (s1.fine_plain[3], s2.fine_plain[3])]:
             np.testing.assert_array_equal(a.sum_vec, b.sum_vec)
             assert (a.sum_sq, a.count, a.cost) == (b.sum_sq, b.count, b.cost)
 
@@ -354,6 +354,36 @@ class TestCostComparison:
         executed = [r["L"] for r in rows if r["executed_cost"] is not None]
         assert executed == [3, 3]
         assert finest == executed
+
+    def test_pilot_stops_at_the_largest_row_level(self, hier6, ex2,
+                                                  monkeypatch):
+        # both rows have L = 3; piloting up to the finest level 6 would walk
+        # about 100 times the steps the rows use
+        levels = []
+        pilot = mlmc.pilot
+
+        def spy(hier, *args, l_max=None, **kwargs):
+            levels.append(hier.finest if l_max is None else l_max)
+            return pilot(hier, *args, l_max=l_max, **kwargs)
+
+        monkeypatch.setattr(mlmc, "pilot", spy)
+        rows = mlmc.cost_comparison(hier6, ex2, [0.3, 0.1], l0=3, seed=3,
+                                    pilot_M=16)
+        assert [r["L"] for r in rows] == [3, 3]
+        assert levels == [3]
+
+    def test_rows_above_l0_pinned(self, hier6, ex2):
+        # the vanilla cost at L > l0 reads the plain moments of the fine
+        # fields of transition L-1 -> L
+        rows = mlmc.cost_comparison(hier6, ex2, [2.0 ** -8, 2.0 ** -10],
+                                    l0=3, seed=3, pilot_M=16)
+        assert [r["L"] for r in rows] == [4, 5]
+        assert [r["mlmc_cost"] for r in rows] == [
+            float.fromhex("0x1.f8ddbf8000000p+22"),
+            float.fromhex("0x1.4b313b0800000p+28")]
+        assert [r["vanilla_cost"] for r in rows] == [
+            float.fromhex("0x1.ab3b7e8000000p+23"),
+            float.fromhex("0x1.2956a60c00000p+29")]
 
 
 class TestConvergenceOrder:
