@@ -25,7 +25,7 @@ from scipy import sparse
 
 from .mesh import MeshHierarchy, MeshLevel
 from .problems import Problem
-from .sampling import MAX_WALK_STEPS, walk
+from .sampling import walk
 from .streams import step_tuples
 
 
@@ -33,8 +33,7 @@ class InsufficientSamplesError(ValueError):
     """Statistics over fewer than two samples were requested."""
 
 
-def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray,
-                max_steps: int = MAX_WALK_STEPS):
+def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray):
     """Walk every start point for each keyed realization.
 
     starts: (V, 2) points strictly inside the domain; keys: (K,) stream
@@ -45,12 +44,10 @@ def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray,
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     alpha = problem.alpha
     return walk(starts, problem, keys.size,
-                lambda n, rows: step_tuples(alpha, keys[rows], np.uint32(n)),
-                max_steps)
+                lambda n, rows: step_tuples(alpha, keys[rows], np.uint32(n)))
 
 
-def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray,
-                 max_steps: int = MAX_WALK_STEPS):
+def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray):
     """Field realizations at all vertices of a level, one row per key.
 
     Interior vertices get walk values; the rest get the exterior data g
@@ -65,8 +62,7 @@ def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray,
         vals[:, ~interior] = np.asarray(problem.g(level.vertices[~interior]))
     cost = 0
     if interior.any():
-        walked, cost = walk_starts(level.vertices[interior], problem, keys,
-                                   max_steps)
+        walked, cost = walk_starts(level.vertices[interior], problem, keys)
         vals[:, interior] = walked
     return vals, cost
 

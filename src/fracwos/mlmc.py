@@ -29,7 +29,7 @@ from .field import (FieldMoments, batch_defects, field_values, mass_matrix,
                     mass_norm)
 from .mesh import FieldVector, MeshHierarchy, prolong_to
 from .problems import Problem
-from .sampling import MAX_WALK_STEPS, NonFiniteStatisticError
+from .sampling import NonFiniteStatisticError
 from .streams import derive_key
 
 _KIND_PLAIN = 1
@@ -112,11 +112,8 @@ class LevelStatistics:
 _WORKER_CTX: dict = {}
 
 
-def _init_worker(hier, problem, seed, max_steps):
-    _WORKER_CTX["hier"] = hier
-    _WORKER_CTX["problem"] = problem
-    _WORKER_CTX["seed"] = seed
-    _WORKER_CTX["max_steps"] = max_steps
+def _init_worker(hier, problem, seed):
+    _WORKER_CTX.update(hier=hier, problem=problem, seed=seed)
 
 
 def _term_chunk(task):
@@ -135,11 +132,10 @@ def _term_chunk(task):
     hier: MeshHierarchy = _WORKER_CTX["hier"]
     problem: Problem = _WORKER_CTX["problem"]
     seed = _WORKER_CTX["seed"]
-    max_steps = _WORKER_CTX["max_steps"]
     fine_ell = ell if kind == _KIND_PLAIN else ell + 1
     level = hier.level(fine_ell)
     keys = derive_key(seed, kind, ell, np.arange(i0, i0 + count))
-    values, cost = field_values(level, problem, keys, max_steps)
+    values, cost = field_values(level, problem, keys)
     masses = _WORKER_CTX.setdefault("masses", {})
     mass = masses.get(fine_ell)
     if mass is None:
@@ -162,8 +158,8 @@ def _batch_rows(n_vertices: int) -> int:
 class _Engine:
     """Runs term tasks serially or on a fork pool, merging in chunk order."""
 
-    def __init__(self, hier, problem, seed, max_steps, workers):
-        self.args = (hier, problem, seed, max_steps)
+    def __init__(self, hier, problem, seed, workers):
+        self.args = (hier, problem, seed)
         self.hier = hier
         self.alpha = problem.alpha
         self.workers = max(1, int(workers))
@@ -233,8 +229,8 @@ class _Engine:
 # planning operations
 
 def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
-                     l_max: int, samples: int, seed: int, workers: int = 1,
-                     max_steps: int = MAX_WALK_STEPS) -> LevelStatistics:
+                     l_max: int, samples: int, seed: int,
+                     workers: int = 1) -> LevelStatistics:
     """Plain moments at l0 and coupled-correction moments per transition."""
     if samples < 2:
         raise ValueError("need at least two samples per level")
@@ -243,7 +239,7 @@ def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
     plain = FieldMoments(mass_matrix(hier.level(l0), hier.norm_mask(l0)))
     stats = LevelStatistics(l0=l0, plain=plain, trans={},
                             fine_plain={l0: plain})
-    with _Engine(hier, problem, seed, max_steps, workers) as eng:
+    with _Engine(hier, problem, seed, workers) as eng:
         eng.sample_term(_KIND_PLAIN, l0, 0, samples, plain)
         for ell in range(l0, l_max):
             mass = mass_matrix(hier.level(ell + 1), hier.norm_mask(ell + 1))
@@ -256,15 +252,14 @@ def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
 
 def pilot(hier: MeshHierarchy, problem: Problem, pilot_M: int, seed: int,
           l0: int | None = None, l_max: int | None = None,
-          workers: int = 1,
-          max_steps: int = MAX_WALK_STEPS) -> LevelStatistics:
+          workers: int = 1) -> LevelStatistics:
     """Pilot estimates of (V_l, C_l) per term for planning."""
     if pilot_M < 8:
         raise ValueError("pilot needs at least 8 samples")
     return level_statistics(hier, problem,
                             hier.coarsest if l0 is None else l0,
                             hier.finest if l_max is None else l_max,
-                            pilot_M, seed, workers, max_steps)
+                            pilot_M, seed, workers)
 
 
 def fit_bias_coefficient(bias_norms: dict[int, float]) -> float:
@@ -347,10 +342,32 @@ def allocate(eps: float, V, C) -> np.ndarray:
     return np.maximum(M, 1).astype(np.int64)
 
 
+def _plan(stats: LevelStatistics, eps: float, L: int, alpha: float) -> MlmcPlan:
+    """Optimal allocation of the telescope l0..L from the current moments."""
+    moments = stats.terms(L)
+    V = np.array([m.variance for m in moments])
+    C = np.array([m.mean_cost for m in moments])
+    _check_statistics(alpha, eps, _terms(stats.l0, L), V, C)
+    M = allocate(eps, V, C)
+    plan = MlmcPlan(eps=eps, coarsest=stats.l0, finest=L, V=V, C=C, M=M,
+                    c1_hat=fit_bias_coefficient(stats.bias_norms))
+    if not plan.stat_error_sq <= eps ** 2 / 2.0 + 1e-9:
+        raise RuntimeError(f"allocation {M.tolist()} misses the statistical "
+                           f"error target eps^2/2 = {eps ** 2 / 2.0:.3g}")
+    return plan
+
+
+def _extend(eng: _Engine, stats: LevelStatistics, plan: MlmcPlan) -> None:
+    """Sample each term of the plan from its current count up to its M."""
+    for (kind, ell), mom, m_need in zip(_terms(plan.coarsest, plan.finest),
+                                        stats.terms(plan.finest), plan.M):
+        if m_need > mom.count:
+            eng.sample_term(kind, ell, mom.count, int(m_need), mom)
+
+
 def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
         pilot_M: int = 32, fixed_L: int | None = None, workers: int = 1,
-        max_cost: float | None = MAX_COST,
-        max_steps: int = MAX_WALK_STEPS) -> MlmcResult:
+        max_cost: float | None = MAX_COST) -> MlmcResult:
     """Full multilevel solve: pilot, plan, sample, telescope.
 
     Parameters
@@ -367,38 +384,26 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
         raise ValueError("eps must be positive")
     l_max = hier.finest if fixed_L is None else fixed_L
     stats = pilot(hier, problem, pilot_M, seed, l0=l0, l_max=l_max,
-                  workers=workers, max_steps=max_steps)
-    c1 = fit_bias_coefficient(stats.bias_norms)
+                  workers=workers)
     L = fixed_L if fixed_L is not None else choose_levels(
         eps, stats.bias_norms, l0, l_max)
+    plan = _plan(stats, eps, L, problem.alpha)
 
-    terms = _terms(l0, L)
-    moments = stats.terms(L)
-    V = np.array([m.variance for m in moments])
-    C = np.array([m.mean_cost for m in moments])
-    _check_statistics(problem.alpha, eps, terms, V, C)
-    M = allocate(eps, V, C)
-    plan = MlmcPlan(eps=eps, coarsest=l0, finest=L, V=V, C=C, M=M, c1_hat=c1)
-    if not plan.stat_error_sq <= eps ** 2 / 2.0 + 1e-9:
-        raise RuntimeError(f"allocation {M.tolist()} misses the statistical "
-                           f"error target eps^2/2 = {eps ** 2 / 2.0:.3g}")
-
-    extra = np.maximum(M - pilot_M, 0)
-    projected = stats.total_cost + float(np.sum(extra * C))
+    extra = np.maximum(plan.M - pilot_M, 0)
+    projected = stats.total_cost + float(np.sum(extra * plan.C))
     if max_cost is not None and projected > max_cost:
         raise BudgetExceededError(
             f"projected cost {projected:.3g} exceeds cap {max_cost:.3g}")
 
-    with _Engine(hier, problem, seed, max_steps, workers) as eng:
-        for (kind, ell), mom, m_need in zip(terms, moments, M):
-            if m_need > pilot_M:
-                eng.sample_term(kind, ell, pilot_M, int(m_need), mom)
+    with _Engine(hier, problem, seed, workers) as eng:
+        _extend(eng, stats, plan)
 
     solution = prolong_to(hier, FieldVector(l0, stats.plain.mean_field), L)
     for ell in range(l0, L):
         corr = prolong_to(hier, FieldVector(ell + 1, stats.trans[ell].mean_field), L)
         solution = FieldVector(L, solution.values + corr.values)
 
+    moments = stats.terms(L)
     used = np.array([m.count for m in moments])
     stat_est = float(np.sum([m.variance / m.count for m in moments]))
     return MlmcResult(solution=solution, plan=plan,
@@ -431,10 +436,12 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
     M C at the same finest level with M = ceil(2 eps^-2 V_L).  The finest
     level follows the dyadic schedule L = log2(1/eps)/2 (clamped to the
     hierarchy), since pilot mean-correction norms are too noisy to resolve
-    bias at these tolerances; the pilot stops at the largest such L.  Runs
-    whose planned cost fits `execute_budget` are also executed, with the
-    row's finest level, to report realized cost (tolerances far below that
-    are reported as plans, which is the only meaningful scale for costs near
+    bias at these tolerances; the pilot stops at the largest such L.  Rows
+    whose planned cost fits `execute_budget` are also executed, in eps
+    order, to report realized cost: they reuse the pilot and each other's
+    samples, and `executed_cost` is the total walk steps that `run` with
+    `fixed_L=L` at the same seed would report (tolerances far below that are
+    reported as plans, which is the only meaningful scale for costs near
     1e16 steps).
     """
     eps_list = list(eps_list)
@@ -444,23 +451,25 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
               for eps in eps_list]
     stats = pilot(hier, problem, pilot_M, seed, l0=l0,
                   l_max=max(levels, default=l0), workers=workers)
+    # plan every row from the pilot moments: executing a row extends them
+    # (fine_plain[l0] is plain, which the vanilla cost at L = l0 reads)
+    plans = [_plan(stats, eps, L, problem.alpha)
+             for eps, L in zip(eps_list, levels)]
     rows = []
-    for eps, L in zip(eps_list, levels):
-        moments = stats.terms(L)
-        V = np.array([m.variance for m in moments])
-        C = np.array([m.mean_cost for m in moments])
-        M = allocate(eps, V, C)
-        ml_cost = float(np.sum(M * C))
-        vanilla = stats.fine_plain[L]
+    for plan in plans:
+        vanilla = stats.fine_plain[plan.finest]
         v_var = max(vanilla.variance, _VAR_FLOOR)
-        m_vanilla = max(int(np.ceil(2.0 * eps ** -2 * v_var)), 1)
-        van_cost = m_vanilla * vanilla.mean_cost
-        executed = None
-        if ml_cost <= execute_budget:
-            res = run(hier, problem, eps, l0, seed, pilot_M=pilot_M,
-                      fixed_L=L, workers=workers, max_cost=None)
-            executed = res.total_cost
-        rows.append({"eps": eps, "L": L, "mlmc_cost": ml_cost,
-                     "vanilla_cost": float(van_cost), "M": M.tolist(),
-                     "executed_cost": executed})
+        m_vanilla = max(int(np.ceil(2.0 * plan.eps ** -2 * v_var)), 1)
+        rows.append({"eps": plan.eps, "L": plan.finest,
+                     "mlmc_cost": plan.planned_cost,
+                     "vanilla_cost": float(m_vanilla * vanilla.mean_cost),
+                     "M": plan.M.tolist(), "executed_cost": None})
+    # along decreasing eps neither L nor any M falls, so each executed row
+    # extends the samples of the last one and ends where its own run would
+    with _Engine(hier, problem, seed, workers) as eng:
+        for row, plan in zip(rows, plans):
+            if plan.planned_cost <= execute_budget:
+                _extend(eng, stats, plan)
+                row["executed_cost"] = sum(m.cost
+                                           for m in stats.terms(plan.finest))
     return rows

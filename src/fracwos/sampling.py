@@ -122,8 +122,7 @@ class PointEstimate(NamedTuple):
     total_steps: int
 
 
-def walk(starts: np.ndarray, problem, count: int, draw,
-         max_steps: int = MAX_WALK_STEPS):
+def walk(starts: np.ndarray, problem, count: int, draw):
     """The walk-outside-spheres loop: `count` realizations, each walking
     every start point.
 
@@ -134,6 +133,7 @@ def walk(starts: np.ndarray, problem, count: int, draw,
     (beta, Theta, S, Phi) for the realizations `rows` (ascending) that still
     have a live walk, so all walks of one realization consume the same
     tuple at their n-th step.  Returns (values (count, V), total steps).
+    A walk still live after MAX_WALK_STEPS steps raises MaxStepsExceededError.
     """
     starts = np.asarray(starts, dtype=np.float64)
     nv = starts.shape[0]
@@ -148,7 +148,7 @@ def walk(starts: np.ndarray, problem, count: int, draw,
     acc = np.zeros(count * nv)
     out = np.empty(count * nv)
     cost = 0
-    for n in range(max_steps):
+    for n in range(MAX_WALK_STEPS):
         if not slot.size:
             break
         cost += slot.size
@@ -184,7 +184,8 @@ def walk(starts: np.ndarray, problem, count: int, draw,
             out[slot[left]] = np.asarray(problem.g(pos[left])) + acc[left]
             pos, smp, slot, acc = pos[inside], smp[inside], slot[inside], acc[inside]
     if slot.size:
-        raise MaxStepsExceededError(f"{slot.size} walks exceeded {max_steps} steps")
+        raise MaxStepsExceededError(
+            f"{slot.size} walks exceeded {MAX_WALK_STEPS} steps")
     return out.reshape(count, nv), cost
 
 
@@ -205,8 +206,7 @@ def _generator_draw(alpha: float, rng: np.random.Generator):
     return draw
 
 
-def point_estimate(x, problem, M: int, seed: int,
-                   max_steps: int = MAX_WALK_STEPS) -> PointEstimate:
+def point_estimate(x, problem, M: int, seed: int) -> PointEstimate:
     """Sample mean and unbiased sample variance of M walk realizations at x.
 
     The estimator is unbiased for the solution value u(x).  Realizations run
@@ -226,8 +226,7 @@ def point_estimate(x, problem, M: int, seed: int,
     total = np.zeros(3)
     for b, i0 in enumerate(range(0, M, POINT_BATCH)):
         draw = _generator_draw(problem.alpha, batch_generator(seed, 0x90, b))
-        vals, steps = walk(x[None, :], problem, min(POINT_BATCH, M - i0), draw,
-                           max_steps)
+        vals, steps = walk(x[None, :], problem, min(POINT_BATCH, M - i0), draw)
         vals = vals[:, 0]
         total += (vals.sum(), (vals * vals).sum(), steps)
     mean = total[0] / M

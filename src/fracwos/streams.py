@@ -85,20 +85,14 @@ def _to_unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 def uniform_pair(key, draw, step, tag):
     """Two independent U(0,1) arrays at counter (draw, step, tag, 0).
 
-    All index arguments broadcast; `key` is a uint64 key (scalar or array)
-    from :func:`derive_key`.
+    All index arguments broadcast (the Philox rounds broadcast them); `key`
+    is a uint64 key (scalar or array) from :func:`derive_key`.
     """
     key = np.asarray(key, dtype=np.uint64)
     k0 = key.astype(np.uint32)
     k1 = (key >> np.uint64(32)).astype(np.uint32)
-    draw = np.asarray(draw, dtype=np.uint32)
-    step = np.asarray(step, dtype=np.uint32)
-    tag = np.asarray(tag, dtype=np.uint32)
-    shape = np.broadcast_shapes(key.shape, draw.shape, step.shape, tag.shape)
-    c0, c1, c2 = (np.broadcast_to(w, shape).copy() for w in (draw, step, tag))
-    k0 = np.broadcast_to(k0, shape).copy()
-    k1 = np.broadcast_to(k1, shape).copy()
-    o0, o1, o2, o3 = _philox(c0, c1, c2, np.uint32(0), k0, k1)
+    draw, step, tag = (np.asarray(w, dtype=np.uint32) for w in (draw, step, tag))
+    o0, o1, o2, o3 = _philox(draw, step, tag, np.uint32(0), k0, k1)
     return _to_unit(o0, o1), _to_unit(o2, o3)
 
 

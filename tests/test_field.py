@@ -171,13 +171,14 @@ class TestWalkStarts:
                 total += steps
         assert cost == total
 
-    def test_max_steps_error(self):
+    def test_max_steps_error(self, monkeypatch):
         prob = by_name("example1", 1.9)
         starts = np.array([[0.9, 0.0], [0.0, 0.5]])
         keys = derive_key(2, np.arange(20))
         walk_starts(starts, prob, keys)
+        monkeypatch.setattr("fracwos.sampling.MAX_WALK_STEPS", 3)
         with pytest.raises(MaxStepsExceededError):
-            walk_starts(starts, prob, keys, max_steps=3)
+            walk_starts(starts, prob, keys)
 
 
 class TestSamplePair:

@@ -141,7 +141,7 @@ class TestEngine:
     def test_tasks_are_generated_lazily(self, hier6, ex2):
         # 2^40 samples are 2e7 tasks: an eager task list would take GBs
         # here, and a real runaway term (1e11 samples) all memory
-        with mlmc._Engine(hier6, ex2, 0, 1000, 1) as eng:
+        with mlmc._Engine(hier6, ex2, 0, 1) as eng:
             tracemalloc.start()
             try:
                 tasks = eng.tasks(mlmc._KIND_PLAIN, 3, 0, 2 ** 40)
@@ -163,7 +163,7 @@ class TestEngine:
         mass = mass_matrix(hier6.level(3), hier6.norm_mask(3))
         serial, windowed = FieldMoments(mass), FieldMoments(mass)
         pool = _CountingPool()
-        with mlmc._Engine(hier6, ex2, 3, 1_000_000, 1) as eng:
+        with mlmc._Engine(hier6, ex2, 3, 1) as eng:
             eng.sample_term(mlmc._KIND_PLAIN, 3, 0, 12000, serial)
             monkeypatch.setattr(mlmc, "_ROW_BUDGET",
                                 2048 * hier6.level(3).num_vertices)
@@ -219,11 +219,14 @@ class TestRun:
         np.testing.assert_array_equal(r1.solution.values, r2.solution.values)
         assert r1.total_cost == r2.total_cost
 
-    def test_pilot_honours_max_steps(self, hier6, ex2):
-        # every pilot walk takes at least one step, and few exit in one
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pilot_honours_max_steps(self, hier6, ex2, workers, monkeypatch):
+        # every pilot walk takes at least one step, and few exit in one;
+        # forked pool workers read the same module-level cap
+        monkeypatch.setattr("fracwos.sampling.MAX_WALK_STEPS", 1)
         with pytest.raises(MaxStepsExceededError):
             mlmc.run(hier6, ex2, eps=1.0, l0=2, seed=1, fixed_L=3,
-                     max_steps=1)
+                     workers=workers)
 
     def test_budget_cap(self, hier6, ex2):
         with pytest.raises(mlmc.BudgetExceededError):
@@ -336,24 +339,49 @@ class TestCostComparison:
         assert rows[0]["executed_cost"] <= 10 * rows[0]["mlmc_cost"] + 1e6
 
 
-    def test_executed_runs_end_at_the_row_level(self, hier6, ex2,
-                                                 monkeypatch):
-        # both rows have L = 3; an executed run that chose its own L would
-        # pilot and sample finer levels than the cost it is compared with
-        finest = []
-        run = mlmc.run
-
-        def spy(*args, **kwargs):
-            res = run(*args, **kwargs)
-            finest.append(res.plan.finest)
-            return res
-
-        monkeypatch.setattr(mlmc, "run", spy)
+    def test_executed_runs_end_at_the_row_level(self, hier6, ex2):
+        # both rows have L = 3; each executed cost is what a separate run
+        # pinned to the row's level reports, although the rows share the
+        # pilot and the second extends the samples of the first
         rows = mlmc.cost_comparison(hier6, ex2, [0.3, 0.1], l0=3, seed=3,
                                     pilot_M=16, execute_budget=1e7)
-        executed = [r["L"] for r in rows if r["executed_cost"] is not None]
-        assert executed == [3, 3]
-        assert finest == executed
+        executed = [r for r in rows if r["executed_cost"] is not None]
+        assert [r["L"] for r in executed] == [3, 3]
+        for r in executed:
+            res = mlmc.run(hier6, ex2, r["eps"], 3, 3, pilot_M=16,
+                           fixed_L=r["L"], max_cost=None)
+            assert r["executed_cost"] == res.total_cost
+
+    def test_pilot_runs_once(self, hier6, ex2, monkeypatch):
+        # three rows execute; none walks the pilot again or calls run
+        pilots = []
+        pilot = mlmc.pilot
+
+        def spy(*args, **kwargs):
+            stats = pilot(*args, **kwargs)
+            pilots.append(stats.total_cost)
+            return stats
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("cost_comparison called run")
+
+        monkeypatch.setattr(mlmc, "pilot", spy)
+        monkeypatch.setattr(mlmc, "run", no_run)
+        rows = mlmc.cost_comparison(hier6, ex2, [0.3, 0.1, 0.01], l0=3,
+                                    seed=3, pilot_M=16, execute_budget=1e6)
+        assert all(r["executed_cost"] is not None for r in rows)
+        assert pilots == [809]
+
+    def test_executed_rows_at_l0_pinned(self, hier6, ex2):
+        # at L = l0 the vanilla cost reads plain, which executing a row
+        # extends: every row must be planned before any row executes
+        rows = mlmc.cost_comparison(hier6, ex2, [0.1, 0.05], l0=3, seed=3,
+                                    pilot_M=16, execute_budget=1e7)
+        assert [r["L"] for r in rows] == [3, 3]
+        assert [r["mlmc_cost"] for r in rows] == [2780.9375, 10972.0625]
+        assert [r["vanilla_cost"] for r in rows] == [2780.9375, 10972.0625]
+        assert [r["M"] for r in rows] == [[55], [217]]
+        assert [r["executed_cost"] for r in rows] == [2925, 11658]
 
     def test_pilot_stops_at_the_largest_row_level(self, hier6, ex2,
                                                   monkeypatch):
@@ -450,6 +478,16 @@ class TestNonFiniteStatistics:
         e = exc.value
         assert e.alpha == 0.5 and e.term == term and e.name == "V"
         assert term in str(e)
+
+    def test_overflowing_comparison_row_is_rejected(self, hier3):
+        # the same plan check as run, so no bare OverflowError from allocate
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteStatisticError) as exc:
+            mlmc.cost_comparison(hier3, self.cubic(0.5), [0.05], l0=2,
+                                 seed=0, pilot_M=32)
+        e = exc.value
+        assert e.alpha == 0.5 and e.term == "plain term at level 2"
+        assert "alpha = 0.5" in str(e) and "plain term at level 2" in str(e)
 
     def test_overflowing_plan_is_rejected(self, hier3):
         # V is finite but its optimal allocation costs over 2^63 walk steps

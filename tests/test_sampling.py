@@ -228,13 +228,14 @@ class TestRunPath:
         assert ball.contains(inside).all() and not ball.contains(exits).any()
         assert exits.shape[0] == 60 and inside.shape[0] == 2 * cost
 
-    def test_max_steps_error(self):
+    def test_max_steps_error(self, monkeypatch):
         # at alpha = 1.9 jumps barely leave the inscribed ball, so walks
         # from near the boundary outlive a three-step cap
         prob = example1(1.9)
         assert np.isfinite(point_estimate((0.9, 0.0), prob, 1000, seed=1).mean)
+        monkeypatch.setattr("fracwos.sampling.MAX_WALK_STEPS", 3)
         with pytest.raises(MaxStepsExceededError):
-            point_estimate((0.9, 0.0), prob, 1000, seed=1, max_steps=3)
+            point_estimate((0.9, 0.0), prob, 1000, seed=1)
 
 
 class TestPointEstimate:
