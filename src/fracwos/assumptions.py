@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import Domain, box
 from .sampling import _check_alpha
-from .streams import batch_generator, johnk_beta_rng
+from .streams import batch_generator, johnk_beta_rng, unit_vectors
 
 _BATCH = 1 << 17
 _LABEL_STARTS = 0x57A7
@@ -61,17 +61,25 @@ class AssumptionConfig:
             raise ValueError("need at least 2 samples and 1 start point")
 
 
-def _one_step(domain: Domain, x0: np.ndarray, rng, n: int, alpha: float):
-    beta = johnk_beta_rng(alpha, rng, n)
-    ang = 2.0 * np.pi * rng.random(n)
-    theta = np.column_stack([np.cos(ang), np.sin(ang)])
-    d0 = float(domain.distance(x0))
-    return x0 + theta * (d0 / np.sqrt(beta))[:, None]
+def _estimate(cfg: AssumptionConfig, label: int, j: int,
+              batch) -> tuple[float, float]:
+    """Mean and standard error of cfg.samples_M one-step values at start j.
 
-
-def _mean_stderr(total: float, total_sq: float, n: int) -> tuple[float, float]:
-    mean = total / n
-    var = max((total_sq - n * mean * mean) / (n - 1), 0.0)
+    Each batch of at most _BATCH samples draws beta, then the directions
+    Theta, from start j's own substream; `batch(beta, theta)` returns the
+    batch's values.
+    """
+    rng = batch_generator(cfg.seed, label, j)
+    n = cfg.samples_M
+    tot = tot_sq = 0.0
+    for done in range(0, n, _BATCH):
+        size = min(_BATCH, n - done)
+        beta = johnk_beta_rng(cfg.alpha, rng, size)
+        vals = batch(beta, unit_vectors(rng.random(size)))
+        tot += vals.sum()
+        tot_sq += (vals * vals).sum()
+    mean = tot / n
+    var = max((tot_sq - n * mean * mean) / (n - 1), 0.0)
     return mean, float(np.sqrt(var / n))
 
 
@@ -99,25 +107,17 @@ def check_I2(cfg: AssumptionConfig, pairs: np.ndarray | None = None,
             raise ValueError(f"start pair {j} is degenerate (x0 == y0)")
         d0x = float(cfg.domain.distance(x0))
         d0y = float(cfg.domain.distance(y0))
-        rng = batch_generator(cfg.seed, _LABEL_I2, j)
-        tot = tot_sq = 0.0
-        done = 0
-        while done < cfg.samples_M:
-            n = min(_BATCH, cfg.samples_M - done)
-            beta = johnk_beta_rng(cfg.alpha, rng, n)
-            ang = 2.0 * np.pi * rng.random(n)
-            theta = np.column_stack([np.cos(ang), np.sin(ang)])
+
+        def batch(beta, theta):
             jump = theta / np.sqrt(beta)[:, None]
             x1 = x0 + d0x * jump
             y1 = y0 + d0y * jump
             both = np.asarray(cfg.domain._contains(x1)) \
                 & np.asarray(cfg.domain._contains(y1))
             r1 = np.hypot(x1[:, 0] - y1[:, 0], x1[:, 1] - y1[:, 1])
-            vals = np.where(both, (r1 / r0) ** expo, 0.0)
-            tot += vals.sum()
-            tot_sq += (vals * vals).sum()
-            done += n
-        per_start.append(_mean_stderr(tot, tot_sq, cfg.samples_M))
+            return np.where(both, (r1 / r0) ** expo, 0.0)
+
+        per_start.append(_estimate(cfg, _LABEL_I2, j, batch))
     return CheckResult(max(v for v, _ in per_start), per_start)
 
 
@@ -134,21 +134,17 @@ def check_I1(cfg: AssumptionConfig,
         if d0 <= 0.0:
             raise ValueError(f"start point {j} is not interior")
         phi0 = max(cfg.A, d0 ** -cfg.t)
-        rng = batch_generator(cfg.seed, _LABEL_I1, j)
-        tot = tot_sq = 0.0
-        done = 0
-        while done < cfg.samples_M:
-            n = min(_BATCH, cfg.samples_M - done)
-            x1 = _one_step(cfg.domain, x0, rng, n, cfg.alpha)
+
+        def batch(beta, theta):
+            x1 = x0 + theta * (d0 / np.sqrt(beta))[:, None]
             inside = np.asarray(cfg.domain._contains(x1))
-            vals = np.zeros(n)
+            vals = np.zeros(beta.size)
             if inside.any():
                 d1 = cfg.domain._distance(x1[inside])
                 vals[inside] = np.maximum(cfg.A, d1 ** -cfg.t) / phi0
-            tot += vals.sum()
-            tot_sq += (vals * vals).sum()
-            done += n
-        per_start.append(_mean_stderr(tot, tot_sq, cfg.samples_M))
+            return vals
+
+        per_start.append(_estimate(cfg, _LABEL_I1, j, batch))
     return CheckResult(max(v for v, _ in per_start), per_start)
 
 

@@ -383,21 +383,21 @@ def _coerce(key: str, val: str):
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    if args.config:
-        for key, val in read_config(args.config).items():
-            if key == "command":
-                if val != args.command:
-                    raise ValueError(f"config is for command {val!r}, "
-                                     f"not {args.command!r}")
-                continue
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _coerce(key, val))
+    file_cfg = read_config(args.config) if args.config else {}
+    for key, val in file_cfg.items():
+        if key == "command":
+            if val != args.command:
+                raise ValueError(f"config is for command {val!r}, "
+                                 f"not {args.command!r}")
+            continue
+        if key not in _FIELD_TYPES:
+            raise ValueError(f"unknown config key {key!r}")
+        setattr(cfg, key, _coerce(key, val))
     for key in _FIELD_TYPES:
         val = getattr(args, key, None)
         if val is not None and key != "command":
             setattr(cfg, key, val)
-    if args.seed is None and "seed" not in (read_config(args.config) if args.config else {}):
+    if args.seed is None and "seed" not in file_cfg:
         env = os.environ.get("FRACWOS_SEED")
         if env is not None:
             cfg.seed = int(env)

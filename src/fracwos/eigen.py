@@ -14,6 +14,7 @@ losing eigenvalue accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import partial
 
 import numpy as np
 from scipy import linalg
@@ -89,6 +90,7 @@ class ArnoldiState:
     H: np.ndarray
     k: int = 0
     breakdown: bool = False
+    theta_history: list = dfield(default_factory=list)
     residual_history: list = dfield(default_factory=list)
     gap_history: list = dfield(default_factory=list)
     tol_history: list = dfield(default_factory=list)
@@ -107,16 +109,11 @@ class EigenResult:
     @property
     def history(self):
         s = self.state
-        rows = []
-        for i in range(s.k):
-            theta_i, _ = leading_ritz(s.H[:i + 1, :i + 1])
-            rows.append({"k": i + 1, "theta": theta_i,
-                         "lambda": 1.0 / theta_i,
-                         "residual": s.residual_history[i],
-                         "gap": s.gap_history[i],
-                         "wos_tol": s.tol_history[i],
-                         "cost": s.cost_history[i]})
-        return rows
+        steps = zip(s.theta_history, s.residual_history, s.gap_history,
+                    s.tol_history, s.cost_history)
+        return [{"k": k, "theta": theta, "lambda": 1.0 / theta,
+                 "residual": res, "gap": gap, "wos_tol": wtol, "cost": cost}
+                for k, (theta, res, gap, wtol, cost) in enumerate(steps, 1)]
 
 
 def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
@@ -158,6 +155,7 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
 
         theta, w = leading_ritz(state.H[:k, :k])
         state.k = k
+        state.theta_history.append(theta)
         state.residual_history.append(h_next * abs(w[-1]))
         state.gap_history.append(gap)
         state.tol_history.append(wtol)
@@ -169,17 +167,6 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
     return EigenResult(lam=1.0 / theta, theta=theta,
                        residual=state.residual_history[-1], iterations=state.k,
                        total_cost=int(sum(state.cost_history)), state=state)
-
-
-class _InterpolantField:
-    """Picklable scalar field: the piecewise-linear interpolant of v."""
-
-    def __init__(self, level, values: np.ndarray):
-        self.level = level
-        self.values = np.asarray(values, dtype=np.float64)
-
-    def __call__(self, pts):
-        return interpolate(self.level, self.values, pts)
 
 
 def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
@@ -202,7 +189,7 @@ def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
         return np.zeros_like(vals), 0, {"eps_l2": 0.0, "rms_tol": rms_tol}
     l0 = hier.coarsest if l0 is None else l0
     problem = Problem(alpha=alpha, domain=hier.domain,
-                      f=_InterpolantField(level, vals), g=_ConstantField(0.0),
+                      f=partial(interpolate, level, vals), g=_ConstantField(0.0),
                       name="inverse-apply")
     eps_l2 = rms_tol * np.sqrt(hier.masked_area(hier.finest))
     res = mlmc.run(hier, problem, eps_l2, l0, seed, pilot_M=pilot_M,

@@ -29,8 +29,23 @@ def _check_finite(pts: np.ndarray) -> None:
         raise ValueError("non-finite point coordinates")
 
 
+class _Domain:
+    """Validated `contains`/`distance` over a shape's raw `_contains` and
+    `_distance`, which the walk calls directly on finite (..., 2) arrays."""
+
+    def contains(self, p):
+        pts = _as_points(p)
+        _check_finite(pts)
+        return self._contains(pts)
+
+    def distance(self, p):
+        pts = _as_points(p)
+        _check_finite(pts)
+        return self._distance(pts)
+
+
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Domain):
     """Open disc of given center and radius."""
 
     center: tuple[float, float]
@@ -49,19 +64,9 @@ class Ball:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, p) -> np.ndarray | bool:
-        pts = _as_points(p)
-        _check_finite(pts)
-        return self._contains(pts)
-
     def _contains(self, pts: np.ndarray):
         r = np.hypot(pts[..., 0] - self.center[0], pts[..., 1] - self.center[1])
         return r < self.radius
-
-    def distance(self, p) -> np.ndarray | float:
-        pts = _as_points(p)
-        _check_finite(pts)
-        return self._distance(pts)
 
     def _distance(self, pts: np.ndarray):
         r = np.hypot(pts[..., 0] - self.center[0], pts[..., 1] - self.center[1])
@@ -74,11 +79,6 @@ class Ball:
         r = np.hypot(pts[..., 0] - self.center[0], pts[..., 1] - self.center[1])
         return r <= self.radius * (1.0 + _CLOSED_TOL)
 
-    def bounding_box(self):
-        cx, cy = self.center
-        r = self.radius
-        return (cx - r, cy - r, cx + r, cy + r)
-
     def sample_uniform(self, rng: np.random.Generator, size: int) -> np.ndarray:
         rad = self.radius * np.sqrt(rng.random(size))
         ang = 2.0 * np.pi * rng.random(size)
@@ -87,7 +87,7 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class ConvexPolygon:
+class ConvexPolygon(_Domain):
     """Open convex polygon; distance is the minimum over half-plane distances.
 
     For an interior point of a convex region the nearest boundary point is
@@ -135,18 +135,8 @@ class ConvexPolygon:
         # signed distance to each edge line, positive inside: (P, E)
         return pts @ self._normals.T - self._offsets
 
-    def contains(self, p):
-        pts = _as_points(p)
-        _check_finite(pts)
-        return self._contains(pts)
-
     def _contains(self, pts: np.ndarray):
         return self._halfplane(pts).min(axis=-1) > 0.0
-
-    def distance(self, p):
-        pts = _as_points(p)
-        _check_finite(pts)
-        return self._distance(pts)
 
     def _distance(self, pts: np.ndarray):
         return np.maximum(self._halfplane(pts).min(axis=-1), 0.0)

@@ -143,29 +143,19 @@ def refine(level: MeshLevel, domain: Domain | None = None):
     v = level.vertices
     tris = level.triangles
     nc = v.shape[0]
-    edge_index: dict[tuple[int, int], int] = {}
-    mid_pairs: list[tuple[int, int]] = []
-
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = edge_index.get(key)
-        if idx is None:
-            idx = nc + len(mid_pairs)
-            edge_index[key] = idx
-            mid_pairs.append(key)
-        return idx
-
-    new_tris = np.empty((4 * tris.shape[0], 3), dtype=np.int64)
-    for k, (a, b, c) in enumerate(tris):
-        mab = midpoint(a, b)
-        mbc = midpoint(b, c)
-        mca = midpoint(c, a)
-        new_tris[4 * k + 0] = (a, mab, mca)
-        new_tris[4 * k + 1] = (b, mbc, mab)
-        new_tris[4 * k + 2] = (c, mca, mbc)
-        new_tris[4 * k + 3] = (mab, mbc, mca)
-
-    pairs = np.array(mid_pairs, dtype=np.int64)
+    # edges ab, bc, ca of each triangle; a midpoint is numbered by the first
+    # appearance of its edge in this order
+    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    pairs, first, inverse = np.unique(edges, axis=0, return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    mab, mbc, mca = (nc + rank[inverse.reshape(-1)]).reshape(-1, 3).T
+    a, b, c = tris.T
+    new_tris = np.column_stack([a, mab, mca, b, mbc, mab, c, mca, mbc,
+                                mab, mbc, mca]).reshape(-1, 3)
+    pairs = pairs[order]
     mids = 0.5 * (v[pairs[:, 0]] + v[pairs[:, 1]])
     fine_v = np.vstack([v, mids])
     parents = np.vstack([np.repeat(np.arange(nc, dtype=np.int64)[:, None], 2, axis=1),

@@ -86,7 +86,10 @@ class LevelStatistics:
     """Pilot moments per term, reusable as the head of production sampling.
 
     `fine_plain[l]` holds the plain moments at level l for vanilla planning
-    (`plain` itself at l0); `terms(L)` lists the moments in `_terms` order.
+    (`plain` itself at l0); above l0 it is the plain moments of the fine
+    fields of transition l-1 -> l, so the pilot and production extend it
+    together with `trans[l-1]`.  `terms(L)` lists the moments in `_terms`
+    order.
     """
 
     l0: int
@@ -209,8 +212,9 @@ class _Engine:
         while window:
             yield window.popleft().result()
 
-    def sample_term(self, kind, ell, i0, i1, defect_moments, plain_moments=None):
-        """Accumulate samples i0..i1-1 of one term into the given moments.
+    def sample_term(self, kind, ell, i0, i1, *moments):
+        """Accumulate samples i0..i1-1 of one term into `moments`, which
+        take a chunk's moment sets in order (see `_term_chunk`).
 
         Raises NonFiniteStatisticError at the first chunk whose squared
         norms do not sum to a finite value, since V can no longer be.
@@ -220,9 +224,8 @@ class _Engine:
                 if not np.isfinite(res[0].sum_sq):
                     raise NonFiniteStatisticError(
                         self.alpha, _term_name(kind, ell), "V", res[0].sum_sq)
-                defect_moments.merge(res[0])
-                if plain_moments is not None and len(res) > 1:
-                    plain_moments.merge(res[1])
+                for mom, part in zip(moments, res):
+                    mom.merge(part)
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +242,12 @@ def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
     plain = FieldMoments(mass_matrix(hier.level(l0), hier.norm_mask(l0)))
     stats = LevelStatistics(l0=l0, plain=plain, trans={},
                             fine_plain={l0: plain})
+    for ell in range(l0, l_max):
+        mass = mass_matrix(hier.level(ell + 1), hier.norm_mask(ell + 1))
+        stats.trans[ell] = FieldMoments(mass)
+        stats.fine_plain[ell + 1] = FieldMoments(mass)
     with _Engine(hier, problem, seed, workers) as eng:
-        eng.sample_term(_KIND_PLAIN, l0, 0, samples, plain)
-        for ell in range(l0, l_max):
-            mass = mass_matrix(hier.level(ell + 1), hier.norm_mask(ell + 1))
-            stats.trans[ell] = FieldMoments(mass)
-            stats.fine_plain[ell + 1] = FieldMoments(mass)
-            eng.sample_term(_KIND_PAIR, ell, 0, samples,
-                            stats.trans[ell], stats.fine_plain[ell + 1])
+        _extend(eng, stats, l_max, [samples] * (l_max - l0 + 1))
     return stats
 
 
@@ -357,12 +358,17 @@ def _plan(stats: LevelStatistics, eps: float, L: int, alpha: float) -> MlmcPlan:
     return plan
 
 
-def _extend(eng: _Engine, stats: LevelStatistics, plan: MlmcPlan) -> None:
-    """Sample each term of the plan from its current count up to its M."""
-    for (kind, ell), mom, m_need in zip(_terms(plan.coarsest, plan.finest),
-                                        stats.terms(plan.finest), plan.M):
-        if m_need > mom.count:
-            eng.sample_term(kind, ell, mom.count, int(m_need), mom)
+def _extend(eng: _Engine, stats: LevelStatistics, L: int, M) -> None:
+    """Sample each term l0..L from its current count up to its entry of M.
+
+    A transition l -> l+1 also extends `fine_plain[l+1]`.
+    """
+    for (kind, ell), m_need in zip(_terms(stats.l0, L), M):
+        moments = ((stats.plain,) if kind == _KIND_PLAIN
+                   else (stats.trans[ell], stats.fine_plain[ell + 1]))
+        count = moments[0].count
+        if m_need > count:
+            eng.sample_term(kind, ell, count, int(m_need), *moments)
 
 
 def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
@@ -396,7 +402,7 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
             f"projected cost {projected:.3g} exceeds cap {max_cost:.3g}")
 
     with _Engine(hier, problem, seed, workers) as eng:
-        _extend(eng, stats, plan)
+        _extend(eng, stats, plan.finest, plan.M)
 
     solution = prolong_to(hier, FieldVector(l0, stats.plain.mean_field), L)
     for ell in range(l0, L):
@@ -445,14 +451,16 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
     1e16 steps).
     """
     eps_list = list(eps_list)
+    if not all(eps > 0 for eps in eps_list):
+        raise ValueError("eps must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     levels = [int(np.clip(round(np.log2(1.0 / eps) / 2.0), l0, hier.finest))
               for eps in eps_list]
     stats = pilot(hier, problem, pilot_M, seed, l0=l0,
                   l_max=max(levels, default=l0), workers=workers)
-    # plan every row from the pilot moments: executing a row extends them
-    # (fine_plain[l0] is plain, which the vanilla cost at L = l0 reads)
+    # plan every row from the pilot moments: executing a row extends them,
+    # `fine_plain`, which the vanilla costs read, included
     plans = [_plan(stats, eps, L, problem.alpha)
              for eps, L in zip(eps_list, levels)]
     rows = []
@@ -469,7 +477,7 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
     with _Engine(hier, problem, seed, workers) as eng:
         for row, plan in zip(rows, plans):
             if plan.planned_cost <= execute_budget:
-                _extend(eng, stats, plan)
+                _extend(eng, stats, plan.finest, plan.M)
                 row["executed_cost"] = sum(m.cost
                                            for m in stats.terms(plan.finest))
     return rows

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .geometry import Domain, unit_ball
-from .sampling import StableParams, _check_alpha, make_params
+from .sampling import StableParams, make_params
 
 
 def _r2(pts: np.ndarray) -> np.ndarray:
@@ -65,7 +65,8 @@ class _Example3Source:
 
 @dataclass(frozen=True)
 class Problem:
-    """One exterior-value problem instance."""
+    """One exterior-value problem instance; `make_params` rejects an alpha
+    outside (0, 2)."""
 
     alpha: float
     domain: Domain
@@ -76,7 +77,6 @@ class Problem:
     params: StableParams = dfield(init=False)
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
         object.__setattr__(self, "params", make_params(self.alpha))
 
 
@@ -86,7 +86,6 @@ def example1(alpha: float) -> Problem:
     The solution is the mean first-exit time of the alpha-stable process:
     u(x) = (1 - |x|^2)^(alpha/2) / (2^alpha Gamma(1 + alpha/2)^2).
     """
-    _check_alpha(alpha)
     coeff = 1.0 / (2.0 ** alpha * gamma(1.0 + alpha / 2.0) ** 2)
     return Problem(alpha=alpha, domain=unit_ball(),
                    f=_ConstantField(1.0), g=_ConstantField(0.0),
@@ -95,7 +94,6 @@ def example1(alpha: float) -> Problem:
 
 def example2(alpha: float) -> Problem:
     """Polynomial source whose solution is u(x) = (1 - |x|^2)^(1 + alpha/2)."""
-    _check_alpha(alpha)
     return Problem(alpha=alpha, domain=unit_ball(),
                    f=_Example2Source(alpha), g=_ConstantField(0.0),
                    exact=_BallPolyField(1.0, 1.0 + alpha / 2.0), name="example2")
@@ -106,7 +104,6 @@ def example3(alpha: float) -> Problem:
 
     Less regular coefficients; no closed-form solution is attached.
     """
-    _check_alpha(alpha)
     return Problem(alpha=alpha, domain=unit_ball(),
                    f=_Example3Source(), g=_Example3Exterior(), name="example3")
 

@@ -246,6 +246,12 @@ class TestCliRuns:
         assert r.returncode == 1
         assert "fracwos: error: alpha must lie in (0, 2)" in r.stderr
 
+    def test_cost_study_rejects_zero_eps(self, tmp_path):
+        r = run_cli(["cost-study", "--eps-list", "0.1,0", "--l0", "2",
+                     "--L", "3", "--pilot", "8", "--out", "z"], tmp_path)
+        assert r.returncode == 1
+        assert "fracwos: error: eps must be positive" in r.stderr
+
     def test_config_command_mismatch(self, tmp_path):
         (tmp_path / "m.txt").write_text("command = eig\n")
         r = run_cli(["solve", "--config", "m.txt", "--out", "x"], tmp_path)

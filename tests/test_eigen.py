@@ -115,6 +115,19 @@ class TestArnoldiStub:
         assert res.state.tol_history == [0.02 / (3 * 4)] * 4
         assert res.state.gap_history == [None] * 4
 
+    def test_history_reads_each_steps_ritz_value(self):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(12, 12))
+        M = A @ A.T + 12 * np.eye(12)
+        res = eigen.run_arnoldi(_stub_op(M), rng.random(12), m=6, tol=1e-4,
+                                B=3)
+        H = res.state.H
+        assert [r["k"] for r in res.history] == list(range(1, 7))
+        for i, row in enumerate(res.history):
+            theta = eigen.leading_ritz(H[:i + 1, :i + 1])[0]
+            assert row["theta"] == theta and row["lambda"] == 1.0 / theta
+        assert res.history[-1]["theta"] == res.theta
+
     def test_zero_start_rejected(self):
         with pytest.raises(ValueError):
             eigen.run_arnoldi(_stub_op(np.eye(3)), np.zeros(3), m=2,

@@ -73,6 +73,17 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             ConvexPolygon([[0, 0], [1, 1], [2, 2]])
 
+    def test_rejects_nonfinite(self):
+        tri = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]))
+        with pytest.raises(ValueError):
+            tri.contains((np.nan, 0.0))
+        with pytest.raises(ValueError):
+            tri.distance((np.inf, 0.0))
+        with pytest.raises(ValueError):
+            tri.contains(np.array([[0.2, 0.2], [0.3, -np.inf]]))
+        with pytest.raises(ValueError):
+            tri.distance(np.array([[0.2, 0.2], [np.nan, 0.1]]))
+
     def test_triangle_incenter(self):
         tri = ConvexPolygon([[0, 0], [1, 0], [0, 1]])
         # incenter radius of the right isoceles triangle

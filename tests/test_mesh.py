@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracwos.field import batch_defects, mass_matrix, mass_norm
-from fracwos.geometry import Ball, box, unit_ball
+from fracwos.geometry import Ball, ConvexPolygon, box, unit_ball
 from fracwos.mesh import (FieldVector, PointOutsideMeshError, build_hierarchy,
                           interpolate, locate, make_base, prolong, prolong_to,
                           read_field_csv, refine, square_ball_base,
@@ -126,7 +126,70 @@ def unit_square_hier():
     return build_hierarchy(base, 4)
 
 
+def loop_refine(level, domain=None):
+    """Reference quadrisection: the per-triangle loop `refine` replaced.
+
+    Numbers each new midpoint when its edge first appears in the order
+    ab, bc, ca of triangle 0, 1, ...; returns (vertices, triangles,
+    parent table, interior mask or None).
+    """
+    v, tris = level.vertices, level.triangles
+    nc = v.shape[0]
+    edge_index, mid_pairs = {}, []
+
+    def midpoint(a, b):
+        key = (a, b) if a < b else (b, a)
+        idx = edge_index.get(key)
+        if idx is None:
+            idx = edge_index[key] = nc + len(mid_pairs)
+            mid_pairs.append(key)
+        return idx
+
+    new_tris = np.empty((4 * tris.shape[0], 3), dtype=np.int64)
+    for k, (a, b, c) in enumerate(tris):
+        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        new_tris[4 * k:4 * k + 4] = [(a, mab, mca), (b, mbc, mab),
+                                     (c, mca, mbc), (mab, mbc, mca)]
+    pairs = np.array(mid_pairs, dtype=np.int64)
+    fine_v = np.vstack([v, 0.5 * (v[pairs[:, 0]] + v[pairs[:, 1]])])
+    parents = np.vstack([np.repeat(np.arange(nc, dtype=np.int64)[:, None], 2,
+                                   axis=1), pairs])
+    mask = None if domain is None else np.asarray(domain.contains(fine_v))
+    return fine_v, new_tris, parents, mask
+
+
+def fan_base(poly):
+    """Centroid fan of a convex polygon, as the CLI meshes polygons."""
+    n = poly.vertices.shape[0]
+    v = np.vstack([poly.vertices, poly.vertices.mean(axis=0)])
+    return make_base(v, [[i, (i + 1) % n, n] for i in range(n)], domain=poly)
+
+
+_PENTAGON = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.2, 0.8],
+                                    [0.5, 1.3], [-0.2, 0.8]]))
+
+
 class TestRefinement:
+    @pytest.mark.parametrize("name", ["ball", "box", "pentagon"])
+    def test_matches_loop_reference(self, name):
+        domain = {"ball": Ball((0.3, -0.2), 1.7), "box": box(0.0, 0.0, 2.0, 1.0),
+                  "pentagon": _PENTAGON}[name]
+        base = (square_ball_base(domain) if name == "ball"
+                else fan_base(domain))
+        hier = build_hierarchy(base, 7, domain=domain)
+        for ell in range(2, 8):
+            coarse, fine = hier.level(ell - 1), hier.level(ell)
+            v, t, parents, mask = loop_refine(coarse, domain)
+            assert fine.triangles.dtype == t.dtype
+            assert hier.parents(ell).dtype == parents.dtype
+            np.testing.assert_array_equal(fine.vertices, v)
+            np.testing.assert_array_equal(fine.triangles, t)
+            np.testing.assert_array_equal(hier.parents(ell), parents)
+            np.testing.assert_array_equal(fine.interior_mask, mask)
+        fine, parents = refine(hier.level(1))
+        assert fine.interior_mask is None
+        np.testing.assert_array_equal(parents, loop_refine(hier.level(1))[2])
+
     def test_vertex_count_after_one_refinement(self):
         hier = build_hierarchy(square_ball_base(), 2)
         assert hier.level(2).num_vertices == 13

@@ -192,6 +192,19 @@ class TestEngine:
             assert (a.sum_sq, a.count, a.cost) == (b.sum_sq, b.count, b.cost)
 
 
+    def test_extend_grows_fine_plain_with_its_transition(self, hier6, ex2):
+        stats = mlmc.pilot(hier6, ex2, 16, 3, l0=3, l_max=5)
+        plan = mlmc._plan(stats, 0.05, 5, ex2.alpha)
+        assert np.all(plan.M > 16)
+        with mlmc._Engine(hier6, ex2, 3, 1) as eng:
+            mlmc._extend(eng, stats, plan.finest, plan.M)
+        assert [m.count for m in stats.terms(5)] == plan.M.tolist()
+        assert stats.fine_plain[3] is stats.plain
+        for ell in (4, 5):
+            fine, trans = stats.fine_plain[ell], stats.trans[ell - 1]
+            assert (fine.count, fine.cost) == (trans.count, trans.cost)
+
+
 class TestRun:
     def test_zero_problem_exact_zero(self, hier6, ball):
         zero = lambda pts: np.zeros(np.asarray(pts).shape[:-1])
@@ -330,6 +343,11 @@ class TestCostComparison:
     def test_rejects_nonmonotone_schedule(self, hier6, ex2):
         with pytest.raises(ValueError):
             mlmc.cost_comparison(hier6, ex2, [0.01, 0.02], l0=3, seed=3)
+
+    @pytest.mark.parametrize("eps_list", [[0.1, 0.0], [0.1, -0.5]])
+    def test_rejects_nonpositive_eps(self, hier6, ex2, eps_list):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            mlmc.cost_comparison(hier6, ex2, eps_list, l0=3, seed=3)
 
     def test_execute_budget_runs_affordable_points(self, hier6, ex2):
         rows = mlmc.cost_comparison(hier6, ex2, [0.3, 0.1], l0=3, seed=3,
