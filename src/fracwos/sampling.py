@@ -10,8 +10,7 @@ accumulated along the walk via the estimator
     F(x; S, Phi) = A1 d(x)^alpha ((f(x + d(x) S^(1/alpha) Phi) - f(x))
                    * P(beta < 1 - S^(2/alpha)) + A2 f(x)),
 
-whose constants A1 (closed form) and A2 (quadrature) are precomputed once
-per alpha.
+whose constants A1 and A2 have closed forms, computed once per problem.
 
 :func:`walk` is the one step loop.  Point estimates feed it tuples from a
 numpy Generator, one realization per walk; coupled fields (fracwos.field)
@@ -22,11 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betainc, gammaln
 
 from .streams import batch_generator, johnk_beta_rng, unit_vectors
@@ -99,20 +96,22 @@ class StableParams:
             raise ValueError("a2 must lie in (0, 1)")
 
 
-@lru_cache(maxsize=128)
 def make_params(alpha: float) -> StableParams:
-    """Constants for the source estimator: a1 in closed form, a2 by quadrature."""
+    """Constants of the source estimator, both in closed form.
+
+    a2 = E[(1 - beta)^(alpha/2)] = B(alpha/2, 1) / B(alpha/2, 1 - alpha/2)
+       = 2 sin(pi alpha/2) / (pi alpha),
+    with the sine taken at min(alpha, 2 - alpha), where it is equal and
+    2 - alpha is exact, so a2 keeps full relative accuracy as alpha -> 2
+    (within 2 ulp of a 40-digit quadrature of the expectation).
+    """
     _check_alpha(alpha)
     a, b = 0.5 * alpha, 1.0 - 0.5 * alpha
     log_a1 = (math.log(2.0) * (1.0 - alpha) - math.log(alpha)
               - 2.0 * gammaln(a) + gammaln(b) + gammaln(a) - gammaln(a + b))
     a1 = math.exp(log_a1)
-
-    def integrand(z: float) -> float:
-        return float(reg_inc_beta(1.0 - z ** (2.0 / alpha), alpha))
-
-    a2, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10,
-                           limit=200)
+    a2 = (2.0 * math.sin(0.5 * math.pi * min(alpha, 2.0 - alpha))
+          / (math.pi * alpha))
     return StableParams(alpha=alpha, a1=a1, a2=a2)
 
 

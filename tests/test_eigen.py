@@ -191,9 +191,10 @@ class TestSmallestEigenvalue:
     def test_golden_bits(self, hier5):
         # pinned on scipy's incomplete beta (with the upper-tail complement)
         # for the source weights; a change to point location, the streams or
-        # the sampling engine must leave the eigenvalue bit-identical
+        # the sampling engine must leave the eigenvalue bit-identical; re-taken
+        # when A2 moved from quadrature to its closed form (last bits of A2)
         res = eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=11)
-        assert res.lam.hex() == "0x1.03c8570fde10bp+1"
+        assert res.lam.hex() == "0x1.03c8570fde10ep+1"
         assert res.total_cost == 134708
 
     def test_worker_pool_parity(self, hier5):

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import betainc, beta as beta_fn, gamma
 
+import fracwos
 from fracwos.geometry import unit_ball
 from fracwos.problems import Problem, example1
 from fracwos.field import walk_starts
@@ -12,6 +17,9 @@ from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
                               StableParams, make_params, point_estimate,
                               reg_inc_beta, walk)
 from fracwos.streams import batch_generator, derive_key, johnk_beta_rng
+
+# the directory holding the imported package, for child processes
+PACKAGE_ROOT = str(Path(fracwos.__file__).resolve().parents[1])
 
 
 def zero(pts):
@@ -115,6 +123,31 @@ class TestStableParams:
     def test_a2_alpha_one_closed_form(self):
         # integral of the arcsine-law CDF gives exactly 2/pi
         assert make_params(1.0).a2 == pytest.approx(2.0 / np.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha, expect", [
+        # 25 of 40 digits of mpmath quadrature of the integral of
+        # P(beta < 1 - z^(2/alpha)) over z in (0, 1), at the double alpha
+        (0.02, "0.9998355147105486809736807"),
+        (0.5, "0.9003163161571060695551992"),
+        (1.0, "0.6366197723675813430755351"),
+        (1.5, "0.3001054387190353565183997"),
+        (1.8, "0.1092924047870517479891923"),
+        (1.98, "0.01009934863343989472414858"),
+    ])
+    def test_a2_high_precision_reference(self, alpha, expect):
+        assert abs(make_params(alpha).a2 - float(expect)) \
+            <= 2 * math.ulp(float(expect))
+
+    def test_no_quadrature_import(self):
+        # A2 has a closed form; scipy.integrate alone costs ~0.25 s to import
+        code = ("import sys, fracwos; fracwos.make_params(1.0); "
+                "print('scipy.integrate' in sys.modules)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_a2_monte_carlo_oracle(self):
         # independent oracle: mean of P(beta < 1 - U^(2/alpha)) over uniforms
@@ -276,10 +309,11 @@ class TestPointEstimate:
 
     def test_golden_bits(self, ex2):
         # pinned before point estimates moved onto the shared walk kernel;
-        # M = 40000 is one full batch and one partial batch
+        # M = 40000 is one full batch and one partial batch; re-taken when A2
+        # moved from quadrature to its closed form (last bits of A2)
         est = point_estimate((0.4, -0.3), ex2, 40000, seed=12)
-        assert est.mean.hex() == "0x1.4cb9c49731505p-1"
-        assert est.variance.hex() == "0x1.cfddee6391effp-3"
+        assert est.mean.hex() == "0x1.4cb9c49731502p-1"
+        assert est.variance.hex() == "0x1.cfddee6391efcp-3"
         assert est.total_steps == 96250
 
     def test_outside_returns_exterior_data(self, ex3):
