@@ -75,7 +75,8 @@ def _estimate(cfg: AssumptionConfig, label: int, j: int,
     for done in range(0, n, _BATCH):
         size = min(_BATCH, n - done)
         beta = johnk_beta_rng(cfg.alpha, rng, size)
-        vals = batch(beta, unit_vectors(rng.random(size)))
+        theta = unit_vectors(rng.random(size))
+        vals = batch(beta, theta)
         tot += vals.sum()
         tot_sq += (vals * vals).sum()
     mean = tot / n

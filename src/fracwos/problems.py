@@ -65,8 +65,7 @@ class _Example3Source:
 
 @dataclass(frozen=True)
 class Problem:
-    """One exterior-value problem instance; `make_params` rejects an alpha
-    outside (0, 2)."""
+    """One exterior-value problem instance (`make_params` checks alpha)."""
 
     alpha: float
     domain: Domain

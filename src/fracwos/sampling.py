@@ -99,11 +99,8 @@ class StableParams:
 def make_params(alpha: float) -> StableParams:
     """Constants of the source estimator, both in closed form.
 
-    a2 = E[(1 - beta)^(alpha/2)] = B(alpha/2, 1) / B(alpha/2, 1 - alpha/2)
-       = 2 sin(pi alpha/2) / (pi alpha),
-    with the sine taken at min(alpha, 2 - alpha), where it is equal and
-    2 - alpha is exact, so a2 keeps full relative accuracy as alpha -> 2
-    (within 2 ulp of a 40-digit quadrature of the expectation).
+    a2 = E[(1 - beta)^(alpha/2)] = 2 sin(pi alpha/2) / (pi alpha); the sine
+    is taken at min(alpha, 2 - alpha), which keeps 2 ulp accuracy near 2.
     """
     _check_alpha(alpha)
     a, b = 0.5 * alpha, 1.0 - 0.5 * alpha
