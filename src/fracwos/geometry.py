@@ -24,9 +24,11 @@ def _as_points(p) -> np.ndarray:
     return pts
 
 
-def _check_finite(pts: np.ndarray) -> None:
+def _finite_points(p) -> np.ndarray:
+    pts = _as_points(p)
     if not np.isfinite(pts).all():
         raise ValueError("non-finite point coordinates")
+    return pts
 
 
 class _Domain:
@@ -34,14 +36,10 @@ class _Domain:
     `_distance`, which the walk calls directly on finite (..., 2) arrays."""
 
     def contains(self, p):
-        pts = _as_points(p)
-        _check_finite(pts)
-        return self._contains(pts)
+        return self._contains(_finite_points(p))
 
     def distance(self, p):
-        pts = _as_points(p)
-        _check_finite(pts)
-        return self._distance(pts)
+        return self._distance(_finite_points(p))
 
 
 @dataclass(frozen=True)
@@ -132,8 +130,11 @@ class ConvexPolygon(_Domain):
         return self._diameter
 
     def _halfplane(self, pts: np.ndarray) -> np.ndarray:
-        # signed distance to each edge line, positive inside: (P, E)
-        return pts @ self._normals.T - self._offsets
+        # signed distance to each edge line, positive inside: (P, E); the
+        # offsets are subtracted in place to allocate one (P, E) array
+        out = pts @ self._normals.T
+        out -= self._offsets
+        return out
 
     def _contains(self, pts: np.ndarray):
         return self._halfplane(pts).min(axis=-1) > 0.0
