@@ -65,9 +65,9 @@ def _estimate(cfg: AssumptionConfig, label: int, j: int,
               batch) -> tuple[float, float]:
     """Mean and standard error of cfg.samples_M one-step values at start j.
 
-    Each batch of at most _BATCH samples draws beta, then the directions
-    Theta, from start j's own substream; `batch(beta, theta)` returns the
-    batch's values.
+    Each batch of at most _BATCH samples draws beta, then Theta, from start
+    j's substream; `batch(beta, theta)` returns its values.  beta and theta
+    stay bound until the next batch, so the allocator keeps their pages.
     """
     rng = batch_generator(cfg.seed, label, j)
     n = cfg.samples_M
