@@ -45,7 +45,6 @@ class RunConfig:
     B: float = 3.0
     m: int = 5
     seed: int = 0
-    workers: int = 1
     out: str = "."
     pilot: int = 32
     samples: int = 256
@@ -60,6 +59,9 @@ class RunConfig:
     fixed_accuracy: bool = False
 
     def validate(self):
+        for f in dfields(self):
+            if f.type == "float" and np.isnan(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must not be NaN")
         _check_alpha(self.alpha)
         if self.eps <= 0 or self.tol <= 0:
             raise ValueError("eps and tol must be positive")
@@ -71,6 +73,10 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.problem == "custom" and not (self.f_expr and self.g_expr):
             raise ValueError("custom problem needs f-expr and g-expr")
+        if (self.domain and self.problem != "custom"
+                and self.command in ("solve", "variance-study", "cost-study")):
+            raise ValueError(f"--domain needs --problem custom; --problem "
+                             f"{self.problem} fixes its own domain")
         if self.which not in ("I1", "I2"):
             raise ValueError("which must be I1 or I2")
         return self
@@ -111,7 +117,6 @@ class ExprField:
                 raise ValueError(f"name {node.id!r} not allowed in field expression")
             if isinstance(node, ast.Attribute):
                 raise ValueError("attribute access not allowed in field expression")
-        self.expr = expr
         self._code = compile(tree, "<field>", "eval")
 
     def __call__(self, pts):
@@ -120,9 +125,6 @@ class ExprField:
         ns = {name: getattr(np, name) for name in self._ALLOWED}
         ns.update(x=x, y=y, r2=x * x + y * y)
         return np.asarray(eval(self._code, {"__builtins__": {}}, ns), dtype=np.float64)
-
-    def __reduce__(self):
-        return (ExprField, (self.expr,))
 
 
 def base_mesh_for(domain: Domain):
@@ -219,8 +221,7 @@ def cmd_solve(cfg: RunConfig) -> dict:
     problem = build_problem(cfg)
     hier = build_mesh(cfg, problem.domain)
     res = mlmc.run(hier, problem, cfg.eps, cfg.l0, cfg.seed,
-                   pilot_M=cfg.pilot, workers=cfg.workers,
-                   max_cost=cfg.max_cost or mlmc.MAX_COST)
+                   pilot_M=cfg.pilot, max_cost=cfg.max_cost or mlmc.MAX_COST)
     level = hier.level(res.solution.level)
     write_field_csv(os.path.join(cfg.out, "solution.csv"), level,
                     res.solution, cfg.alpha, cfg.seed)
@@ -243,8 +244,7 @@ def cmd_eig(cfg: RunConfig) -> dict:
     hier = build_mesh(cfg, domain)
     res = eigen.smallest_eigenvalue(
         cfg.alpha, hier, cfg.tol, cfg.B, cfg.m, cfg.seed, l0=cfg.l0,
-        workers=cfg.workers, variable_accuracy=not cfg.fixed_accuracy,
-        pilot_M=cfg.pilot)
+        variable_accuracy=not cfg.fixed_accuracy, pilot_M=cfg.pilot)
     rows = [(r["k"], r["theta"], r["lambda"], r["residual"],
              r["gap"], r["wos_tol"], r["cost"]) for r in res.history]
     _write_csv(os.path.join(cfg.out, "iters.csv"),
@@ -258,7 +258,7 @@ def cmd_variance_study(cfg: RunConfig) -> dict:
     problem = build_problem(cfg)
     hier = build_mesh(cfg, problem.domain)
     stats = mlmc.level_statistics(hier, problem, cfg.l0, cfg.L, cfg.samples,
-                                  cfg.seed, workers=cfg.workers)
+                                  cfg.seed)
     rows = []
     for ell in range(cfg.l0, cfg.L):
         mom = stats.trans[ell]
@@ -279,8 +279,7 @@ def cmd_cost_study(cfg: RunConfig) -> dict:
     eps_list = ([float(s) for s in cfg.eps_list.split(",") if s]
                 if cfg.eps_list else _EPS_SCHEDULE)
     rows = mlmc.cost_comparison(hier, problem, eps_list, cfg.l0, cfg.seed,
-                                pilot_M=cfg.pilot, workers=cfg.workers,
-                                execute_budget=cfg.max_cost)
+                                pilot_M=cfg.pilot, execute_budget=cfg.max_cost)
     _write_csv(os.path.join(cfg.out, "study.csv"),
                ["eps", "L", "mlmc_cost", "vanilla_cost", "executed_cost"],
                [(r["eps"], r["L"], r["mlmc_cost"], r["vanilla_cost"],
@@ -343,8 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="Arnoldi iteration count")
         p.add_argument("--seed", type=int,
                        help="master seed (falls back to $FRACWOS_SEED)")
-        p.add_argument("--workers", type=int,
-                       help="sampling processes; 0 = all cores")
         p.add_argument("--out", help="output directory")
         p.add_argument("--pilot", type=int, help="pilot samples per level")
         p.add_argument("--samples", type=int,
@@ -401,8 +398,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         env = os.environ.get("FRACWOS_SEED")
         if env is not None:
             cfg.seed = int(env)
-    if cfg.workers <= 0:
-        cfg.workers = os.cpu_count() or 1
     return cfg.validate()
 
 

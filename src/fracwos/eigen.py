@@ -170,8 +170,7 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
 
 
 def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
-                  seed: int, l0: int | None = None, workers: int = 1,
-                  pilot_M: int = 32):
+                  seed: int, l0: int | None = None, pilot_M: int = 32):
     """Solve with source equal to the interpolant of v and zero exterior data.
 
     `rms_tol` is the per-vertex root-mean-square accuracy (the Euclidean
@@ -193,7 +192,7 @@ def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
                       name="inverse-apply")
     eps_l2 = rms_tol * np.sqrt(hier.masked_area(hier.finest))
     res = mlmc.run(hier, problem, eps_l2, l0, seed, pilot_M=pilot_M,
-                   fixed_L=hier.finest, workers=workers)
+                   fixed_L=hier.finest)
     info = {"eps_l2": eps_l2, "rms_tol": rms_tol,
             "stat_error_l2": res.stat_error_est}
     return res.solution.values, res.total_cost, info
@@ -207,8 +206,11 @@ def smallest_eigenvalue(alpha: float, hier: MeshHierarchy, tol: float,
 
     Runs m inexact Arnoldi steps from the normalized interior indicator
     (positive, hence overlapping the principal eigenfunction) and returns
-    1/theta for the leading Ritz pair.
+    1/theta for the leading Ritz pair.  `workers` is kept for old callers;
+    sampling runs in this process, so it must be 1.
     """
+    if workers != 1:
+        raise ValueError("workers must be 1: sampling runs in this process")
     level = hier.level(hier.finest)
     if level.interior_mask is None or not level.interior_mask.any():
         raise ValueError("hierarchy has no interior vertices")
@@ -217,7 +219,7 @@ def smallest_eigenvalue(alpha: float, hier: MeshHierarchy, tol: float,
     def apply_op(vec, wtol, k):
         u, cost, _ = apply_inverse(vec, alpha, hier, wtol,
                                    derive_step_seed(seed, k), l0=l0,
-                                   workers=workers, pilot_M=pilot_M)
+                                   pilot_M=pilot_M)
         return u, cost
 
     return run_arnoldi(apply_op, v0, m, tol, B, variable=variable_accuracy)

@@ -15,7 +15,7 @@ The walk itself is :func:`fracwos.sampling.walk`: K independent
 realizations (one key each) times V start vertices run as one flat array
 program, with exited paths compressed away each step.  Step tuples depend
 only on (key, step), so results are bit-identical no matter how
-realizations are batched or distributed.
+realizations are batched.
 """
 
 from __future__ import annotations

@@ -11,18 +11,16 @@ rule
 
 which by Cauchy-Schwarz minimizes total cost subject to a statistical
 error of eps^2/2.  Pilot samples are reused as the first production
-samples, and every sample is a pure function of (seed, term, index), so
-results are independent of batching and worker count.
+samples, and every sample is a pure function of (seed, term, index); the
+moments are summed in fixed chunks of samples, so results do not depend on
+how many chunks one walk call takes.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import multiprocessing as mp
 import numpy as np
 
 from .field import (FieldMoments, batch_defects, field_values, mass_matrix,
@@ -110,16 +108,9 @@ class LevelStatistics:
 
 
 # ---------------------------------------------------------------------------
-# sampling engine (serial or process pool; identical results either way)
+# term sampling
 
-_WORKER_CTX: dict = {}
-
-
-def _init_worker(hier, problem, seed):
-    _WORKER_CTX.update(hier=hier, problem=problem, seed=seed)
-
-
-def _term_chunk(task):
+def _term_chunk(hier: MeshHierarchy, problem: Problem, seed: int, mass, task):
     """Moments of consecutive chunks of samples of one term, walked together.
 
     The task's samples i0..i0+count-1 take one `field_values` call, which
@@ -132,17 +123,9 @@ def _term_chunk(task):
     chunk, since a term only ever adds them up.
     """
     kind, ell, i0, count, rows = task
-    hier: MeshHierarchy = _WORKER_CTX["hier"]
-    problem: Problem = _WORKER_CTX["problem"]
-    seed = _WORKER_CTX["seed"]
-    fine_ell = ell if kind == _KIND_PLAIN else ell + 1
-    level = hier.level(fine_ell)
+    level = hier.level(ell if kind == _KIND_PLAIN else ell + 1)
     keys = derive_key(seed, kind, ell, np.arange(i0, i0 + count))
     values, cost = field_values(level, problem, keys)
-    masses = _WORKER_CTX.setdefault("masses", {})
-    mass = masses.get(fine_ell)
-    if mass is None:
-        mass = masses[fine_ell] = mass_matrix(level, hier.norm_mask(fine_ell))
     summed = ([values] if kind == _KIND_PLAIN
               else [batch_defects(hier, values, ell), values])
     chunks = []
@@ -158,82 +141,46 @@ def _batch_rows(n_vertices: int) -> int:
     return int(max(8, min(1024, _ROW_BUDGET // max(n_vertices, 1))))
 
 
-class _Engine:
-    """Runs term tasks serially or on a fork pool, merging in chunk order."""
+def _tasks(hier: MeshHierarchy, kind: int, ell: int, i0: int, i1: int):
+    """Lazy (kind, ell, first index, count, rows) tasks covering samples
+    i0..i1-1.
 
-    def __init__(self, hier, problem, seed, workers):
-        self.args = (hier, problem, seed)
-        self.hier = hier
-        self.alpha = problem.alpha
-        self.workers = max(1, int(workers))
-        self._pool = None
+    A chunk of `rows` samples (at most 1024) fixes the order of the moment
+    sums.  A task walks as many consecutive chunks as fit in _ROW_BUDGET
+    walks, so a coarse term needs few walk calls, and the chunks, hence the
+    results, do not depend on how many of them a task takes.
+    """
+    fine_ell = ell if kind == _KIND_PLAIN else ell + 1
+    nv = hier.level(fine_ell).num_vertices
+    rows = _batch_rows(nv)
+    span = rows * max(1, _ROW_BUDGET // (rows * max(nv, 1)))
+    return ((kind, ell, j, min(span, i1 - j), rows)
+            for j in range(i0, i1, span))
 
-    def __enter__(self):
-        if self.workers > 1:
-            ctx = mp.get_context("fork")
-            self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                             mp_context=ctx,
-                                             initializer=_init_worker,
-                                             initargs=self.args)
-        _init_worker(*self.args)
-        return self
 
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown()
-        _WORKER_CTX.clear()
+def _sample_term(hier: MeshHierarchy, problem: Problem, seed: int, kind: int,
+                 ell: int, i0: int, i1: int, *moments) -> None:
+    """Accumulate samples i0..i1-1 of one term into `moments`, which take a
+    chunk's moment sets in order (see `_term_chunk`).
 
-    def tasks(self, kind, ell, i0, i1):
-        """Lazy (kind, ell, first index, count, rows) tasks covering samples
-        i0..i1-1.
-
-        A chunk of `rows` samples (at most 1024) fixes the order of the
-        moment sums.  A task walks as many consecutive chunks as fit in
-        _ROW_BUDGET walks, so a coarse term needs few walk calls, and the
-        chunks, hence the results, do not depend on the worker count.
-        """
-        fine_ell = ell if kind == _KIND_PLAIN else ell + 1
-        nv = self.hier.level(fine_ell).num_vertices
-        rows = _batch_rows(nv)
-        span = rows * max(1, _ROW_BUDGET // (rows * max(nv, 1)))
-        return ((kind, ell, j, min(span, i1 - j), rows)
-                for j in range(i0, i1, span))
-
-    def _results(self, tasks):
-        """Task results in task order, at most 2 x workers tasks in flight."""
-        if self._pool is None:
-            yield from map(_term_chunk, tasks)
-            return
-        window: deque = deque()
-        for task in tasks:
-            window.append(self._pool.submit(_term_chunk, task))
-            if len(window) >= 2 * self.workers:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
-
-    def sample_term(self, kind, ell, i0, i1, *moments):
-        """Accumulate samples i0..i1-1 of one term into `moments`, which
-        take a chunk's moment sets in order (see `_term_chunk`).
-
-        Raises NonFiniteStatisticError at the first chunk whose squared
-        norms do not sum to a finite value, since V can no longer be.
-        """
-        for chunks in self._results(self.tasks(kind, ell, i0, i1)):
-            for res in chunks:
-                if not np.isfinite(res[0].sum_sq):
-                    raise NonFiniteStatisticError(
-                        self.alpha, _term_name(kind, ell), "V", res[0].sum_sq)
-                for mom, part in zip(moments, res):
-                    mom.merge(part)
+    Raises NonFiniteStatisticError at the first chunk whose squared norms
+    do not sum to a finite value, since V can no longer be.
+    """
+    mass = moments[0].mass
+    for task in _tasks(hier, kind, ell, i0, i1):
+        for res in _term_chunk(hier, problem, seed, mass, task):
+            if not np.isfinite(res[0].sum_sq):
+                raise NonFiniteStatisticError(
+                    problem.alpha, _term_name(kind, ell), "V", res[0].sum_sq)
+            for mom, part in zip(moments, res):
+                mom.merge(part)
 
 
 # ---------------------------------------------------------------------------
 # planning operations
 
 def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
-                     l_max: int, samples: int, seed: int,
-                     workers: int = 1) -> LevelStatistics:
+                     l_max: int, samples: int, seed: int) -> LevelStatistics:
     """Plain moments at l0 and coupled-correction moments per transition."""
     if samples < 2:
         raise ValueError("need at least two samples per level")
@@ -246,21 +193,19 @@ def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
         mass = mass_matrix(hier.level(ell + 1), hier.norm_mask(ell + 1))
         stats.trans[ell] = FieldMoments(mass)
         stats.fine_plain[ell + 1] = FieldMoments(mass)
-    with _Engine(hier, problem, seed, workers) as eng:
-        _extend(eng, stats, l_max, [samples] * (l_max - l0 + 1))
+    _extend(hier, problem, seed, stats, l_max, [samples] * (l_max - l0 + 1))
     return stats
 
 
 def pilot(hier: MeshHierarchy, problem: Problem, pilot_M: int, seed: int,
-          l0: int | None = None, l_max: int | None = None,
-          workers: int = 1) -> LevelStatistics:
+          l0: int | None = None, l_max: int | None = None) -> LevelStatistics:
     """Pilot estimates of (V_l, C_l) per term for planning."""
     if pilot_M < 8:
         raise ValueError("pilot needs at least 8 samples")
     return level_statistics(hier, problem,
                             hier.coarsest if l0 is None else l0,
                             hier.finest if l_max is None else l_max,
-                            pilot_M, seed, workers)
+                            pilot_M, seed)
 
 
 def fit_bias_coefficient(bias_norms: dict[int, float]) -> float:
@@ -358,7 +303,8 @@ def _plan(stats: LevelStatistics, eps: float, L: int, alpha: float) -> MlmcPlan:
     return plan
 
 
-def _extend(eng: _Engine, stats: LevelStatistics, L: int, M) -> None:
+def _extend(hier: MeshHierarchy, problem: Problem, seed: int,
+            stats: LevelStatistics, L: int, M) -> None:
     """Sample each term l0..L from its current count up to its entry of M.
 
     A transition l -> l+1 also extends `fine_plain[l+1]`.
@@ -368,7 +314,8 @@ def _extend(eng: _Engine, stats: LevelStatistics, L: int, M) -> None:
                    else (stats.trans[ell], stats.fine_plain[ell + 1]))
         count = moments[0].count
         if m_need > count:
-            eng.sample_term(kind, ell, count, int(m_need), *moments)
+            _sample_term(hier, problem, seed, kind, ell, count, int(m_need),
+                         *moments)
 
 
 def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
@@ -385,12 +332,15 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
     max_cost : cap on projected total walk steps, checked after the pilot;
         None lifts it.  The default, MAX_COST, stops data that break the
         growth condition on g from starting a run that would last weeks.
+    workers : kept for old callers; sampling runs in this process, so it
+        must be 1.
     """
+    if workers != 1:
+        raise ValueError("workers must be 1: sampling runs in this process")
     if eps <= 0:
         raise ValueError("eps must be positive")
     l_max = hier.finest if fixed_L is None else fixed_L
-    stats = pilot(hier, problem, pilot_M, seed, l0=l0, l_max=l_max,
-                  workers=workers)
+    stats = pilot(hier, problem, pilot_M, seed, l0=l0, l_max=l_max)
     L = fixed_L if fixed_L is not None else choose_levels(
         eps, stats.bias_norms, l0, l_max)
     plan = _plan(stats, eps, L, problem.alpha)
@@ -401,8 +351,7 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
         raise BudgetExceededError(
             f"projected cost {projected:.3g} exceeds cap {max_cost:.3g}")
 
-    with _Engine(hier, problem, seed, workers) as eng:
-        _extend(eng, stats, plan.finest, plan.M)
+    _extend(hier, problem, seed, stats, plan.finest, plan.M)
 
     solution = prolong_to(hier, FieldVector(l0, stats.plain.mean_field), L)
     for ell in range(l0, L):
@@ -433,8 +382,7 @@ def error_vs_exact(result: MlmcResult, exact, hier: MeshHierarchy):
 
 
 def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
-                    seed: int, pilot_M: int = 32, workers: int = 1,
-                    execute_budget: float = 0.0):
+                    seed: int, pilot_M: int = 32, execute_budget: float = 0.0):
     """Projected multilevel vs single-level (vanilla) step costs per tolerance.
 
     One pilot estimates all level statistics; each eps then gets its finest
@@ -458,7 +406,7 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
     levels = [int(np.clip(round(np.log2(1.0 / eps) / 2.0), l0, hier.finest))
               for eps in eps_list]
     stats = pilot(hier, problem, pilot_M, seed, l0=l0,
-                  l_max=max(levels, default=l0), workers=workers)
+                  l_max=max(levels, default=l0))
     # plan every row from the pilot moments: executing a row extends them,
     # `fine_plain`, which the vanilla costs read, included
     plans = [_plan(stats, eps, L, problem.alpha)
@@ -474,10 +422,8 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
                      "M": plan.M.tolist(), "executed_cost": None})
     # along decreasing eps neither L nor any M falls, so each executed row
     # extends the samples of the last one and ends where its own run would
-    with _Engine(hier, problem, seed, workers) as eng:
-        for row, plan in zip(rows, plans):
-            if plan.planned_cost <= execute_budget:
-                _extend(eng, stats, plan.finest, plan.M)
-                row["executed_cost"] = sum(m.cost
-                                           for m in stats.terms(plan.finest))
+    for row, plan in zip(rows, plans):
+        if plan.planned_cost <= execute_budget:
+            _extend(hier, problem, seed, stats, plan.finest, plan.M)
+            row["executed_cost"] = sum(m.cost for m in stats.terms(plan.finest))
     return rows

@@ -208,8 +208,7 @@ def point_estimate(x, problem, M: int, seed: int) -> PointEstimate:
     The estimator is unbiased for the solution value u(x).  Realizations run
     through :func:`walk` in batches of POINT_BATCH; batch b draws its tuples
     from the numpy Generator `batch_generator(seed, 0x90, b)`, so results
-    are a pure function of (x, problem, M, seed), and parallel callers can
-    split over batch index and merge in order without changing them.
+    are a pure function of (x, problem, M, seed).
     """
     if M < 2:
         raise ValueError("need at least two samples")

@@ -6,7 +6,7 @@ uniforms, and all distributions are derived from those uniforms by inverse /
 rejection transforms that consume counters in a fixed per-slot order.  This
 makes any entry of any stream computable without generating its predecessors,
 so paths started at different points can share the n-th tuple (the coupling
-device) and parallel runs reproduce serial ones bit for bit.
+device) and every sample has the same bits however samples are batched.
 
 Uncoupled Monte Carlo (point estimates, assumption checks) draws instead
 from numpy Philox Generators keyed by labelled substreams

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from fracwos import eigen
+from fracwos import eigen, mlmc
 from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.geometry import unit_ball
 
@@ -197,12 +197,14 @@ class TestSmallestEigenvalue:
         assert res.lam.hex() == "0x1.03c8570fde10ep+1"
         assert res.total_cost == 134708
 
-    def test_worker_pool_parity(self, hier5):
-        a = eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=7,
-                                      l0=3, workers=1)
-        b = eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=7,
-                                      l0=3, workers=2)
-        assert a.lam == b.lam and a.total_cost == b.total_cost
+    def test_workers_must_be_one(self, hier5, ex2):
+        # the keyword stays for old callers; any other value fails up front
+        msg = "workers must be 1: sampling runs in this process"
+        with pytest.raises(ValueError, match=msg):
+            mlmc.run(hier5, ex2, eps=0.1, l0=3, seed=7, workers=2)
+        with pytest.raises(ValueError, match=msg):
+            eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=7,
+                                      workers=2)
 
     def test_variable_accuracy_relaxes_tolerances(self, hier5):
         res = eigen.smallest_eigenvalue(1.0, hier5, tol=0.02, B=3, m=4,

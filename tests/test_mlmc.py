@@ -114,41 +114,17 @@ class TestPilot:
             mlmc.pilot(hier6, ex2, 4, seed=5)
 
 
-class _CountingPool:
-    """Runs each task when its result is read; tracks tasks in flight."""
-
-    def __init__(self):
-        self.in_flight = self.peak = self.submitted = 0
-
-    def submit(self, fn, task):
-        self.submitted += 1
-        self.in_flight += 1
-        self.peak = max(self.peak, self.in_flight)
-        pool = self
-
-        class Pending:
-            def result(self):
-                pool.in_flight -= 1
-                return fn(task)
-
-        return Pending()
-
-    def shutdown(self):
-        pass
-
-
 class TestEngine:
     def test_tasks_are_generated_lazily(self, hier6, ex2):
         # 2^40 samples are 2e7 tasks: an eager task list would take GBs
         # here, and a real runaway term (1e11 samples) all memory
-        with mlmc._Engine(hier6, ex2, 0, 1) as eng:
-            tracemalloc.start()
-            try:
-                tasks = eng.tasks(mlmc._KIND_PLAIN, 3, 0, 2 ** 40)
-                first, second = next(tasks), next(tasks)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            tasks = mlmc._tasks(hier6, mlmc._KIND_PLAIN, 3, 0, 2 ** 40)
+            first, second = next(tasks), next(tasks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert iter(tasks) is tasks
         # one task walks as many 1024-row chunks as fit in the row budget
         span = 1024 * (mlmc._ROW_BUDGET // (1024 * hier6.level(3).num_vertices))
@@ -159,33 +135,29 @@ class TestEngine:
 
     def test_pool_window_is_bounded_and_ordered(self, hier6, ex2, monkeypatch):
         # the default budget walks all 12000 samples as one task; two chunks
-        # per task make six tasks, the last of them 1024 + 736 rows
+        # per task make six tasks, the last of them 1024 + 736 rows, whose
+        # moments must merge to the same bits in chunk order
         mass = mass_matrix(hier6.level(3), hier6.norm_mask(3))
-        serial, windowed = FieldMoments(mass), FieldMoments(mass)
-        pool = _CountingPool()
-        with mlmc._Engine(hier6, ex2, 3, 1) as eng:
-            eng.sample_term(mlmc._KIND_PLAIN, 3, 0, 12000, serial)
-            monkeypatch.setattr(mlmc, "_ROW_BUDGET",
-                                2048 * hier6.level(3).num_vertices)
-            eng._pool, eng.workers = pool, 2
-            eng.sample_term(mlmc._KIND_PLAIN, 3, 0, 12000, windowed)
-        assert pool.submitted == 6
-        assert pool.peak == 4 and pool.in_flight == 0
-        np.testing.assert_array_equal(windowed.sum_vec, serial.sum_vec)
-        assert (windowed.sum_sq, windowed.count, windowed.cost) == \
+        serial, split = FieldMoments(mass), FieldMoments(mass)
+        mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000, serial)
+        monkeypatch.setattr(mlmc, "_ROW_BUDGET",
+                            2048 * hier6.level(3).num_vertices)
+        assert len(list(mlmc._tasks(hier6, mlmc._KIND_PLAIN, 3, 0, 12000))) == 6
+        mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000, split)
+        np.testing.assert_array_equal(split.sum_vec, serial.sum_vec)
+        assert (split.sum_sq, split.count, split.cost) == \
             (serial.sum_sq, serial.count, serial.cost)
 
     @pytest.mark.parametrize("alpha", [0.05, 1.95])
-    def test_moments_bit_identical_across_workers(self, hier6, alpha,
-                                                  monkeypatch):
-        # one task per term on one worker against more tasks per term than
-        # two workers keep in flight: the plain term at level 2 walks three
-        # tasks of three 1024-row chunks, the correction 2->3 seven tasks
+    def test_moments_bit_identical_across_task_sizes(self, hier6, alpha,
+                                                     monkeypatch):
+        # one task per term against many: the plain term at level 2 walks
+        # three tasks of three 1024-row chunks, the correction 2->3 seven
         prob = example2(alpha)
-        s1 = mlmc.level_statistics(hier6, prob, 2, 3, 7000, seed=3, workers=1)
+        s1 = mlmc.level_statistics(hier6, prob, 2, 3, 7000, seed=3)
         monkeypatch.setattr(mlmc, "_ROW_BUDGET",
                             1024 * hier6.level(3).num_vertices)
-        s2 = mlmc.level_statistics(hier6, prob, 2, 3, 7000, seed=3, workers=2)
+        s2 = mlmc.level_statistics(hier6, prob, 2, 3, 7000, seed=3)
         for a, b in [(s1.plain, s2.plain), (s1.trans[2], s2.trans[2]),
                      (s1.fine_plain[3], s2.fine_plain[3])]:
             np.testing.assert_array_equal(a.sum_vec, b.sum_vec)
@@ -196,8 +168,7 @@ class TestEngine:
         stats = mlmc.pilot(hier6, ex2, 16, 3, l0=3, l_max=5)
         plan = mlmc._plan(stats, 0.05, 5, ex2.alpha)
         assert np.all(plan.M > 16)
-        with mlmc._Engine(hier6, ex2, 3, 1) as eng:
-            mlmc._extend(eng, stats, plan.finest, plan.M)
+        mlmc._extend(hier6, ex2, 3, stats, plan.finest, plan.M)
         assert [m.count for m in stats.terms(5)] == plan.M.tolist()
         assert stats.fine_plain[3] is stats.plain
         for ell in (4, 5):
@@ -226,20 +197,11 @@ class TestRun:
         _, rel_err = mlmc.error_vs_exact(res, prob.exact, hier6)
         assert rel_err <= 0.02
 
-    def test_deterministic_and_worker_invariant(self, hier6, ex2):
-        r1 = mlmc.run(hier6, ex2, eps=4e-2, l0=3, seed=5, workers=1)
-        r2 = mlmc.run(hier6, ex2, eps=4e-2, l0=3, seed=5, workers=2)
-        np.testing.assert_array_equal(r1.solution.values, r2.solution.values)
-        assert r1.total_cost == r2.total_cost
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pilot_honours_max_steps(self, hier6, ex2, workers, monkeypatch):
-        # every pilot walk takes at least one step, and few exit in one;
-        # forked pool workers read the same module-level cap
+    def test_pilot_honours_max_steps(self, hier6, ex2, monkeypatch):
+        # every pilot walk takes at least one step, and few exit in one
         monkeypatch.setattr("fracwos.sampling.MAX_WALK_STEPS", 1)
         with pytest.raises(MaxStepsExceededError):
-            mlmc.run(hier6, ex2, eps=1.0, l0=2, seed=1, fixed_L=3,
-                     workers=workers)
+            mlmc.run(hier6, ex2, eps=1.0, l0=2, seed=1, fixed_L=3)
 
     def test_budget_cap(self, hier6, ex2):
         with pytest.raises(mlmc.BudgetExceededError):
