@@ -62,6 +62,9 @@ class RunConfig:
         for f in dfields(self):
             if f.type == "float" and np.isnan(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must not be NaN")
+        for name in ("eps", "tol", "B", "mu", "t", "A"):  # max_cost inf: no cap
+            if np.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         _check_alpha(self.alpha)
         if self.eps <= 0 or self.tol <= 0:
             raise ValueError("eps and tol must be positive")
@@ -357,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--J", type=int, help="number of start points")
         p.add_argument("--max-cost", dest="max_cost", type=float,
                        help="walk-step budget cap (solve, default 2^40) / "
-                            "execute budget (cost-study)")
+                            "execute budget (cost-study); inf means no cap")
         p.add_argument("--fixed-accuracy", dest="fixed_accuracy",
                        action="store_const", const=True,
                        help="disable the variable solve-tolerance rule (eig)")

@@ -15,7 +15,9 @@ The walk itself is :func:`fracwos.sampling.walk`: K independent
 realizations (one key each) times V start vertices run as one flat array
 program, with exited paths compressed away each step.  Step tuples depend
 only on (key, step), so results are bit-identical no matter how
-realizations are batched.
+realizations are batched.  :func:`walk_starts` draws them in blocks of
+_TUPLE_BLOCK steps, one `step_tuples` call per block, so the values do not
+depend on the block width either.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .sampling import walk
 from .streams import step_tuples
 
 
+_TUPLE_BLOCK = 8  # walk steps of tuples drawn per step_tuples call
+
+
 class InsufficientSamplesError(ValueError):
     """Statistics over fewer than two samples were requested."""
 
@@ -38,13 +43,28 @@ def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray):
 
     starts: (V, 2) points strictly inside the domain; keys: (K,) stream
     keys, one per realization.  All V paths of realization k consume that
-    realization's step-n tuple at their n-th step; tuples are drawn only for
-    realizations with a live path.  Returns (values (K, V), total steps).
+    realization's step-n tuple at their n-th step.  Tuples are drawn in
+    blocks of _TUPLE_BLOCK steps for the realizations with a live path at
+    the block's first step; a tuple is pure in (key, step), so the values
+    are those of one draw per step.  Returns (values (K, V), total steps).
     """
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     alpha = problem.alpha
-    return walk(starts, problem, keys.size,
-                lambda n, rows: step_tuples(alpha, keys[rows], np.uint32(n)))
+    n0, block_rows, block = -_TUPLE_BLOCK, None, None
+
+    def draw(n, rows):
+        nonlocal n0, block_rows, block
+        if n - n0 >= _TUPLE_BLOCK:
+            n0, block_rows = n, rows
+            steps = np.arange(n, n + _TUPLE_BLOCK, dtype=np.uint32)
+            # step-major (steps, rows): each step's tuples are contiguous
+            block = step_tuples(alpha, keys[rows][None, :], steps[:, None])
+        # rows only shrink and stay ascending, so they index the block's rows
+        at = (slice(None) if rows.size == block_rows.size
+              else np.searchsorted(block_rows, rows))
+        return tuple(v[n - n0, at] for v in block)
+
+    return walk(starts, problem, keys.size, draw)
 
 
 def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray):

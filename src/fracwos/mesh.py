@@ -324,7 +324,7 @@ def locate(level: MeshLevel, p):
         np.copyto(best, worst, where=better)
         np.copyto(b1, w1, where=better)
         np.copyto(b2, w2, where=better)
-        tri[better] = k
+        np.copyto(tri, k, where=better)
     bad = best < -_BARY_TOL * max(base.mesh_width, 1.0)
     if bad.any():
         raise PointOutsideMeshError(pts[bad])
@@ -339,12 +339,15 @@ def locate(level: MeshLevel, p):
     tri = level._cells[((tri * n + i) * n + j) * 2 + o]
 
     w1, w2 = _bary(*_coords(level, tri), px, py)
-    w = np.column_stack([w1, w2, 1.0 - w1 - w2])
-    bad = w.min(axis=1) < -_BARY_TOL
+    w3 = 1.0 - w1 - w2
+    bad = np.minimum(np.minimum(w1, w2), w3) < -_BARY_TOL
     if bad.any():
         raise PointOutsideMeshError(pts[bad])
-    w = np.clip(w, 0.0, None)
-    w /= w.sum(axis=1, keepdims=True)
+    # clamp each column; the divisor adds left to right, and eig's bits rely on it
+    w = np.empty((px.size, 3))
+    for k, col in enumerate((w1, w2, w3)):
+        np.maximum(col, 0.0, out=w[:, k])
+    w /= ((w[:, 0] + w[:, 1]) + w[:, 2])[:, None]
     if single:
         return int(tri[0]), w[0]
     return tri, w

@@ -142,7 +142,10 @@ def step_tuples(alpha: float, key, step):
 
     beta is the exit-radius Beta variate, Theta and Phi are independent
     uniform directions on the unit circle, and S is uniform on (0, 1).
-    Vectorized over `key` (one slot per realization) at step index `step`.
+    `key` and `step` broadcast, so a (1, R) key row against a (B, 1) step
+    column gives B steps of R realizations in one call; each entry equals
+    the one-step call at its (key, step), and Theta and Phi gain a last
+    axis of length 2.
     """
     key = np.atleast_1d(np.asarray(key, dtype=np.uint64))
     beta = johnk_beta(alpha, key, step)

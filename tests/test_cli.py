@@ -123,6 +123,15 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError):
             RunConfig(command="solve", problem="nope").validate()
 
+    @pytest.mark.parametrize("name", ["eps", "tol", "B", "mu", "t", "A"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinity_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            RunConfig(command="solve", **{name: value}).validate()
+
+    def test_infinite_max_cost_means_no_cap(self):
+        RunConfig(command="solve", max_cost=np.inf).validate()
+
 
 SOLVE_ARGS = ["solve", "--problem", "example2", "--alpha", "1.0", "--eps",
               "5e-2", "--l0", "3", "--L", "4", "--seed", "7"]
@@ -254,6 +263,15 @@ class TestCliRuns:
                      "--out", "n"], tmp_path)
         assert r.returncode == 1
         assert f"fracwos: error: {name} must not be NaN" in r.stderr
+
+    @pytest.mark.parametrize("command, flag, name", [
+        ("solve", "--eps", "eps"), ("eig", "--tol", "tol"), ("eig", "--B", "B")])
+    def test_infinity_rejected_by_name_cli(self, tmp_path, command, flag, name):
+        r = run_cli([command, flag, "inf", "--l0", "2", "--L", "3",
+                     "--out", "n"], tmp_path)
+        assert r.returncode == 1
+        assert f"fracwos: error: {name} must be finite" in r.stderr
+        assert not (tmp_path / "n").exists()
 
     def test_config_command_mismatch(self, tmp_path):
         (tmp_path / "m.txt").write_text("command = eig\n")

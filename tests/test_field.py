@@ -6,7 +6,8 @@ from fracwos.field import (FieldMoments, InsufficientSamplesError,
                            walk_starts)
 from fracwos.geometry import Ball, box
 from fracwos.problems import Problem, by_name
-from fracwos.sampling import MaxStepsExceededError, point_estimate, reg_inc_beta
+from fracwos.sampling import (MaxStepsExceededError, point_estimate,
+                              reg_inc_beta, walk)
 from fracwos.streams import derive_key, step_tuples
 
 
@@ -170,6 +171,31 @@ class TestWalkStarts:
                 assert vals[k, v] == pytest.approx(value, rel=1e-12)
                 total += steps
         assert cost == total
+
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 1.95])
+    def test_block_draws_match_step_draws(self, hier6, alpha, block,
+                                          monkeypatch):
+        prob = by_name("example1", alpha)
+        lvl = hier6.level(3)
+        starts = lvl.vertices[lvl.interior_mask]
+        keys = derive_key(23, np.arange(128))
+        live = []
+
+        def step_draw(n, rows):
+            live.append(rows.size)
+            return step_tuples(alpha, keys[rows], np.uint32(n))
+
+        ref, ref_cost = walk(starts, prob, keys.size, step_draw)
+        monkeypatch.setattr("fracwos.field._TUPLE_BLOCK", block)
+        vals, cost = walk_starts(starts, prob, keys)
+        assert vals.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+        assert cost == ref_cost
+        # realizations finish at different steps, some inside a block
+        assert len(set(live)) > 2
+        if block > 1:
+            assert any(live[n] < live[n - 1] for n in range(1, len(live))
+                       if n % block)
 
     def test_max_steps_error(self, monkeypatch):
         prob = by_name("example1", 1.9)

@@ -5,8 +5,9 @@ import pytest
 
 from fracwos.field import batch_defects, mass_matrix, mass_norm
 from fracwos.geometry import Ball, ConvexPolygon, box, unit_ball
-from fracwos.mesh import (FieldVector, PointOutsideMeshError, build_hierarchy,
-                          interpolate, locate, make_base, prolong, prolong_to,
+from fracwos.mesh import (_BARY_TOL, FieldVector, PointOutsideMeshError, _bary,
+                          _cell_table, _coords, build_hierarchy, interpolate,
+                          locate, make_base, prolong, prolong_to,
                           read_field_csv, refine, square_ball_base,
                           write_field_csv)
 
@@ -92,6 +93,47 @@ def descent_locate(level, pts):
         tri = 4 * tri + child
     w = bary(level, tri)
     assert np.all(w.min(axis=1) >= -1e-12)
+    w = np.clip(w, 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    return tri, w
+
+
+def grid_locate_reference(level, pts):
+    """Reference point location: the grid table with the old weight tail.
+
+    The base brute force and the cell-table lookup of `locate`, followed by
+    the (P, 3) weight tail it used before the column-wise one: stack the
+    three coordinates, reject by the row minimum, clip, and divide by the
+    row sum.
+    """
+    px, py = pts[:, 0].copy(), pts[:, 1].copy()
+    base = level
+    while base.parent is not None:
+        base = base.parent
+    best = np.full(px.shape, -np.inf)
+    tri = np.zeros(px.shape, dtype=np.int64)
+    b1, b2 = np.zeros(px.shape), np.zeros(px.shape)
+    for k, corners in enumerate(base.vertices[base.triangles].tolist()):
+        (x1, y1), (x2, y2), (x3, y3) = corners
+        w1, w2 = _bary(x1, y1, x2, y2, x3, y3, px, py)
+        worst = np.minimum(np.minimum(w1, w2), 1.0 - w1 - w2)
+        better = worst > best
+        best[better], b1[better], b2[better] = worst[better], w1[better], w2[better]
+        tri[better] = k
+    bad = best < -_BARY_TOL * max(base.mesh_width, 1.0)
+    if bad.any():
+        raise PointOutsideMeshError(pts[bad])
+    n = 1 << (level.level - base.level)
+    s, t = n * b1, n * b2
+    i = np.clip(s.astype(np.int64), 0, n - 1)
+    j = np.clip(t.astype(np.int64), 0, n - 1)
+    o = (s - i) + (t - j) >= 1.0
+    tri = _cell_table(level, base)[((tri * n + i) * n + j) * 2 + o]
+    w1, w2 = _bary(*_coords(level, tri), px, py)
+    w = np.column_stack([w1, w2, 1.0 - w1 - w2])
+    bad = w.min(axis=1) < -_BARY_TOL
+    if bad.any():
+        raise PointOutsideMeshError(pts[bad])
     w = np.clip(w, 0.0, None)
     w /= w.sum(axis=1, keepdims=True)
     return tri, w
@@ -336,6 +378,43 @@ class TestLocateAgainstDescent:
             with np.errstate(invalid="ignore"), \
                     pytest.raises(PointOutsideMeshError):
                 locate(lvl, np.array(bad))
+
+
+class TestLocateAgainstOldTail:
+    def test_triangles_and_weight_bits(self, hier6, rng):
+        lvl = hier6.level(6)
+        tv = lvl.vertices[lvl.triangles]
+        mids = 0.5 * (tv + np.roll(tv, -1, axis=1)).reshape(-1, 2)
+        ang = np.concatenate([rng.uniform(0.0, 2 * np.pi, 2000),
+                              0.5 * np.pi * np.arange(4)])
+        # just outside the square's sides, within the tolerance: clamped
+        # weights, so the normalization is not a division by one
+        t, e = rng.uniform(-1.0, 1.0, 500), rng.uniform(0.0, 2e-14, 500)
+        near = np.vstack([np.column_stack([1.0 + e, t]),
+                          np.column_stack([t, -1.0 - e])])
+        pts = np.vstack([rng.uniform(-1.0, 1.0, (4000, 2)), lvl.vertices,
+                         np.unique(mids, axis=0),
+                         np.column_stack([np.cos(ang), np.sin(ang)]), near])
+        tri0, w0 = grid_locate_reference(lvl, pts)
+        tri, w = locate(lvl, pts)
+        np.testing.assert_array_equal(tri, tri0)
+        assert w.view(np.uint64).tolist() == w0.view(np.uint64).tolist()
+        assert (w0[-near.shape[0]:] == 0.0).any(axis=1).all()
+
+    def test_outside_and_nan_points_raise(self, hier6):
+        lvl = hier6.level(6)
+        inside = np.array([[0.1, 0.2], [-0.3, 0.9]])
+        # 1e-12 past a side passes the base check but not the fine one
+        past = [[[1.0 + 1e-12, 0.3]], [[-1.0 - 1e-12, 0.3]],
+                [[0.3, 1.0 + 1e-12]], [[0.3, -1.0 - 1e-12]]]
+        for bad in [[[1.5, 0.0], [0.0, -1.001]], [[np.nan, 0.0]],
+                    [[0.2, np.nan]]] + past:
+            pts = np.vstack([inside, bad])
+            for loc in (locate, grid_locate_reference):
+                with np.errstate(invalid="ignore"), \
+                        pytest.raises(PointOutsideMeshError) as exc:
+                    loc(lvl, pts)
+                np.testing.assert_array_equal(exc.value.points, bad)
 
 
 class TestLocateForms:

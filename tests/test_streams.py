@@ -94,6 +94,20 @@ class TestStepTuples:
                                    atol=1e-12)
         assert np.all((s > 0) & (s < 1))
 
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 1.95])
+    def test_key_by_step_block_matches_one_step_calls(self, alpha):
+        # (R, 1) keys x (1, B) steps, and the step-major (B, 1) x (1, R) form
+        keys = derive_key(31, np.arange(40))
+        steps = np.arange(5, 12, dtype=np.uint32)
+        by_key = step_tuples(alpha, keys[:, None], steps[None, :])
+        by_step = step_tuples(alpha, keys[None, :], steps[:, None])
+        assert by_key[0].shape == (40, 7) and by_key[1].shape == (40, 7, 2)
+        for b, n in enumerate(steps):
+            one = step_tuples(alpha, keys, n)
+            for got_k, got_s, want in zip(by_key, by_step, one):
+                assert got_k[:, b].tobytes() == want.tobytes()
+                assert got_s[b].tobytes() == want.tobytes()
+
     def test_components_mutually_independent(self):
         keys = derive_key(13, np.arange(100000))
         beta, theta, s, phi = step_tuples(1.0, keys, np.uint32(0))
