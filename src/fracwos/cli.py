@@ -68,6 +68,8 @@ class RunConfig:
         _check_alpha(self.alpha)
         if self.eps <= 0 or self.tol <= 0:
             raise ValueError("eps and tol must be positive")
+        if self.max_cost < 0:
+            raise ValueError("max_cost must be non-negative")
         if not 1 <= self.l0 <= self.L:
             raise ValueError("need 1 <= l0 <= L")
         if self.m < 2 or self.B <= 1:

@@ -32,11 +32,14 @@ class ComplexLeadingRitzError(RuntimeError):
 
 
 def leading_ritz(H: np.ndarray):
-    """Leading (largest real part) eigenpair of a small dense matrix.
+    """Leading (largest real part) eigenpair of a small dense matrix, and
+    its spectral gap.
 
     The inverse operator is positivity-preserving, so the leading Ritz value
     is real in practice; a complex leading value aborts with a diagnostic.
-    The eigenvector is normalized with a deterministic sign.
+    The eigenvector is normalized with a deterministic sign.  The gap is the
+    distance from the leading Ritz value to the nearest other one, None for
+    a 1x1 matrix.
     """
     vals, vecs = linalg.eig(H)
     idx = int(np.argmax(vals.real))
@@ -51,18 +54,9 @@ def leading_ritz(H: np.ndarray):
     pivot = int(np.argmax(np.abs(w)))
     if w[pivot] < 0:
         w = -w
-    return float(theta.real), w
-
-
-def spectral_gap(H: np.ndarray) -> float:
-    """Distance from the leading Ritz value to the nearest other Ritz value."""
-    H = np.atleast_2d(H)
-    if H.shape[0] < 2:
-        raise ValueError("no gap available for a 1x1 Ritz problem")
-    vals = linalg.eigvals(H)
-    idx = int(np.argmax(vals.real))
-    others = np.delete(vals, idx)
-    return float(np.abs(others - vals[idx]).min())
+    gap = (float(np.abs(np.delete(vals, idx) - theta).min())
+           if vals.size > 1 else None)
+    return float(theta.real), w, gap
 
 
 def wos_tolerance(k: int, tol: float, B: float, m: int,
@@ -72,8 +66,10 @@ def wos_tolerance(k: int, tol: float, B: float, m: int,
     The relaxation factor is floored at 1 (never tighter than the base) and
     capped at RELAX_CAP so one noisy residual cannot blow up a run.
     """
-    if tol <= 0 or B <= 0 or m <= 0:
+    if not (tol > 0 and B > 0 and m > 0):
         raise ValueError("tol, B, m must be positive")
+    mlmc.check_tolerance("tol", tol)
+    mlmc.check_tolerance("B", B)
     base = tol / (B * m)
     if k <= 1 or gap is None or r_prev is None:
         return base
@@ -132,11 +128,10 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
     if nrm == 0:
         raise ValueError("zero start vector")
     state = ArnoldiState(basis=[v0 / nrm], H=np.zeros((m + 1, m)))
+    prev_gap = None       # spectral gap of the previous step's Ritz values
     while state.k < m and not state.breakdown:
         k = state.k + 1
-        gap = None
-        if variable and k >= 3:
-            gap = spectral_gap(state.H[:k - 1, :k - 1])
+        gap = prev_gap if variable else None
         r_prev = state.residual_history[-1] if state.residual_history else None
         wtol = wos_tolerance(k, tol, B, m, gap, r_prev)
 
@@ -153,7 +148,7 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
         h_next = float(np.linalg.norm(u))
         state.H[k, k - 1] = h_next
 
-        theta, w = leading_ritz(state.H[:k, :k])
+        theta, w, prev_gap = leading_ritz(state.H[:k, :k])
         state.k = k
         state.theta_history.append(theta)
         state.residual_history.append(h_next * abs(w[-1]))
@@ -178,8 +173,7 @@ def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
     tolerance is rms_tol * sqrt(masked area), and both scales are reported
     for audit.  Returns (vertex values, cost, info).
     """
-    if rms_tol <= 0:
-        raise ValueError("rms_tol must be positive")
+    mlmc.check_tolerance("rms_tol", rms_tol)
     level = hier.level(hier.finest)
     vals = v.values if isinstance(v, FieldVector) else np.asarray(v, dtype=np.float64)
     if vals.shape[0] != level.num_vertices:

@@ -140,12 +140,6 @@ class FieldMoments:
         self.count += vals.shape[0]
         self.cost += cost
 
-    def merge(self, other: "FieldMoments") -> None:
-        self.sum_vec += other.sum_vec
-        self.sum_sq += other.sum_sq
-        self.count += other.count
-        self.cost += other.cost
-
     @property
     def mean_field(self) -> np.ndarray:
         return self.sum_vec / self.count

@@ -11,9 +11,10 @@ rule
 
 which by Cauchy-Schwarz minimizes total cost subject to a statistical
 error of eps^2/2.  Pilot samples are reused as the first production
-samples, and every sample is a pure function of (seed, term, index); the
-moments are summed in fixed chunks of samples, so results do not depend on
-how many chunks one walk call takes.
+samples, and every sample is a pure function of (seed, term, index).  One
+loop, `_sample_term`, walks the samples of a term and adds them to the
+term's running moments in fixed chunks of samples, so results do not depend
+on how many chunks one walk call takes.
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ BIAS_RATE = 2.0   # mean-correction norms decay like 2^(-2 l)
 
 class BudgetExceededError(RuntimeError):
     """The planned sampling cost exceeds the configured cap."""
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Reject a tolerance that is not a positive finite number, by name."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass
@@ -110,70 +119,34 @@ class LevelStatistics:
 # ---------------------------------------------------------------------------
 # term sampling
 
-def _term_chunk(hier: MeshHierarchy, problem: Problem, seed: int, mass, task):
-    """Moments of consecutive chunks of samples of one term, walked together.
-
-    The task's samples i0..i0+count-1 take one `field_values` call, which
-    keeps the walk's vector lanes full; the values are then summed in chunks
-    of `rows` samples, so every chunk's moments, and the order in which they
-    are merged, match walking each chunk on its own.  Returns one entry per
-    chunk, in sample order: [moments] for a plain term, and [defect moments,
-    plain moments of the fine values] for a transition (the latter for
-    vanilla planning).  The walk steps of the whole call go to the first
-    chunk, since a term only ever adds them up.
-    """
-    kind, ell, i0, count, rows = task
-    level = hier.level(ell if kind == _KIND_PLAIN else ell + 1)
-    keys = derive_key(seed, kind, ell, np.arange(i0, i0 + count))
-    values, cost = field_values(level, problem, keys)
-    summed = ([values] if kind == _KIND_PLAIN
-              else [batch_defects(hier, values, ell), values])
-    chunks = []
-    for j in range(0, count, rows):
-        moments = [FieldMoments(mass) for _ in summed]
-        for mom, vals in zip(moments, summed):
-            mom.add(vals[j:j + rows], cost if j == 0 else 0)
-        chunks.append(moments)
-    return chunks
-
-
-def _batch_rows(n_vertices: int) -> int:
-    return int(max(8, min(1024, _ROW_BUDGET // max(n_vertices, 1))))
-
-
-def _tasks(hier: MeshHierarchy, kind: int, ell: int, i0: int, i1: int):
-    """Lazy (kind, ell, first index, count, rows) tasks covering samples
-    i0..i1-1.
-
-    A chunk of `rows` samples (at most 1024) fixes the order of the moment
-    sums.  A task walks as many consecutive chunks as fit in _ROW_BUDGET
-    walks, so a coarse term needs few walk calls, and the chunks, hence the
-    results, do not depend on how many of them a task takes.
-    """
-    fine_ell = ell if kind == _KIND_PLAIN else ell + 1
-    nv = hier.level(fine_ell).num_vertices
-    rows = _batch_rows(nv)
-    span = rows * max(1, _ROW_BUDGET // (rows * max(nv, 1)))
-    return ((kind, ell, j, min(span, i1 - j), rows)
-            for j in range(i0, i1, span))
-
-
 def _sample_term(hier: MeshHierarchy, problem: Problem, seed: int, kind: int,
                  ell: int, i0: int, i1: int, *moments) -> None:
-    """Accumulate samples i0..i1-1 of one term into `moments`, which take a
-    chunk's moment sets in order (see `_term_chunk`).
+    """Add samples i0..i1-1 of one term to `moments`: [moments] of a plain
+    term, [defect moments, plain moments of the fine values] of a transition.
 
-    Raises NonFiniteStatisticError at the first chunk whose squared norms
-    do not sum to a finite value, since V can no longer be.
+    One `field_values` call walks `span` samples, as many `rows`-sample
+    chunks (at most 1024) as fit in _ROW_BUDGET walks, and the values are
+    added chunk by chunk, so the results do not depend on the span.  A
+    call's walk steps go to its first chunk.  Raises NonFiniteStatisticError
+    at the first chunk after which the squared norms are not finite.
     """
-    mass = moments[0].mass
-    for task in _tasks(hier, kind, ell, i0, i1):
-        for res in _term_chunk(hier, problem, seed, mass, task):
-            if not np.isfinite(res[0].sum_sq):
+    level = hier.level(ell if kind == _KIND_PLAIN else ell + 1)
+    nv = level.num_vertices
+    rows = int(max(8, min(1024, _ROW_BUDGET // nv)))
+    span = rows * max(1, _ROW_BUDGET // (rows * nv))
+    for first in range(i0, i1, span):
+        keys = derive_key(seed, kind, ell,
+                          np.arange(first, min(first + span, i1)))
+        values, cost = field_values(level, problem, keys)
+        summed = ([values] if kind == _KIND_PLAIN
+                  else [batch_defects(hier, values, ell), values])
+        for j in range(0, keys.size, rows):
+            for mom, vals in zip(moments, summed):
+                mom.add(vals[j:j + rows], cost if j == 0 else 0)
+            if not np.isfinite(moments[0].sum_sq):
                 raise NonFiniteStatisticError(
-                    problem.alpha, _term_name(kind, ell), "V", res[0].sum_sq)
-            for mom, part in zip(moments, res):
-                mom.merge(part)
+                    problem.alpha, _term_name(kind, ell), "V",
+                    moments[0].sum_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +198,7 @@ def choose_levels(eps: float, bias_norms: dict[int, float], l0: int,
     Falls back to the maximum available level (with a warning) when the
     bias estimates do not decay or no level satisfies the condition.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_tolerance("eps", eps)
     ls = sorted(bias_norms)
     md = [bias_norms[ell] for ell in ls]
     if len(md) >= 2 and md[-1] >= md[0] and max(md) > 0:
@@ -274,8 +246,7 @@ def allocate(eps: float, V, C) -> np.ndarray:
     C = np.asarray(C, dtype=np.float64)
     if np.any(C <= 0):
         raise ValueError("costs must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_tolerance("eps", eps)
     if np.any(V < _VAR_FLOOR):
         if np.all(V < _VAR_FLOOR):
             return np.ones(V.shape, dtype=np.int64)
@@ -329,16 +300,18 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
     l0 : coarsest level of the telescope.
     fixed_L : pin the finest level instead of choosing it from the fitted
         bias decay (used when the operator must stay identical across calls).
-    max_cost : cap on projected total walk steps, checked after the pilot;
-        None lifts it.  The default, MAX_COST, stops data that break the
-        growth condition on g from starting a run that would last weeks.
+    max_cost : cap on projected total walk steps, checked after the pilot
+        (a negative cap is rejected before it); None lifts it.  The default,
+        MAX_COST, stops data that break the growth condition on g from
+        starting a run that would last weeks.
     workers : kept for old callers; sampling runs in this process, so it
         must be 1.
     """
     if workers != 1:
         raise ValueError("workers must be 1: sampling runs in this process")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_tolerance("eps", eps)
+    if max_cost is not None and not max_cost >= 0:
+        raise ValueError("max_cost must be non-negative")
     l_max = hier.finest if fixed_L is None else fixed_L
     stats = pilot(hier, problem, pilot_M, seed, l0=l0, l_max=l_max)
     L = fixed_L if fixed_L is not None else choose_levels(
@@ -399,8 +372,8 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
     1e16 steps).
     """
     eps_list = list(eps_list)
-    if not all(eps > 0 for eps in eps_list):
-        raise ValueError("eps must be positive")
+    for eps in eps_list:
+        check_tolerance("eps", eps)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     levels = [int(np.clip(round(np.log2(1.0 / eps) / 2.0), l0, hier.finest))

@@ -132,6 +132,10 @@ class TestConfigPlumbing:
     def test_infinite_max_cost_means_no_cap(self):
         RunConfig(command="solve", max_cost=np.inf).validate()
 
+    def test_negative_max_cost_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^max_cost must be non-negative$"):
+            RunConfig(command="solve", max_cost=-1.0).validate()
+
 
 SOLVE_ARGS = ["solve", "--problem", "example2", "--alpha", "1.0", "--eps",
               "5e-2", "--l0", "3", "--L", "4", "--seed", "7"]
@@ -271,6 +275,16 @@ class TestCliRuns:
                      "--out", "n"], tmp_path)
         assert r.returncode == 1
         assert f"fracwos: error: {name} must be finite" in r.stderr
+        assert not (tmp_path / "n").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "cost-study"])
+    def test_negative_max_cost_rejected_cli(self, tmp_path, command):
+        # solve used to walk the pilot and then fail with "exceeds cap -1",
+        # cost-study to exit 0 with no row executed
+        r = run_cli([command, "--max-cost", "-1", "--l0", "2", "--L", "3",
+                     "--out", "n"], tmp_path)
+        assert r.returncode == 1
+        assert "fracwos: error: max_cost must be non-negative" in r.stderr
         assert not (tmp_path / "n").exists()
 
     def test_config_command_mismatch(self, tmp_path):

@@ -13,7 +13,7 @@ def _stub_op(matrix):
 
 class TestLeadingRitz:
     def test_diagonal(self):
-        theta, w = eigen.leading_ritz(np.diag([0.2, 0.9, 0.5]))
+        theta, w, _ = eigen.leading_ritz(np.diag([0.2, 0.9, 0.5]))
         assert theta == pytest.approx(0.9)
         np.testing.assert_allclose(np.abs(w), [0, 1, 0], atol=1e-12)
 
@@ -24,19 +24,21 @@ class TestLeadingRitz:
 
 
 class TestSpectralGap:
+    """The gap that leading_ritz returns with the leading pair."""
+
     def test_three_eigenvalues(self):
-        assert eigen.spectral_gap(np.diag([3.0, 1.0, 0.5])) == pytest.approx(2.0)
+        assert eigen.leading_ritz(np.diag([3.0, 1.0, 0.5]))[2] \
+            == pytest.approx(2.0)
 
     def test_near_degenerate(self):
-        assert eigen.spectral_gap(np.diag([5.0, 5.0 - 1e-9])) \
+        assert eigen.leading_ritz(np.diag([5.0, 5.0 - 1e-9]))[2] \
             == pytest.approx(1e-9, rel=1e-3)
 
     def test_two_by_two(self):
-        assert eigen.spectral_gap(np.diag([2.0, 1.0])) == pytest.approx(1.0)
+        assert eigen.leading_ritz(np.diag([2.0, 1.0]))[2] == pytest.approx(1.0)
 
     def test_singleton_has_no_gap(self):
-        with pytest.raises(ValueError):
-            eigen.spectral_gap(np.array([[2.0]]))
+        assert eigen.leading_ritz(np.array([[2.0]]))[2] is None
 
 
 class TestWosTolerance:
@@ -66,6 +68,15 @@ class TestWosTolerance:
         with pytest.raises(ValueError):
             eigen.wos_tolerance(1, -0.01, 3, 5, None, None)
 
+    @pytest.mark.parametrize("tol, B, msg", [
+        (np.nan, 3.0, "tol, B, m must be positive"),
+        (np.inf, 3.0, "tol must be finite"),
+        (0.01, np.nan, "tol, B, m must be positive"),
+        (0.01, np.inf, "B must be finite")])
+    def test_rejects_nonfinite_inputs(self, tol, B, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            eigen.wos_tolerance(1, tol, B, 5, None, None)
+
 
 class TestArnoldiStub:
     def test_full_krylov_recovers_leading_value(self):
@@ -88,7 +99,7 @@ class TestArnoldiStub:
         res = eigen.run_arnoldi(_stub_op(D), np.ones(5) + 0.1 * np.arange(5),
                                 m=3, tol=1e-3, B=3)
         s = res.state
-        theta, w = eigen.leading_ritz(s.H[:3, :3])
+        theta, w, _ = eigen.leading_ritz(s.H[:3, :3])
         assert res.residual == pytest.approx(s.H[3, 2] * abs(w[-1]), rel=1e-12)
 
     def test_basis_orthonormal(self):
@@ -159,6 +170,13 @@ class TestApplyInverse:
         assert err <= 4 * 4e-3
         assert cost > 0 and info["eps_l2"] > 0
 
+    @pytest.mark.parametrize("tol, word", [(np.nan, "positive"),
+                                           (np.inf, "finite")])
+    def test_rejects_nonfinite_tolerance(self, hier5, tol, word):
+        v = hier5.level(5).interior_mask.astype(float)
+        with pytest.raises(ValueError, match=f"^rms_tol must be {word}$"):
+            eigen.apply_inverse(v, 1.0, hier5, tol, seed=1)
+
     def test_linearity_within_noise(self, hier5):
         lvl = hier5.level(5)
         rng = np.random.default_rng(8)
@@ -205,6 +223,18 @@ class TestSmallestEigenvalue:
         with pytest.raises(ValueError, match=msg):
             eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=7,
                                       workers=2)
+
+    @pytest.mark.parametrize("tol, msg", [
+        (np.nan, "tol, B, m must be positive"), (np.inf, "tol must be finite")])
+    def test_nonfinite_tol_rejected_before_walking(self, hier5, monkeypatch,
+                                                   tol, msg):
+        # NaN used to walk the first step's pilot and then blame V
+        def no_run(*args, **kwargs):
+            raise AssertionError("walked before rejecting tol")
+
+        monkeypatch.setattr(mlmc, "run", no_run)
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            eigen.smallest_eigenvalue(1.0, hier5, tol=tol, B=3, m=3, seed=7)
 
     def test_variable_accuracy_relaxes_tolerances(self, hier5):
         res = eigen.smallest_eigenvalue(1.0, hier5, tol=0.02, B=3, m=4,

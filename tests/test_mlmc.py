@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fracwos import mlmc
 from fracwos.field import FieldMoments, mass_matrix
@@ -10,6 +11,18 @@ from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.problems import Problem, example1, example2
 from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
                               point_estimate)
+
+
+NONFINITE = [(np.nan, "positive"), (np.inf, "finite")]
+
+
+@pytest.fixture
+def no_walks(monkeypatch):
+    """Fail any field walk, for checks that must come before the pilot."""
+    def walk(*args):
+        raise AssertionError("walked before rejecting the input")
+
+    monkeypatch.setattr(mlmc, "field_values", walk)
 
 
 class TestAllocate:
@@ -64,6 +77,11 @@ class TestAllocate:
         with pytest.raises(ValueError):
             mlmc.allocate(0.1, [1.0], [0.0])
 
+    @pytest.mark.parametrize("eps, word", NONFINITE)
+    def test_rejects_nonfinite_eps(self, eps, word):
+        with pytest.raises(ValueError, match=f"^eps must be {word}$"):
+            mlmc.allocate(eps, [1.0], [1.0])
+
 
 class TestChooseLevels:
     def test_solves_inequality(self):
@@ -87,6 +105,12 @@ class TestChooseLevels:
         with pytest.warns(UserWarning):
             L = mlmc.choose_levels(1e-6, {3: 1.0, 4: 2.0}, 3, 7)
         assert L == 7
+
+    @pytest.mark.parametrize("eps, word", NONFINITE)
+    def test_rejects_nonfinite_eps(self, eps, word):
+        # NaN would fall through to the finest level, inf to the coarsest
+        with pytest.raises(ValueError, match=f"^eps must be {word}$"):
+            mlmc.choose_levels(eps, {3: 0.1, 4: 0.02}, 3, 8)
 
     def test_fit_bias_coefficient(self):
         bias = {ell: 3.0 * 2.0 ** (-2 * ell) for ell in (2, 3, 4)}
@@ -114,45 +138,91 @@ class TestPilot:
             mlmc.pilot(hier6, ex2, 4, seed=5)
 
 
-class TestEngine:
-    def test_tasks_are_generated_lazily(self, hier6, ex2):
-        # 2^40 samples are 2e7 tasks: an eager task list would take GBs
-        # here, and a real runaway term (1e11 samples) all memory
+class TestSampleTerm:
+    @staticmethod
+    def record_walks(monkeypatch):
+        """Patch mlmc.field_values to record (key count, walk steps)."""
+        calls, walk = [], mlmc.field_values
+
+        def spy(level, problem, keys):
+            values, cost = walk(level, problem, keys)
+            calls.append((keys.size, cost))
+            return values, cost
+
+        monkeypatch.setattr(mlmc, "field_values", spy)
+        return calls
+
+    def test_walk_calls_are_lazy(self, hier6, ex2, monkeypatch):
+        # 2^40 samples: keys for the whole range would take 8 TB, and a real
+        # runaway term (1e11 samples) all memory; the sampler makes one
+        # span of keys per walk call
+        class Stop(Exception):
+            pass
+
+        sizes = []
+
+        def fake(level, problem, keys):
+            sizes.append(keys.size)
+            if len(sizes) == 2:
+                raise Stop
+            return np.empty((keys.size, 0)), 0
+
+        monkeypatch.setattr(mlmc, "field_values", fake)
+        # moments over zero vertices make the adds free: the peak is the
+        # sampler's own
+        moments = FieldMoments(sparse.csr_matrix((0, 0)))
         tracemalloc.start()
         try:
-            tasks = mlmc._tasks(hier6, mlmc._KIND_PLAIN, 3, 0, 2 ** 40)
-            first, second = next(tasks), next(tasks)
+            with pytest.raises(Stop):
+                mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 4, 0,
+                                  2 ** 40, moments)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert iter(tasks) is tasks
-        # one task walks as many 1024-row chunks as fit in the row budget
-        span = 1024 * (mlmc._ROW_BUDGET // (1024 * hier6.level(3).num_vertices))
+        # one call walks as many 1024-row chunks as fit in the row budget
+        span = 1024 * (mlmc._ROW_BUDGET // (1024 * hier6.level(4).num_vertices))
         assert span > 1024
-        assert first == (mlmc._KIND_PLAIN, 3, 0, span, 1024)
-        assert second == (mlmc._KIND_PLAIN, 3, span, span, 1024)
+        assert sizes == [span, span] and moments.count == span
         assert peak < 1 << 20
 
-    def test_pool_window_is_bounded_and_ordered(self, hier6, ex2, monkeypatch):
-        # the default budget walks all 12000 samples as one task; two chunks
-        # per task make six tasks, the last of them 1024 + 736 rows, whose
-        # moments must merge to the same bits in chunk order
+    def test_row_budget_keeps_the_bits(self, hier6, ex2, monkeypatch):
+        # the default budget walks all 12000 samples in one call; two chunks
+        # per call make six calls, the last of them 1024 + 736 rows, whose
+        # chunks must add up to the same bits in the same order
         mass = mass_matrix(hier6.level(3), hier6.norm_mask(3))
-        serial, split = FieldMoments(mass), FieldMoments(mass)
-        mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000, serial)
+        one, split = FieldMoments(mass), FieldMoments(mass)
+        calls = self.record_walks(monkeypatch)
+        mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000, one)
         monkeypatch.setattr(mlmc, "_ROW_BUDGET",
                             2048 * hier6.level(3).num_vertices)
-        assert len(list(mlmc._tasks(hier6, mlmc._KIND_PLAIN, 3, 0, 12000))) == 6
         mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000, split)
-        np.testing.assert_array_equal(split.sum_vec, serial.sum_vec)
+        assert [n for n, _ in calls] == [12000] + [2048] * 5 + [1760]
+        np.testing.assert_array_equal(split.sum_vec, one.sum_vec)
         assert (split.sum_sq, split.count, split.cost) == \
-            (serial.sum_sq, serial.count, serial.cost)
+            (one.sum_sq, one.count, one.cost)
+
+    def test_cost_is_added_once_per_walk_call(self, hier6, ex2, monkeypatch):
+        # three calls of two chunks each: adding a call's steps to every
+        # chunk would double the cost
+        mass = mass_matrix(hier6.level(3), hier6.norm_mask(3))
+        trans, fine = FieldMoments(mass), FieldMoments(mass)
+        calls = self.record_walks(monkeypatch)
+        monkeypatch.setattr(mlmc, "_ROW_BUDGET",
+                            2048 * hier6.level(3).num_vertices)
+        mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PAIR, 2, 0, 6000,
+                          trans, fine)
+        assert [n for n, _ in calls] == [2048, 2048, 1904]
+        assert all(cost > 0 for _, cost in calls)
+        total = sum(cost for _, cost in calls)
+        assert (trans.count, trans.cost) == (fine.count, fine.cost) \
+            == (6000, total)
 
     @pytest.mark.parametrize("alpha", [0.05, 1.95])
-    def test_moments_bit_identical_across_task_sizes(self, hier6, alpha,
-                                                     monkeypatch):
-        # one task per term against many: the plain term at level 2 walks
-        # three tasks of three 1024-row chunks, the correction 2->3 seven
+    def test_moments_bit_identical_across_spans(self, hier6, alpha,
+                                                monkeypatch):
+        # one walk call per term against many: the plain term at level 2
+        # walks three calls of three 1024-row chunks, the correction 2->3
+        # seven
         prob = example2(alpha)
         s1 = mlmc.level_statistics(hier6, prob, 2, 3, 7000, seed=3)
         monkeypatch.setattr(mlmc, "_ROW_BUDGET",
@@ -206,6 +276,20 @@ class TestRun:
     def test_budget_cap(self, hier6, ex2):
         with pytest.raises(mlmc.BudgetExceededError):
             mlmc.run(hier6, ex2, eps=1e-3, l0=3, seed=1, max_cost=1000)
+
+    @pytest.mark.parametrize("eps, word", NONFINITE)
+    def test_nonfinite_eps_rejected_before_the_pilot(self, hier6, ex2,
+                                                     no_walks, eps, word):
+        # NaN used to walk the pilot and then blame V, inf to return the
+        # pilot mean as the solution
+        with pytest.raises(ValueError, match=f"^eps must be {word}$"):
+            mlmc.run(hier6, ex2, eps=eps, l0=3, seed=1)
+
+    @pytest.mark.parametrize("cap", [-1.0, np.nan])
+    def test_negative_cap_rejected_before_the_pilot(self, hier6, ex2,
+                                                    no_walks, cap):
+        with pytest.raises(ValueError, match="^max_cost must be non-negative$"):
+            mlmc.run(hier6, ex2, eps=0.1, l0=3, seed=1, max_cost=cap)
 
     def test_pilot_reused_in_production(self, hier6, ex1):
         res = mlmc.run(hier6, ex1, eps=3e-2, l0=4, seed=9, pilot_M=16)
@@ -309,6 +393,14 @@ class TestCostComparison:
     @pytest.mark.parametrize("eps_list", [[0.1, 0.0], [0.1, -0.5]])
     def test_rejects_nonpositive_eps(self, hier6, ex2, eps_list):
         with pytest.raises(ValueError, match="^eps must be positive$"):
+            mlmc.cost_comparison(hier6, ex2, eps_list, l0=3, seed=3)
+
+    @pytest.mark.parametrize("eps_list, word", [([np.inf, 0.1], "finite"),
+                                                ([0.1, np.nan], "positive")])
+    def test_rejects_nonfinite_eps(self, hier6, ex2, no_walks, eps_list,
+                                   word):
+        # inf used to end in a bare OverflowError from the dyadic schedule
+        with pytest.raises(ValueError, match=f"^eps must be {word}$"):
             mlmc.cost_comparison(hier6, ex2, eps_list, l0=3, seed=3)
 
     def test_execute_budget_runs_affordable_points(self, hier6, ex2):
