@@ -138,11 +138,10 @@ def check_I1(cfg: AssumptionConfig,
 
         def batch(beta, theta):
             x1 = x0 + theta * (d0 / np.sqrt(beta))[:, None]
-            inside = np.asarray(cfg.domain._contains(x1))
+            d1 = cfg.domain._distance(x1)
+            inside = d1 > 0.0
             vals = np.zeros(beta.size)
-            if inside.any():
-                d1 = cfg.domain._distance(x1[inside])
-                vals[inside] = np.maximum(cfg.A, d1 ** -cfg.t) / phi0
+            vals[inside] = np.maximum(cfg.A, d1[inside] ** -cfg.t) / phi0
             return vals
 
         per_start.append(_estimate(cfg, _LABEL_I1, j, batch))

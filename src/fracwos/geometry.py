@@ -6,6 +6,10 @@ including axis-aligned boxes) admit exact, branch-light formulas that
 vectorize over arrays of points.  Points on the boundary report distance 0
 and are not contained, so a path landing exactly on the boundary counts as
 exited.
+
+The walk asks only `_distance` and retires a path once `not d > 0`, so each
+shape keeps `_contains(p) == (_distance(p) > 0)`, NaN included; `_contains`
+stays for `contains`, `sample_uniform`, `check_I2` and perfbench's tracer.
 """
 
 from __future__ import annotations
@@ -111,9 +115,11 @@ class ConvexPolygon(_Domain):
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lengths == 0.0):
             raise ValueError("polygon has a zero-length edge")
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-            - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.any(cross < 0):
+        nxt = np.roll(edges, -1, axis=0)
+        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+        # left turns only, 2 pi in all (a star winding k times turns 2 pi k)
+        turns = np.arctan2(cross, np.einsum("ij,ij->i", edges, nxt))
+        if np.any(cross < 0) or turns.sum() > 3.0 * np.pi:
             raise ValueError("polygon is not convex (or self-intersecting)")
         if area2 == 0:
             raise ValueError("polygon is degenerate (zero area)")

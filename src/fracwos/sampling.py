@@ -122,43 +122,43 @@ def walk(starts: np.ndarray, problem, count: int, draw):
     """The walk-outside-spheres loop: `count` realizations, each walking
     every start point.
 
-    Each step jumps from x to x + Theta d(x)/sqrt(beta), leaving the
-    inscribed ball B(x, d(x)) by the exit law, and adds the source term
-    F(x; S, Phi) to the walk's sum; the value of a walk is g at its exit
-    point plus that sum.  `draw(n, rows)` returns step n's tuples
-    (beta, Theta, S, Phi) for the realizations `rows` (ascending) that still
-    have a live walk, so all walks of one realization consume the same
-    tuple at their n-th step.  Returns (values (count, V), total steps).
-    A walk still live after MAX_WALK_STEPS steps raises MaxStepsExceededError.
+    Each step asks the domain once, for d(x).  A walk with `not d > 0`
+    (boundary, exterior or NaN) has exited with g at its position plus its
+    source sum; every other walk adds F(x; S, Phi) to that sum and jumps to
+    x + Theta d(x)/sqrt(beta), leaving the inscribed ball B(x, d(x)).
+    `draw(n, rows)` returns step n's tuples (beta, Theta, S, Phi) for the
+    realizations `rows` (ascending) with a live walk, so all walks of one
+    realization consume the same tuple at their n-th step.  Returns
+    (values (count, V), cost), the cost being the number of jumps (0 for a
+    start already outside).  A walk still inside after MAX_WALK_STEPS jumps
+    raises MaxStepsExceededError.
     """
     starts = np.asarray(starts, dtype=np.float64)
     nv = starts.shape[0]
-    domain = problem.domain
     alpha = problem.alpha
     params = problem.params
     inv_alpha = 1.0 / alpha
 
     pos = np.broadcast_to(starts[None, :, :], (count, nv, 2)).reshape(-1, 2).copy()
-    smp = np.repeat(np.arange(count), nv)
     slot = np.arange(count * nv)
     acc = np.zeros(count * nv)
     out = np.empty(count * nv)
     cost = 0
-    for n in range(MAX_WALK_STEPS):
+    for n in range(MAX_WALK_STEPS + 1):
+        d = problem.domain._distance(pos)
+        inside = d > 0.0
+        if not inside.all():
+            left = ~inside
+            out[slot[left]] = np.asarray(problem.g(pos[left])) + acc[left]
+            pos, slot, acc, d = pos[inside], slot[inside], acc[inside], d[inside]
         if not slot.size:
             break
+        if n == MAX_WALK_STEPS:
+            raise MaxStepsExceededError(
+                f"{slot.size} walks exceeded {MAX_WALK_STEPS} steps")
         cost += slot.size
-        d = domain._distance(pos)
-        if np.any(d <= 0.0):
-            # landed within one ulp of the boundary: already exited
-            gone = d <= 0.0
-            out[slot[gone]] = np.asarray(problem.g(pos[gone])) + acc[gone]
-            keep = ~gone
-            pos, smp, slot, acc, d = (pos[keep], smp[keep], slot[keep],
-                                      acc[keep], d[keep])
-            if not slot.size:
-                break
-        # smp is ascending: its first entry per realization lists the live rows
+        # smp: each walk's realization, ascending; rows: the live ones
+        smp = slot if nv == 1 else slot // nv
         rows = smp if nv == 1 else smp[np.r_[True, smp[1:] != smp[:-1]]]
         beta, theta, s, phi = draw(n, rows)
         weight = reg_inc_beta(1.0 - s ** (2.0 * inv_alpha), alpha)
@@ -169,19 +169,11 @@ def walk(starts: np.ndarray, problem, count: int, draw):
             beta, theta, s_rad, weight, phi = (
                 _scatter(v, rows, count) for v in (beta, theta, s_rad, weight, phi))
             at = smp
-        y = pos + (d * s_rad[at])[:, None] * phi[at]
         fx = problem.f(pos)
-        fy = problem.f(y)
+        fy = problem.f(pos + (d * s_rad[at])[:, None] * phi[at])
         acc += params.a1 * d ** alpha * ((fy - fx) * weight[at] + params.a2 * fx)
+        del fx, fy  # freed before the next step compacts its arrays
         pos = pos + (d / np.sqrt(beta[at]))[:, None] * theta[at]
-        inside = domain._contains(pos)
-        if not inside.all():
-            left = ~inside
-            out[slot[left]] = np.asarray(problem.g(pos[left])) + acc[left]
-            pos, smp, slot, acc = pos[inside], smp[inside], slot[inside], acc[inside]
-    if slot.size:
-        raise MaxStepsExceededError(
-            f"{slot.size} walks exceeded {MAX_WALK_STEPS} steps")
     return out.reshape(count, nv), cost
 
 
@@ -215,7 +207,7 @@ def point_estimate(x, problem, M: int, seed: int) -> PointEstimate:
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("non-finite evaluation point")
-    if not bool(problem.domain.contains(x)):
+    if not problem.domain.distance(x) > 0.0:  # already exited: no step
         g0 = float(np.asarray(problem.g(x[None, :])).ravel()[0])
         return PointEstimate(g0, 0.0, 0)
     total = np.zeros(3)

@@ -8,6 +8,40 @@ from fracwos.geometry import Ball, ConvexPolygon, box, unit_ball
 finite_coord = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
 
+CONTAINS_DOMAINS = [
+    unit_ball(), Ball((0.3, -1.7), 0.45), box(-1.0, -2.0, 3.0, 1.5),
+    ConvexPolygon([[0, 0], [2, 0], [3, 2], [1, 3], [-1, 1]]),
+]
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def point_near(draw, domain):
+    """A random point, a point built on the boundary, a far point, or one
+    with a NaN or infinite coordinate (where a wild jump can land)."""
+    kind = draw(st.sampled_from(["random", "boundary", "vertex", "far",
+                                 "nonfinite"]))
+    if kind == "random":
+        return draw(finite_coord), draw(finite_coord)
+    if kind == "nonfinite":
+        odd = st.sampled_from([np.nan, np.inf, -np.inf])
+        return draw(odd), draw(st.one_of(odd, finite_coord))
+    if kind == "far":
+        big = st.floats(min_value=1e6, max_value=1e300)
+        return (draw(big) * draw(st.sampled_from([-1, 1])),
+                draw(big) * draw(st.sampled_from([-1, 1])))
+    if isinstance(domain, Ball):
+        t = draw(st.floats(min_value=0.0, max_value=2 * np.pi))
+        c, r = domain.center, domain.radius
+        return c[0] + r * np.cos(t), c[1] + r * np.sin(t)
+    v = domain.vertices
+    i = draw(st.integers(0, v.shape[0] - 1))
+    if kind == "vertex":
+        return tuple(v[i])
+    s = draw(unit)
+    return tuple(v[i] + s * (v[(i + 1) % v.shape[0]] - v[i]))
+
+
 class TestBall:
     def test_center_inside(self, ball):
         assert ball.contains((0.0, 0.0))
@@ -69,6 +103,14 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             ConvexPolygon([[0, 0], [2, 0], [1, 0.1], [0, 2]])
 
+    def test_rejects_star_that_winds_twice(self):
+        # the regular pentagon's vertices in the order 0, 2, 4, 1, 3: left
+        # turns only and a positive area, but it turns by 4 pi in all
+        with pytest.raises(ValueError, match="not convex"):
+            ConvexPolygon([(0.000000, 1.000000), (-0.587785, -0.809017),
+                           (0.951057, 0.309017), (-0.951057, 0.309017),
+                           (0.587785, -0.809017)])
+
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             ConvexPolygon([[0, 0], [1, 1], [2, 2]])
@@ -108,6 +150,17 @@ class TestProperties:
         p, q = np.array([x1, y1]), np.array([x2, y2])
         assert abs(float(d.distance(p)) - float(d.distance(q))) \
             <= np.linalg.norm(p - q) + 1e-12
+
+    @given(domain=st.sampled_from(CONTAINS_DOMAINS), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_contains_is_positive_distance(self, domain, data):
+        # the walk retires a path once `not distance > 0` and never asks
+        # `_contains`, so the two must agree element by element
+        pts = data.draw(st.lists(point_near(domain), min_size=1, max_size=20))
+        pts = np.array(pts, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the polygon's matmul
+            np.testing.assert_array_equal(domain._contains(pts),
+                                          domain._distance(pts) > 0.0)
 
     @pytest.mark.parametrize("domain", [
         unit_ball(), box(0.0, 0.0, 2.0, 1.0),

@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.special import betainc, beta as beta_fn, gamma
 
 import fracwos
-from fracwos.geometry import unit_ball
+from fracwos.geometry import Ball, unit_ball
 from fracwos.problems import Problem, example1
 from fracwos.field import walk_starts
 from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
@@ -210,9 +210,10 @@ class TestWosStep:
                          g=y_coord) == (1.0, 1)
 
     def test_degenerate_distance(self):
-        # a point with no inscribed ball has already exited: it takes g there
-        # and draws no tuple (the empty tuple list would raise)
-        assert hand_walk((1.0, 0.0), []) == (1.0, 1)
+        # a point with no inscribed ball has already exited: it takes g there,
+        # takes no step, as point_estimate reports, and draws no tuple (the
+        # empty tuple list would raise)
+        assert hand_walk((1.0, 0.0), []) == (1.0, 0)
 
 
 class TestFTerm:
@@ -240,8 +241,9 @@ class TestRunPath:
     """Whole walks through the kernel."""
 
     def test_start_outside_exits_immediately(self):
-        # the boundary check counts as a step; no tuple is drawn
-        assert hand_walk((3.0, 0.0), []) == (3.0, 1)
+        # a start that has already exited takes no step, as point_estimate
+        # reports, and draws no tuple
+        assert hand_walk((3.0, 0.0), []) == (3.0, 0)
 
     def test_positions_interior_until_exit(self, ball):
         # f is evaluated only inside the domain, g only outside it
@@ -269,6 +271,85 @@ class TestRunPath:
         monkeypatch.setattr("fracwos.sampling.MAX_WALK_STEPS", 3)
         with pytest.raises(MaxStepsExceededError):
             point_estimate((0.9, 0.0), prob, 1000, seed=1)
+
+    def test_cap_counts_jumps(self, monkeypatch):
+        # a one-step cap lets a walk jump once: one that exits on its first
+        # jump returns, one that needs a second jump raises
+        monkeypatch.setattr("fracwos.sampling.MAX_WALK_STEPS", 1)
+        assert hand_walk((0.0, 0.0), [(0.25, (1.0, 0.0), 0.5, (1.0, 0.0))]) \
+            == (2.0, 1)
+        with pytest.raises(MaxStepsExceededError):
+            hand_walk((0.5, 0.0), [(1.0, (0.0, 1.0), 0.5, (1.0, 0.0)),
+                                   (0.25, (0.0, 1.0), 0.5, (1.0, 0.0))])
+
+
+class CountingBall(Ball):
+    """The unit ball, counting the calls of its raw geometry methods."""
+
+    calls = {"_distance": 0, "_contains": 0}
+
+    def __init__(self):
+        super().__init__((0.0, 0.0), 1.0)
+
+    def _distance(self, pts):
+        self.calls["_distance"] += 1
+        return super()._distance(pts)
+
+    def _contains(self, pts):
+        self.calls["_contains"] += 1
+        return super()._contains(pts)
+
+
+class TestOneGeometryQuery:
+    """Each loop iteration of the kernel asks the domain for d(x) once."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """A counting-ball problem, and the steps `draw` was called for in
+        each walk call."""
+        CountingBall.calls.update(_distance=0, _contains=0)
+        walk_draws = []
+        kernel = walk
+
+        def counting_walk(starts, problem, count, draw):
+            calls = []
+            walk_draws.append(calls)
+
+            def counted_draw(n, rows):
+                calls.append(n)
+                return draw(n, rows)
+            return kernel(starts, problem, count, counted_draw)
+
+        monkeypatch.setattr("fracwos.sampling.walk", counting_walk)
+        monkeypatch.setattr("fracwos.field.walk", counting_walk)
+        prob = Problem(alpha=1.0, domain=CountingBall(), f=one, g=x_coord)
+        return prob, walk_draws
+
+    def test_walk_starts(self, counted):
+        prob, walk_draws = counted
+        starts = np.array([[0.2, 0.1], [-0.6, 0.3], [0.0, 0.95]])
+        walk_starts(starts, prob, derive_key(5, np.arange(20)))
+        (draws,) = walk_draws
+        # every iteration but the last draws; the last retires the last walk
+        assert draws == list(range(len(draws))) and len(draws) > 1
+        assert CountingBall.calls == {"_distance": len(draws) + 1,
+                                      "_contains": 0}
+
+    def test_point_estimate(self, counted):
+        prob, walk_draws = counted
+        est = point_estimate((0.3, 0.4), prob, 3000, seed=4)
+        assert est.total_steps > 0
+        (draws,) = walk_draws
+        assert draws == list(range(len(draws))) and len(draws) > 1
+        # one more for point_estimate's own check of the start
+        assert CountingBall.calls == {"_distance": len(draws) + 2,
+                                      "_contains": 0}
+
+    def test_point_estimate_outside_start(self, counted):
+        prob, walk_draws = counted
+        assert point_estimate((3.0, 0.0), prob, 10, seed=0).total_steps == 0
+        assert walk_draws == [] and CountingBall.calls == {"_distance": 1,
+                                                      "_contains": 0}
 
 
 class TestPointEstimate:
