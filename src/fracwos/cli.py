@@ -1,9 +1,9 @@
 """Experiment driver: solve, eigenvalue, variance/cost studies, checks.
 
-Every run writes a plain-text manifest of all parameters (re-runnable via
---config), plus CSV outputs.  All output files are fully determined by
-(config, seed); wall-clock timing goes to a separate timing.txt so the
-deterministic artifacts stay byte-identical across reruns.
+Every run writes a plain-text manifest of the parameters its command reads
+(re-runnable via --config), plus CSV outputs.  All output files are fully
+determined by (config, seed); wall-clock timing goes to a separate
+timing.txt so the deterministic artifacts stay byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields as dfields
+from dataclasses import dataclass, field, fields as dfields
 
 import numpy as np
 
@@ -27,36 +27,65 @@ from .sampling import _check_alpha
 
 _EPS_SCHEDULE = [2.0 ** -12, 2.0 ** -14, 2.0 ** -16, 2.0 ** -18]
 
+_ALL = ("solve", "eig", "variance-study", "cost-study", "check-assumptions")
+_MESH = ("solve", "eig", "variance-study", "cost-study")
+_PROBLEM = ("solve", "variance-study", "cost-study")  # these build a Problem
+_CHECK = ("check-assumptions",)
+
+
+def _opt(default, commands, help, **extras):
+    return field(default=default, metadata={"commands": commands, "help": help,
+                                            "extras": extras})
+
 
 @dataclass
 class RunConfig:
-    """Validated parameters of one CLI run."""
+    """Validated parameters of one CLI run.
+
+    Each option is declared once, here, with the commands that read it and
+    the help text and extra `add_argument` keywords of its flag.  A command
+    takes its own options from flags and --config and records them in
+    manifest.txt; the options it does not read keep their defaults.
+    """
 
     command: str
-    alpha: float = 1.0
-    problem: str = "example1"
-    f_expr: str | None = None
-    g_expr: str | None = None
-    domain: str | None = None
-    l0: int = 4
-    L: int = 6
-    eps: float = 1e-2
-    tol: float = 1e-2
-    B: float = 3.0
-    m: int = 5
-    seed: int = 0
-    out: str = "."
-    pilot: int = 32
-    samples: int = 256
-    eps_list: str = ""
-    which: str = "I2"
-    mu: float = 1.0
-    t: float = 1.0
-    A: float = 1e4
-    M: int = 10 ** 6
-    J: int = 20
-    max_cost: float = 0.0
-    fixed_accuracy: bool = False
+    alpha: float = _opt(1.0, _ALL, "fractional order in (0, 2)")
+    problem: str = _opt("example1", _PROBLEM, "named problem, or custom",
+                        choices=[*BY_NAME, "custom"])
+    f_expr: str | None = _opt(None, _PROBLEM, "source expression in x, y, r2 "
+                                              "(custom problem)")
+    g_expr: str | None = _opt(None, _PROBLEM,
+                              "exterior-data expression in x, y, r2 (custom "
+                              "problem); |g| must grow slower than "
+                              "|x|^(alpha/2), so an unbounded r2 never fits")
+    domain: str | None = _opt(None, _ALL, "ball(cx,cy,r) | box(x0,y0,x1,y1) | "
+                                          "polygon((x,y),...)")
+    l0: int = _opt(4, _MESH, "coarsest mesh level")
+    L: int = _opt(6, _MESH, "finest mesh level")
+    eps: float = _opt(1e-2, ("solve",), "field-solve L2 tolerance")
+    tol: float = _opt(1e-2, ("eig",), "eigenvalue-residual tolerance")
+    B: float = _opt(3.0, ("eig",), "eigenvalue confidence factor (> 1)")
+    m: int = _opt(5, ("eig",), "Arnoldi iteration count")
+    seed: int = _opt(0, _ALL, "master seed (falls back to $FRACWOS_SEED)")
+    out: str = _opt(".", _ALL, "output directory")
+    pilot: int = _opt(32, ("solve", "eig", "cost-study"),
+                      "pilot samples per level")
+    samples: int = _opt(256, ("variance-study",), "samples per level")
+    eps_list: str = _opt("", ("cost-study",),
+                         "comma-separated decreasing tolerances")
+    which: str = _opt("I2", _CHECK, "assumption functional to check",
+                      choices=["I1", "I2"])
+    mu: float = _opt(1.0, _CHECK, "contraction exponent")
+    t: float = _opt(1.0, _CHECK, "boundary-functional exponent")
+    A: float = _opt(1e4, _CHECK, "boundary-functional cap")
+    M: int = _opt(10 ** 6, _CHECK, "samples per start point")
+    J: int = _opt(20, _CHECK, "number of start points")
+    max_cost: float = _opt(0.0, ("solve", "cost-study"),
+                           "walk-step budget: solve's cap (0: 2^40), "
+                           "cost-study's execute budget; inf means no cap")
+    fixed_accuracy: bool = _opt(False, ("eig",),
+                                "disable the variable solve-tolerance rule",
+                                action="store_const", const=True)
 
     def validate(self):
         for f in dfields(self):
@@ -78,8 +107,7 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.problem == "custom" and not (self.f_expr and self.g_expr):
             raise ValueError("custom problem needs f-expr and g-expr")
-        if (self.domain and self.problem != "custom"
-                and self.command in ("solve", "variance-study", "cost-study")):
+        if self.domain and self.problem != "custom" and self.command in _PROBLEM:
             raise ValueError(f"--domain needs --problem custom; --problem "
                              f"{self.problem} fixes its own domain")
         if self.which not in ("I1", "I2"):
@@ -174,7 +202,14 @@ def fit_slope(pairs) -> float:
 # ---------------------------------------------------------------------------
 # manifest / config plumbing
 
-_MANIFEST_KEYS = [f.name for f in dfields(RunConfig) if f.name != "out"]
+_PARSE = {"int": int, "float": float,
+          "bool": lambda v: v.lower() in ("1", "true", "yes")}
+
+
+def _options(command: str) -> list:
+    """The RunConfig fields that `command` reads, in field order."""
+    return [f for f in dfields(RunConfig)
+            if command in f.metadata.get("commands", ())]
 
 
 def read_config(path: str) -> dict:
@@ -194,11 +229,11 @@ def read_config(path: str) -> dict:
 
 def write_manifest(path: str, cfg: RunConfig, info: dict) -> None:
     with open(path, "w") as fh:
-        for key in _MANIFEST_KEYS:
-            val = getattr(cfg, key)
-            if val is None or val == "":
-                continue
-            fh.write(f"{key} = {val}\n")
+        fh.write(f"command = {cfg.command}\n")
+        for f in _options(cfg.command):
+            val = getattr(cfg, f.name)
+            if f.name != "out" and val is not None and val != "":
+                fh.write(f"{f.name} = {val}\n")
         fh.write(f"# fracwos {__version__}, numpy {np.__version__}\n")
         for key, val in info.items():
             fh.write(f"# {key} = {val}\n")
@@ -308,10 +343,16 @@ def cmd_check_assumptions(cfg: RunConfig) -> dict:
     return {"max_I": res.max_over_starts, "stderr": stderr}
 
 
-_COMMANDS = {"solve": cmd_solve, "eig": cmd_eig,
-             "variance-study": cmd_variance_study,
-             "cost-study": cmd_cost_study,
-             "check-assumptions": cmd_check_assumptions}
+_COMMANDS = {
+    "solve": (cmd_solve, "multilevel field solve; writes solution.csv"),
+    "eig": (cmd_eig, "smallest eigenvalue by inexact Arnoldi; writes iters.csv"),
+    "variance-study": (cmd_variance_study,
+                       "coupling-variance decay per level; writes study.csv"),
+    "cost-study": (cmd_cost_study, "multilevel vs single-level planned costs; "
+                                   "writes study.csv"),
+    "check-assumptions": (cmd_check_assumptions,
+                          "one-step contraction/boundary functionals"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -319,85 +360,41 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="Walk-outside-spheres field and "
                                              "eigenvalue solver")
     sub = ap.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "solve": "multilevel field solve; writes solution.csv",
-        "eig": "smallest eigenvalue by inexact Arnoldi; writes iters.csv",
-        "variance-study": "coupling-variance decay per level; writes study.csv",
-        "cost-study": "multilevel vs single-level planned costs; writes study.csv",
-        "check-assumptions": "one-step contraction/boundary functionals",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, description=descriptions[name])
+    for name, (_, description) in _COMMANDS.items():
+        # no prefix matching: `solve --m` must not mean --max-cost
+        p = sub.add_parser(name, description=description, allow_abbrev=False)
         p.add_argument("--config", help="key = value file overriding defaults")
-        p.add_argument("--alpha", type=float, help="fractional order in (0, 2)")
-        p.add_argument("--problem", choices=[*BY_NAME, "custom"])
-        p.add_argument("--f-expr", dest="f_expr",
-                       help="source expression in x, y, r2 (custom problem)")
-        p.add_argument("--g-expr", dest="g_expr",
-                       help="exterior-data expression in x, y, r2 (custom "
-                            "problem); |g| must grow slower than "
-                            "|x|^(alpha/2), so an unbounded r2 never fits")
-        p.add_argument("--domain",
-                       help="ball(cx,cy,r) | box(x0,y0,x1,y1) | polygon((x,y),...)")
-        p.add_argument("--l0", type=int, help="coarsest mesh level")
-        p.add_argument("--L", type=int, help="finest mesh level")
-        p.add_argument("--eps", type=float, help="field-solve L2 tolerance")
-        p.add_argument("--tol", type=float, help="eigenvalue-residual tolerance")
-        p.add_argument("--B", type=float, help="eigenvalue confidence factor (> 1)")
-        p.add_argument("--m", type=int, help="Arnoldi iteration count")
-        p.add_argument("--seed", type=int,
-                       help="master seed (falls back to $FRACWOS_SEED)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--pilot", type=int, help="pilot samples per level")
-        p.add_argument("--samples", type=int,
-                       help="samples per level (variance-study)")
-        p.add_argument("--eps-list", dest="eps_list",
-                       help="comma-separated decreasing tolerances (cost-study)")
-        p.add_argument("--which", choices=["I1", "I2"],
-                       help="assumption functional to check")
-        p.add_argument("--mu", type=float, help="contraction exponent")
-        p.add_argument("--t", type=float, help="boundary-functional exponent")
-        p.add_argument("--A", type=float, help="boundary-functional cap")
-        p.add_argument("--M", type=int, help="samples per start point")
-        p.add_argument("--J", type=int, help="number of start points")
-        p.add_argument("--max-cost", dest="max_cost", type=float,
-                       help="walk-step budget cap (solve, default 2^40) / "
-                            "execute budget (cost-study); inf means no cap")
-        p.add_argument("--fixed-accuracy", dest="fixed_accuracy",
-                       action="store_const", const=True,
-                       help="disable the variable solve-tolerance rule (eig)")
+        for f in _options(name):
+            extras = f.metadata["extras"]
+            if "action" not in extras:
+                extras = {"type": _PARSE.get(f.type, str), **extras}
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           help=f.metadata["help"], **extras)
     return ap
-
-
-_FIELD_TYPES = {f.name: f.type for f in dfields(RunConfig)}
-
-
-def _coerce(key: str, val: str):
-    typ = _FIELD_TYPES.get(key, "str")
-    if typ == "int":
-        return int(val)
-    if typ == "float":
-        return float(val)
-    if typ == "bool":
-        return val.lower() in ("1", "true", "yes")
-    return val
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
+    own = {f.name: f for f in _options(args.command)}
     file_cfg = read_config(args.config) if args.config else {}
+    ignored = []  # keys of other commands, as in manifests of older versions
     for key, val in file_cfg.items():
         if key == "command":
             if val != args.command:
                 raise ValueError(f"config is for command {val!r}, "
                                  f"not {args.command!r}")
-            continue
-        if key not in _FIELD_TYPES:
+        elif key in own:
+            setattr(cfg, key, _PARSE.get(own[key].type, str)(val))
+        elif key in RunConfig.__dataclass_fields__:
+            ignored.append(key)
+        else:
             raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, val))
-    for key in _FIELD_TYPES:
-        val = getattr(args, key, None)
-        if val is not None and key != "command":
+    if ignored:
+        print(f"fracwos: {args.command} ignores config keys read by other "
+              f"commands: {', '.join(ignored)}", file=sys.stderr)
+    for key in own:
+        val = getattr(args, key)
+        if val is not None:
             setattr(cfg, key, val)
     if args.seed is None and "seed" not in file_cfg:
         env = os.environ.get("FRACWOS_SEED")
@@ -412,7 +409,7 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         os.makedirs(cfg.out, exist_ok=True)
         t0 = time.time()
-        info = _COMMANDS[cfg.command](cfg)
+        info = _COMMANDS[cfg.command][0](cfg)
         wall = time.time() - t0
         write_manifest(os.path.join(cfg.out, "manifest.txt"), cfg, info)
         with open(os.path.join(cfg.out, "timing.txt"), "w") as fh:

@@ -135,23 +135,27 @@ class ConvexPolygon(_Domain):
     def diameter(self) -> float:
         return self._diameter
 
-    def _halfplane(self, pts: np.ndarray) -> np.ndarray:
-        # signed distance to each edge line, positive inside: (P, E); the
-        # offsets are subtracted in place to allocate one (P, E) array
-        out = pts @ self._normals.T
-        out -= self._offsets
-        return out
+    def _edge_min(self, pts: np.ndarray):
+        # smallest signed distance to an edge line, positive inside, as a
+        # running minimum one edge at a time: elementwise, so a point's bits
+        # do not depend on how many points share the call (a matmul's do)
+        x, y = pts[..., 0], pts[..., 1]
+        (nx, ny), off = self._normals.T, self._offsets
+        m = x * nx[0] + y * ny[0] - off[0]
+        for e in range(1, off.size):
+            m = np.minimum(m, x * nx[e] + y * ny[e] - off[e])
+        return m
 
     def _contains(self, pts: np.ndarray):
-        return self._halfplane(pts).min(axis=-1) > 0.0
+        return self._edge_min(pts) > 0.0
 
     def _distance(self, pts: np.ndarray):
-        return np.maximum(self._halfplane(pts).min(axis=-1), 0.0)
+        return np.maximum(self._edge_min(pts), 0.0)
 
     def contains_closed(self, p):
         pts = _as_points(p)
         scale = max(self.diameter, 1.0)
-        return self._halfplane(pts).min(axis=-1) >= -_CLOSED_TOL * scale
+        return self._edge_min(pts) >= -_CLOSED_TOL * scale
 
     def bounding_box(self):
         v = self.vertices

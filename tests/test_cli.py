@@ -8,7 +8,7 @@ import pytest
 
 import fracwos
 from fracwos.cli import (ExprField, RunConfig, base_mesh_for, build_mesh,
-                         fit_slope, parse_domain, read_config)
+                         fit_slope, main, parse_domain, read_config)
 from fracwos.geometry import Ball, ConvexPolygon, unit_ball
 from fracwos.mesh import square_ball_base
 
@@ -293,3 +293,171 @@ class TestCliRuns:
         assert r.returncode == 1
         assert ("fracwos: error: config is for command 'eig', not 'solve'"
                 in r.stderr)
+
+
+# The options each command reads, besides alpha, seed and out, which all
+# five read. Written out here, not taken from fracwos.cli.
+OWN_OPTIONS = {
+    "solve": ["problem", "f_expr", "g_expr", "domain", "l0", "L", "eps",
+              "pilot", "max_cost"],
+    "eig": ["domain", "l0", "L", "tol", "B", "m", "pilot", "fixed_accuracy"],
+    "variance-study": ["problem", "f_expr", "g_expr", "domain", "l0", "L",
+                      "samples"],
+    "cost-study": ["problem", "f_expr", "g_expr", "domain", "l0", "L",
+                   "eps_list", "pilot", "max_cost"],
+    "check-assumptions": ["domain", "which", "mu", "t", "A", "M", "J"],
+}
+ALL_OPTIONS = ["alpha", "problem", "f_expr", "g_expr", "domain", "l0", "L",
+               "eps", "tol", "B", "m", "seed", "out", "pilot", "samples",
+               "eps_list", "which", "mu", "t", "A", "M", "J", "max_cost",
+               "fixed_accuracy"]
+CUSTOM = ["--problem", "custom", "--f-expr", "1 + 0*x", "--g-expr", "0*x",
+          "--domain", "ball(0,0,1)"]
+# every option of the command set, so the manifest writes each of them
+FULL_ARGS = {
+    "solve": [*CUSTOM, "--l0", "2", "--L", "3", "--eps", "0.1", "--pilot",
+              "8", "--max-cost", "1e9"],
+    "eig": ["--domain", "ball(0,0,1)", "--l0", "2", "--L", "3", "--tol", "0.1",
+            "--B", "3", "--m", "2", "--pilot", "8", "--fixed-accuracy"],
+    "variance-study": [*CUSTOM, "--l0", "2", "--L", "3", "--samples", "8"],
+    "cost-study": [*CUSTOM, "--l0", "2", "--L", "3", "--eps-list", "0.2",
+                   "--pilot", "8", "--max-cost", "0"],
+    "check-assumptions": ["--domain", "box(0,0,1,1)", "--which", "I1", "--mu",
+                          "1", "--t", "1", "--A", "1e4", "--M", "100", "--J",
+                          "2"],
+}
+
+# A solve manifest written before each command took only its own options:
+# every RunConfig option, 24 keys with `command`.
+OLD_SOLVE_MANIFEST = """\
+command = solve
+alpha = 1.0
+problem = custom
+f_expr = 1 + 0*x
+g_expr = 0*x
+domain = box(0,0,1,1)
+l0 = 2
+L = 3
+eps = 0.1
+tol = 0.01
+B = 3.0
+m = 5
+seed = 4
+pilot = 16
+samples = 256
+eps_list = 0.1
+which = I2
+mu = 1.0
+t = 1.0
+A = 10000.0
+M = 1000000
+J = 20
+max_cost = 1000000000.0
+fixed_accuracy = False
+# fracwos 0.1.0, numpy 2.4.6
+# levels = 2..3
+# V_per_level = [0.006578150806632836, 0.0090602741514119]
+# C_per_level = [10.3125, 76.6875]
+# M_per_level = [6, 3]
+# samples = [16, 16]
+# total_cost = 1392
+# stat_error_est = 0.000977401559877796
+# c1_hat = 0.8213358705284025
+"""
+OLD_EIG_MANIFEST = """\
+command = eig
+alpha = 1.0
+problem = example1
+domain = ball(0,0,1)
+l0 = 2
+L = 3
+eps = 0.01
+tol = 0.1
+B = 3.0
+m = 2
+seed = 6
+pilot = 16
+samples = 256
+which = I2
+mu = 1.0
+t = 1.0
+A = 10000.0
+M = 1000000
+J = 20
+max_cost = 0.0
+fixed_accuracy = True
+# fracwos 0.1.0, numpy 2.4.6
+# lambda = 1.9520743951143682
+# theta = 0.5122755579924565
+# residual = 0.031052078663130252
+# iterations = 2
+# total_cost = 3200
+"""
+
+
+def manifest_keys(path):
+    return [line.split(" = ")[0] for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+
+
+class TestOwnOptions:
+    @pytest.mark.parametrize("command", OWN_OPTIONS)
+    def test_foreign_flags_rejected(self, tmp_path, capsys, command):
+        read = {"alpha", "seed", "out", *OWN_OPTIONS[command]}
+        foreign = [name for name in ALL_OPTIONS if name not in read]
+        assert len(foreign) == 24 - len(read)
+        for name in foreign:
+            flag = "--" + name.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, "1", "--out", str(tmp_path / "o")])
+            assert exc.value.code == 2, flag
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", OWN_OPTIONS)
+    def test_manifest_records_own_options(self, tmp_path, command):
+        r = run_cli([command, *FULL_ARGS[command], "--alpha", "1.0", "--seed",
+                     "1", "--out", "o"], tmp_path)
+        assert_ok(r)
+        keys = manifest_keys(tmp_path / "o" / "manifest.txt")
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {"command", "alpha", "seed", *OWN_OPTIONS[command]}
+
+    @pytest.mark.parametrize("command, text, own_args, output", [
+        ("solve", OLD_SOLVE_MANIFEST,
+         ["--problem", "custom", "--f-expr", "1 + 0*x", "--g-expr", "0*x",
+          "--domain", "box(0,0,1,1)", "--alpha", "1.0", "--l0", "2", "--L",
+          "3", "--eps", "0.1", "--pilot", "16", "--max-cost", "1e9",
+          "--seed", "4"], "solution.csv"),
+        ("eig", OLD_EIG_MANIFEST,
+         ["--domain", "ball(0,0,1)", "--alpha", "1.0", "--l0", "2", "--L",
+          "3", "--tol", "0.1", "--B", "3", "--m", "2", "--pilot", "16",
+          "--fixed-accuracy", "--seed", "6"], "iters.csv"),
+    ], ids=["solve", "eig"])
+    def test_old_full_manifest_reruns(self, tmp_path, command, text,
+                                      own_args, output):
+        (tmp_path / "old.txt").write_text(text)
+        r = run_cli([command, "--config", "old.txt", "--out", "c"], tmp_path)
+        assert_ok(r)
+        ignored = [key for key in manifest_keys(tmp_path / "old.txt")
+                   if key not in {"command", "alpha", "seed",
+                                  *OWN_OPTIONS[command]}]
+        notes = [line for line in r.stderr.splitlines()
+                 if "ignores config keys" in line]
+        assert len(notes) == 1
+        assert notes[0].rsplit(": ", 1)[1].split(", ") == ignored
+        assert_ok(run_cli([command, *own_args, "--out", "f"], tmp_path))
+        assert (tmp_path / "c" / output).read_bytes() \
+            == (tmp_path / "f" / output).read_bytes()
+        # the new manifest is the old one without the ignored lines
+        kept = [line for line in text.splitlines() if not line.startswith("#")
+                and line.split(" = ")[0] not in ignored]
+        new = (tmp_path / "c" / "manifest.txt").read_text().splitlines()
+        assert [line for line in new if not line.startswith("#")] == kept
+
+    def test_workers_key_still_rejected(self, tmp_path):
+        (tmp_path / "old.txt").write_text(OLD_SOLVE_MANIFEST + "workers = 2\n")
+        r = run_cli(["solve", "--config", "old.txt", "--out", "w"], tmp_path)
+        assert r.returncode == 1
+        assert "fracwos: error: unknown config key 'workers'" in r.stderr
+        assert not (tmp_path / "w").exists()

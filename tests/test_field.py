@@ -4,7 +4,7 @@ import pytest
 from fracwos.field import (FieldMoments, InsufficientSamplesError,
                            batch_defects, field_values, mass_matrix, mass_norm,
                            walk_starts)
-from fracwos.geometry import Ball, box
+from fracwos.geometry import Ball, ConvexPolygon, box
 from fracwos.problems import Problem, by_name
 from fracwos.sampling import (MaxStepsExceededError, point_estimate,
                               reg_inc_beta, walk)
@@ -196,6 +196,24 @@ class TestWalkStarts:
         if block > 1:
             assert any(live[n] < live[n - 1] for n in range(1, len(live))
                        if n % block)
+
+    def test_polygon_values_do_not_depend_on_batch(self):
+        # a key's walk has the same bits whether it shares the call with 399
+        # other keys or walks alone; on this pentagon, distances taken as a
+        # matmul of points by edge normals were rounded by row count
+        pentagon = ConvexPolygon([[1.0, 0.0], [0.309017, 0.951057],
+                                  [-0.809017, 0.587785],
+                                  [-0.809017, -0.587785],
+                                  [0.309017, -0.951057]])
+        prob = Problem(alpha=1.0, domain=pentagon,
+                       f=lambda pts: np.ones(np.asarray(pts).shape[:-1]),
+                       g=lambda pts: np.asarray(pts)[..., 0])
+        start, keys = np.array([[0.1, 0.2]]), derive_key(3, np.arange(400))
+        vals, _ = walk_starts(start, prob, keys)
+        alone = [walk_starts(start, prob, keys[k:k + 1])[0][0, 0]
+                 for k in range(keys.size)]
+        assert vals[:, 0].view(np.uint64).tolist() \
+            == np.array(alone).view(np.uint64).tolist()
 
     def test_max_steps_error(self, monkeypatch):
         prob = by_name("example1", 1.9)

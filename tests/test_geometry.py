@@ -158,7 +158,7 @@ class TestProperties:
         # `_contains`, so the two must agree element by element
         pts = data.draw(st.lists(point_near(domain), min_size=1, max_size=20))
         pts = np.array(pts, dtype=np.float64)
-        with np.errstate(invalid="ignore"):  # inf * 0 in the polygon's matmul
+        with np.errstate(invalid="ignore"):  # inf * 0 in the polygon's edge products
             np.testing.assert_array_equal(domain._contains(pts),
                                           domain._distance(pts) > 0.0)
 
