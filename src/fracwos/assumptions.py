@@ -110,12 +110,15 @@ def check_I2(cfg: AssumptionConfig, pairs: np.ndarray | None = None,
         d0y = float(cfg.domain.distance(y0))
 
         def batch(beta, theta):
-            jump = theta / np.sqrt(beta)[:, None]
-            x1 = x0 + d0x * jump
-            y1 = y0 + d0y * jump
-            both = np.asarray(cfg.domain._contains(x1)) \
-                & np.asarray(cfg.domain._contains(y1))
-            r1 = np.hypot(x1[:, 0] - y1[:, 0], x1[:, 1] - y1[:, 1])
+            # jump, x1 and y1 as an x row and a y row
+            jump = np.divide(theta.T, np.sqrt(beta), out=np.empty((2, beta.size)))
+            x1 = d0x * jump
+            x1 += x0[:, None]
+            y1 = d0y * jump
+            y1 += y0[:, None]
+            both = np.asarray(cfg.domain._contains(x1.T)) \
+                & np.asarray(cfg.domain._contains(y1.T))
+            r1 = np.hypot(x1[0] - y1[0], x1[1] - y1[1])
             return np.where(both, (r1 / r0) ** expo, 0.0)
 
         per_start.append(_estimate(cfg, _LABEL_I2, j, batch))
@@ -137,8 +140,10 @@ def check_I1(cfg: AssumptionConfig,
         phi0 = max(cfg.A, d0 ** -cfg.t)
 
         def batch(beta, theta):
-            x1 = x0 + theta * (d0 / np.sqrt(beta))[:, None]
-            d1 = cfg.domain._distance(x1)
+            x1 = np.multiply(theta.T, d0 / np.sqrt(beta),
+                             out=np.empty((2, beta.size)))
+            x1 += x0[:, None]
+            d1 = cfg.domain._distance(x1.T)
             inside = d1 > 0.0
             vals = np.zeros(beta.size)
             vals[inside] = np.maximum(cfg.A, d1[inside] ** -cfg.t) / phi0

@@ -13,9 +13,11 @@ L2 norm of the mass matrix, sqrt(v' M v).
 
 The walk itself is :func:`fracwos.sampling.walk`: K independent
 realizations (one key each) times V start vertices run as one flat array
-program, with exited paths compressed away each step.  Step tuples depend
-only on (key, step), so results are bit-identical no matter how
-realizations are batched.  :func:`walk_starts` draws them in blocks of
+program, with exited paths compressed away each step.  Its state is 1-D:
+positions are a (2, K V) array, an x row and a y row, and each step
+gathers the tuple columns of a walk's realization as 1-D arrays.  Step
+tuples depend only on (key, step), so results are bit-identical no matter
+how realizations are batched.  :func:`walk_starts` draws them in blocks of
 _TUPLE_BLOCK steps, one `step_tuples` call per block, so the values do not
 depend on the block width either.
 """

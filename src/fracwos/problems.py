@@ -3,9 +3,12 @@
 Each problem bundles the fractional order, the domain, the interior source
 f, the exterior data g (defined on the whole complement, not just the
 boundary), and, where known, the exact solution for error reporting.
-Scalar fields are vectorized callables mapping an (N, 2) point array to an
-(N,) value array; g must accept arbitrary finite points since the
-alpha-stable exit overshoots the boundary.
+Scalar fields are vectorized callables mapping an (N, 2) float64 point
+array to an (N,) value array; the array may be a strided view (the walk
+passes the transpose of its (2, N) positions).  Fields must be elementwise:
+a point's value may not depend on the other points in the call, which is
+what makes walk values independent of batching.  g must accept arbitrary
+finite points since the alpha-stable exit overshoots the boundary.
 """
 
 from __future__ import annotations

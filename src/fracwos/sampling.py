@@ -132,6 +132,9 @@ def walk(starts: np.ndarray, problem, count: int, draw):
     (values (count, V), cost), the cost being the number of jumps (0 for a
     start already outside).  A walk still inside after MAX_WALK_STEPS jumps
     raises MaxStepsExceededError.
+
+    The live walks' state is 1-D: positions are a (2, n) array, an x row
+    and a y row, and the domain, f and g get its (n, 2) view pos.T.
     """
     starts = np.asarray(starts, dtype=np.float64)
     nv = starts.shape[0]
@@ -139,18 +142,20 @@ def walk(starts: np.ndarray, problem, count: int, draw):
     params = problem.params
     inv_alpha = 1.0 / alpha
 
-    pos = np.broadcast_to(starts[None, :, :], (count, nv, 2)).reshape(-1, 2).copy()
+    pos = np.tile(starts.T, count)
     slot = np.arange(count * nv)
     acc = np.zeros(count * nv)
     out = np.empty(count * nv)
     cost = 0
     for n in range(MAX_WALK_STEPS + 1):
-        d = problem.domain._distance(pos)
+        d = problem.domain._distance(pos.T)
         inside = d > 0.0
         if not inside.all():
             left = ~inside
-            out[slot[left]] = np.asarray(problem.g(pos[left])) + acc[left]
-            pos, slot, acc, d = pos[inside], slot[inside], acc[inside], d[inside]
+            out[slot[left]] = np.asarray(
+                problem.g(np.compress(left, pos, axis=1).T)) + acc[left]
+            pos = np.compress(inside, pos, axis=1)
+            slot, acc, d = slot[inside], acc[inside], d[inside]
         if not slot.size:
             break
         if n == MAX_WALK_STEPS:
@@ -162,23 +167,31 @@ def walk(starts: np.ndarray, problem, count: int, draw):
         rows = smp if nv == 1 else smp[np.r_[True, smp[1:] != smp[:-1]]]
         beta, theta, s, phi = draw(n, rows)
         weight = reg_inc_beta(1.0 - s ** (2.0 * inv_alpha), alpha)
-        s_rad = s ** inv_alpha
+        cols = (beta, theta[:, 0], theta[:, 1], s ** inv_alpha, weight,
+                phi[:, 0], phi[:, 1])
         at = slice(None)
         if rows.size < smp.size:
             # several walks per realization: index the tuples by realization
-            beta, theta, s_rad, weight, phi = (
-                _scatter(v, rows, count) for v in (beta, theta, s_rad, weight, phi))
+            cols = tuple(_scatter(v, rows, count) for v in cols)
             at = smp
-        fx = problem.f(pos)
-        fy = problem.f(pos + (d * s_rad[at])[:, None] * phi[at])
+        beta, theta_x, theta_y, s_rad, weight, phi_x, phi_y = cols
+        # the source point x + (d S^(1/alpha)) Phi, formed in place
+        src = np.stack((phi_x[at], phi_y[at]))
+        src *= d * s_rad[at]
+        src += pos
+        fy = problem.f(src.T)
+        del src  # freed before f(x) and the sum run
+        fx = problem.f(pos.T)
         acc += params.a1 * d ** alpha * ((fy - fx) * weight[at] + params.a2 * fx)
-        del fx, fy  # freed before the next step compacts its arrays
-        pos = pos + (d / np.sqrt(beta[at]))[:, None] * theta[at]
+        del fx, fy  # freed before the jump
+        r = d / np.sqrt(beta[at])
+        pos[0] += r * theta_x[at]
+        pos[1] += r * theta_y[at]
     return out.reshape(count, nv), cost
 
 
 def _scatter(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
-    full = np.empty((count,) + values.shape[1:])
+    full = np.empty(count)
     full[rows] = values
     return full
 

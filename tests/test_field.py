@@ -1,10 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from fracwos import mlmc
+from fracwos.cli import ExprField
 from fracwos.field import (FieldMoments, InsufficientSamplesError,
                            batch_defects, field_values, mass_matrix, mass_norm,
                            walk_starts)
 from fracwos.geometry import Ball, ConvexPolygon, box
+from fracwos.mesh import build_hierarchy, interpolate, square_ball_base
 from fracwos.problems import Problem, by_name
 from fracwos.sampling import (MaxStepsExceededError, point_estimate,
                               reg_inc_beta, walk)
@@ -49,6 +54,21 @@ def replay(start, key, problem):
         if not dom.contains(x)[0]:
             break
     return float(problem.g(x)[0]) + acc, n
+
+
+_PENTAGON = ConvexPolygon([[1.0, 0.0], [0.309017, 0.951057],
+                           [-0.809017, 0.587785], [-0.809017, -0.587785],
+                           [0.309017, -0.951057]])
+
+
+def _pentagon_problem(alpha):
+    return Problem(alpha=alpha, domain=_PENTAGON,
+                   f=lambda pts: np.ones(np.asarray(pts).shape[:-1]),
+                   g=lambda pts: np.asarray(pts)[..., 0])
+
+
+def _sha(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
 class TestSampleField:
@@ -201,13 +221,7 @@ class TestWalkStarts:
         # a key's walk has the same bits whether it shares the call with 399
         # other keys or walks alone; on this pentagon, distances taken as a
         # matmul of points by edge normals were rounded by row count
-        pentagon = ConvexPolygon([[1.0, 0.0], [0.309017, 0.951057],
-                                  [-0.809017, 0.587785],
-                                  [-0.809017, -0.587785],
-                                  [0.309017, -0.951057]])
-        prob = Problem(alpha=1.0, domain=pentagon,
-                       f=lambda pts: np.ones(np.asarray(pts).shape[:-1]),
-                       g=lambda pts: np.asarray(pts)[..., 0])
+        prob = _pentagon_problem(1.0)
         start, keys = np.array([[0.1, 0.2]]), derive_key(3, np.arange(400))
         vals, _ = walk_starts(start, prob, keys)
         alone = [walk_starts(start, prob, keys[k:k + 1])[0][0, 0]
@@ -223,6 +237,109 @@ class TestWalkStarts:
         monkeypatch.setattr("fracwos.sampling.MAX_WALK_STEPS", 3)
         with pytest.raises(MaxStepsExceededError):
             walk_starts(starts, prob, keys)
+
+
+class TestGoldenBits:
+    """Pinned field-walker bits: a change to the walk state's layout, the
+    streams or the step arithmetic must leave these values bit-identical.
+    Level-3 interior starts of the unit-ball mesh, 64 keys, so 21 walks
+    share each realization's tuples and the tuple scatter runs."""
+
+    @pytest.fixture(scope="class")
+    def hier4(self, ball):
+        return build_hierarchy(square_ball_base(ball), 4, domain=ball)
+
+    @pytest.mark.parametrize("alpha, digest, steps", [
+        (0.05, "0ff291f6d102f29cdc3da040b549a89559a89b68b0dcad8fe329819f7b6a860a", 1365),
+        (1.0, "c73d54c7b9c0d6deecf45ecd50e03caf163b18e27f730cb0df06050a4e2ba311", 3360),
+        (1.95, "e7cb3076379e994bbb395b5f3b34768d8c248118c037f1b661f07e2a42fbca40", 43546)])
+    def test_walk_starts_ball(self, hier4, alpha, digest, steps):
+        lvl = hier4.level(3)
+        vals, cost = walk_starts(lvl.vertices[lvl.interior_mask],
+                                 by_name("example3", alpha),
+                                 derive_key(29, np.arange(64)))
+        assert (_sha(vals), cost) == (digest, steps)
+
+    @pytest.mark.parametrize("alpha, digest, steps", [
+        (0.05, "962dfa01a1e3d5b02368384cb456d31a853d3a4b5f4be4ce9a067cc09a191f47", 1389),
+        (1.0, "cd3fbe25f22be1ad99195f08b9919174d0d68dd42df34e527bea362b375d04a6", 3930),
+        (1.95, "9b3c3151577585cf9b7ccfa0e811e3231a0789d396e0877a797926bc32402e20", 46663)])
+    def test_walk_starts_pentagon(self, hier4, alpha, digest, steps):
+        verts = hier4.level(3).vertices
+        vals, cost = walk_starts(verts[_PENTAGON.contains(verts)],
+                                 _pentagon_problem(alpha),
+                                 derive_key(29, np.arange(64)))
+        assert (_sha(vals), cost) == (digest, steps)
+
+    def test_mlmc_solution(self, hier4, ex2):
+        res = mlmc.run(hier4, ex2, eps=0.05, l0=2, seed=5)
+        assert _sha(res.solution.values) == \
+            "1e37bfad811331672fc3d86e08cb815a1c3e31ff0118a4b7fa01e55eddffffde"
+        assert res.total_cost == 58414
+
+
+class TestLayoutContract:
+    """The walk hands f, g and the domain its positions as the transposed
+    view of a (2, n) array.  numpy picks its SIMD loops by stride, so every
+    field the package builds must give the same bits on that view as on a
+    C-contiguous (n, 2) copy."""
+
+    @staticmethod
+    def views(n=4099, seed=3):
+        rows = np.random.default_rng(seed).uniform(-1.2, 1.2, (2, n))
+        return rows.T, np.ascontiguousarray(rows.T)
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("expr", [
+        "sin(3*x) + cos(y)", "exp(x) - log(r2)", "sqrt(r2) * tanh(y)",
+        "abs(x - y) * pi", "maximum(x, y) + minimum(x, 2)",
+        "where(x > y, x * x, y / 3)", "x ** 3 + r2"])
+    def test_expr_fields(self, expr):
+        strided, packed = self.views()
+        field = ExprField(expr)
+        with np.errstate(all="ignore"):
+            self.assert_same_bits(field(strided), field(packed))
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
+    def test_example_sources(self, alpha):
+        strided, packed = self.views()
+        for name in ("example1", "example2", "example3"):
+            prob = by_name(name, alpha)
+            for fn in (prob.f, prob.g, prob.exact):
+                if fn is not None:
+                    self.assert_same_bits(fn(strided), fn(packed))
+
+    @pytest.mark.parametrize("domain", [Ball((0.1, -0.2), 0.9), _PENTAGON])
+    def test_domain_distance(self, domain):
+        strided, packed = self.views()
+        self.assert_same_bits(domain._distance(strided), domain._distance(packed))
+
+    def test_mesh_interpolate(self, hier6):
+        lvl = hier6.level(5)
+        strided, packed = self.views()
+        strided, packed = strided / 1.3, packed / 1.3  # inside the mesh
+        vals = np.random.default_rng(5).standard_normal(lvl.num_vertices)
+        self.assert_same_bits(interpolate(lvl, vals, strided),
+                              interpolate(lvl, vals, packed))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_walk_starts_with_packed_points(self, hier6, alpha):
+        def packed(fn):
+            return lambda pts: fn(np.ascontiguousarray(pts))
+
+        lvl = hier6.level(3)
+        starts, keys = lvl.vertices[lvl.interior_mask], derive_key(8, np.arange(16))
+        for prob in (by_name("example3", alpha), _pentagon_problem(alpha)):
+            copy = Problem(alpha=alpha, domain=prob.domain,
+                           f=packed(prob.f), g=packed(prob.g))
+            vals, cost = walk_starts(starts, prob, keys)
+            vals_c, cost_c = walk_starts(starts, copy, keys)
+            self.assert_same_bits(vals, vals_c)
+            assert cost == cost_c
 
 
 class TestSamplePair:
