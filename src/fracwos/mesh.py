@@ -8,18 +8,23 @@ exact midpoint of one coarse edge.  The depth-D descendants of a base
 triangle are therefore the cells of a uniform 2^D grid in its barycentric
 coordinates, and point location is a brute-force search over the few base
 triangles followed by one lookup in a per-level grid table: constant work
-per point at any depth, vectorized over many query points.
+per point at any depth, vectorized over many query points.  The first
+`locate` on a level builds its table (the grid, and every triangle's corner
+indices, corner coordinates and determinant, each in contiguous rows), so a
+query gathers whole rows and repeats no per-triangle arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Ball, Domain, unit_ball
 
 _BARY_TOL = 1e-12
+_BLOCK = 1 << 13  # points per locate call in interpolate
 
 
 class PointOutsideMeshError(ValueError):
@@ -42,7 +47,7 @@ class MeshLevel:
     interior_mask: np.ndarray | None = None   # vertex strictly inside domain
     parent: "MeshLevel | None" = None
     _areas: np.ndarray | None = field(default=None, repr=False)
-    _cells: np.ndarray | None = field(default=None, repr=False)  # built by locate
+    _table: "_LocateTable | None" = field(default=None, repr=False)  # built by locate
 
     @property
     def num_vertices(self) -> int:
@@ -235,31 +240,44 @@ def build_hierarchy(base: MeshLevel, finest_level: int,
     return MeshHierarchy(levels=levels, parent_edges=edges, domain=domain)
 
 
+def _det(x1, y1, x2, y2, x3, y3):
+    """Twice the signed area of triangle 1-2-3."""
+    return (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+
+
 def _bary(x1, y1, x2, y2, x3, y3, px, py):
     """First two barycentric coordinates of (px, py) in triangle 1-2-3."""
-    det = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    det = _det(x1, y1, x2, y2, x3, y3)
     w1 = ((x2 - px) * (y3 - py) - (y2 - py) * (x3 - px)) / det
     w2 = ((x3 - px) * (y1 - py) - (y3 - py) * (x1 - px)) / det
     return w1, w2
 
 
-# Gathers go column by column through 1-D indexing: a (P, 3) index into the
-# (N, 2) vertex array is several times slower, and np.take first copies a
-# strided column, which dominates for the many small queries of a walk.
+class _LocateTable(NamedTuple):
+    """What `locate` reads of one level, each part in contiguous rows."""
 
-def _corners(level: MeshLevel, tri: np.ndarray):
-    """Vertex index columns of the given triangles."""
-    t = level.triangles
-    return t[:, 0][tri], t[:, 1][tri], t[:, 2][tri]
+    cells: np.ndarray      # fine triangle of every barycentric grid half-cell
+    corners: np.ndarray    # (3, T) vertex indices of corners 1, 2, 3
+    coords: np.ndarray     # (3, 2, T) x and y of corners 2, 3, 1: pairs (2, 3)
+                           # and (3, 1) are adjacent slices
+    det: np.ndarray        # (T,) _det of every triangle
 
 
-def _coords(level: MeshLevel, tri: np.ndarray):
-    """Corner coordinates x1, y1, x2, y2, x3, y3 of the given triangles."""
-    x, y = level.vertices[:, 0], level.vertices[:, 1]
-    out = []
-    for c in _corners(level, tri):
-        out += [x[c], y[c]]
-    return out
+def _root(level: MeshLevel) -> MeshLevel:
+    while level.parent is not None:
+        level = level.parent
+    return level
+
+
+def _table(level: MeshLevel) -> _LocateTable:
+    """The level's location table, built on first use."""
+    if level._table is None:
+        corners = np.ascontiguousarray(level.triangles.T)
+        xy = level.vertices[corners].transpose(0, 2, 1)    # (3, 2, T)
+        level._table = _LocateTable(
+            _cell_table(level, _root(level)), corners,
+            np.ascontiguousarray(xy[[1, 2, 0]]), _det(*xy.reshape(6, -1)))
+    return level._table
 
 
 def _cell_table(level: MeshLevel, base: MeshLevel) -> np.ndarray:
@@ -278,7 +296,8 @@ def _cell_table(level: MeshLevel, base: MeshLevel) -> np.ndarray:
     owner = fine // (n * n)        # descendants of b are b n^2 .. (b + 1) n^2 - 1
     cx = level.vertices[level.triangles, 0].mean(axis=1)
     cy = level.vertices[level.triangles, 1].mean(axis=1)
-    w1, w2 = _bary(*_coords(base, owner), cx, cy)
+    xy = base.vertices[base.triangles[owner]].reshape(-1, 6)   # x1, y1, ...
+    w1, w2 = _bary(*xy.T, cx, cy)
     s, t = n * w1, n * w2
     i, j = np.floor(s).astype(np.int64), np.floor(t).astype(np.int64)
     o = ((s - i) + (t - j) >= 1.0).astype(np.int64)
@@ -293,6 +312,49 @@ def _cell_table(level: MeshLevel, base: MeshLevel) -> np.ndarray:
     return table.ravel()
 
 
+def _base_search(base: MeshLevel, pxy: np.ndarray):
+    """Base triangle and its (w1, w2) rows for points given as (x, y) rows.
+
+    A triangle's score is its smallest barycentric coordinate and the first
+    best triangle wins.  This is _bary's arithmetic on offsets that each
+    base vertex takes once; triangles that share an edge share its cross
+    product, since (v, u)'s is exactly the negative of (u, v)'s.  Points
+    whose best score is below the tolerance, or NaN, raise.
+    """
+    det = _table(base).det.tolist()
+    d = base.vertices[:, :, None] - pxy            # (V, 2, P) offsets
+    dx, dy = d[:, 0], d[:, 1]
+    size = pxy.shape[1]
+    w = np.empty((2, base.num_triangles, size))    # w1 and w2 rows
+    cross = {}
+    for k, (a, b, c) in enumerate(base.triangles.tolist()):
+        for out, u, v in ((w[0, k], b, c), (w[1, k], c, a)):
+            if (v, u) in cross:
+                np.divide(cross[v, u], -det[k], out=out)
+            else:
+                cross[u, v] = uv = dx[u] * dy[v]
+                uv -= dy[u] * dx[v]
+                np.divide(uv, det[k], out=out)
+    del d, dx, dy, cross
+    worst = np.subtract(1.0, w[0])
+    worst -= w[1]
+    np.minimum(worst, w[0], out=worst)
+    np.minimum(worst, w[1], out=worst)
+    best = np.fmax(worst[0], -np.inf)              # NaN scores never win
+    tri = np.zeros(size, dtype=np.min_scalar_type(len(worst)))
+    better = np.empty(size, dtype=bool)
+    for k in range(1, len(worst)):
+        np.greater(worst[k], best, out=better)
+        np.fmax(best, worst[k], out=best)
+        # the last triangle to beat all before it; small ints pass quickly
+        np.maximum(tri, better * tri.dtype.type(k), out=tri)
+    bad = best < -_BARY_TOL * max(base.mesh_width, 1.0)
+    if bad.any():
+        raise PointOutsideMeshError(pxy.T[bad])
+    tri = tri.astype(np.intp)
+    return tri, np.take(w.reshape(2, -1), tri * size + np.arange(size), axis=1)
+
+
 def locate(level: MeshLevel, p):
     """Containing triangle and barycentric coordinates for query points.
 
@@ -300,70 +362,72 @@ def locate(level: MeshLevel, p):
     PointOutsideMeshError when barycentric coordinates fall below -1e-12
     (or a point is not finite).  The base level is searched by brute force;
     the base barycentric coordinates then index the level's grid table
-    directly, so the cost does not grow with depth.
+    directly, so the cost does not grow with depth.  The first call on a
+    level builds its table: the grid, and each triangle's corners, corner
+    coordinates and determinant, all as contiguous rows.  The (P, 3)
+    weights are a view of three contiguous rows.
     """
     pts = np.asarray(p, dtype=np.float64)
     single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    px = np.ascontiguousarray(pts[:, 0])
-    py = np.ascontiguousarray(pts[:, 1])
-    base = level
-    while base.parent is not None:
-        base = base.parent
+    pxy = np.atleast_2d(pts).T                     # (2, P): x row, y row
+    base = _root(level)
+    tri, st = _base_search(base, pxy)
 
-    # brute-force the base level (it is small); first best triangle wins
-    best = np.full(px.shape, -np.inf)
-    tri = np.zeros(px.shape, dtype=np.int64)
-    b1 = np.zeros(px.shape)
-    b2 = np.zeros(px.shape)
-    for k, corners in enumerate(base.vertices[base.triangles].tolist()):
-        (x1, y1), (x2, y2), (x3, y3) = corners
-        w1, w2 = _bary(x1, y1, x2, y2, x3, y3, px, py)
-        worst = np.minimum(np.minimum(w1, w2), 1.0 - w1 - w2)
-        better = worst > best
-        np.copyto(best, worst, where=better)
-        np.copyto(b1, w1, where=better)
-        np.copyto(b2, w2, where=better)
-        np.copyto(tri, k, where=better)
-    bad = best < -_BARY_TOL * max(base.mesh_width, 1.0)
-    if bad.any():
-        raise PointOutsideMeshError(pts[bad])
-
-    if level._cells is None:
-        level._cells = _cell_table(level, base)
+    # the grid cell of the base coordinates (s, t) = n (w1, w2)
     n = 1 << (level.level - base.level)
-    s, t = n * b1, n * b2
-    i = np.clip(s.astype(np.int64), 0, n - 1)
-    j = np.clip(t.astype(np.int64), 0, n - 1)
-    o = (s - i) + (t - j) >= 1.0
-    tri = level._cells[((tri * n + i) * n + j) * 2 + o]
+    st *= n
+    ij = st.astype(np.intp)
+    np.maximum(ij, 0, out=ij)
+    np.minimum(ij, n - 1, out=ij)
+    st -= ij
+    tri *= 2 * n * n
+    tri += (2 * n) * ij[0]
+    tri += 2 * ij[1]
+    tri += st[0] + st[1] >= 1.0
+    tab = _table(level)
+    tri = tab.cells[tri]
 
-    w1, w2 = _bary(*_coords(level, tri), px, py)
-    w3 = 1.0 - w1 - w2
-    bad = np.minimum(np.minimum(w1, w2), w3) < -_BARY_TOL
+    # _bary's arithmetic on the fine corners' offsets from the points
+    d = np.take(tab.coords, tri, axis=2)          # corners 2, 3, 1
+    d -= pxy
+    w = np.empty((3, pxy.shape[1]))
+    np.multiply(d[:2, 0], d[1:, 1], out=w[:2])     # dx2 dy3, dx3 dy1
+    w[:2] -= d[:2, 1] * d[1:, 0]                   # dy2 dx3, dy3 dx1
+    w[:2] /= tab.det[tri]
+    np.subtract(1.0, w[0], out=w[2])
+    w[2] -= w[1]
+    bad = w.min(axis=0) < -_BARY_TOL
     if bad.any():
-        raise PointOutsideMeshError(pts[bad])
-    # clamp each column; the divisor adds left to right, and eig's bits rely on it
-    w = np.empty((px.size, 3))
-    for k, col in enumerate((w1, w2, w3)):
-        np.maximum(col, 0.0, out=w[:, k])
-    w /= ((w[:, 0] + w[:, 1]) + w[:, 2])[:, None]
+        raise PointOutsideMeshError(pxy.T[bad])
+    # clamp, then divide by the sum taken left to right; eig's bits rely on it
+    np.maximum(w, 0.0, out=w)
+    w /= (w[0] + w[1]) + w[2]
     if single:
-        return int(tri[0]), w[0]
-    return tri, w
+        return int(tri[0]), w[:, 0]
+    return tri, w.T
 
 
 def interpolate(level: MeshLevel, f, p):
-    """Piecewise-linear interpolant of vertex values, evaluated at p."""
+    """Piecewise-linear interpolant of vertex values, evaluated at p.
+
+    Points are located _BLOCK at a time: past that, numpy's fresh
+    temporaries cost more in page faults than in arithmetic.  The first
+    block with a point outside the mesh raises PointOutsideMeshError.
+    """
     vals = _values(f)
     if vals.shape[0] != level.num_vertices:
         raise ValueError("field length does not match mesh level")
     pts = np.asarray(p, dtype=np.float64)
     single = pts.ndim == 1
-    tri, w = locate(level, np.atleast_2d(pts))
-    f1, f2, f3 = (vals[c] for c in _corners(level, tri))
-    # summed in the order of einsum("pk,pk->p"), which this replaced
-    out = (w[:, 0] * f1 + w[:, 2] * f3) + w[:, 1] * f2
+    pts = np.atleast_2d(pts)
+    out = np.empty(pts.shape[0])
+    for lo in range(0, pts.shape[0], _BLOCK):
+        tri, w = locate(level, pts[lo:lo + _BLOCK])
+        fw = vals[np.take(_table(level).corners, tri, axis=1)]   # (3, P)
+        fw *= w.T
+        # summed in the order of einsum("pk,pk->p"), which this replaced
+        np.add(fw[0], fw[2], out=out[lo:lo + _BLOCK])
+        out[lo:lo + _BLOCK] += fw[1]
     return float(out[0]) if single else out
 
 

@@ -166,15 +166,15 @@ def walk(starts: np.ndarray, problem, count: int, draw):
         smp = slot if nv == 1 else slot // nv
         rows = smp if nv == 1 else smp[np.r_[True, smp[1:] != smp[:-1]]]
         beta, theta, s, phi = draw(n, rows)
-        weight = reg_inc_beta(1.0 - s ** (2.0 * inv_alpha), alpha)
-        cols = (beta, theta[:, 0], theta[:, 1], s ** inv_alpha, weight,
+        cols = (beta, theta[:, 0], theta[:, 1], s ** inv_alpha,
                 phi[:, 0], phi[:, 1])
         at = slice(None)
-        if rows.size < smp.size:
+        scatter = rows.size < smp.size
+        if scatter:
             # several walks per realization: index the tuples by realization
             cols = tuple(_scatter(v, rows, count) for v in cols)
             at = smp
-        beta, theta_x, theta_y, s_rad, weight, phi_x, phi_y = cols
+        beta, theta_x, theta_y, s_rad, phi_x, phi_y = cols
         # the source point x + (d S^(1/alpha)) Phi, formed in place
         src = np.stack((phi_x[at], phi_y[at]))
         src *= d * s_rad[at]
@@ -182,8 +182,17 @@ def walk(starts: np.ndarray, problem, count: int, draw):
         fy = problem.f(src.T)
         del src  # freed before f(x) and the sum run
         fx = problem.f(pos.T)
-        acc += params.a1 * d ** alpha * ((fy - fx) * weight[at] + params.a2 * fx)
-        del fx, fy  # freed before the jump
+        diff = fy - fx
+        del fy
+        if diff.any():
+            # the weight only multiplies f(y) - f(x): a step where that is
+            # all zero (a constant f) keeps the same zeros without it
+            weight = reg_inc_beta(1.0 - s ** (2.0 * inv_alpha), alpha)
+            if scatter:
+                weight = _scatter(weight, rows, count)
+            diff = diff * weight[at]
+        acc += params.a1 * d ** alpha * (diff + params.a2 * fx)
+        del fx, diff  # freed before the jump
         r = d / np.sqrt(beta[at])
         pos[0] += r * theta_x[at]
         pos[1] += r * theta_y[at]

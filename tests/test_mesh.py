@@ -3,13 +3,14 @@ import pickle
 import numpy as np
 import pytest
 
+import fracwos.mesh
+from fracwos.cli import base_mesh_for
 from fracwos.field import batch_defects, mass_matrix, mass_norm
 from fracwos.geometry import Ball, ConvexPolygon, box, unit_ball
 from fracwos.mesh import (_BARY_TOL, FieldVector, PointOutsideMeshError, _bary,
-                          _cell_table, _coords, build_hierarchy, interpolate,
-                          locate, make_base, prolong, prolong_to,
-                          read_field_csv, refine, square_ball_base,
-                          write_field_csv)
+                          _cell_table, build_hierarchy, interpolate, locate,
+                          make_base, prolong, prolong_to, read_field_csv,
+                          refine, square_ball_base, write_field_csv)
 
 # degree-5 cubature on the reference triangle (7-point rule)
 _Q5_BARY = np.array([
@@ -129,7 +130,9 @@ def grid_locate_reference(level, pts):
     j = np.clip(t.astype(np.int64), 0, n - 1)
     o = (s - i) + (t - j) >= 1.0
     tri = _cell_table(level, base)[((tri * n + i) * n + j) * 2 + o]
-    w1, w2 = _bary(*_coords(level, tri), px, py)
+    x, y = level.vertices[:, 0], level.vertices[:, 1]
+    c1, c2, c3 = level.triangles[tri].T
+    w1, w2 = _bary(x[c1], y[c1], x[c2], y[c2], x[c3], y[c3], px, py)
     w = np.column_stack([w1, w2, 1.0 - w1 - w2])
     bad = w.min(axis=1) < -_BARY_TOL
     if bad.any():
@@ -435,12 +438,13 @@ class TestLocateForms:
     def test_table_is_lazy_and_survives_pickle(self, rng):
         hier = build_hierarchy(square_ball_base(), 4)
         lvl = hier.level(4)
-        assert lvl._cells is None          # building a hierarchy builds no table
+        assert lvl._table is None          # building a hierarchy builds no table
         pts = rng.uniform(-1.0, 1.0, (300, 2))
         tri, w = locate(lvl, pts)
-        assert lvl._cells is not None
+        assert lvl._table is not None
         back = pickle.loads(pickle.dumps(lvl))
-        np.testing.assert_array_equal(back._cells, lvl._cells)
+        for part, part_back in zip(lvl._table, back._table):
+            np.testing.assert_array_equal(part_back, part)
         tri2, w2 = locate(back, pts)
         np.testing.assert_array_equal(tri2, tri)
         np.testing.assert_array_equal(w2, w)
@@ -473,6 +477,97 @@ class TestSquareBallBase:
     def test_rejects_polygon(self):
         with pytest.raises(ValueError):
             square_ball_base(box(0.0, 0.0, 1.0, 1.0))
+
+
+def boundary_probes(polygon, rng, count=500):
+    """Points on a polygon's sides, and as many up to 2e-14 outside them."""
+    verts = polygon.vertices                      # counter-clockwise
+    edges = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])   # outward
+    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+    side = rng.integers(0, len(verts), count)
+    on = verts[side] + rng.uniform(0.0, 1.0, (count, 1)) * edges[side]
+    off = on + rng.uniform(0.0, 2e-14, (count, 1)) * normals[side]
+    return np.vstack([on, off])
+
+
+class TestInterpolateBits:
+    """`interpolate` gives the bits of the reference location followed by
+    the einsum-order sum (w1 f1 + w3 f3) + w2 f2, on the points as the walk
+    hands them over: the (P, 2) view of an (x row, y row) array."""
+
+    @pytest.fixture(scope="class")
+    def pentagon5(self):
+        return build_hierarchy(base_mesh_for(_PENTAGON), 5, domain=_PENTAGON)
+
+    def reference(self, level, vals, pts):
+        tri, w = grid_locate_reference(level, pts)
+        f = vals[level.triangles[tri]]
+        return (w[:, 0] * f[:, 0] + w[:, 2] * f[:, 2]) + w[:, 1] * f[:, 1]
+
+    def probes(self, level, domain, rng):
+        tv = level.vertices[level.triangles]
+        mids = np.unique(0.5 * (tv + np.roll(tv, -1, axis=1)).reshape(-1, 2),
+                         axis=0)
+        inside = domain.sample_uniform(rng, 4000)
+        return np.vstack([inside, level.vertices, mids,
+                          boundary_probes(domain, rng)])
+
+    def check(self, level, domain, rng, monkeypatch):
+        pts = self.probes(level, domain, rng)
+        rows = np.ascontiguousarray(pts.T)          # (2, P): x row, y row
+        vals = rng.normal(size=level.num_vertices)
+        ref = self.reference(level, vals, pts).view(np.uint64).tolist()
+        assert interpolate(level, vals, rows.T).view(np.uint64).tolist() == ref
+        # located in several calls, one a short tail
+        monkeypatch.setattr(fracwos.mesh, "_BLOCK", 997)
+        assert interpolate(level, vals, rows.T).view(np.uint64).tolist() == ref
+        tri0, w0 = grid_locate_reference(level, pts)
+        tri, w = locate(level, rows.T)
+        np.testing.assert_array_equal(tri, tri0)
+        assert w.view(np.uint64).tolist() == w0.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("ell", range(2, 7))
+    def test_unit_ball_levels(self, hier6, ell, rng, monkeypatch):
+        # the mesh covers the square around the ball: probe its sides
+        self.check(hier6.level(ell), box(-1.0, -1.0, 1.0, 1.0), rng,
+                   monkeypatch)
+
+    @pytest.mark.parametrize("ell", [1, 3, 5])
+    def test_pentagon_fan(self, pentagon5, ell, rng, monkeypatch):
+        base = pentagon5.level(1)
+        assert base.num_triangles == 5
+        # four distinct determinants; the square's four triangles share one
+        assert len(set(base.areas().tolist())) == 4
+        self.check(pentagon5.level(ell), _PENTAGON, rng, monkeypatch)
+
+    def test_nan_point_raises(self, hier6):
+        lvl = hier6.level(6)
+        vals = np.zeros(lvl.num_vertices)
+        for bad in ([np.nan, 0.1], [0.1, np.nan], [np.inf, 0.0]):
+            pts = np.array([[0.1, 0.2], bad, [-0.3, 0.4]])
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(PointOutsideMeshError):
+                interpolate(lvl, vals, pts)
+
+    def test_goes_through_module_locate(self, hier6, rng, monkeypatch):
+        """The per-layer trace wraps `mesh.locate`; interpolate must call it
+        there, or the traced locate time and point count read 0."""
+        located = []
+        real = fracwos.mesh.locate
+
+        def spy(level, p):
+            located.append(np.shape(p)[0])
+            return real(level, p)
+
+        monkeypatch.setattr(fracwos.mesh, "locate", spy)
+        lvl = hier6.level(5)
+        pts = rng.uniform(-0.9, 0.9, (2 * fracwos.mesh._BLOCK + 5, 2))
+        vals = rng.normal(size=lvl.num_vertices)
+        out = interpolate(lvl, vals, pts)
+        assert sum(located) == pts.shape[0] and len(located) == 3
+        monkeypatch.undo()
+        np.testing.assert_array_equal(out, interpolate(lvl, vals, pts))
 
 
 class TestInterpolate:

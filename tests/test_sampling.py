@@ -11,7 +11,7 @@ from scipy.special import betainc, beta as beta_fn, gamma
 
 import fracwos
 from fracwos.geometry import Ball, unit_ball
-from fracwos.problems import Problem, example1
+from fracwos.problems import Problem, example1, example2
 from fracwos.field import walk_starts
 from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
                               StableParams, make_params, point_estimate,
@@ -352,6 +352,45 @@ class TestOneGeometryQuery:
                                                       "_contains": 0}
 
 
+class TestWeightSkip:
+    """The walk computes the incomplete-beta weight only in steps where
+    f(y) - f(x), which it multiplies, is not all zero."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """reg_inc_beta calls, and walk-loop steps (draw calls)."""
+        counts = {"weight": 0, "steps": 0}
+        weight, kernel = reg_inc_beta, walk
+
+        def counting_weight(t, alpha):
+            counts["weight"] += 1
+            return weight(t, alpha)
+
+        def counting_walk(starts, problem, count, draw):
+            def counted_draw(n, rows):
+                counts["steps"] += 1
+                return draw(n, rows)
+            return kernel(starts, problem, count, counted_draw)
+
+        monkeypatch.setattr("fracwos.sampling.reg_inc_beta", counting_weight)
+        monkeypatch.setattr("fracwos.sampling.walk", counting_walk)
+        monkeypatch.setattr("fracwos.field.walk", counting_walk)
+        return counts
+
+    def run(self, problem):
+        point_estimate((0.3, 0.4), problem, 3000, seed=4)
+        starts = np.array([[0.2, 0.1], [-0.6, 0.3], [0.0, 0.95]])
+        walk_starts(starts, problem, derive_key(5, np.arange(20)))
+
+    def test_constant_source_never_weighs(self, counts):
+        self.run(example1(1.0))
+        assert counts["weight"] == 0 and counts["steps"] > 0
+
+    def test_varying_source_weighs_every_step(self, counts):
+        self.run(example2(1.0))
+        assert counts["weight"] == counts["steps"] > 0
+
+
 class TestPointEstimate:
     def test_constant_exterior_zero_source(self, ball):
         from fracwos.problems import Problem
@@ -395,6 +434,14 @@ class TestPointEstimate:
         est = point_estimate((0.4, -0.3), ex2, 40000, seed=12)
         assert est.mean.hex() == "0x1.4cb9c49731502p-1"
         assert est.variance.hex() == "0x1.cfddee6391efcp-3"
+        assert est.total_steps == 96250
+
+    def test_golden_bits_constant_source(self, ex1):
+        # example1's f is constant, so f(y) - f(x) is all zero and the walk
+        # skips the incomplete-beta weight; pinned before it did
+        est = point_estimate((0.4, -0.3), ex1, 40000, seed=12)
+        assert est.mean.hex() == "0x1.1a9b1d6b2e856p-1"
+        assert est.variance.hex() == "0x1.ccc5d7663e763p-4"
         assert est.total_steps == 96250
 
     def test_outside_returns_exterior_data(self, ex3):
