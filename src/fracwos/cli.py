@@ -170,7 +170,7 @@ def base_mesh_for(domain: Domain):
     v = np.vstack([verts, centroid])
     n = verts.shape[0]
     t = np.array([[i, (i + 1) % n, n] for i in range(n)])
-    return make_base(v, t, level=1, domain=domain)
+    return make_base(v, t, level=1)
 
 
 def build_problem(cfg: RunConfig) -> Problem:

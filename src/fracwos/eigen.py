@@ -206,9 +206,10 @@ def smallest_eigenvalue(alpha: float, hier: MeshHierarchy, tol: float,
     if workers != 1:
         raise ValueError("workers must be 1: sampling runs in this process")
     level = hier.level(hier.finest)
-    if level.interior_mask is None or not level.interior_mask.any():
+    inside = hier.domain is not None and hier.domain.contains(level.vertices)
+    if not np.any(inside):
         raise ValueError("hierarchy has no interior vertices")
-    v0 = level.interior_mask.astype(np.float64)
+    v0 = inside.astype(np.float64)
 
     def apply_op(vec, wtol, k):
         u, cost, _ = apply_inverse(vec, alpha, hier, wtol,

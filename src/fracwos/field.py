@@ -72,13 +72,11 @@ def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray):
 def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray):
     """Field realizations at all vertices of a level, one row per key.
 
-    Interior vertices get walk values; the rest get the exterior data g
-    exactly (the solution equals g off the domain).
+    Vertices inside the problem's domain get walk values; the rest get the
+    exterior data g exactly (the solution equals g off the domain).
     """
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    interior = level.interior_mask
-    if interior is None:
-        interior = np.asarray(problem.domain.contains(level.vertices))
+    interior = np.asarray(problem.domain.contains(level.vertices))
     vals = np.empty((keys.size, level.num_vertices))
     if (~interior).any():
         vals[:, ~interior] = np.asarray(problem.g(level.vertices[~interior]))

@@ -88,13 +88,14 @@ class Ball(_Domain):
                                 self.center[1] + rad * np.sin(ang)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexPolygon(_Domain):
     """Open convex polygon; distance is the minimum over half-plane distances.
 
     For an interior point of a convex region the nearest boundary point is
     the foot of a perpendicular onto some edge line, so the exact distance
-    is min_i <p - v_i, n_i> over inward edge normals n_i.
+    is min_i <p - v_i, n_i> over inward edge normals n_i.  Polygons are
+    equal when their stored (counter-clockwise) vertices are.
     """
 
     vertices: np.ndarray
@@ -130,6 +131,13 @@ class ConvexPolygon(_Domain):
         d = v[:, None, :] - v[None, :, :]
         object.__setattr__(self, "_diameter",
                            float(np.hypot(d[..., 0], d[..., 1]).max()))
+
+    def __eq__(self, other):
+        return (np.array_equal(self.vertices, other.vertices)
+                if isinstance(other, ConvexPolygon) else NotImplemented)
+
+    def __hash__(self):  # -0.0 hashes as 0.0, as == treats them
+        return hash(tuple(self.vertices.ravel().tolist()))
 
     @property
     def diameter(self) -> float:

@@ -44,7 +44,6 @@ class MeshLevel:
     vertices: np.ndarray          # (N, 2)
     triangles: np.ndarray         # (T, 3) vertex indices, counter-clockwise
     mesh_width: float             # longest edge over all triangles
-    interior_mask: np.ndarray | None = None   # vertex strictly inside domain
     parent: "MeshLevel | None" = None
     _areas: np.ndarray | None = field(default=None, repr=False)
     _table: "_LocateTable | None" = field(default=None, repr=False)  # built by locate
@@ -95,8 +94,7 @@ def _max_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.hypot(edges[..., 0], edges[..., 1]).max())
 
 
-def make_base(vertices, triangles, level: int = 1,
-              domain: Domain | None = None) -> MeshLevel:
+def make_base(vertices, triangles, level: int = 1) -> MeshLevel:
     """Validate and wrap a base triangulation.
 
     Triangles must be counter-clockwise; duplicate vertices and degenerate
@@ -114,11 +112,8 @@ def make_base(vertices, triangles, level: int = 1,
         raise ValueError("duplicate vertices in base mesh")
     if np.any(_signed_areas(v, t) <= 0.0):
         raise ValueError("inverted or degenerate triangle in base mesh")
-    lvl = MeshLevel(level=level, vertices=v, triangles=t,
-                    mesh_width=_max_edge(v, t))
-    if domain is not None:
-        lvl.interior_mask = np.asarray(domain.contains(v))
-    return lvl
+    return MeshLevel(level=level, vertices=v, triangles=t,
+                     mesh_width=_max_edge(v, t))
 
 
 def square_ball_base(domain: Ball | None = None) -> MeshLevel:
@@ -134,10 +129,10 @@ def square_ball_base(domain: Ball | None = None) -> MeshLevel:
     v = np.array([[cx - r, cy - r], [cx + r, cy - r], [cx + r, cy + r],
                   [cx - r, cy + r], [cx, cy]])
     t = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-    return make_base(v, t, level=1, domain=domain)
+    return make_base(v, t, level=1)
 
 
-def refine(level: MeshLevel, domain: Domain | None = None):
+def refine(level: MeshLevel):
     """Quadrisect every triangle; returns (fine level, parent-edge table).
 
     Row i of the parent table holds the two coarse vertex indices whose
@@ -167,8 +162,6 @@ def refine(level: MeshLevel, domain: Domain | None = None):
                          pairs])
     fine = MeshLevel(level=level.level + 1, vertices=fine_v, triangles=new_tris,
                      mesh_width=_max_edge(fine_v, new_tris), parent=level)
-    if domain is not None:
-        fine.interior_mask = np.asarray(domain.contains(fine_v))
     return fine, parents
 
 
@@ -178,7 +171,7 @@ class MeshHierarchy:
 
     levels: list[MeshLevel]
     parent_edges: list[np.ndarray]      # transition i: levels[i] -> levels[i+1]
-    domain: Domain | None = None
+    domain: Domain | None = None        # norm masks, eig; walks use the problem's
     _norm_masks: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -229,12 +222,10 @@ def build_hierarchy(base: MeshLevel, finest_level: int,
     """Refine `base` up to `finest_level` (inclusive)."""
     if finest_level < base.level:
         raise ValueError("finest_level must be at least the base level")
-    if domain is not None and base.interior_mask is None:
-        base.interior_mask = np.asarray(domain.contains(base.vertices))
     levels = [base]
     edges = []
     while levels[-1].level < finest_level:
-        fine, parents = refine(levels[-1], domain=domain)
+        fine, parents = refine(levels[-1])
         levels.append(fine)
         edges.append(parents)
     return MeshHierarchy(levels=levels, parent_edges=edges, domain=domain)

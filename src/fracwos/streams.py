@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 _PHILOX_M0 = np.uint64(0xD2511F53)
 _PHILOX_M1 = np.uint64(0xCD9E8D57)
-_PHILOX_W0 = np.uint32(0x9E3779B9)
-_PHILOX_W1 = np.uint32(0xBB67AE85)
+_PHILOX_W0 = np.uint64(0x9E3779B9)
+_PHILOX_W1 = np.uint64(0xBB67AE85)
+_LO32 = np.uint64(0xFFFFFFFF)
 _ROUNDS = 10
 
 # component tags (counter word 2): keep distinct per distribution
@@ -39,9 +39,9 @@ _BETA_CEIL = float(np.nextafter(1.0, 0.0))  # strict open-interval support
 
 def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     with np.errstate(over="ignore"):
-        x = (x + _GAMMA) & _MASK64
-        x = ((x ^ (x >> np.uint64(30))) * _MIX1) & _MASK64
-        x = ((x ^ (x >> np.uint64(27))) * _MIX2) & _MASK64
+        x = x + _GAMMA          # uint64 arithmetic wraps modulo 2^64
+        x = (x ^ (x >> np.uint64(30))) * _MIX1
+        x = (x ^ (x >> np.uint64(27))) * _MIX2
         return x ^ (x >> np.uint64(31))
 
 
@@ -61,24 +61,19 @@ def derive_key(seed: int, *fields) -> np.uint64 | np.ndarray:
 
 
 def _philox(c0, c1, c2, c3, k0, k1):
-    """One 4x32 keyed counter-hash evaluation (vectorized over arrays)."""
-    with np.errstate(over="ignore"):
-        for _ in range(_ROUNDS):
-            p0 = c0.astype(np.uint64) * _PHILOX_M0
-            p1 = c2.astype(np.uint64) * _PHILOX_M1
-            hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-            lo0 = p0.astype(np.uint32)
-            hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-            lo1 = p1.astype(np.uint32)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0 = k0 + _PHILOX_W0
-            k1 = k1 + _PHILOX_W1
+    """One 4x32 keyed counter-hash evaluation; each word is a uint64 of 32 bits."""
+    for _ in range(_ROUNDS):
+        p0 = c0 * _PHILOX_M0
+        p1 = c2 * _PHILOX_M1
+        c0, c1, c2, c3 = ((p1 >> np.uint64(32)) ^ c1 ^ k0, p1 & _LO32,
+                          (p0 >> np.uint64(32)) ^ c3 ^ k1, p0 & _LO32)
+        k0, k1 = (k0 + _PHILOX_W0) & _LO32, (k1 + _PHILOX_W1) & _LO32
     return c0, c1, c2, c3
 
 
 def _to_unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Two 32-bit words -> one float64 uniform strictly inside (0, 1)."""
-    bits = (hi.astype(np.uint64) << np.uint64(32)) | lo.astype(np.uint64)
+    """Two 32-bit words in uint64 -> one float64 uniform strictly inside (0, 1)."""
+    bits = (hi << np.uint64(32)) | lo
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
@@ -89,10 +84,8 @@ def uniform_pair(key, draw, step, tag):
     is a uint64 key (scalar or array) from :func:`derive_key`.
     """
     key = np.asarray(key, dtype=np.uint64)
-    k0 = key.astype(np.uint32)
-    k1 = (key >> np.uint64(32)).astype(np.uint32)
-    draw, step, tag = (np.asarray(w, dtype=np.uint32) for w in (draw, step, tag))
-    o0, o1, o2, o3 = _philox(draw, step, tag, np.uint32(0), k0, k1)
+    ctr = [np.asarray(w, np.uint32).astype(np.uint64) for w in (draw, step, tag, 0)]
+    o0, o1, o2, o3 = _philox(*ctr, key & _LO32, key >> np.uint64(32))
     return _to_unit(o0, o1), _to_unit(o2, o3)
 
 

@@ -4,7 +4,7 @@ from scipy import linalg
 
 from fracwos import eigen, mlmc
 from fracwos.mesh import build_hierarchy, square_ball_base
-from fracwos.geometry import unit_ball
+from fracwos.geometry import Ball, unit_ball
 
 
 def _stub_op(matrix):
@@ -162,10 +162,10 @@ class TestApplyInverse:
         # the solve reproduces the known mean-exit-time profile
         from fracwos.problems import example1
         lvl = hier5.level(5)
-        v = lvl.interior_mask.astype(float)
+        mask = hier5.domain.contains(lvl.vertices)
+        v = mask.astype(float)
         u, cost, info = eigen.apply_inverse(v, 1.0, hier5, 4e-3, seed=2, l0=3)
         exact = example1(1.0).exact(lvl.vertices)
-        mask = lvl.interior_mask
         err = np.sqrt(np.mean((u[mask] - exact[mask]) ** 2))
         assert err <= 4 * 4e-3
         assert cost > 0 and info["eps_l2"] > 0
@@ -173,14 +173,14 @@ class TestApplyInverse:
     @pytest.mark.parametrize("tol, word", [(np.nan, "positive"),
                                            (np.inf, "finite")])
     def test_rejects_nonfinite_tolerance(self, hier5, tol, word):
-        v = hier5.level(5).interior_mask.astype(float)
+        v = hier5.domain.contains(hier5.level(5).vertices).astype(float)
         with pytest.raises(ValueError, match=f"^rms_tol must be {word}$"):
             eigen.apply_inverse(v, 1.0, hier5, tol, seed=1)
 
     def test_linearity_within_noise(self, hier5):
         lvl = hier5.level(5)
         rng = np.random.default_rng(8)
-        v = lvl.interior_mask * rng.random(lvl.num_vertices)
+        v = hier5.domain.contains(lvl.vertices) * rng.random(lvl.num_vertices)
         tol = 6e-3
         u1, _, _ = eigen.apply_inverse(v, 1.0, hier5, tol, seed=3, l0=3)
         u2, _, _ = eigen.apply_inverse(2.0 * v, 1.0, hier5, 2.0 * tol, seed=4,
@@ -223,6 +223,15 @@ class TestSmallestEigenvalue:
         with pytest.raises(ValueError, match=msg):
             eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=7,
                                       workers=2)
+
+    @pytest.mark.parametrize("domain", [None, Ball((0.3, 0.1), 0.05)],
+                             ids=["none", "between_vertices"])
+    def test_no_interior_vertices(self, domain):
+        # no start vector: no domain, or none of the finest level's vertices
+        # lies inside the domain
+        hier = build_hierarchy(square_ball_base(), 3, domain=domain)
+        with pytest.raises(ValueError, match="^hierarchy has no interior vertices$"):
+            eigen.smallest_eigenvalue(1.0, hier, tol=0.05, B=3, m=3, seed=7)
 
     @pytest.mark.parametrize("tol, msg", [
         (np.nan, "tol, B, m must be positive"), (np.inf, "tol must be finite")])

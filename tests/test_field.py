@@ -89,7 +89,7 @@ class TestSampleField:
     def test_exterior_vertices_carry_g(self, hier6, ex3):
         lvl = hier6.level(4)
         vals, _ = field_values(lvl, ex3, derive_key(9, np.arange(2)))
-        outside = ~lvl.interior_mask
+        outside = ~ex3.domain.contains(lvl.vertices)
         for row in vals:
             np.testing.assert_allclose(row[outside],
                                        ex3.g(lvl.vertices[outside]), atol=1e-14)
@@ -112,12 +112,27 @@ class TestSampleField:
 
     def test_exchangeable_vertex_order(self, hier6, ex1, rng):
         # permuting the start array permutes outputs, nothing else
-        starts = hier6.level(4).vertices[hier6.level(4).interior_mask]
+        verts = hier6.level(4).vertices
+        starts = verts[hier6.domain.contains(verts)]
         keys = derive_key(5, np.arange(3))
         vals, _ = walk_starts(starts, ex1, keys)
         perm = rng.permutation(starts.shape[0])
         vals_p, _ = walk_starts(starts[perm], ex1, keys)
         np.testing.assert_array_equal(vals_p, vals[:, perm])
+
+    @pytest.mark.parametrize("mesh_domain", [Ball((0.0, 0.0), 0.5), None],
+                             ids=["smaller_ball", "none"])
+    def test_problem_domain_decides_walks(self, ball, ex1, mesh_domain):
+        # the exterior-value problem walks from exactly the vertices inside
+        # its own domain, whatever domain (if any) the mesh was built for
+        def level4(domain):
+            return build_hierarchy(square_ball_base(ball), 4, domain=domain).level(4)
+
+        keys = derive_key(1, np.arange(64))
+        vals, cost = field_values(level4(mesh_domain), ex1, keys)
+        ref, ref_cost = field_values(level4(ball), ex1, keys)
+        assert vals.tobytes() == ref.tobytes()
+        assert cost == ref_cost
 
 
 class TestLinearity:
@@ -198,7 +213,7 @@ class TestWalkStarts:
                                           monkeypatch):
         prob = by_name("example1", alpha)
         lvl = hier6.level(3)
-        starts = lvl.vertices[lvl.interior_mask]
+        starts = lvl.vertices[prob.domain.contains(lvl.vertices)]
         keys = derive_key(23, np.arange(128))
         live = []
 
@@ -255,7 +270,7 @@ class TestGoldenBits:
         (1.95, "e7cb3076379e994bbb395b5f3b34768d8c248118c037f1b661f07e2a42fbca40", 43546)])
     def test_walk_starts_ball(self, hier4, alpha, digest, steps):
         lvl = hier4.level(3)
-        vals, cost = walk_starts(lvl.vertices[lvl.interior_mask],
+        vals, cost = walk_starts(lvl.vertices[hier4.domain.contains(lvl.vertices)],
                                  by_name("example3", alpha),
                                  derive_key(29, np.arange(64)))
         assert (_sha(vals), cost) == (digest, steps)
@@ -332,7 +347,8 @@ class TestLayoutContract:
             return lambda pts: fn(np.ascontiguousarray(pts))
 
         lvl = hier6.level(3)
-        starts, keys = lvl.vertices[lvl.interior_mask], derive_key(8, np.arange(16))
+        starts = lvl.vertices[hier6.domain.contains(lvl.vertices)]
+        keys = derive_key(8, np.arange(16))
         for prob in (by_name("example3", alpha), _pentagon_problem(alpha)):
             copy = Problem(alpha=alpha, domain=prob.domain,
                            f=packed(prob.f), g=packed(prob.g))
@@ -456,7 +472,7 @@ class TestUnbiasednessAtVertices:
         radii = np.hypot(lvl.vertices[:, 0], lvl.vertices[:, 1])
         vtx = int(np.argmin(np.abs(radii - 0.55)))
         x = lvl.vertices[vtx]
-        assert lvl.interior_mask[vtx]
+        assert ex1.domain.contains(x)
         M = 4000
         keys = derive_key(99, 7, np.arange(M))
         vals, _ = field_values(lvl, ex1, keys)

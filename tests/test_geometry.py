@@ -126,6 +126,23 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             tri.distance(np.array([[0.2, 0.2], [np.nan, 0.1]]))
 
+    def test_value_equality_and_hash(self):
+        a, b = box(0, 0, 1, 1), box(0, 0, 1, 1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != box(0, 0, 1, 2) and a != unit_ball()
+        # clockwise input is stored reversed, so counter-clockwise from the
+        # last vertex; -0.0 equals 0.0
+        cw = ConvexPolygon([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [-0.0, 0.0]])
+        assert cw == a and hash(cw) == hash(a)
+        assert len({a, b, cw}) == 1
+
+    def test_problems_on_equal_polygons_compare(self):
+        from fracwos.problems import Problem, _ConstantField
+        zero = _ConstantField(0.0)
+        p, q = (Problem(alpha=1.0, domain=box(0, 0, 1, 1), f=zero, g=zero)
+                for _ in range(2))
+        assert p.domain is not q.domain and p == q
+
     def test_triangle_incenter(self):
         tri = ConvexPolygon([[0, 0], [1, 0], [0, 1]])
         # incenter radius of the right isoceles triangle

@@ -10,7 +10,7 @@ from fracwos.geometry import Ball, ConvexPolygon, box, unit_ball
 from fracwos.mesh import (_BARY_TOL, FieldVector, PointOutsideMeshError, _bary,
                           _cell_table, build_hierarchy, interpolate, locate,
                           make_base, prolong, prolong_to, read_field_csv,
-                          refine, square_ball_base, write_field_csv)
+                          square_ball_base, write_field_csv)
 
 # degree-5 cubature on the reference triangle (7-point rule)
 _Q5_BARY = np.array([
@@ -171,12 +171,12 @@ def unit_square_hier():
     return build_hierarchy(base, 4)
 
 
-def loop_refine(level, domain=None):
+def loop_refine(level):
     """Reference quadrisection: the per-triangle loop `refine` replaced.
 
     Numbers each new midpoint when its edge first appears in the order
     ab, bc, ca of triangle 0, 1, ...; returns (vertices, triangles,
-    parent table, interior mask or None).
+    parent table).
     """
     v, tris = level.vertices, level.triangles
     nc = v.shape[0]
@@ -199,15 +199,14 @@ def loop_refine(level, domain=None):
     fine_v = np.vstack([v, 0.5 * (v[pairs[:, 0]] + v[pairs[:, 1]])])
     parents = np.vstack([np.repeat(np.arange(nc, dtype=np.int64)[:, None], 2,
                                    axis=1), pairs])
-    mask = None if domain is None else np.asarray(domain.contains(fine_v))
-    return fine_v, new_tris, parents, mask
+    return fine_v, new_tris, parents
 
 
 def fan_base(poly):
     """Centroid fan of a convex polygon, as the CLI meshes polygons."""
     n = poly.vertices.shape[0]
     v = np.vstack([poly.vertices, poly.vertices.mean(axis=0)])
-    return make_base(v, [[i, (i + 1) % n, n] for i in range(n)], domain=poly)
+    return make_base(v, [[i, (i + 1) % n, n] for i in range(n)])
 
 
 _PENTAGON = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.2, 0.8],
@@ -224,16 +223,12 @@ class TestRefinement:
         hier = build_hierarchy(base, 7, domain=domain)
         for ell in range(2, 8):
             coarse, fine = hier.level(ell - 1), hier.level(ell)
-            v, t, parents, mask = loop_refine(coarse, domain)
+            v, t, parents = loop_refine(coarse)
             assert fine.triangles.dtype == t.dtype
             assert hier.parents(ell).dtype == parents.dtype
             np.testing.assert_array_equal(fine.vertices, v)
             np.testing.assert_array_equal(fine.triangles, t)
             np.testing.assert_array_equal(hier.parents(ell), parents)
-            np.testing.assert_array_equal(fine.interior_mask, mask)
-        fine, parents = refine(hier.level(1))
-        assert fine.interior_mask is None
-        np.testing.assert_array_equal(parents, loop_refine(hier.level(1))[2])
 
     def test_vertex_count_after_one_refinement(self):
         hier = build_hierarchy(square_ball_base(), 2)
@@ -284,11 +279,6 @@ class TestRefinement:
     def test_rejects_inverted_triangle(self):
         with pytest.raises(ValueError):
             make_base([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
-
-    def test_interior_mask(self, hier6):
-        lvl = hier6.level(3)
-        inside = unit_ball().contains(lvl.vertices)
-        np.testing.assert_array_equal(lvl.interior_mask, inside)
 
     def test_hierarchy_range_errors(self, hier6):
         with pytest.raises(ValueError):
@@ -472,7 +462,7 @@ class TestSquareBallBase:
         phi = lambda p: 2.0 * p[..., 0] - p[..., 1] + 0.5
         np.testing.assert_allclose(interpolate(lvl, phi(lvl.vertices), pts),
                                    phi(pts), atol=1e-12)
-        assert lvl.interior_mask.sum() > 0
+        assert ball.contains(lvl.vertices).sum() > 0
 
     def test_rejects_polygon(self):
         with pytest.raises(ValueError):

@@ -316,7 +316,7 @@ class TestRun:
                        g=lambda pts: np.zeros(np.asarray(pts).shape[:-1]))
         res = mlmc.run(hier, prob, eps=3e-2, l0=3, seed=5)
         lvl = hier.level(res.solution.level)
-        inside = lvl.interior_mask
+        inside = dom.contains(lvl.vertices)
         assert np.all(res.solution.values[inside] > 0)
         assert np.all(res.solution.values[~inside] == 0)
         # symmetry of the square: value at (1/4, 1/2) matches (3/4, 1/2)

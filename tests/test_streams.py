@@ -37,6 +37,31 @@ class TestCounterHash:
         u1, u2 = uniform_pair(derive_key(0), np.arange(100000), 0, 0)
         assert u1.min() > 0.0 and u1.max() < 1.0
 
+    def test_raw_outputs_pinned(self):
+        # bits of the splitmix64 key hash and the Philox rounds; any change
+        # to their integer arithmetic must leave these values as they are
+        assert [hex(int(k)) for k in derive_key(7, np.arange(4))] == [
+            "0x50858203873ed679", "0x34cac5489fdc078a",
+            "0x1addf095629fe974", "0xab842222742ff283"]
+        assert int(derive_key(0)) == 0xe220a8397b1dcdaf
+        assert int(derive_key(2**64 - 1, 3, 0xA7)) == 0x2cb32de6fc4bca32
+        assert int(derive_key(1001, -1)) == 0xb45c3c9389fc3088
+        keys = derive_key(7, np.arange(3))[:, None]
+        steps = np.array([0, 1, 2**32 - 1], dtype=np.uint32)[None, :]
+        u1, u2 = uniform_pair(keys, np.uint32(0), steps, 3)
+        assert [float(u).hex() for u in u1.ravel()] == [
+            "0x1.cc67468d6f3b8p-1", "0x1.34d41fc8531f2p-3", "0x1.af9bcd7f779b9p-2",
+            "0x1.7d73013aec474p-4", "0x1.be21a2fcecbc5p-2", "0x1.f4f4834245726p-1",
+            "0x1.1a5d6bb9e8670p-6", "0x1.529e6dbb6b8a0p-1", "0x1.61fc14392b6bep-1"]
+        assert [float(u).hex() for u in u2.ravel()] == [
+            "0x1.f3d7c647d80a8p-1", "0x1.a7188d1bc24b0p-6", "0x1.726b06173c4c9p-2",
+            "0x1.623695611e8bep-3", "0x1.d30014fc20d33p-2", "0x1.712eb96749998p-5",
+            "0x1.ba6b847a75439p-2", "0x1.481f29e87b7c4p-1", "0x1.58153f4a921a2p-3"]
+        top = 2**32 - 1
+        u1, u2 = uniform_pair(np.uint64(2**64 - 1), top, top, top)
+        assert (float(u1).hex(), float(u2).hex()) == (
+            "0x1.dd807049c983cp-1", "0x1.e8b72e5500742p-3")
+
     def test_derive_key_field_sensitivity(self):
         assert derive_key(1, 2, 3) != derive_key(1, 3, 2)
         assert derive_key(1) != derive_key(2)
