@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__, assumptions, eigen, mlmc
 from .geometry import Ball, ConvexPolygon, Domain, box, unit_ball
-from .mesh import MeshHierarchy, build_hierarchy, make_base, square_ball_base, \
-    write_field_csv
+from .mesh import (MeshHierarchy, MeshLevel, build_hierarchy, make_base,
+                   square_ball_base)
 from .problems import BY_NAME, Problem, by_name
 from .sampling import _check_alpha
 
@@ -247,11 +247,40 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], rows, first: str = "",
+               last: str = "") -> None:
+    """Column names and rows, between optional `first` and `last` lines."""
     with open(path, "w") as fh:
+        if first:
+            fh.write(first + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if last:
+            fh.write(last + "\n")
+
+
+def write_field_csv(path, level: MeshLevel, values, alpha: float,
+                    seed: int) -> None:
+    """Vertex values on one mesh level as solution.csv: a `# level=...`
+    line, then vertex_index,x,y,value."""
+    x, y = level.vertices.T.tolist()
+    values = np.asarray(values, dtype=np.float64).tolist()
+    _write_csv(path, ["vertex_index", "x", "y", "value"],
+               zip(range(len(x)), x, y, values),
+               first=f"# level={level.level} alpha={float(alpha)!r} seed={seed}")
+
+
+def read_field_csv(path):
+    """Read solution.csv back; returns (meta dict, vertices (N,2), values)."""
+    with open(path) as fh:
+        header = fh.readline()
+        if not header.startswith("#"):
+            raise ValueError("missing field CSV header")
+        meta = dict(kv.split("=", 1) for kv in header[1:].split())
+        rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+    rows = rows[rows[:, 0].argsort()]
+    return meta, rows[:, 1:3], rows[:, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +293,7 @@ def cmd_solve(cfg: RunConfig) -> dict:
                    pilot_M=cfg.pilot, max_cost=cfg.max_cost or mlmc.MAX_COST)
     level = hier.level(res.solution.level)
     write_field_csv(os.path.join(cfg.out, "solution.csv"), level,
-                    res.solution, cfg.alpha, cfg.seed)
+                    res.solution.values, cfg.alpha, cfg.seed)
     info = {"levels": f"{res.plan.coarsest}..{res.plan.finest}",
             "V_per_level": [float(v) for v in res.plan.V],
             "C_per_level": [float(c) for c in res.plan.C],
@@ -297,8 +326,8 @@ def cmd_eig(cfg: RunConfig) -> dict:
 def cmd_variance_study(cfg: RunConfig) -> dict:
     problem = build_problem(cfg)
     hier = build_mesh(cfg, problem.domain)
-    stats = mlmc.level_statistics(hier, problem, cfg.l0, cfg.L, cfg.samples,
-                                  cfg.seed)
+    stats = mlmc.pilot(hier, problem, cfg.samples, cfg.seed, l0=cfg.l0,
+                       l_max=cfg.L)
     rows = []
     for ell in range(cfg.l0, cfg.L):
         mom = stats.trans[ell]
@@ -306,9 +335,7 @@ def cmd_variance_study(cfg: RunConfig) -> dict:
                      mom.mean_cost, mom.count))
     slope = fit_slope([(r[1], r[2]) for r in rows]) if len(rows) >= 3 else None
     _write_csv(os.path.join(cfg.out, "study.csv"),
-               ["level", "h", "V", "C", "M"], rows)
-    with open(os.path.join(cfg.out, "study.csv"), "a") as fh:
-        fh.write(f"# slope = {slope}\n")
+               ["level", "h", "V", "C", "M"], rows, last=f"# slope = {slope}")
     return {"slope": slope, "levels": [r[0] for r in rows],
             "V": [r[2] for r in rows]}
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field as dfield
 from functools import partial
 
 import numpy as np
-from scipy import linalg
 
 from . import mlmc
 from .mesh import FieldVector, MeshHierarchy, interpolate
 from .problems import Problem, _ConstantField
+from .streams import derive_key
 
 _BREAKDOWN = 1e-14
 RELAX_CAP = 100.0
@@ -41,7 +41,7 @@ def leading_ritz(H: np.ndarray):
     distance from the leading Ritz value to the nearest other one, None for
     a 1x1 matrix.
     """
-    vals, vecs = linalg.eig(H)
+    vals, vecs = np.linalg.eig(H)
     idx = int(np.argmax(vals.real))
     theta = vals[idx]
     if abs(theta.imag) > 1e-9 * max(1.0, abs(theta.real)):
@@ -174,6 +174,8 @@ def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
     for audit.  Returns (vertex values, cost, info).
     """
     mlmc.check_tolerance("rms_tol", rms_tol)
+    if hier.domain is None:  # it decides which vertices walk
+        raise ValueError("hierarchy has no domain")
     level = hier.level(hier.finest)
     vals = v.values if isinstance(v, FieldVector) else np.asarray(v, dtype=np.float64)
     if vals.shape[0] != level.num_vertices:
@@ -212,15 +214,10 @@ def smallest_eigenvalue(alpha: float, hier: MeshHierarchy, tol: float,
     v0 = inside.astype(np.float64)
 
     def apply_op(vec, wtol, k):
+        # an independent solver seed per Arnoldi step
         u, cost, _ = apply_inverse(vec, alpha, hier, wtol,
-                                   derive_step_seed(seed, k), l0=l0,
+                                   int(derive_key(seed, 0xA7, k)), l0=l0,
                                    pilot_M=pilot_M)
         return u, cost
 
     return run_arnoldi(apply_op, v0, m, tol, B, variable=variable_accuracy)
-
-
-def derive_step_seed(seed: int, k: int) -> int:
-    """Independent solver seed for Arnoldi step k."""
-    from .streams import derive_key
-    return int(derive_key(seed, 0xA7, k))

@@ -95,13 +95,15 @@ class ConvexPolygon(_Domain):
     For an interior point of a convex region the nearest boundary point is
     the foot of a perpendicular onto some edge line, so the exact distance
     is min_i <p - v_i, n_i> over inward edge normals n_i.  Polygons are
-    equal when their stored (counter-clockwise) vertices are.
+    equal when they list one counter-clockwise cycle of vertices from any
+    start; `vertices` keeps the given order (reversed if clockwise).
     """
 
     vertices: np.ndarray
     _normals: np.ndarray = field(init=False, repr=False, compare=False)
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _diameter: float = field(init=False, repr=False, compare=False)
+    _cycle: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64)
@@ -131,13 +133,16 @@ class ConvexPolygon(_Domain):
         d = v[:, None, :] - v[None, :, :]
         object.__setattr__(self, "_diameter",
                            float(np.hypot(d[..., 0], d[..., 1]).max()))
+        # the cycle from its least (x, y) vertex; -0.0 equals and hashes as 0.0
+        cycle = np.roll(v, -np.lexsort((v[:, 1], v[:, 0]))[0], axis=0)
+        object.__setattr__(self, "_cycle", tuple(cycle.ravel().tolist()))
 
     def __eq__(self, other):
-        return (np.array_equal(self.vertices, other.vertices)
+        return (self._cycle == other._cycle
                 if isinstance(other, ConvexPolygon) else NotImplemented)
 
-    def __hash__(self):  # -0.0 hashes as 0.0, as == treats them
-        return hash(tuple(self.vertices.ravel().tolist()))
+    def __hash__(self):
+        return hash(self._cycle)
 
     @property
     def diameter(self) -> float:

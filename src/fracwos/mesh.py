@@ -77,10 +77,6 @@ class FieldVector:
             raise ValueError("non-finite field value")
 
 
-def _values(f) -> np.ndarray:
-    return f.values if isinstance(f, FieldVector) else np.asarray(f, dtype=np.float64)
-
-
 def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     tv = vertices[triangles]
     e1 = tv[:, 1] - tv[:, 0]
@@ -405,7 +401,7 @@ def interpolate(level: MeshLevel, f, p):
     temporaries cost more in page faults than in arithmetic.  The first
     block with a point outside the mesh raises PointOutsideMeshError.
     """
-    vals = _values(f)
+    vals = f.values if isinstance(f, FieldVector) else np.asarray(f, dtype=np.float64)
     if vals.shape[0] != level.num_vertices:
         raise ValueError("field length does not match mesh level")
     pts = np.asarray(p, dtype=np.float64)
@@ -440,27 +436,3 @@ def prolong_to(hier: MeshHierarchy, f: FieldVector, ell: int) -> FieldVector:
     while f.level < ell:
         f = prolong(hier, f)
     return f
-
-
-def write_field_csv(path, level: MeshLevel, f, alpha: float, seed: int) -> None:
-    """Serialize a field: `# level=...` header then vertex_index,x,y,value."""
-    vals = _values(f)
-    with open(path, "w") as fh:
-        fh.write(f"# level={level.level} alpha={float(alpha)!r} seed={seed}\n")
-        fh.write("vertex_index,x,y,value\n")
-        for i, ((x, y), v) in enumerate(zip(level.vertices, vals)):
-            fh.write(f"{i},{float(x)!r},{float(y)!r},{float(v)!r}\n")
-
-
-def read_field_csv(path):
-    """Read a field CSV back; returns (meta dict, vertices (N,2), values)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing field CSV header")
-        meta = dict(kv.split("=", 1) for kv in header[1:].split())
-        fh.readline()  # column names
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    order = rows[:, 0].argsort()
-    rows = rows[order]
-    return meta, rows[:, 1:3], rows[:, 3]

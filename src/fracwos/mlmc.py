@@ -152,11 +152,14 @@ def _sample_term(hier: MeshHierarchy, problem: Problem, seed: int, kind: int,
 # ---------------------------------------------------------------------------
 # planning operations
 
-def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
-                     l_max: int, samples: int, seed: int) -> LevelStatistics:
-    """Plain moments at l0 and coupled-correction moments per transition."""
-    if samples < 2:
-        raise ValueError("need at least two samples per level")
+def pilot(hier: MeshHierarchy, problem: Problem, samples: int, seed: int,
+          l0: int | None = None, l_max: int | None = None) -> LevelStatistics:
+    """Plain moments at l0 and coupled-correction moments per transition up
+    to l_max, `samples` of each: the (V_l, C_l) estimates for planning."""
+    if samples < 8:
+        raise ValueError("pilot needs at least 8 samples per level")
+    l0 = hier.coarsest if l0 is None else l0
+    l_max = hier.finest if l_max is None else l_max
     if not hier.coarsest <= l0 <= l_max <= hier.finest:
         raise ValueError("levels out of hierarchy range")
     plain = FieldMoments(mass_matrix(hier.level(l0), hier.norm_mask(l0)))
@@ -168,17 +171,6 @@ def level_statistics(hier: MeshHierarchy, problem: Problem, l0: int,
         stats.fine_plain[ell + 1] = FieldMoments(mass)
     _extend(hier, problem, seed, stats, l_max, [samples] * (l_max - l0 + 1))
     return stats
-
-
-def pilot(hier: MeshHierarchy, problem: Problem, pilot_M: int, seed: int,
-          l0: int | None = None, l_max: int | None = None) -> LevelStatistics:
-    """Pilot estimates of (V_l, C_l) per term for planning."""
-    if pilot_M < 8:
-        raise ValueError("pilot needs at least 8 samples")
-    return level_statistics(hier, problem,
-                            hier.coarsest if l0 is None else l0,
-                            hier.finest if l_max is None else l_max,
-                            pilot_M, seed)
 
 
 def fit_bias_coefficient(bias_norms: dict[int, float]) -> float:

@@ -80,7 +80,7 @@ def test_criterion_4_variance_decay_slopes(hier7):
     ok = True
     for (name, alpha), (target, band) in targets.items():
         prob = by_name(name, alpha)
-        st = mlmc.level_statistics(hier7, prob, 3, 7, samples=192, seed=101)
+        st = mlmc.pilot(hier7, prob, 192, seed=101, l0=3, l_max=7)
         pairs = [(hier7.level(ell).mesh_width, st.trans[ell].variance)
                  for ell in range(3, 7)]
         slope = fit_slope(pairs)

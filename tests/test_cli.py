@@ -216,6 +216,15 @@ class TestCliRuns:
         assert text.startswith("level,h,V,C,M\n")
         assert "# slope = " in text
 
+    def test_variance_study_needs_pilot_floor(self, tmp_path):
+        # the variance study runs the pilot, which takes 8 samples per level
+        r = run_cli(["variance-study", "--problem", "example1", "--l0", "2",
+                     "--L", "3", "--samples", "4", "--out", "vs"], tmp_path)
+        assert r.returncode == 1
+        assert ("fracwos: error: pilot needs at least 8 samples per level"
+                in r.stderr)
+        assert not (tmp_path / "vs" / "study.csv").exists()
+
     @pytest.mark.parametrize("which, row", [
         ("I1", "0.5,1.0,10000.0,0.5438942658036477,0.01486759810219655"),
         ("I2", "0.5,1.0,,0.7074518265491584,0.00551707716840083"),

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import linalg
 
+import fracwos
 from fracwos import eigen, mlmc
 from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.geometry import Ball, unit_ball
@@ -12,6 +18,18 @@ def _stub_op(matrix):
 
 
 class TestLeadingRitz:
+    def test_import_leaves_scipy_linalg_out(self):
+        # numpy.linalg.eig wraps the same LAPACK geev; importing scipy.linalg
+        # as well costs about 0.05 s of every run's start-up
+        code = "import sys, fracwos; print('scipy.linalg' in sys.modules)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(fracwos.__file__).resolve().parents[1]),
+                        env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_diagonal(self):
         theta, w, _ = eigen.leading_ritz(np.diag([0.2, 0.9, 0.5]))
         assert theta == pytest.approx(0.9)
@@ -176,6 +194,18 @@ class TestApplyInverse:
         v = hier5.domain.contains(hier5.level(5).vertices).astype(float)
         with pytest.raises(ValueError, match=f"^rms_tol must be {word}$"):
             eigen.apply_inverse(v, 1.0, hier5, tol, seed=1)
+
+    def test_hierarchy_without_domain_rejected_before_walking(self,
+                                                             monkeypatch):
+        # used to fail with AttributeError inside field_values
+        def no_run(*args, **kwargs):
+            raise AssertionError("walked before rejecting the hierarchy")
+
+        monkeypatch.setattr(mlmc, "run", no_run)
+        hier = build_hierarchy(square_ball_base(), 3)
+        with pytest.raises(ValueError, match="hierarchy has no domain"):
+            eigen.apply_inverse(np.ones(hier.level(3).num_vertices), 1.0,
+                                hier, 0.1, seed=1)
 
     def test_linearity_within_noise(self, hier5):
         lvl = hier5.level(5)

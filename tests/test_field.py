@@ -456,9 +456,9 @@ class TestVarianceDecay:
     @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_nonincreasing_over_levels(self, hier6, name, alpha):
-        from fracwos.mlmc import level_statistics
+        from fracwos.mlmc import pilot
         prob = by_name(name, alpha)
-        stats = level_statistics(hier6, prob, 3, 6, samples=96, seed=31)
+        stats = pilot(hier6, prob, 96, seed=31, l0=3, l_max=6)
         v = [stats.trans[ell].variance for ell in (3, 4, 5)]
         assert v[0] > 0
         # allow small statistical wiggle on top of monotone decay

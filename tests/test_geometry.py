@@ -136,6 +136,19 @@ class TestConvexPolygon:
         assert cw == a and hash(cw) == hash(a)
         assert len({a, b, cw}) == 1
 
+    def test_equality_ignores_the_first_vertex(self):
+        a = box(0, 0, 1, 1)
+        from_1_0 = ConvexPolygon([(1, 0), (1, 1), (0, 1), (0, 0)])
+        clockwise = ConvexPolygon([(1, 0), (0, 0), (0, 1), (1, 1)])
+        assert a == from_1_0 == clockwise
+        assert hash(a) == hash(from_1_0) == hash(clockwise)
+        # the stored order, which base_mesh_for's fan numbers, is kept
+        np.testing.assert_array_equal(from_1_0.vertices,
+                                      [(1, 0), (1, 1), (0, 1), (0, 0)])
+        np.testing.assert_array_equal(clockwise.vertices,
+                                      [(1, 1), (0, 1), (0, 0), (1, 0)])
+        assert a != ConvexPolygon([(1, 0), (1, 1), (0, 1), (0, 0.5)])
+
     def test_problems_on_equal_polygons_compare(self):
         from fracwos.problems import Problem, _ConstantField
         zero = _ConstantField(0.0)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import fracwos.mesh
-from fracwos.cli import base_mesh_for
+from fracwos.cli import base_mesh_for, read_field_csv, write_field_csv
 from fracwos.field import batch_defects, mass_matrix, mass_norm
 from fracwos.geometry import Ball, ConvexPolygon, box, unit_ball
 from fracwos.mesh import (_BARY_TOL, FieldVector, PointOutsideMeshError, _bary,
                           _cell_table, build_hierarchy, interpolate, locate,
-                          make_base, prolong, prolong_to, read_field_csv,
-                          square_ball_base, write_field_csv)
+                          make_base, prolong, prolong_to, square_ball_base)
 
 # degree-5 cubature on the reference triangle (7-point rule)
 _Q5_BARY = np.array([

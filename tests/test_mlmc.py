@@ -224,10 +224,10 @@ class TestSampleTerm:
         # walks three calls of three 1024-row chunks, the correction 2->3
         # seven
         prob = example2(alpha)
-        s1 = mlmc.level_statistics(hier6, prob, 2, 3, 7000, seed=3)
+        s1 = mlmc.pilot(hier6, prob, 7000, seed=3, l0=2, l_max=3)
         monkeypatch.setattr(mlmc, "_ROW_BUDGET",
                             1024 * hier6.level(3).num_vertices)
-        s2 = mlmc.level_statistics(hier6, prob, 2, 3, 7000, seed=3)
+        s2 = mlmc.pilot(hier6, prob, 7000, seed=3, l0=2, l_max=3)
         for a, b in [(s1.plain, s2.plain), (s1.trans[2], s2.trans[2]),
                      (s1.fine_plain[3], s2.fine_plain[3])]:
             np.testing.assert_array_equal(a.sum_vec, b.sum_vec)
