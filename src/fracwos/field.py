@@ -19,7 +19,10 @@ gathers the tuple columns of a walk's realization as 1-D arrays.  Step
 tuples depend only on (key, step), so results are bit-identical no matter
 how realizations are batched.  :func:`walk_starts` draws them in blocks of
 _TUPLE_BLOCK steps, one `step_tuples` call per block, so the values do not
-depend on the block width either.
+depend on the block width either.  :func:`field_values` walks its keys in
+sub-blocks of at most _WALK_BUDGET walks (keys times interior vertices), so
+a call's walk state stays bounded however many keys it is given; its output
+is the only part that grows with them.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .streams import step_tuples
 
 
 _TUPLE_BLOCK = 8  # walk steps of tuples drawn per step_tuples call
+_WALK_BUDGET = 1 << 18  # walks (keys * interior vertices) per walk_starts call
 
 
 class InsufficientSamplesError(ValueError):
@@ -73,7 +77,11 @@ def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray):
     """Field realizations at all vertices of a level, one row per key.
 
     Vertices inside the problem's domain get walk values; the rest get the
-    exterior data g exactly (the solution equals g off the domain).
+    exterior data g exactly (the solution equals g off the domain).  The
+    keys are walked in sub-blocks of at most _WALK_BUDGET walks (at least
+    one key each); a walk's value depends only on its own key, so the
+    values do not depend on the sub-blocks.  Returns (values (K, N), total
+    walk steps).
     """
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     interior = np.asarray(problem.domain.contains(level.vertices))
@@ -82,20 +90,31 @@ def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray):
         vals[:, ~interior] = np.asarray(problem.g(level.vertices[~interior]))
     cost = 0
     if interior.any():
-        walked, cost = walk_starts(level.vertices[interior], problem, keys)
-        vals[:, interior] = walked
+        starts = level.vertices[interior]
+        block = max(1, _WALK_BUDGET // starts.shape[0])
+        for k in range(0, keys.size, block):
+            walked, steps = walk_starts(starts, problem, keys[k:k + block])
+            vals[k:k + block, interior] = walked
+            cost += steps
     return vals, cost
 
 
 def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.ndarray:
     """Fine-minus-coarse corrections of batched fine fields (rows) at
     transition ell -> ell+1: zero at inherited vertices, and at each new
-    vertex its value minus the mean of its two parent values."""
+    vertex its value minus the mean of its two parent values.
+
+    The mean and the difference are formed in the output itself, so the
+    parent values' gathers are the only other arrays of its size.
+    """
     parents = hier.parents(ell + 1)
     nc = hier.level(ell).num_vertices
     out = np.zeros_like(fine_vals)
     pa, pb = parents[nc:, 0], parents[nc:, 1]
-    out[:, nc:] = fine_vals[:, nc:] - 0.5 * (fine_vals[:, pa] + fine_vals[:, pb])
+    new = out[:, nc:]
+    np.add(fine_vals[:, pa], fine_vals[:, pb], out=new)
+    new *= 0.5
+    np.subtract(fine_vals[:, nc:], new, out=new)
     return out
 
 

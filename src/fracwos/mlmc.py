@@ -34,7 +34,7 @@ from .streams import derive_key
 _KIND_PLAIN = 1
 _KIND_PAIR = 2
 _VAR_FLOOR = 1e-12
-_ROW_BUDGET = 1 << 21  # walks (rows * vertices) of one task's field_values call
+_ROW_BUDGET = 1 << 21  # samples * vertices of one term's moment span
 _COUNT_LIMIT = 2.0 ** 63  # sample counts and walk steps are int64
 MAX_COST = 2.0 ** 40  # default cap on planned walk steps: ~a week at 2M steps/s
 
@@ -124,11 +124,14 @@ def _sample_term(hier: MeshHierarchy, problem: Problem, seed: int, kind: int,
     """Add samples i0..i1-1 of one term to `moments`: [moments] of a plain
     term, [defect moments, plain moments of the fine values] of a transition.
 
-    One `field_values` call walks `span` samples, as many `rows`-sample
-    chunks (at most 1024) as fit in _ROW_BUDGET walks, and the values are
-    added chunk by chunk, so the results do not depend on the span.  A
-    call's walk steps go to its first chunk.  Raises NonFiniteStatisticError
-    at the first chunk after which the squared norms are not finite.
+    _ROW_BUDGET fixes the chunks in which moments are added and their
+    order: one `field_values` call takes `span` samples, as many
+    `rows`-sample chunks (at most 1024) as fit in _ROW_BUDGET values, and
+    they are added chunk by chunk, so the last bits of the sums depend on
+    `rows` but not on the span.  The walk's own memory is bounded by
+    `field._WALK_BUDGET` inside the call.  A call's walk steps go to its
+    first chunk.  Raises NonFiniteStatisticError at the first chunk after
+    which the squared norms are not finite.
     """
     level = hier.level(ell if kind == _KIND_PLAIN else ell + 1)
     nv = level.num_vertices

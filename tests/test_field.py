@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,50 @@ class TestWalkStarts:
             walk_starts(starts, prob, keys)
 
 
+class TestWalkBudget:
+    """`field_values` walks its keys in sub-blocks of at most _WALK_BUDGET
+    walks; a walk's bits depend only on its key, so only memory moves."""
+
+    @staticmethod
+    def level5(hier6, prob):
+        lvl = hier6.level(5)
+        return lvl, int(prob.domain.contains(lvl.vertices).sum())
+
+    @pytest.mark.parametrize(
+        "budget", [lambda n: n, lambda n: 3 * n + 1, lambda n: 1],
+        ids=["n_interior", "3 n_interior + 1", "1"])
+    def test_values_do_not_depend_on_budget(self, hier6, ex3, budget,
+                                            monkeypatch):
+        # one key per call, three keys per call (25 = 8 * 3 + 1), and a
+        # budget below one key's walks, which still walks one key per call
+        lvl, n_interior = self.level5(hier6, ex3)
+        keys = derive_key(29, np.arange(25))
+        ref, ref_cost = field_values(lvl, ex3, keys)
+        monkeypatch.setattr("fracwos.field._WALK_BUDGET", budget(n_interior))
+        vals, cost = field_values(lvl, ex3, keys)
+        np.testing.assert_array_equal(vals, ref)
+        assert cost == ref_cost
+
+    @pytest.mark.parametrize("n_keys", [64, 256])
+    def test_peak_memory_follows_budget(self, hier6, ex2, n_keys,
+                                        monkeypatch):
+        # at 16 keys per walk call, the traced peak beyond the output stays
+        # under 256 bytes per walk of the budget however many keys there
+        # are; walking all keys at once takes about 9 MB at 256 keys
+        lvl, n_interior = self.level5(hier6, ex2)
+        budget = 16 * n_interior
+        monkeypatch.setattr("fracwos.field._WALK_BUDGET", budget)
+        keys = derive_key(31, np.arange(n_keys))
+        field_values(lvl, ex2, keys[:1])  # lazy tables and caches first
+        tracemalloc.start()
+        try:
+            vals, _ = field_values(lvl, ex2, keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vals.nbytes + 256 * budget
+
+
 class TestGoldenBits:
     """Pinned field-walker bits: a change to the walk state's layout, the
     streams or the step arithmetic must leave these values bit-identical.
@@ -450,6 +495,22 @@ class TestFieldMoments:
         for i in range(5):
             np.testing.assert_array_equal(batched[i],
                                           midpoint_defect(hier6, 5, vals[i]))
+
+    def test_batch_defects_bits_of_the_plain_expression(self, hier6, rng):
+        # formed in place as 0.5 * (a + b), not 0.5 a + 0.5 b: parents near
+        # the float maximum overflow to inf both times, and -0.0 keeps its sign
+        nv = hier6.level(5).num_vertices
+        vals = rng.normal(size=(64, nv)) * 10.0 ** rng.integers(-300, 300,
+                                                                (64, nv))
+        vals[0] = 1.5e308
+        vals[1] = -0.0
+        nc = hier6.level(4).num_vertices
+        pa, pb = hier6.parents(5)[nc:, 0], hier6.parents(5)[nc:, 1]
+        plain = np.zeros_like(vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain[:, nc:] = vals[:, nc:] - 0.5 * (vals[:, pa] + vals[:, pb])
+            out = batch_defects(hier6, vals, 4)
+        assert out.view(np.uint64).tolist() == plain.view(np.uint64).tolist()
 
 
 class TestVarianceDecay:

@@ -188,18 +188,26 @@ class TestSampleTerm:
     def test_row_budget_keeps_the_bits(self, hier6, ex2, monkeypatch):
         # the default budget walks all 12000 samples in one call; two chunks
         # per call make six calls, the last of them 1024 + 736 rows, whose
-        # chunks must add up to the same bits in the same order
-        mass = mass_matrix(hier6.level(3), hier6.norm_mask(3))
-        one, split = FieldMoments(mass), FieldMoments(mass)
+        # chunks must add up to the same bits in the same order.  A walk
+        # budget of 1000 keys' walks splits each call's walk into sub-blocks
+        # that straddle the chunks, and must not move the bits either
+        level = hier6.level(3)
+        mass = mass_matrix(level, hier6.norm_mask(3))
+        one, split, walked = (FieldMoments(mass), FieldMoments(mass),
+                              FieldMoments(mass))
         calls = self.record_walks(monkeypatch)
         mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000, one)
-        monkeypatch.setattr(mlmc, "_ROW_BUDGET",
-                            2048 * hier6.level(3).num_vertices)
+        monkeypatch.setattr(mlmc, "_ROW_BUDGET", 2048 * level.num_vertices)
         mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000, split)
         assert [n for n, _ in calls] == [12000] + [2048] * 5 + [1760]
-        np.testing.assert_array_equal(split.sum_vec, one.sum_vec)
-        assert (split.sum_sq, split.count, split.cost) == \
-            (one.sum_sq, one.count, one.cost)
+        n_interior = int(ex2.domain.contains(level.vertices).sum())
+        monkeypatch.setattr("fracwos.field._WALK_BUDGET", 1000 * n_interior)
+        mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000,
+                          walked)
+        for moments in (split, walked):
+            np.testing.assert_array_equal(moments.sum_vec, one.sum_vec)
+            assert (moments.sum_sq, moments.count, moments.cost) == \
+                (one.sum_sq, one.count, one.cost)
 
     def test_cost_is_added_once_per_walk_call(self, hier6, ex2, monkeypatch):
         # three calls of two chunks each: adding a call's steps to every

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn, gamma
 
-from fracwos.problems import by_name, example1, example2, example3
+from fracwos.geometry import Ball, ConvexPolygon, box
+from fracwos.problems import Problem, by_name, example1, example2, example3
 from fracwos.sampling import point_estimate
 
 
@@ -98,3 +99,33 @@ class TestSamplingTiesToAnalytics:
             se = np.sqrt(est.variance / M)
             exact = float(prob.exact(p[None, :])[0])
             assert abs(est.mean - exact) <= 4 * se + 1e-9
+
+
+_ANGLES = 2 * np.pi * np.arange(5) / 5
+_SUBDOMAINS = {
+    "box": box(-0.5, -0.4, 0.6, 0.5),
+    "pentagon": ConvexPolygon(0.6 * np.column_stack([np.cos(_ANGLES),
+                                                     np.sin(_ANGLES)])),
+    "off-centre ball": Ball((0.2, -0.1), 0.6),
+}
+
+
+class TestExactOnSubdomains:
+    """The closed forms of example1 and example2 are zero off the unit ball
+    and solve the equation at every point of it.  So on any D inside the
+    unit ball, the same source with g = u has the solution u on D; g is
+    non-zero in the ring between D and the unit circle, where the
+    heavy-tailed exits land."""
+
+    @pytest.mark.parametrize("domain", list(_SUBDOMAINS))
+    @pytest.mark.parametrize("make", [example1, example2])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_point_estimate_matches_exact(self, domain, make, alpha):
+        ref = make(alpha)
+        prob = Problem(alpha, _SUBDOMAINS[domain], f=ref.f, g=ref.exact,
+                       exact=ref.exact)
+        x, M = np.array([0.1, 0.05]), 200_000
+        est = point_estimate(x, prob, M, seed=3)
+        se = np.sqrt(est.variance / M)
+        exact = float(ref.exact(x[None, :])[0])
+        assert abs(est.mean - exact) <= 4 * se
