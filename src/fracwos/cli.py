@@ -68,7 +68,7 @@ class RunConfig:
     m: int = _opt(5, ("eig",), "Arnoldi iteration count")
     seed: int = _opt(0, _ALL, "master seed (falls back to $FRACWOS_SEED)")
     out: str = _opt(".", _ALL, "output directory")
-    pilot: int = _opt(32, ("solve", "eig", "cost-study"),
+    pilot: int = _opt(32, ("solve", "cost-study"),
                       "pilot samples per level")
     samples: int = _opt(256, ("variance-study",), "samples per level")
     eps_list: str = _opt("", ("cost-study",),
@@ -313,7 +313,7 @@ def cmd_eig(cfg: RunConfig) -> dict:
     hier = build_mesh(cfg, domain)
     res = eigen.smallest_eigenvalue(
         cfg.alpha, hier, cfg.tol, cfg.B, cfg.m, cfg.seed, l0=cfg.l0,
-        variable_accuracy=not cfg.fixed_accuracy, pilot_M=cfg.pilot)
+        variable_accuracy=not cfg.fixed_accuracy)
     rows = [(r["k"], r["theta"], r["lambda"], r["residual"],
              r["gap"], r["wos_tol"], r["cost"]) for r in res.history]
     _write_csv(os.path.join(cfg.out, "iters.csv"),

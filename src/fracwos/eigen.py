@@ -8,7 +8,9 @@ applies this operator by a multilevel walk solve, so the matrix-vector
 products are inexact.  The per-step solve tolerance starts at tol/(B*m) and
 is relaxed by the ratio of the current spectral gap to the previous
 residual proxy, which is what makes later (cheaper) steps possible without
-losing eigenvalue accuracy.
+losing eigenvalue accuracy.  Each solve pilots at mlmc.PILOT_FLOOR samples
+per term: relaxed steps plan fewer samples than any larger pilot, which
+would walk past their plan and hide the saving.
 """
 
 from __future__ import annotations
@@ -165,13 +167,15 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
 
 
 def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
-                  seed: int, l0: int | None = None, pilot_M: int = 32):
+                  seed: int, l0: int | None = None):
     """Solve with source equal to the interpolant of v and zero exterior data.
 
     `rms_tol` is the per-vertex root-mean-square accuracy (the Euclidean
     norm of the error vector divided by sqrt(N)); the field solver's L2
     tolerance is rms_tol * sqrt(masked area), and both scales are reported
-    for audit.  Returns (vertex values, cost, info).
+    for audit.  It pilots at mlmc.PILOT_FLOOR samples per term: a relaxed
+    step plans fewer than any larger pilot would walk, and a term that plans
+    more is extended to its plan.  Returns (vertex values, cost, info).
     """
     mlmc.check_tolerance("rms_tol", rms_tol)
     if hier.domain is None:  # it decides which vertices walk
@@ -187,7 +191,7 @@ def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
                       f=partial(interpolate, level, vals), g=_ConstantField(0.0),
                       name="inverse-apply")
     eps_l2 = rms_tol * np.sqrt(hier.masked_area(hier.finest))
-    res = mlmc.run(hier, problem, eps_l2, l0, seed, pilot_M=pilot_M,
+    res = mlmc.run(hier, problem, eps_l2, l0, seed, mlmc.PILOT_FLOOR,
                    fixed_L=hier.finest)
     info = {"eps_l2": eps_l2, "rms_tol": rms_tol,
             "stat_error_l2": res.stat_error_est}
@@ -196,8 +200,8 @@ def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
 
 def smallest_eigenvalue(alpha: float, hier: MeshHierarchy, tol: float,
                         B: float, m: int, seed: int, l0: int | None = None,
-                        workers: int = 1, variable_accuracy: bool = True,
-                        pilot_M: int = 32) -> EigenResult:
+                        workers: int = 1, variable_accuracy: bool = True
+                        ) -> EigenResult:
     """Smallest eigenvalue of the fractional Laplacian on the meshed domain.
 
     Runs m inexact Arnoldi steps from the normalized interior indicator
@@ -207,8 +211,9 @@ def smallest_eigenvalue(alpha: float, hier: MeshHierarchy, tol: float,
     """
     if workers != 1:
         raise ValueError("workers must be 1: sampling runs in this process")
-    level = hier.level(hier.finest)
-    inside = hier.domain is not None and hier.domain.contains(level.vertices)
+    if hier.domain is None:
+        raise ValueError("hierarchy has no domain")
+    inside = hier.domain.contains(hier.level(hier.finest).vertices)
     if not np.any(inside):
         raise ValueError("hierarchy has no interior vertices")
     v0 = inside.astype(np.float64)
@@ -216,8 +221,7 @@ def smallest_eigenvalue(alpha: float, hier: MeshHierarchy, tol: float,
     def apply_op(vec, wtol, k):
         # an independent solver seed per Arnoldi step
         u, cost, _ = apply_inverse(vec, alpha, hier, wtol,
-                                   int(derive_key(seed, 0xA7, k)), l0=l0,
-                                   pilot_M=pilot_M)
+                                   int(derive_key(seed, 0xA7, k)), l0=l0)
         return u, cost
 
     return run_arnoldi(apply_op, v0, m, tol, B, variable=variable_accuracy)

@@ -37,6 +37,7 @@ _VAR_FLOOR = 1e-12
 _ROW_BUDGET = 1 << 21  # samples * vertices of one term's moment span
 _COUNT_LIMIT = 2.0 ** 63  # sample counts and walk steps are int64
 MAX_COST = 2.0 ** 40  # default cap on planned walk steps: ~a week at 2M steps/s
+PILOT_FLOOR = 8  # fewest pilot samples per term that give a usable V_l
 
 BIAS_RATE = 2.0   # mean-correction norms decay like 2^(-2 l)
 
@@ -159,8 +160,8 @@ def pilot(hier: MeshHierarchy, problem: Problem, samples: int, seed: int,
           l0: int | None = None, l_max: int | None = None) -> LevelStatistics:
     """Plain moments at l0 and coupled-correction moments per transition up
     to l_max, `samples` of each: the (V_l, C_l) estimates for planning."""
-    if samples < 8:
-        raise ValueError("pilot needs at least 8 samples per level")
+    if samples < PILOT_FLOOR:
+        raise ValueError(f"pilot needs at least {PILOT_FLOOR} samples per level")
     l0 = hier.coarsest if l0 is None else l0
     l_max = hier.finest if l_max is None else l_max
     if not hier.coarsest <= l0 <= l_max <= hier.finest:

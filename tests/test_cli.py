@@ -309,7 +309,7 @@ class TestCliRuns:
 OWN_OPTIONS = {
     "solve": ["problem", "f_expr", "g_expr", "domain", "l0", "L", "eps",
               "pilot", "max_cost"],
-    "eig": ["domain", "l0", "L", "tol", "B", "m", "pilot", "fixed_accuracy"],
+    "eig": ["domain", "l0", "L", "tol", "B", "m", "fixed_accuracy"],
     "variance-study": ["problem", "f_expr", "g_expr", "domain", "l0", "L",
                       "samples"],
     "cost-study": ["problem", "f_expr", "g_expr", "domain", "l0", "L",
@@ -327,7 +327,7 @@ FULL_ARGS = {
     "solve": [*CUSTOM, "--l0", "2", "--L", "3", "--eps", "0.1", "--pilot",
               "8", "--max-cost", "1e9"],
     "eig": ["--domain", "ball(0,0,1)", "--l0", "2", "--L", "3", "--tol", "0.1",
-            "--B", "3", "--m", "2", "--pilot", "8", "--fixed-accuracy"],
+            "--B", "3", "--m", "2", "--fixed-accuracy"],
     "variance-study": [*CUSTOM, "--l0", "2", "--L", "3", "--samples", "8"],
     "cost-study": [*CUSTOM, "--l0", "2", "--L", "3", "--eps-list", "0.2",
                    "--pilot", "8", "--max-cost", "0"],
@@ -440,8 +440,8 @@ class TestOwnOptions:
           "--seed", "4"], "solution.csv"),
         ("eig", OLD_EIG_MANIFEST,
          ["--domain", "ball(0,0,1)", "--alpha", "1.0", "--l0", "2", "--L",
-          "3", "--tol", "0.1", "--B", "3", "--m", "2", "--pilot", "16",
-          "--fixed-accuracy", "--seed", "6"], "iters.csv"),
+          "3", "--tol", "0.1", "--B", "3", "--m", "2", "--fixed-accuracy",
+          "--seed", "6"], "iters.csv"),
     ], ids=["solve", "eig"])
     def test_old_full_manifest_reruns(self, tmp_path, command, text,
                                       own_args, output):

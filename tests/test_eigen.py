@@ -207,6 +207,24 @@ class TestApplyInverse:
             eigen.apply_inverse(np.ones(hier.level(3).num_vertices), 1.0,
                                 hier, 0.1, seed=1)
 
+    def test_walks_the_plan_or_the_pilot_floor(self, hier5, monkeypatch):
+        # each term walks max(plan, floor) samples: a relaxed step's plan is
+        # below any larger pilot, and a term that plans more is extended
+        runs = []
+        run = mlmc.run
+
+        def spy(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(mlmc, "run", spy)
+        v = hier5.domain.contains(hier5.level(5).vertices).astype(float)
+        eigen.apply_inverse(v, 1.0, hier5, 0.1, seed=5, l0=3)
+        (res,) = runs
+        assert res.plan.M.min() < mlmc.PILOT_FLOOR < res.plan.M.max()
+        np.testing.assert_array_equal(
+            res.samples_used, np.maximum(res.plan.M, mlmc.PILOT_FLOOR))
+
     def test_linearity_within_noise(self, hier5):
         lvl = hier5.level(5)
         rng = np.random.default_rng(8)
@@ -240,10 +258,11 @@ class TestSmallestEigenvalue:
         # pinned on scipy's incomplete beta (with the upper-tail complement)
         # for the source weights; a change to point location, the streams or
         # the sampling engine must leave the eigenvalue bit-identical; re-taken
-        # when A2 moved from quadrature to its closed form (last bits of A2)
+        # when A2 moved from quadrature to its closed form (last bits of A2),
+        # and when each step's pilot fell from 32 samples per term to 8
         res = eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=11)
-        assert res.lam.hex() == "0x1.03c8570fde10ep+1"
-        assert res.total_cost == 134708
+        assert res.lam.hex() == "0x1.0d33ea499a44ap+1"
+        assert res.total_cost == 33911
 
     def test_workers_must_be_one(self, hier5, ex2):
         # the keyword stays for old callers; any other value fails up front
@@ -254,14 +273,25 @@ class TestSmallestEigenvalue:
             eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=7,
                                       workers=2)
 
-    @pytest.mark.parametrize("domain", [None, Ball((0.3, 0.1), 0.05)],
-                             ids=["none", "between_vertices"])
+    @pytest.mark.parametrize("domain", [Ball((0.3, 0.1), 0.05)],
+                             ids=["between_vertices"])
     def test_no_interior_vertices(self, domain):
-        # no start vector: no domain, or none of the finest level's vertices
-        # lies inside the domain
+        # no start vector: none of the finest level's vertices lies inside
+        # the domain
         hier = build_hierarchy(square_ball_base(), 3, domain=domain)
         with pytest.raises(ValueError, match="^hierarchy has no interior vertices$"):
             eigen.smallest_eigenvalue(1.0, hier, tol=0.05, B=3, m=3, seed=7)
+
+    def test_hierarchy_without_domain_rejected_before_walking(self,
+                                                             monkeypatch):
+        # used to be reported as having no interior vertices
+        def no_run(*args, **kwargs):
+            raise AssertionError("walked before rejecting the hierarchy")
+
+        monkeypatch.setattr(mlmc, "run", no_run)
+        hier = build_hierarchy(square_ball_base(unit_ball()), 3)
+        with pytest.raises(ValueError, match="^hierarchy has no domain$"):
+            eigen.smallest_eigenvalue(1.0, hier, tol=0.05, B=3, m=3, seed=1)
 
     @pytest.mark.parametrize("tol, msg", [
         (np.nan, "tol, B, m must be positive"), (np.inf, "tol must be finite")])
