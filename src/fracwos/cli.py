@@ -60,7 +60,8 @@ class RunConfig:
                               "|x|^(alpha/2), so an unbounded r2 never fits")
     domain: str | None = _opt(None, _ALL, "ball(cx,cy,r) | box(x0,y0,x1,y1) | "
                                           "polygon((x,y),...)")
-    l0: int = _opt(4, _MESH, "coarsest mesh level")
+    l0: int = _opt(4, _MESH, "coarsest mesh level; solve, eig and cost-study "
+                             "need triangles inside the domain there")
     L: int = _opt(6, _MESH, "finest mesh level")
     eps: float = _opt(1e-2, ("solve",), "field-solve L2 tolerance")
     tol: float = _opt(1e-2, ("eig",), "eigenvalue-residual tolerance")
@@ -170,7 +171,7 @@ def base_mesh_for(domain: Domain):
     v = np.vstack([verts, centroid])
     n = verts.shape[0]
     t = np.array([[i, (i + 1) % n, n] for i in range(n)])
-    return make_base(v, t, level=1)
+    return make_base(v, t)
 
 
 def build_problem(cfg: RunConfig) -> Problem:

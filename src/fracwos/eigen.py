@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import mlmc
-from .mesh import FieldVector, MeshHierarchy, interpolate
+from .mesh import MeshHierarchy, interpolate
 from .problems import Problem, _ConstantField
 from .streams import derive_key
 
@@ -167,39 +167,34 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
 
 
 def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
-                  seed: int, l0: int | None = None):
+                  seed: int, l0: int):
     """Solve with source equal to the interpolant of v and zero exterior data.
 
     `rms_tol` is the per-vertex root-mean-square accuracy (the Euclidean
     norm of the error vector divided by sqrt(N)); the field solver's L2
-    tolerance is rms_tol * sqrt(masked area), and both scales are reported
-    for audit.  It pilots at mlmc.PILOT_FLOOR samples per term: a relaxed
-    step plans fewer than any larger pilot would walk, and a term that plans
-    more is extended to its plan.  Returns (vertex values, cost, info).
+    tolerance is rms_tol * sqrt(masked area).  The telescope starts at l0.
+    It pilots at mlmc.PILOT_FLOOR samples per term: a relaxed step plans
+    fewer than any larger pilot would walk, and a term that plans more is
+    extended to its plan.  Returns (vertex values, cost).
     """
     mlmc.check_tolerance("rms_tol", rms_tol)
-    if hier.domain is None:  # it decides which vertices walk
-        raise ValueError("hierarchy has no domain")
     level = hier.level(hier.finest)
-    vals = v.values if isinstance(v, FieldVector) else np.asarray(v, dtype=np.float64)
+    vals = np.asarray(v, dtype=np.float64)
     if vals.shape[0] != level.num_vertices:
         raise ValueError("vector length does not match the finest level")
     if not np.any(vals):
-        return np.zeros_like(vals), 0, {"eps_l2": 0.0, "rms_tol": rms_tol}
-    l0 = hier.coarsest if l0 is None else l0
+        return np.zeros_like(vals), 0
     problem = Problem(alpha=alpha, domain=hier.domain,
                       f=partial(interpolate, level, vals), g=_ConstantField(0.0),
                       name="inverse-apply")
     eps_l2 = rms_tol * np.sqrt(hier.masked_area(hier.finest))
     res = mlmc.run(hier, problem, eps_l2, l0, seed, mlmc.PILOT_FLOOR,
                    fixed_L=hier.finest)
-    info = {"eps_l2": eps_l2, "rms_tol": rms_tol,
-            "stat_error_l2": res.stat_error_est}
-    return res.solution.values, res.total_cost, info
+    return res.solution.values, res.total_cost
 
 
 def smallest_eigenvalue(alpha: float, hier: MeshHierarchy, tol: float,
-                        B: float, m: int, seed: int, l0: int | None = None,
+                        B: float, m: int, seed: int, l0: int,
                         workers: int = 1, variable_accuracy: bool = True
                         ) -> EigenResult:
     """Smallest eigenvalue of the fractional Laplacian on the meshed domain.
@@ -211,8 +206,6 @@ def smallest_eigenvalue(alpha: float, hier: MeshHierarchy, tol: float,
     """
     if workers != 1:
         raise ValueError("workers must be 1: sampling runs in this process")
-    if hier.domain is None:
-        raise ValueError("hierarchy has no domain")
     inside = hier.domain.contains(hier.level(hier.finest).vertices)
     if not np.any(inside):
         raise ValueError("hierarchy has no interior vertices")
@@ -220,8 +213,7 @@ def smallest_eigenvalue(alpha: float, hier: MeshHierarchy, tol: float,
 
     def apply_op(vec, wtol, k):
         # an independent solver seed per Arnoldi step
-        u, cost, _ = apply_inverse(vec, alpha, hier, wtol,
-                                   int(derive_key(seed, 0xA7, k)), l0=l0)
-        return u, cost
+        return apply_inverse(vec, alpha, hier, wtol,
+                             int(derive_key(seed, 0xA7, k)), l0=l0)
 
     return run_arnoldi(apply_op, v0, m, tol, B, variable=variable_accuracy)

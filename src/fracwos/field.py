@@ -118,12 +118,11 @@ def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.nd
     return out
 
 
-def mass_matrix(level: MeshLevel, mask: np.ndarray | None = None) -> sparse.csr_matrix:
-    """PL mass matrix over (masked) triangles; phi' M phi is the squared
-    L2 norm of the piecewise-linear interpolant of phi."""
-    tris = level.triangles if mask is None else level.triangles[mask]
-    areas = level.areas() if mask is None else level.areas()[mask]
-    t = tris.shape[0]
+def mass_matrix(level: MeshLevel, mask: np.ndarray) -> sparse.csr_matrix:
+    """PL mass matrix over the triangles that `mask` selects; phi' M phi is
+    the squared L2 norm over them of the piecewise-linear interpolant of phi."""
+    tris = level.triangles[mask]
+    areas = level.areas()[mask]
     local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     data = (areas[:, None, None] * local).ravel()
     rows = np.repeat(tris, 3, axis=1).ravel()

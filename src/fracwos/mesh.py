@@ -11,7 +11,9 @@ triangles followed by one lookup in a per-level grid table: constant work
 per point at any depth, vectorized over many query points.  The first
 `locate` on a level builds its table (the grid, and every triangle's corner
 indices, corner coordinates and determinant, each in contiguous rows), so a
-query gathers whole rows and repeats no per-triangle arithmetic.
+query gathers whole rows and repeats no per-triangle arithmetic.  Points
+are always (P, 2) arrays.  A hierarchy is built for the domain D it meshes:
+D decides the triangles each level's L2 norm counts (`norm_mask`).
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ def _max_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
     return float(np.hypot(edges[..., 0], edges[..., 1]).max())
 
 
-def make_base(vertices, triangles, level: int = 1) -> MeshLevel:
-    """Validate and wrap a base triangulation.
+def make_base(vertices, triangles) -> MeshLevel:
+    """Validate and wrap a base triangulation as level 1.
 
     Triangles must be counter-clockwise; duplicate vertices and degenerate
     or inverted triangles are rejected.
@@ -108,7 +110,7 @@ def make_base(vertices, triangles, level: int = 1) -> MeshLevel:
         raise ValueError("duplicate vertices in base mesh")
     if np.any(_signed_areas(v, t) <= 0.0):
         raise ValueError("inverted or degenerate triangle in base mesh")
-    return MeshLevel(level=level, vertices=v, triangles=t,
+    return MeshLevel(level=1, vertices=v, triangles=t,
                      mesh_width=_max_edge(v, t))
 
 
@@ -125,7 +127,7 @@ def square_ball_base(domain: Ball | None = None) -> MeshLevel:
     v = np.array([[cx - r, cy - r], [cx + r, cy - r], [cx + r, cy + r],
                   [cx - r, cy + r], [cx, cy]])
     t = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-    return make_base(v, t, level=1)
+    return make_base(v, t)
 
 
 def refine(level: MeshLevel):
@@ -167,7 +169,7 @@ class MeshHierarchy:
 
     levels: list[MeshLevel]
     parent_edges: list[np.ndarray]      # transition i: levels[i] -> levels[i+1]
-    domain: Domain | None = None        # norm masks, eig; walks use the problem's
+    domain: Domain                      # norm masks, eig; walks use the problem's
     _norm_masks: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -192,14 +194,12 @@ class MeshHierarchy:
             raise ValueError(f"no transition onto level {fine_ell}")
         return self.parent_edges[i - 1]
 
-    def norm_mask(self, ell: int) -> np.ndarray | None:
+    def norm_mask(self, ell: int) -> np.ndarray:
         """Triangles whose three vertices lie in the closed domain.
 
         Error norms use only these, so boundary-straddling interpolation is
         not charged to the solver; the omitted strip has measure O(h).
         """
-        if self.domain is None:
-            return None
         if ell not in self._norm_masks:
             lvl = self.level(ell)
             inside = np.asarray(self.domain.contains_closed(lvl.vertices))
@@ -207,15 +207,12 @@ class MeshHierarchy:
         return self._norm_masks[ell]
 
     def masked_area(self, ell: int) -> float:
-        lvl = self.level(ell)
-        mask = self.norm_mask(ell)
-        a = lvl.areas()
-        return float(a.sum() if mask is None else a[mask].sum())
+        return float(self.level(ell).areas()[self.norm_mask(ell)].sum())
 
 
 def build_hierarchy(base: MeshLevel, finest_level: int,
-                    domain: Domain | None = None) -> MeshHierarchy:
-    """Refine `base` up to `finest_level` (inclusive)."""
+                    domain: Domain) -> MeshHierarchy:
+    """Refine `base` to `finest_level` (inclusive) for the meshed domain."""
     if finest_level < base.level:
         raise ValueError("finest_level must be at least the base level")
     levels = [base]
@@ -343,20 +340,18 @@ def _base_search(base: MeshLevel, pxy: np.ndarray):
 
 
 def locate(level: MeshLevel, p):
-    """Containing triangle and barycentric coordinates for query points.
+    """Containing triangles (P,) and barycentric coordinates (P, 3) of the
+    (P, 2) query points p.
 
-    Accepts one point (shape (2,)) or many (shape (P, 2)); raises
-    PointOutsideMeshError when barycentric coordinates fall below -1e-12
-    (or a point is not finite).  The base level is searched by brute force;
-    the base barycentric coordinates then index the level's grid table
-    directly, so the cost does not grow with depth.  The first call on a
-    level builds its table: the grid, and each triangle's corners, corner
-    coordinates and determinant, all as contiguous rows.  The (P, 3)
-    weights are a view of three contiguous rows.
+    Raises PointOutsideMeshError when barycentric coordinates fall below
+    -1e-12 (or a point is not finite).  The base level is searched by brute
+    force; the base barycentric coordinates then index the level's grid
+    table (built on the first call) directly, so the cost does not grow
+    with depth.  The (P, 3) weights are a view of three contiguous rows.
     """
-    pts = np.asarray(p, dtype=np.float64)
-    single = pts.ndim == 1
-    pxy = np.atleast_2d(pts).T                     # (2, P): x row, y row
+    pxy = np.asarray(p, dtype=np.float64).T        # (2, P): x row, y row
+    if pxy.ndim != 2 or pxy.shape[0] != 2:
+        raise ValueError("query points must be a (P, 2) array")
     base = _root(level)
     tri, st = _base_search(base, pxy)
 
@@ -389,24 +384,21 @@ def locate(level: MeshLevel, p):
     # clamp, then divide by the sum taken left to right; eig's bits rely on it
     np.maximum(w, 0.0, out=w)
     w /= (w[0] + w[1]) + w[2]
-    if single:
-        return int(tri[0]), w[:, 0]
     return tri, w.T
 
 
 def interpolate(level: MeshLevel, f, p):
-    """Piecewise-linear interpolant of vertex values, evaluated at p.
+    """Piecewise-linear interpolant of the vertex values f, evaluated at
+    the (P, 2) points p.
 
     Points are located _BLOCK at a time: past that, numpy's fresh
     temporaries cost more in page faults than in arithmetic.  The first
     block with a point outside the mesh raises PointOutsideMeshError.
     """
-    vals = f.values if isinstance(f, FieldVector) else np.asarray(f, dtype=np.float64)
+    vals = np.asarray(f, dtype=np.float64)
     if vals.shape[0] != level.num_vertices:
         raise ValueError("field length does not match mesh level")
     pts = np.asarray(p, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
     out = np.empty(pts.shape[0])
     for lo in range(0, pts.shape[0], _BLOCK):
         tri, w = locate(level, pts[lo:lo + _BLOCK])
@@ -415,7 +407,7 @@ def interpolate(level: MeshLevel, f, p):
         # summed in the order of einsum("pk,pk->p"), which this replaced
         np.add(fw[0], fw[2], out=out[lo:lo + _BLOCK])
         out[lo:lo + _BLOCK] += fw[1]
-    return float(out[0]) if single else out
+    return out
 
 
 def prolong(hier: MeshHierarchy, coarse_field: FieldVector) -> FieldVector:

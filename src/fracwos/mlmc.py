@@ -157,13 +157,11 @@ def _sample_term(hier: MeshHierarchy, problem: Problem, seed: int, kind: int,
 # planning operations
 
 def pilot(hier: MeshHierarchy, problem: Problem, samples: int, seed: int,
-          l0: int | None = None, l_max: int | None = None) -> LevelStatistics:
+          l0: int, l_max: int) -> LevelStatistics:
     """Plain moments at l0 and coupled-correction moments per transition up
     to l_max, `samples` of each: the (V_l, C_l) estimates for planning."""
     if samples < PILOT_FLOOR:
         raise ValueError(f"pilot needs at least {PILOT_FLOOR} samples per level")
-    l0 = hier.coarsest if l0 is None else l0
-    l_max = hier.finest if l_max is None else l_max
     if not hier.coarsest <= l0 <= l_max <= hier.finest:
         raise ValueError("levels out of hierarchy range")
     plain = FieldMoments(mass_matrix(hier.level(l0), hier.norm_mask(l0)))
@@ -175,6 +173,13 @@ def pilot(hier: MeshHierarchy, problem: Problem, samples: int, seed: int,
         stats.fine_plain[ell + 1] = FieldMoments(mass)
     _extend(hier, problem, seed, stats, l_max, [samples] * (l_max - l0 + 1))
     return stats
+
+
+def _check_coarsest(hier: MeshHierarchy, l0: int) -> None:
+    """Reject an l0 whose empty norm mask would give V = 0 and miss eps."""
+    if not hier.norm_mask(l0).any():
+        raise ValueError(f"l0 = {l0} has no triangles inside the domain; "
+                         "choose a finer l0")
 
 
 def fit_bias_coefficient(bias_norms: dict[int, float]) -> float:
@@ -293,7 +298,7 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
     Parameters
     ----------
     eps : target root-mean-square L2 error (bias^2 + statistical <= eps^2).
-    l0 : coarsest level of the telescope.
+    l0 : coarsest level of the telescope, with triangles inside the domain.
     fixed_L : pin the finest level instead of choosing it from the fitted
         bias decay (used when the operator must stay identical across calls).
     max_cost : cap on projected total walk steps, checked after the pilot
@@ -308,6 +313,7 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
     check_tolerance("eps", eps)
     if max_cost is not None and not max_cost >= 0:
         raise ValueError("max_cost must be non-negative")
+    _check_coarsest(hier, l0)
     l_max = hier.finest if fixed_L is None else fixed_L
     stats = pilot(hier, problem, pilot_M, seed, l0=l0, l_max=l_max)
     L = fixed_L if fixed_L is not None else choose_levels(
@@ -372,6 +378,7 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
         check_tolerance("eps", eps)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
+    _check_coarsest(hier, l0)
     levels = [int(np.clip(round(np.log2(1.0 / eps) / 2.0), l0, hier.finest))
               for eps in eps_list]
     stats = pilot(hier, problem, pilot_M, seed, l0=l0,

@@ -162,19 +162,16 @@ def walk(starts: np.ndarray, problem, count: int, draw):
             raise MaxStepsExceededError(
                 f"{slot.size} walks exceeded {MAX_WALK_STEPS} steps")
         cost += slot.size
-        # smp: each walk's realization, ascending; rows: the live ones
-        smp = slot if nv == 1 else slot // nv
-        rows = smp if nv == 1 else smp[np.r_[True, smp[1:] != smp[:-1]]]
+        # rows: the live realizations, ascending; at: each walk's position
+        # in rows, which indexes its realization's tuple
+        rows, at = slot, slice(None)
+        if nv > 1:
+            rows = slot // nv                # each walk's realization
+            first = np.r_[True, rows[1:] != rows[:-1]]
+            rows, at = rows[first], np.cumsum(first) - 1
         beta, theta, s, phi = draw(n, rows)
-        cols = (beta, theta[:, 0], theta[:, 1], s ** inv_alpha,
-                phi[:, 0], phi[:, 1])
-        at = slice(None)
-        scatter = rows.size < smp.size
-        if scatter:
-            # several walks per realization: index the tuples by realization
-            cols = tuple(_scatter(v, rows, count) for v in cols)
-            at = smp
-        beta, theta_x, theta_y, s_rad, phi_x, phi_y = cols
+        theta_x, theta_y, s_rad = theta[:, 0], theta[:, 1], s ** inv_alpha
+        phi_x, phi_y = phi[:, 0], phi[:, 1]
         # the source point x + (d S^(1/alpha)) Phi, formed in place
         src = np.stack((phi_x[at], phi_y[at]))
         src *= d * s_rad[at]
@@ -188,8 +185,6 @@ def walk(starts: np.ndarray, problem, count: int, draw):
             # the weight only multiplies f(y) - f(x): a step where that is
             # all zero (a constant f) keeps the same zeros without it
             weight = reg_inc_beta(1.0 - s ** (2.0 * inv_alpha), alpha)
-            if scatter:
-                weight = _scatter(weight, rows, count)
             diff = diff * weight[at]
         acc += params.a1 * d ** alpha * (diff + params.a2 * fx)
         del fx, diff  # freed before the jump
@@ -197,12 +192,6 @@ def walk(starts: np.ndarray, problem, count: int, draw):
         pos[0] += r * theta_x[at]
         pos[1] += r * theta_y[at]
     return out.reshape(count, nv), cost
-
-
-def _scatter(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
-    full = np.empty(count)
-    full[rows] = values
-    return full
 
 
 def _generator_draw(alpha: float, rng: np.random.Generator):

@@ -251,6 +251,15 @@ class TestCliRuns:
         assert r.returncode == 1
         assert "fracwos: error: alpha must lie in (0, 2)" in r.stderr
 
+    def test_solve_rejects_l0_without_triangles_inside(self, tmp_path):
+        # level 1 of the unit ball's mesh has no triangle inside the ball,
+        # so the solve used to miss eps after a zero-variance warning
+        r = run_cli(["solve", "--problem", "example2", "--l0", "1", "--L", "3",
+                     "--eps", "0.1", "--out", "l0"], tmp_path)
+        assert r.returncode == 1
+        assert "fracwos: error: l0 = 1 has no triangles" in r.stderr
+        assert not (tmp_path / "l0" / "solution.csv").exists()
+
     def test_cost_study_rejects_zero_eps(self, tmp_path):
         r = run_cli(["cost-study", "--eps-list", "0.1,0", "--l0", "2",
                      "--L", "3", "--pilot", "8", "--out", "z"], tmp_path)

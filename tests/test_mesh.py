@@ -46,7 +46,10 @@ def midpoint_norm_oracle(level, values, mask=None):
 
 
 def mass_l2(level, values, mask=None):
-    """The production L2 norm: sqrt(v' M v) with the (masked) mass matrix."""
+    """The production L2 norm: sqrt(v' M v) with the mass matrix over the
+    masked triangles (all of them without a mask)."""
+    if mask is None:
+        mask = np.ones(level.num_triangles, dtype=bool)
     return mass_norm(mass_matrix(level, mask), values)
 
 
@@ -141,16 +144,20 @@ def grid_locate_reference(level, pts):
     return tri, w
 
 
+_HEXAGON_ANGLES = np.arange(6) * np.pi / 3.0
+_HEXAGON = ConvexPolygon(np.column_stack([np.cos(_HEXAGON_ANGLES),
+                                          np.sin(_HEXAGON_ANGLES)]))
+
+
 def hexagon_fan_base():
     """Regular hexagon split into six triangles around its centre."""
-    ang = np.arange(6) * np.pi / 3.0
-    v = np.vstack([np.column_stack([np.cos(ang), np.sin(ang)]), [0.0, 0.0]])
+    v = np.vstack([_HEXAGON.vertices, [0.0, 0.0]])
     return make_base(v, [[i, (i + 1) % 6, 6] for i in range(6)])
 
 
 @pytest.fixture(scope="module")
 def hex5():
-    return build_hierarchy(hexagon_fan_base(), 5)
+    return build_hierarchy(hexagon_fan_base(), 5, domain=_HEXAGON)
 
 
 def probe_points(level, rng, count=4000):
@@ -167,7 +174,7 @@ def probe_points(level, rng, count=4000):
 def unit_square_hier():
     base = make_base([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
                      [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-    return build_hierarchy(base, 4)
+    return build_hierarchy(base, 4, domain=box(0.0, 0.0, 1.0, 1.0))
 
 
 def loop_refine(level):
@@ -230,7 +237,7 @@ class TestRefinement:
             np.testing.assert_array_equal(hier.parents(ell), parents)
 
     def test_vertex_count_after_one_refinement(self):
-        hier = build_hierarchy(square_ball_base(), 2)
+        hier = build_hierarchy(square_ball_base(), 2, domain=unit_ball())
         assert hier.level(2).num_vertices == 13
 
     def test_quadrisection_triangle_count(self, hier6):
@@ -289,21 +296,24 @@ class TestRefinement:
 
     def test_finest_below_base_rejected(self):
         with pytest.raises(ValueError):
-            build_hierarchy(square_ball_base(), 0)
+            build_hierarchy(square_ball_base(), 0, domain=unit_ball())
+
+    def test_domain_required(self):
+        with pytest.raises(TypeError):
+            build_hierarchy(square_ball_base(), 3)
 
 
 class TestLocate:
     def test_vertex_point(self, hier6):
         lvl = hier6.level(4)
-        v = lvl.vertices[37]
-        tri, w = locate(lvl, v)
+        (tri,), (w,) = locate(lvl, lvl.vertices[[37]])
         assert w.max() == pytest.approx(1.0, abs=1e-12)
         assert lvl.triangles[tri][w.argmax()] == 37
 
     def test_centroid(self, hier6):
         lvl = hier6.level(3)
         tv = lvl.vertices[lvl.triangles[10]]
-        tri, w = locate(lvl, tv.mean(axis=0))
+        (tri,), (w,) = locate(lvl, tv.mean(axis=0)[None, :])
         assert tri == 10
         np.testing.assert_allclose(w, [1 / 3] * 3, atol=1e-12)
 
@@ -311,12 +321,12 @@ class TestLocate:
         lvl = hier6.level(3)
         tv = lvl.vertices[lvl.triangles[5]]
         mid = 0.5 * (tv[0] + tv[1])
-        tri, w = locate(lvl, mid)
+        _, (w,) = locate(lvl, mid[None, :])
         assert sorted(w.round(12)) == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
 
     def test_outside_raises_with_points(self, hier6):
         with pytest.raises(PointOutsideMeshError) as exc:
-            locate(hier6.level(4), np.array([3.0, 0.0]))
+            locate(hier6.level(4), np.array([[3.0, 0.0]]))
         assert exc.value.points.shape == (1, 2)
 
     def test_batch_consistency(self, hier6, rng):
@@ -369,7 +379,7 @@ class TestLocateAgainstDescent:
         for bad in ([np.nan, 0.0], [np.inf, 0.0]):
             with np.errstate(invalid="ignore"), \
                     pytest.raises(PointOutsideMeshError):
-                locate(lvl, np.array(bad))
+                locate(lvl, np.array([bad]))
 
 
 class TestLocateAgainstOldTail:
@@ -410,22 +420,19 @@ class TestLocateAgainstOldTail:
 
 
 class TestLocateForms:
-    def test_single_point_form(self, hier6):
+    def test_single_point_rejected(self, hier6):
         lvl = hier6.level(5)
-        tri, w = locate(lvl, np.array([0.1, -0.2]))
-        assert type(tri) is int and w.shape == (3,)
-        tris, ws = locate(lvl, np.array([[0.1, -0.2]]))
-        assert tris.shape == (1,) and ws.shape == (1, 3)
-        assert tris[0] == tri and np.array_equal(ws[0], w)
-        value = interpolate(lvl, np.ones(lvl.num_vertices), (0.1, -0.2))
-        assert type(value) is float
+        with pytest.raises(ValueError, match=r"\(P, 2\)"):
+            locate(lvl, np.array([0.1, -0.2]))
+        with pytest.raises(ValueError, match=r"\(P, 2\)"):
+            interpolate(lvl, np.ones(lvl.num_vertices), (0.1, -0.2))
 
     def test_empty_query(self, hier6):
         tri, w = locate(hier6.level(4), np.empty((0, 2)))
         assert tri.shape == (0,) and w.shape == (0, 3)
 
     def test_table_is_lazy_and_survives_pickle(self, rng):
-        hier = build_hierarchy(square_ball_base(), 4)
+        hier = build_hierarchy(square_ball_base(), 4, domain=unit_ball())
         lvl = hier.level(4)
         assert lvl._table is None          # building a hierarchy builds no table
         pts = rng.uniform(-1.0, 1.0, (300, 2))
@@ -562,19 +569,19 @@ class TestInterpolateBits:
 class TestInterpolate:
     def test_edge_linear(self):
         base = make_base([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-        f = FieldVector(1, np.array([0.0, 1.0, 2.0]))
-        assert interpolate(base, f, (0.5, 0.5)) == pytest.approx(1.5)
+        f = np.array([0.0, 1.0, 2.0])
+        assert interpolate(base, f, [(0.5, 0.5)]) == pytest.approx([1.5])
 
     def test_constant_partition_of_unity(self, hier6, rng):
         lvl = hier6.level(5)
-        f = FieldVector(5, np.full(lvl.num_vertices, 3.7))
+        f = np.full(lvl.num_vertices, 3.7)
         pts = rng.uniform(-0.99, 0.99, (200, 2))
         np.testing.assert_allclose(interpolate(lvl, f, pts), 3.7, atol=1e-12)
 
     def test_linear_reproduction(self, hier6, rng):
         lvl = hier6.level(6)
         phi = lambda p: 3.0 * p[..., 0] - 2.0 * p[..., 1] + 1.0
-        f = FieldVector(6, phi(lvl.vertices))
+        f = phi(lvl.vertices)
         pts = rng.uniform(-0.99, 0.99, (500, 2))
         np.testing.assert_allclose(interpolate(lvl, f, pts), phi(pts), atol=1e-12)
 
@@ -685,7 +692,7 @@ class TestTransferOperators:
         with pytest.raises(ValueError, match="does not match"):
             prolong(hier6, FieldVector(5, np.zeros(7)))
         with pytest.raises(ValueError, match="does not match"):
-            interpolate(hier6.level(5), np.zeros(7), (0.0, 0.0))
+            interpolate(hier6.level(5), np.zeros(7), [(0.0, 0.0)])
 
 
 class TestFieldCsv:

@@ -135,7 +135,14 @@ class TestPilot:
 
     def test_minimum_pilot_size(self, hier6, ex2):
         with pytest.raises(ValueError):
-            mlmc.pilot(hier6, ex2, 4, seed=5)
+            mlmc.pilot(hier6, ex2, 4, seed=5, l0=3, l_max=6)
+
+    def test_empty_coarsest_mask_still_pilots(self, hier6, ex2):
+        # variance-study reads only the corrections, so it may start at a
+        # level whose norm mask is empty
+        assert not hier6.norm_mask(1).any()
+        s = mlmc.pilot(hier6, ex2, 8, seed=5, l0=1, l_max=3)
+        assert s.plain.variance == 0.0 and s.trans[1].variance > 0
 
 
 class TestSampleTerm:
@@ -298,6 +305,18 @@ class TestRun:
                                                     no_walks, cap):
         with pytest.raises(ValueError, match="^max_cost must be non-negative$"):
             mlmc.run(hier6, ex2, eps=0.1, l0=3, seed=1, max_cost=cap)
+
+    def test_empty_coarsest_mask_rejected_before_the_pilot(self, hier6, ex2,
+                                                           no_walks):
+        # level 1 of the square ball mesh has no triangle inside the ball:
+        # its plain term's V was always 0, so the plan kept only the pilot's
+        # samples of it and the solve missed eps with a warning
+        assert not hier6.norm_mask(1).any()
+        msg = "^l0 = 1 has no triangles inside the domain"
+        with pytest.raises(ValueError, match=msg):
+            mlmc.run(hier6, ex2, eps=0.1, l0=1, seed=1)
+        with pytest.raises(ValueError, match=msg):
+            mlmc.cost_comparison(hier6, ex2, [0.1], l0=1, seed=1)
 
     def test_pilot_reused_in_production(self, hier6, ex1):
         res = mlmc.run(hier6, ex1, eps=3e-2, l0=4, seed=9, pilot_M=16)
