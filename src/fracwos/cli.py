@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__, assumptions, eigen, mlmc
 from .geometry import Ball, ConvexPolygon, Domain, box, unit_ball
-from .mesh import (MeshHierarchy, MeshLevel, build_hierarchy, make_base,
-                   square_ball_base)
+from .mesh import MeshHierarchy, MeshLevel, base_mesh_for, build_hierarchy
 from .problems import BY_NAME, Problem, by_name
 from .sampling import _check_alpha
 
@@ -161,19 +160,6 @@ class ExprField:
         return np.asarray(eval(self._code, {"__builtins__": {}}, ns), dtype=np.float64)
 
 
-def base_mesh_for(domain: Domain):
-    """Base triangulation covering the domain: the 4-triangle diagonal split
-    of the bounding square for balls, a centroid fan for convex polygons."""
-    if isinstance(domain, Ball):
-        return square_ball_base(domain)
-    verts = domain.vertices
-    centroid = verts.mean(axis=0)
-    v = np.vstack([verts, centroid])
-    n = verts.shape[0]
-    t = np.array([[i, (i + 1) % n, n] for i in range(n)])
-    return make_base(v, t)
-
-
 def build_problem(cfg: RunConfig) -> Problem:
     if cfg.problem != "custom":
         return by_name(cfg.problem, cfg.alpha)
@@ -270,18 +256,6 @@ def write_field_csv(path, level: MeshLevel, values, alpha: float,
     _write_csv(path, ["vertex_index", "x", "y", "value"],
                zip(range(len(x)), x, y, values),
                first=f"# level={level.level} alpha={float(alpha)!r} seed={seed}")
-
-
-def read_field_csv(path):
-    """Read solution.csv back; returns (meta dict, vertices (N,2), values)."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError("missing field CSV header")
-        meta = dict(kv.split("=", 1) for kv in header[1:].split())
-        rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
-    rows = rows[rows[:, 0].argsort()]
-    return meta, rows[:, 1:3], rows[:, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +407,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    made = None  # the --out directory, if this run creates it
     try:
         cfg = build_config(args)
+        made = None if os.path.isdir(cfg.out) else cfg.out
         os.makedirs(cfg.out, exist_ok=True)
         t0 = time.time()
         info = _COMMANDS[cfg.command][0](cfg)
@@ -446,6 +422,8 @@ def main(argv=None) -> int:
             print(f"{key}: {val}")
         return 0
     except Exception as exc:  # one-line diagnostic, nonzero exit
+        if made and os.path.isdir(made) and not os.listdir(made):
+            os.rmdir(made)  # a failed run leaves no --out of its own
         print(f"fracwos: error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import mlmc
 from .mesh import MeshHierarchy, interpolate
-from .problems import Problem, _ConstantField
+from .problems import Problem, constant_field
 from .streams import derive_key
 
 _BREAKDOWN = 1e-14
@@ -185,7 +185,7 @@ def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
     if not np.any(vals):
         return np.zeros_like(vals), 0
     problem = Problem(alpha=alpha, domain=hier.domain,
-                      f=partial(interpolate, level, vals), g=_ConstantField(0.0),
+                      f=partial(interpolate, level, vals), g=constant_field(0.0),
                       name="inverse-apply")
     eps_l2 = rms_tol * np.sqrt(hier.masked_area(hier.finest))
     res = mlmc.run(hier, problem, eps_l2, l0, seed, mlmc.PILOT_FLOOR,

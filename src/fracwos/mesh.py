@@ -80,10 +80,7 @@ class FieldVector:
 
 
 def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    tv = vertices[triangles]
-    e1 = tv[:, 1] - tv[:, 0]
-    e2 = tv[:, 2] - tv[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    return 0.5 * _det(*vertices[triangles].reshape(-1, 6).T)
 
 
 def _max_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
@@ -127,6 +124,19 @@ def square_ball_base(domain: Ball | None = None) -> MeshLevel:
     v = np.array([[cx - r, cy - r], [cx + r, cy - r], [cx + r, cy + r],
                   [cx - r, cy + r], [cx, cy]])
     t = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+    return make_base(v, t)
+
+
+def base_mesh_for(domain: Domain):
+    """Base triangulation covering the domain: the 4-triangle diagonal split
+    of the bounding square for balls, a centroid fan for convex polygons."""
+    if isinstance(domain, Ball):
+        return square_ball_base(domain)
+    verts = domain.vertices
+    centroid = verts.mean(axis=0)
+    v = np.vstack([verts, centroid])
+    n = verts.shape[0]
+    t = np.array([[i, (i + 1) % n, n] for i in range(n)])
     return make_base(v, t)
 
 

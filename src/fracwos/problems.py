@@ -3,12 +3,13 @@
 Each problem bundles the fractional order, the domain, the interior source
 f, the exterior data g (defined on the whole complement, not just the
 boundary), and, where known, the exact solution for error reporting.
-Scalar fields are vectorized callables mapping an (N, 2) float64 point
-array to an (N,) value array; the array may be a strided view (the walk
-passes the transpose of its (2, N) positions).  Fields must be elementwise:
-a point's value may not depend on the other points in the call, which is
-what makes walk values independent of batching.  g must accept arbitrary
-finite points since the alpha-stable exit overshoots the boundary.
+Scalar fields are plain vectorized functions (closures here) mapping an
+(N, 2) float64 point array to an (N,) value array; the array may be a
+strided view (the walk passes the transpose of its (2, N) positions).
+Fields must be elementwise: a point's value may not depend on the other
+points in the call, which is what makes walk values independent of
+batching.  g must accept arbitrary finite points since the alpha-stable
+exit overshoots the boundary.
 """
 
 from __future__ import annotations
@@ -28,42 +29,15 @@ def _r2(pts: np.ndarray) -> np.ndarray:
     return pts[..., 0] ** 2 + pts[..., 1] ** 2
 
 
-class _ConstantField:
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def __call__(self, pts):
-        return np.full(np.asarray(pts).shape[:-1], self.value)
+def constant_field(value: float) -> Callable:
+    value = float(value)
+    return lambda pts: np.full(np.asarray(pts).shape[:-1], value)
 
 
-class _BallPolyField:
+def _ball_poly(coeff: float, power: float) -> Callable:
     """c * (1 - |x|^2)_+^p  (zero outside the unit ball)."""
-
-    def __init__(self, coeff: float, power: float):
-        self.coeff = float(coeff)
-        self.power = float(power)
-
-    def __call__(self, pts):
-        return self.coeff * np.maximum(1.0 - _r2(pts), 0.0) ** self.power
-
-
-class _Example2Source:
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self.scale = 2.0 ** alpha * gamma(2.0 + alpha / 2.0) * gamma(1.0 + alpha / 2.0)
-
-    def __call__(self, pts):
-        return (1.0 - (1.0 + self.alpha / 2.0) * _r2(pts)) * self.scale
-
-
-class _Example3Exterior:
-    def __call__(self, pts):
-        return np.sin(_r2(pts))
-
-
-class _Example3Source:
-    def __call__(self, pts):
-        return 2.0 + _r2(pts)
+    coeff, power = float(coeff), float(power)
+    return lambda pts: coeff * np.maximum(1.0 - _r2(pts), 0.0) ** power
 
 
 @dataclass(frozen=True)
@@ -90,15 +64,17 @@ def example1(alpha: float) -> Problem:
     """
     coeff = 1.0 / (2.0 ** alpha * gamma(1.0 + alpha / 2.0) ** 2)
     return Problem(alpha=alpha, domain=unit_ball(),
-                   f=_ConstantField(1.0), g=_ConstantField(0.0),
-                   exact=_BallPolyField(coeff, alpha / 2.0), name="example1")
+                   f=constant_field(1.0), g=constant_field(0.0),
+                   exact=_ball_poly(coeff, alpha / 2.0), name="example1")
 
 
 def example2(alpha: float) -> Problem:
     """Polynomial source whose solution is u(x) = (1 - |x|^2)^(1 + alpha/2)."""
+    scale = 2.0 ** alpha * gamma(2.0 + alpha / 2.0) * gamma(1.0 + alpha / 2.0)
     return Problem(alpha=alpha, domain=unit_ball(),
-                   f=_Example2Source(alpha), g=_ConstantField(0.0),
-                   exact=_BallPolyField(1.0, 1.0 + alpha / 2.0), name="example2")
+                   f=lambda pts: (1.0 - (1.0 + alpha / 2.0) * _r2(pts)) * scale,
+                   g=constant_field(0.0),
+                   exact=_ball_poly(1.0, 1.0 + alpha / 2.0), name="example2")
 
 
 def example3(alpha: float) -> Problem:
@@ -107,7 +83,8 @@ def example3(alpha: float) -> Problem:
     Less regular coefficients; no closed-form solution is attached.
     """
     return Problem(alpha=alpha, domain=unit_ball(),
-                   f=_Example3Source(), g=_Example3Exterior(), name="example3")
+                   f=lambda pts: 2.0 + _r2(pts), g=lambda pts: np.sin(_r2(pts)),
+                   name="example3")
 
 
 BY_NAME = {"example1": example1, "example2": example2, "example3": example3}

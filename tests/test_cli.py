@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import fracwos
-from fracwos.cli import (ExprField, RunConfig, base_mesh_for, build_mesh,
-                         fit_slope, main, parse_domain, read_config)
+from fracwos import mlmc
+from fracwos.cli import (ExprField, RunConfig, build_mesh, fit_slope, main,
+                         parse_domain, read_config)
 from fracwos.geometry import Ball, ConvexPolygon, unit_ball
-from fracwos.mesh import square_ball_base
+from fracwos.mesh import base_mesh_for, square_ball_base
 
 
 # The directory holding the imported fracwos package. The child process gets it
@@ -265,6 +266,41 @@ class TestCliRuns:
                      "--L", "3", "--pilot", "8", "--out", "z"], tmp_path)
         assert r.returncode == 1
         assert "fracwos: error: eps must be positive" in r.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--l0", "1", "--L", "3", "--eps", "0.1"],
+        ["eig", "--l0", "1", "--L", "3"],
+        ["cost-study", "--l0", "1", "--L", "3"],
+        ["variance-study", "--l0", "2", "--L", "3", "--samples", "4"],
+        ["check-assumptions", "--mu", "2"],
+    ], ids=lambda args: args[0])
+    def test_rejected_run_creates_no_out(self, tmp_path, args):
+        # the command itself rejects these, after --out has been made
+        r = run_cli([*args, "--out", "out"], tmp_path)
+        assert r.returncode == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_rejected_run_keeps_existing_out(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "full").mkdir()
+        (tmp_path / "full" / "keep.txt").write_text("kept")
+        for out in ("empty", "full"):
+            r = run_cli(["check-assumptions", "--mu", "2", "--out", out],
+                        tmp_path)
+            assert r.returncode == 1
+        assert (tmp_path / "empty").is_dir()
+        assert os.listdir(tmp_path / "full") == ["keep.txt"]
+        assert (tmp_path / "full" / "keep.txt").read_text() == "kept"
+
+    def test_out_that_cannot_be_made_fails_before_walking(self, tmp_path,
+                                                         monkeypatch, capsys):
+        (tmp_path / "file").write_text("")
+        runs = []
+        monkeypatch.setattr(mlmc, "run", lambda *a, **k: runs.append(a))
+        out = tmp_path / "file" / "out"
+        assert main([*SOLVE_ARGS, "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+        assert runs == [] and (tmp_path / "file").is_file()
 
     @pytest.mark.parametrize("command", ["solve", "variance-study",
                                          "cost-study"])

@@ -150,8 +150,8 @@ class TestConvexPolygon:
         assert a != ConvexPolygon([(1, 0), (1, 1), (0, 1), (0, 0.5)])
 
     def test_problems_on_equal_polygons_compare(self):
-        from fracwos.problems import Problem, _ConstantField
-        zero = _ConstantField(0.0)
+        from fracwos.problems import Problem, constant_field
+        zero = constant_field(0.0)
         p, q = (Problem(alpha=1.0, domain=box(0, 0, 1, 1), f=zero, g=zero)
                 for _ in range(2))
         assert p.domain is not q.domain and p == q

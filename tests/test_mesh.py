@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import fracwos.mesh
-from fracwos.cli import base_mesh_for, read_field_csv, write_field_csv
+from fracwos.cli import write_field_csv
 from fracwos.field import batch_defects, mass_matrix, mass_norm
 from fracwos.geometry import Ball, ConvexPolygon, box, unit_ball
 from fracwos.mesh import (_BARY_TOL, FieldVector, PointOutsideMeshError, _bary,
-                          _cell_table, build_hierarchy, interpolate, locate,
-                          make_base, prolong, prolong_to, square_ball_base)
+                          _cell_table, base_mesh_for, build_hierarchy,
+                          interpolate, locate, make_base, prolong, prolong_to,
+                          square_ball_base)
 
 # degree-5 cubature on the reference triangle (7-point rule)
 _Q5_BARY = np.array([
@@ -701,8 +702,9 @@ class TestFieldCsv:
         vals = rng.normal(size=lvl.num_vertices)
         path = tmp_path / "field.csv"
         write_field_csv(path, lvl, vals, alpha=1.5, seed=99)
-        meta, verts, back = read_field_csv(path)
-        assert meta["level"] == "3" and meta["seed"] == "99"
-        assert float(meta["alpha"]) == 1.5
-        np.testing.assert_array_equal(back, vals)
-        np.testing.assert_array_equal(verts, lvl.vertices)
+        assert path.read_text().splitlines()[:2] == [
+            "# level=3 alpha=1.5 seed=99", "vertex_index,x,y,value"]
+        rows = np.loadtxt(path, delimiter=",", skiprows=2)
+        np.testing.assert_array_equal(rows[:, 0], np.arange(lvl.num_vertices))
+        np.testing.assert_array_equal(rows[:, 1:3], lvl.vertices)
+        np.testing.assert_array_equal(rows[:, 3], vals)

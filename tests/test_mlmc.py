@@ -333,9 +333,8 @@ class TestRun:
 
     def test_box_domain_end_to_end(self):
         # square domain meshed by itself: unit source, zero exterior data
-        from fracwos.cli import base_mesh_for
         from fracwos.geometry import box
-        from fracwos.mesh import build_hierarchy
+        from fracwos.mesh import base_mesh_for, build_hierarchy
         dom = box(0.0, 0.0, 1.0, 1.0)
         hier = build_hierarchy(base_mesh_for(dom), 4, domain=dom)
         prob = Problem(alpha=1.0, domain=dom,

@@ -3,9 +3,8 @@ import pytest
 from scipy.special import beta as beta_fn, gamma
 
 from fracwos import mlmc
-from fracwos.cli import base_mesh_for
 from fracwos.geometry import Ball, ConvexPolygon, box
-from fracwos.mesh import build_hierarchy
+from fracwos.mesh import base_mesh_for, build_hierarchy
 from fracwos.problems import Problem, by_name, example1, example2, example3
 from fracwos.sampling import point_estimate
 
@@ -89,6 +88,58 @@ class TestRegistry:
             p = by_name(name, 1.3)
             assert np.isfinite(p.f(pts)).all()
             assert np.isfinite(p.g(pts)).all()
+
+
+# Points inside, on and outside the unit ball, passed as the walk passes its
+# positions: the strided transpose of a (2, N) array.
+_PIN_XY = np.array([[0.0, 0.3, -0.7, 1.0, -1.5, 3.0],
+                    [0.0, 0.4, 0.1, 0.0, 2.0, -4.0]])
+_ONES, _ZEROS = ["0x1.0000000000000p+0"] * 6, ["0x0.0p+0"] * 6
+# float.hex of every named field at _PIN_XY
+_PINS = {
+    ("example1", 0.5, "f"): _ONES,
+    ("example1", 0.5, "g"): _ZEROS,
+    ("example1", 0.5, "exact"): [
+        "0x1.b8ab573f48c3bp-1", "0x1.9a16c82bd8a9dp-1", "0x1.728ea6ef256f0p-1",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+    ("example1", 1.5, "f"): _ONES,
+    ("example1", 1.5, "g"): _ZEROS,
+    ("example1", 1.5, "exact"): [
+        "0x1.ac9ccda0ac518p-2", "0x1.596e3b123c92ap-2", "0x1.fdb584463f014p-3",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+    ("example2", 0.5, "f"): [
+        "0x1.73cc4f0529bd4p+0", "0x1.ff38eca719644p-1", "0x1.16d93b43df4e0p-1",
+        "-0x1.73cc4f0529bd4p-2", "-0x1.3c9bfb4a658b3p+3", "-0x1.5f7722b2e174ep+5"],
+    ("example2", 0.5, "g"): _ZEROS,
+    ("example2", 0.5, "exact"): [
+        "0x1.0000000000000p+0", "0x1.655a2e1903683p-1", "0x1.ae89f995ad3adp-2",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+    ("example2", 1.5, "f"): [
+        "0x1.0b946610c3b3ep+2", "0x1.2d06f2d2dc2a6p+1", "0x1.0b946610c3b42p-1",
+        "-0x1.915e9919258ddp+1", "-0x1.4c6256c8d3197p+5", "-0x1.6578405a65725p+7"],
+    ("example2", 1.5, "g"): _ZEROS,
+    ("example2", 1.5, "exact"): [
+        "0x1.0000000000000p+0", "0x1.3579e455c0c10p-1", "0x1.306fe0a31b715p-2",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+    ("example3", 0.5, "f"): [
+        "0x1.0000000000000p+1", "0x1.2000000000000p+1", "0x1.4000000000000p+1",
+        "0x1.8000000000000p+1", "0x1.0800000000000p+3", "0x1.b000000000000p+4"],
+    ("example3", 0.5, "g"): [
+        "0x0.0p+0", "0x1.faaeed4f31577p-3", "0x1.eaee8744b05efp-2",
+        "0x1.aed548f090ceep-1", "-0x1.0fcddc3f512bcp-5", "-0x1.0f0e6f31e809dp-3"],
+    ("example3", 1.5, "f"): [
+        "0x1.0000000000000p+1", "0x1.2000000000000p+1", "0x1.4000000000000p+1",
+        "0x1.8000000000000p+1", "0x1.0800000000000p+3", "0x1.b000000000000p+4"],
+    ("example3", 1.5, "g"): [
+        "0x0.0p+0", "0x1.faaeed4f31577p-3", "0x1.eaee8744b05efp-2",
+        "0x1.aed548f090ceep-1", "-0x1.0fcddc3f512bcp-5", "-0x1.0f0e6f31e809dp-3"],
+}
+
+
+@pytest.mark.parametrize("name, alpha, field", sorted(_PINS))
+def test_field_bits(name, alpha, field):
+    fn = getattr(by_name(name, alpha), field)
+    assert [float(v).hex() for v in fn(_PIN_XY.T)] == _PINS[name, alpha, field]
 
 
 class TestSamplingTiesToAnalytics:
