@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Domain, box
+from .geometry import Domain, _norm, box
 from .sampling import _check_alpha
 from .streams import batch_generator, johnk_beta_rng, unit_vectors
 
@@ -118,7 +118,8 @@ def check_I2(cfg: AssumptionConfig, pairs: np.ndarray | None = None,
             y1 += y0[:, None]
             both = np.asarray(cfg.domain._contains(x1.T)) \
                 & np.asarray(cfg.domain._contains(y1.T))
-            r1 = np.hypot(x1[0] - y1[0], x1[1] - y1[1])
+            x1 -= y1
+            r1 = _norm(x1.T)
             return np.where(both, (r1 / r0) ** expo, 0.0)
 
         per_start.append(_estimate(cfg, _LABEL_I2, j, batch))

@@ -407,10 +407,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    made = None  # the --out directory, if this run creates it
+    made = []  # the directories this run creates for --out, deepest first
     try:
         cfg = build_config(args)
-        made = None if os.path.isdir(cfg.out) else cfg.out
+        path = os.path.abspath(cfg.out)
+        while not os.path.isdir(path):
+            made.append(path)
+            path = os.path.dirname(path)
         os.makedirs(cfg.out, exist_ok=True)
         t0 = time.time()
         info = _COMMANDS[cfg.command][0](cfg)
@@ -422,8 +425,9 @@ def main(argv=None) -> int:
             print(f"{key}: {val}")
         return 0
     except Exception as exc:  # one-line diagnostic, nonzero exit
-        if made and os.path.isdir(made) and not os.listdir(made):
-            os.rmdir(made)  # a failed run leaves no --out of its own
+        for path in made:  # a failed run leaves no --out of its own
+            if os.path.isdir(path) and not os.listdir(path):
+                os.rmdir(path)
         print(f"fracwos: error: {exc}", file=sys.stderr)
         return 1
 

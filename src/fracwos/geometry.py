@@ -10,6 +10,10 @@ exited.
 The walk asks only `_distance` and retires a path once `not d > 0`, so each
 shape keeps `_contains(p) == (_distance(p) > 0)`, NaN included; `_contains`
 stays for `contains`, `sample_uniform`, `check_I2` and perfbench's tracer.
+
+A ball's three tests take r = |p - center| as sqrt(dx*dx + dy*dy), within
+2 ulp of np.hypot at a fraction of its cost.  The squares may overflow: a
+point beyond about 1e154 reads r = inf, which is outside, with no warning.
 """
 
 from __future__ import annotations
@@ -26,6 +30,16 @@ def _as_points(p) -> np.ndarray:
     if pts.shape[-1] != 2:
         raise ValueError("points must have shape (..., 2)")
     return pts
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    """sqrt(x*x + y*y) of the (..., 2) array d, formed in (overwriting) its
+    x column; squares that overflow give inf, with no warning."""
+    r, y = d[..., 0], d[..., 1]
+    with np.errstate(over="ignore"):
+        r *= r
+        r += y * y
+    return np.sqrt(r, out=r)
 
 
 def _finite_points(p) -> np.ndarray:
@@ -66,20 +80,19 @@ class Ball(_Domain):
     def diameter(self) -> float:
         return 2.0 * self.radius
 
+    def _r(self, pts: np.ndarray):
+        return _norm(np.subtract(pts, self.center))
+
     def _contains(self, pts: np.ndarray):
-        r = np.hypot(pts[..., 0] - self.center[0], pts[..., 1] - self.center[1])
-        return r < self.radius
+        return self._r(pts) < self.radius
 
     def _distance(self, pts: np.ndarray):
-        r = np.hypot(pts[..., 0] - self.center[0], pts[..., 1] - self.center[1])
-        return np.maximum(self.radius - r, 0.0)
+        return np.maximum(self.radius - self._r(pts), 0.0)
 
     def contains_closed(self, p) -> np.ndarray | bool:
         """Membership in the closure, with a small tolerance for vertices
         that land exactly on the boundary circle."""
-        pts = _as_points(p)
-        r = np.hypot(pts[..., 0] - self.center[0], pts[..., 1] - self.center[1])
-        return r <= self.radius * (1.0 + _CLOSED_TOL)
+        return self._r(_as_points(p)) <= self.radius * (1.0 + _CLOSED_TOL)
 
     def sample_uniform(self, rng: np.random.Generator, size: int) -> np.ndarray:
         rad = self.radius * np.sqrt(rng.random(size))

@@ -89,13 +89,26 @@ def uniform_pair(key, draw, step, tag):
     return _to_unit(o0, o1), _to_unit(o2, o3)
 
 
+def _logsum(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
+    """log(exp(lx) + exp(ly)) as max(lx, ly) + log1p(exp(-|lx - ly|)), the
+    stable form of np.logaddexp on vector exp/log1p loops; overwrites ly."""
+    m = np.maximum(lx, ly)
+    np.minimum(lx, ly, out=ly)
+    ly -= m                     # -|lx - ly|, exactly
+    np.exp(ly, out=ly)
+    np.log1p(ly, out=ly)
+    return np.add(ly, m, out=ly)
+
+
 def _johnk(alpha: float, n: int, uniforms) -> np.ndarray:
     """n Beta(alpha/2, (2-alpha)/2) draws by Johnk's rejection method.
 
     Round r calls uniforms(pending slots, r) for two uniform arrays U1, U2
     over the slots still pending; a slot accepts when X + Y <= 1 for
     X = U1^(2/alpha), Y = U2^(2/(2-alpha)) and takes X/(X + Y), computed in
-    log space to survive extreme exponents at small alpha.
+    log space to survive extreme exponents at small alpha: with the stable
+    log-sum l = log(X + Y) (:func:`_logsum`), it accepts when l <= 0 and takes
+    exp(log X - l).  Round 0 writes every slot; later rounds redo rejections.
     """
     inv_a = 2.0 / alpha
     inv_b = 2.0 / (2.0 - alpha)
@@ -104,13 +117,19 @@ def _johnk(alpha: float, n: int, uniforms) -> np.ndarray:
     r = 0
     while pend.size:
         u1, u2 = uniforms(pend, r)
-        logx = inv_a * np.log(u1)
-        logsum = np.logaddexp(logx, inv_b * np.log(u2))
+        lx, ly = np.log(u1), np.log(u2)
+        lx *= inv_a
+        ly *= inv_b
+        logsum = _logsum(lx, ly)
         accept = logsum <= 0.0
-        out[pend[accept]] = np.exp(logx[accept] - logsum[accept])
+        lx -= logsum
+        if r == 0:
+            np.exp(lx, out=out)
+        else:
+            out[pend[accept]] = np.exp(lx[accept])
         pend = pend[~accept]
         r += 1
-    return np.clip(out, _BETA_FLOOR, _BETA_CEIL)
+    return np.clip(out, _BETA_FLOOR, _BETA_CEIL, out=out)
 
 
 def johnk_beta(alpha: float, key, step) -> np.ndarray:
@@ -149,8 +168,11 @@ def step_tuples(alpha: float, key, step):
 
 def unit_vectors(u: np.ndarray) -> np.ndarray:
     """Unit vectors (cos 2 pi u, sin 2 pi u), stacked on the last axis."""
-    two_pi = 2.0 * np.pi
-    return np.stack([np.cos(two_pi * u), np.sin(two_pi * u)], axis=-1)
+    angle = 2.0 * np.pi * u
+    out = np.empty(np.shape(u) + (2,))
+    np.cos(angle, out=out[..., 0])
+    np.sin(angle, out=out[..., 1])
+    return out
 
 
 def batch_generator(seed: int, *fields) -> np.random.Generator:

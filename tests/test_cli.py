@@ -292,6 +292,15 @@ class TestCliRuns:
         assert os.listdir(tmp_path / "full") == ["keep.txt"]
         assert (tmp_path / "full" / "keep.txt").read_text() == "kept"
 
+    def test_rejected_run_removes_each_directory_it_made(self, tmp_path):
+        # up to, not including, the first directory that already existed
+        (tmp_path / "kept").mkdir()
+        for out in ("a/b/c", "kept/b/c"):
+            assert main(["check-assumptions", "--mu", "2",
+                         "--out", str(tmp_path / out)]) == 1
+        assert os.listdir(tmp_path) == ["kept"]
+        assert os.listdir(tmp_path / "kept") == []
+
     def test_out_that_cannot_be_made_fails_before_walking(self, tmp_path,
                                                          monkeypatch, capsys):
         (tmp_path / "file").write_text("")

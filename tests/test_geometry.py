@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,31 @@ class TestBall:
             Ball((0.0, 0.0), -1.0)
         with pytest.raises(ValueError):
             Ball((np.nan, 0.0), 1.0)
+
+
+    @pytest.mark.parametrize("domain", [
+        unit_ball(), Ball((0.3, -1.7), 0.45), Ball((2.5, -1.0), 1e-3),
+        Ball((-40.0, 7.0), 1e3)], ids=["unit", "off_centre", "tiny", "large"])
+    def test_distance_matches_hypot_reference(self, domain):
+        # random points out to 1.5 radii, and points within 1e-9 radii of
+        # the circle, where R - r cancels
+        rng = np.random.default_rng(11)
+        c, R = np.array(domain.center), domain.radius
+        rad = R * np.concatenate([rng.uniform(0.0, 1.5, 20000),
+                                  1.0 + rng.uniform(-1e-9, 1e-9, 20000)])
+        ang = rng.uniform(0.0, 2 * np.pi, rad.size)
+        pts = c + rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+        want = np.maximum(R - np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]), 0.0)
+        assert np.abs(domain._distance(pts) - want).max() <= 4 * np.spacing(R)
+
+    def test_far_points_outside_without_warning(self, ball):
+        # squares past about 1e154 overflow to inf: r = inf, which is outside
+        pts = np.array([[1e155, 0.0], [-3e200, 2e300], [0.0, -1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not ball._contains(pts).any()
+            assert not (ball._distance(pts) > 0.0).any()
+            assert not ball.contains_closed(pts).any()
 
 
 class TestBox:

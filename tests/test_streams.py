@@ -3,8 +3,9 @@ import pytest
 from scipy import stats
 
 from fracwos.sampling import reg_inc_beta
-from fracwos.streams import (batch_generator, derive_key, johnk_beta,
-                             johnk_beta_rng, step_tuples, uniform_pair)
+from fracwos.streams import (_logsum, batch_generator, derive_key, johnk_beta,
+                             johnk_beta_rng, step_tuples, uniform_pair,
+                             unit_vectors)
 
 
 class TestCounterHash:
@@ -106,6 +107,36 @@ class TestJohnkBeta:
         rng = batch_generator(1, 2)
         b = johnk_beta_rng(1.2, rng, 200000)
         assert stats.kstest(b, lambda t: reg_inc_beta(t, 1.2)).pvalue > 0.01
+
+
+class TestKernelReferences:
+    """The vector kernels against the numpy forms they replaced."""
+
+    def test_logsum_matches_logaddexp(self):
+        # random pairs, equal pairs, gaps above 750 (exp underflows to 0)
+        # and logs near -1e4, the size 2/alpha log U reaches at alpha = 0.02
+        rng = np.random.default_rng(7)
+        pairs = [rng.uniform(-3.0, 0.0, (2, 50000)),
+                 rng.uniform(-800.0, 0.0, (2, 50000)),
+                 rng.uniform(-1e4, -9.9e3, (2, 5000)),
+                 np.array([[0.0, -1.0, -37.5, -1e4, -1.0, -760.0, -1e4],
+                           [0.0, -1.0, -37.5, -1e4, -760.0, -2.0, -9e3]])]
+        lx, ly = np.concatenate(pairs, axis=1)
+        want = np.logaddexp(lx, ly)
+        got = _logsum(lx, ly.copy())
+        # in ulp of the largest of the result and its two terms
+        terms = [np.abs(want), np.maximum(-lx, -ly),
+                 np.log1p(np.exp(-np.abs(lx - ly)))]
+        ulp = np.spacing(np.maximum.reduce(terms))
+        assert np.all(np.abs(got - want) <= 2 * ulp)
+        assert np.array_equal(got[-7:-3], lx[-7:-3] + np.log(2.0))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1001,), (8, 1001)])
+    def test_unit_vectors_match_the_stacked_form(self, shape):
+        u = np.random.default_rng(3).random(shape)
+        two_pi = 2.0 * np.pi
+        want = np.stack([np.cos(two_pi * u), np.sin(two_pi * u)], axis=-1)
+        assert unit_vectors(u).tobytes() == want.tobytes()
 
 
 class TestStepTuples:
