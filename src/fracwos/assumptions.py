@@ -9,9 +9,10 @@ Both quantities look at a single walk step x1 = x0 + Theta d(x0)/sqrt(beta):
 
 Estimates below one certify the contraction/accumulation behaviour the
 multilevel coupling rate rests on.  Start points are drawn uniformly on the
-domain (20 points, 1e6 samples by default); an optional stress mode places
+domain (20 points, 1e6 samples by default) unless the caller passes them;
 pairs near the boundary on a shared inward normal, the geometry that makes
-exponents mu > 1 fail.
+the contraction fail, can be passed that way.  Every start point must lie
+inside the domain.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Domain, _norm, box
-from .sampling import _check_alpha
+from .sampling import _check_alpha, check_positive
 from .streams import batch_generator, johnk_beta_rng, unit_vectors
 
 _BATCH = 1 << 17
@@ -51,12 +52,12 @@ class AssumptionConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not 0.0 < self.mu <= 1.5:
+        for name in ("mu", "t", "A"):
+            check_positive(name, getattr(self, name))
+        if self.mu > 1.5:
             raise ValueError("mu must be in (0, 1.5]")
-        if not 0.0 < self.t <= 1.0:
+        if self.t > 1.0:
             raise ValueError("t must be in (0, 1]")
-        if self.A <= 0:
-            raise ValueError("A must be positive")
         if self.samples_M < 2 or self.start_points_J < 1:
             raise ValueError("need at least 2 samples and 1 start point")
 
@@ -84,8 +85,16 @@ def _estimate(cfg: AssumptionConfig, label: int, j: int,
     return mean, float(np.sqrt(var / n))
 
 
-def check_I2(cfg: AssumptionConfig, pairs: np.ndarray | None = None,
-             stress: bool = False) -> CheckResult:
+def _start_distance(domain: Domain, x: np.ndarray, name: str) -> float:
+    """d(x) at a start point; a point not inside the domain fails by name."""
+    d = float(domain.distance(x))
+    if not d > 0.0:
+        raise ValueError(f"{name} is not interior")
+    return d
+
+
+def check_I2(cfg: AssumptionConfig,
+             pairs: np.ndarray | None = None) -> CheckResult:
     """Pairwise one-step contraction moment, maximized over start pairs.
 
     Pairs share (beta, Theta) between their updates; the expectation carries
@@ -94,20 +103,20 @@ def check_I2(cfg: AssumptionConfig, pairs: np.ndarray | None = None,
     """
     if pairs is None:
         rng = batch_generator(cfg.seed, _LABEL_STARTS, _LABEL_I2)
-        if stress:
-            pairs = _boundary_pairs(cfg.domain, cfg.start_points_J, rng)
-        else:
-            pts = cfg.domain.sample_uniform(rng, 2 * cfg.start_points_J)
-            pairs = pts.reshape(cfg.start_points_J, 2, 2)
+        pts = cfg.domain.sample_uniform(rng, 2 * cfg.start_points_J)
+        pairs = pts.reshape(cfg.start_points_J, 2, 2)
     pairs = np.asarray(pairs, dtype=np.float64)
-    per_start = []
-    expo = cfg.mu * cfg.alpha
+    starts = []  # every pair is checked before any sample is drawn
     for j, (x0, y0) in enumerate(pairs):
+        name = f"start pair {j}"
         r0 = float(np.hypot(*(x0 - y0)))
         if r0 == 0.0:
-            raise ValueError(f"start pair {j} is degenerate (x0 == y0)")
-        d0x = float(cfg.domain.distance(x0))
-        d0y = float(cfg.domain.distance(y0))
+            raise ValueError(f"{name} is degenerate (x0 == y0)")
+        starts.append((r0, _start_distance(cfg.domain, x0, name),
+                       _start_distance(cfg.domain, y0, name)))
+    per_start = []
+    expo = cfg.mu * cfg.alpha
+    for j, ((x0, y0), (r0, d0x, d0y)) in enumerate(zip(pairs, starts)):
 
         def batch(beta, theta):
             # jump, x1 and y1 as an x row and a y row
@@ -133,11 +142,10 @@ def check_I1(cfg: AssumptionConfig,
         rng = batch_generator(cfg.seed, _LABEL_STARTS, _LABEL_I1)
         starts = cfg.domain.sample_uniform(rng, cfg.start_points_J)
     starts = np.asarray(starts, dtype=np.float64)
+    d0s = [_start_distance(cfg.domain, x0, f"start point {j}")
+           for j, x0 in enumerate(starts)]
     per_start = []
-    for j, x0 in enumerate(starts):
-        d0 = float(cfg.domain.distance(x0))
-        if d0 <= 0.0:
-            raise ValueError(f"start point {j} is not interior")
+    for j, (x0, d0) in enumerate(zip(starts, d0s)):
         phi0 = max(cfg.A, d0 ** -cfg.t)
 
         def batch(beta, theta):
@@ -152,25 +160,3 @@ def check_I1(cfg: AssumptionConfig,
 
         per_start.append(_estimate(cfg, _LABEL_I1, j, batch))
     return CheckResult(max(v for v, _ in per_start), per_start)
-
-
-def _boundary_pairs(domain: Domain, count: int, rng) -> np.ndarray:
-    """Pairs on a shared inward normal line near the boundary (stress mode)."""
-    pts = domain.sample_uniform(rng, count)
-    # push each point toward the boundary along the outward direction of
-    # steepest distance decrease, found by finite differences
-    h = 1e-6
-    pairs = np.empty((count, 2, 2))
-    for j, p in enumerate(pts):
-        gx = (float(domain.distance(p + [h, 0.0])) - float(domain.distance(p - [h, 0.0]))) / (2 * h)
-        gy = (float(domain.distance(p + [0.0, h])) - float(domain.distance(p - [0.0, h]))) / (2 * h)
-        grad = np.array([gx, gy])
-        grad /= max(np.linalg.norm(grad), 1e-12)
-        d0 = float(domain.distance(p))
-        z = p - d0 * grad          # nearest boundary point, approximately
-        delta = 10.0 ** rng.uniform(-4, -1)
-        r0 = delta * rng.uniform(0.1, 1.0)
-        pairs[j, 0] = z + delta * grad
-        pairs[j, 1] = z + (delta + r0) * grad
-    return pairs
-

@@ -23,6 +23,7 @@ import numpy as np
 from . import mlmc
 from .mesh import MeshHierarchy, interpolate
 from .problems import Problem, constant_field
+from .sampling import check_positive
 from .streams import derive_key
 
 _BREAKDOWN = 1e-14
@@ -66,12 +67,11 @@ def wos_tolerance(k: int, tol: float, B: float, m: int,
     """Per-step solve tolerance: base tol/(B m), relaxed by gap/residual.
 
     The relaxation factor is floored at 1 (never tighter than the base) and
-    capped at RELAX_CAP so one noisy residual cannot blow up a run.
+    capped at RELAX_CAP so one noisy residual cannot blow up a run.  `m` is
+    checked by `run_arnoldi`.
     """
-    if not (tol > 0 and B > 0 and m > 0):
-        raise ValueError("tol, B, m must be positive")
-    mlmc.check_tolerance("tol", tol)
-    mlmc.check_tolerance("B", B)
+    check_positive("tol", tol)
+    check_positive("B", B, above=1.0)
     base = tol / (B * m)
     if k <= 1 or gap is None or r_prev is None:
         return base
@@ -124,7 +124,7 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
     step gets the base tolerance tol/(B m).
     """
     if m < 2:
-        raise ValueError("need at least two iterations")
+        raise ValueError("m must be at least 2")
     v0 = np.asarray(v0, dtype=np.float64)
     nrm = np.linalg.norm(v0)
     if nrm == 0:
@@ -177,7 +177,7 @@ def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
     fewer than any larger pilot would walk, and a term that plans more is
     extended to its plan.  Returns (vertex values, cost).
     """
-    mlmc.check_tolerance("rms_tol", rms_tol)
+    check_positive("rms_tol", rms_tol)
     level = hier.level(hier.finest)
     vals = np.asarray(v, dtype=np.float64)
     if vals.shape[0] != level.num_vertices:

@@ -224,7 +224,8 @@ def build_hierarchy(base: MeshLevel, finest_level: int,
                     domain: Domain) -> MeshHierarchy:
     """Refine `base` to `finest_level` (inclusive) for the meshed domain."""
     if finest_level < base.level:
-        raise ValueError("finest_level must be at least the base level")
+        raise ValueError(f"finest_level = {finest_level} must be at least "
+                         f"the base level {base.level}")
     levels = [base]
     edges = []
     while levels[-1].level < finest_level:

@@ -28,7 +28,7 @@ from .field import (FieldMoments, batch_defects, field_values, mass_matrix,
                     mass_norm)
 from .mesh import FieldVector, MeshHierarchy, prolong_to
 from .problems import Problem
-from .sampling import NonFiniteStatisticError
+from .sampling import NonFiniteStatisticError, check_positive
 from .streams import derive_key
 
 _KIND_PLAIN = 1
@@ -46,12 +46,12 @@ class BudgetExceededError(RuntimeError):
     """The planned sampling cost exceeds the configured cap."""
 
 
-def check_tolerance(name: str, value: float) -> None:
-    """Reject a tolerance that is not a positive finite number, by name."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive")
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite")
+def _check_budget(max_cost: float) -> None:
+    """Reject a NaN or negative walk-step cap, by name; inf means no cap."""
+    if np.isnan(max_cost):
+        raise ValueError("max_cost must not be NaN")
+    if max_cost < 0:
+        raise ValueError("max_cost must be non-negative")
 
 
 @dataclass
@@ -94,10 +94,10 @@ class LevelStatistics:
     """Pilot moments per term, reusable as the head of production sampling.
 
     `fine_plain[l]` holds the plain moments at level l for vanilla planning
-    (`plain` itself at l0); above l0 it is the plain moments of the fine
-    fields of transition l-1 -> l, so the pilot and production extend it
-    together with `trans[l-1]`.  `terms(L)` lists the moments in `_terms`
-    order.
+    (`plain` itself at l0); above l0 it is the pilot's plain moments of the
+    fine fields of transition l-1 -> l.  Production extends only the
+    estimator's terms, so above l0 they keep the pilot's count.  `terms(L)`
+    lists the moments in `_terms` order.
     """
 
     l0: int
@@ -123,7 +123,8 @@ class LevelStatistics:
 def _sample_term(hier: MeshHierarchy, problem: Problem, seed: int, kind: int,
                  ell: int, i0: int, i1: int, *moments) -> None:
     """Add samples i0..i1-1 of one term to `moments`: [moments] of a plain
-    term, [defect moments, plain moments of the fine values] of a transition.
+    term, [defect moments] or [defect moments, plain moments of the fine
+    values] of a transition.
 
     _ROW_BUDGET fixes the chunks in which moments are added and their
     order: one `field_values` call takes `span` samples, as many
@@ -162,21 +163,32 @@ def pilot(hier: MeshHierarchy, problem: Problem, samples: int, seed: int,
     to l_max, `samples` of each: the (V_l, C_l) estimates for planning."""
     if samples < PILOT_FLOOR:
         raise ValueError(f"pilot needs at least {PILOT_FLOOR} samples per level")
-    if not hier.coarsest <= l0 <= l_max <= hier.finest:
-        raise ValueError("levels out of hierarchy range")
+    _check_levels(hier, l0, l_max)
     plain = FieldMoments(mass_matrix(hier.level(l0), hier.norm_mask(l0)))
     stats = LevelStatistics(l0=l0, plain=plain, trans={},
                             fine_plain={l0: plain})
+    _sample_term(hier, problem, seed, _KIND_PLAIN, l0, 0, samples, plain)
     for ell in range(l0, l_max):
         mass = mass_matrix(hier.level(ell + 1), hier.norm_mask(ell + 1))
         stats.trans[ell] = FieldMoments(mass)
         stats.fine_plain[ell + 1] = FieldMoments(mass)
-    _extend(hier, problem, seed, stats, l_max, [samples] * (l_max - l0 + 1))
+        _sample_term(hier, problem, seed, _KIND_PAIR, ell, 0, samples,
+                     stats.trans[ell], stats.fine_plain[ell + 1])
     return stats
 
 
+def _check_levels(hier: MeshHierarchy, l0: int, l_max: int) -> None:
+    """Reject an l0 or l_max outside the hierarchy, by name."""
+    for name, ell, lowest in (("l0", l0, hier.coarsest), ("l_max", l_max, l0)):
+        if not lowest <= ell <= hier.finest:
+            raise ValueError(f"{name} = {ell} lies outside levels "
+                             f"{lowest}..{hier.finest}")
+
+
 def _check_coarsest(hier: MeshHierarchy, l0: int) -> None:
-    """Reject an l0 whose empty norm mask would give V = 0 and miss eps."""
+    """Reject an l0 outside the hierarchy, or one whose empty norm mask
+    would give V = 0 and miss eps."""
+    _check_levels(hier, l0, l0)
     if not hier.norm_mask(l0).any():
         raise ValueError(f"l0 = {l0} has no triangles inside the domain; "
                          "choose a finer l0")
@@ -199,7 +211,7 @@ def choose_levels(eps: float, bias_norms: dict[int, float], l0: int,
     Falls back to the maximum available level (with a warning) when the
     bias estimates do not decay or no level satisfies the condition.
     """
-    check_tolerance("eps", eps)
+    check_positive("eps", eps)
     ls = sorted(bias_norms)
     md = [bias_norms[ell] for ell in ls]
     if len(md) >= 2 and md[-1] >= md[0] and max(md) > 0:
@@ -247,7 +259,7 @@ def allocate(eps: float, V, C) -> np.ndarray:
     C = np.asarray(C, dtype=np.float64)
     if np.any(C <= 0):
         raise ValueError("costs must be positive")
-    check_tolerance("eps", eps)
+    check_positive("eps", eps)
     if np.any(V < _VAR_FLOOR):
         if np.all(V < _VAR_FLOOR):
             return np.ones(V.shape, dtype=np.int64)
@@ -277,22 +289,16 @@ def _plan(stats: LevelStatistics, eps: float, L: int, alpha: float) -> MlmcPlan:
 
 def _extend(hier: MeshHierarchy, problem: Problem, seed: int,
             stats: LevelStatistics, L: int, M) -> None:
-    """Sample each term l0..L from its current count up to its entry of M.
-
-    A transition l -> l+1 also extends `fine_plain[l+1]`.
-    """
-    for (kind, ell), m_need in zip(_terms(stats.l0, L), M):
-        moments = ((stats.plain,) if kind == _KIND_PLAIN
-                   else (stats.trans[ell], stats.fine_plain[ell + 1]))
-        count = moments[0].count
-        if m_need > count:
-            _sample_term(hier, problem, seed, kind, ell, count, int(m_need),
-                         *moments)
+    """Sample each term l0..L from its current count up to its entry of M."""
+    for term, moments, m_need in zip(_terms(stats.l0, L), stats.terms(L), M):
+        if m_need > moments.count:
+            _sample_term(hier, problem, seed, *term, moments.count,
+                         int(m_need), moments)
 
 
 def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
         pilot_M: int = 32, fixed_L: int | None = None, workers: int = 1,
-        max_cost: float | None = MAX_COST) -> MlmcResult:
+        max_cost: float = MAX_COST) -> MlmcResult:
     """Full multilevel solve: pilot, plan, sample, telescope.
 
     Parameters
@@ -302,17 +308,16 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
     fixed_L : pin the finest level instead of choosing it from the fitted
         bias decay (used when the operator must stay identical across calls).
     max_cost : cap on projected total walk steps, checked after the pilot
-        (a negative cap is rejected before it); None lifts it.  The default,
-        MAX_COST, stops data that break the growth condition on g from
-        starting a run that would last weeks.
+        (a NaN or negative cap is rejected before it); inf lifts it.  The
+        default, MAX_COST, stops data that break the growth condition on g
+        from starting a run that would last weeks.
     workers : kept for old callers; sampling runs in this process, so it
         must be 1.
     """
     if workers != 1:
         raise ValueError("workers must be 1: sampling runs in this process")
-    check_tolerance("eps", eps)
-    if max_cost is not None and not max_cost >= 0:
-        raise ValueError("max_cost must be non-negative")
+    check_positive("eps", eps)
+    _check_budget(max_cost)
     _check_coarsest(hier, l0)
     l_max = hier.finest if fixed_L is None else fixed_L
     stats = pilot(hier, problem, pilot_M, seed, l0=l0, l_max=l_max)
@@ -322,7 +327,7 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
 
     extra = np.maximum(plan.M - pilot_M, 0)
     projected = stats.total_cost + float(np.sum(extra * plan.C))
-    if max_cost is not None and projected > max_cost:
+    if projected > max_cost:
         raise BudgetExceededError(
             f"projected cost {projected:.3g} exceeds cap {max_cost:.3g}")
 
@@ -357,7 +362,7 @@ def error_vs_exact(result: MlmcResult, exact, hier: MeshHierarchy):
 
 
 def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
-                    seed: int, pilot_M: int = 32, execute_budget: float = 0.0):
+                    seed: int, pilot_M: int = 32, max_cost: float = 0.0):
     """Projected multilevel vs single-level (vanilla) step costs per tolerance.
 
     One pilot estimates all level statistics; each eps then gets its finest
@@ -366,16 +371,17 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
     level follows the dyadic schedule L = log2(1/eps)/2 (clamped to the
     hierarchy), since pilot mean-correction norms are too noisy to resolve
     bias at these tolerances; the pilot stops at the largest such L.  Rows
-    whose planned cost fits `execute_budget` are also executed, in eps
-    order, to report realized cost: they reuse the pilot and each other's
-    samples, and `executed_cost` is the total walk steps that `run` with
-    `fixed_L=L` at the same seed would report (tolerances far below that are
-    reported as plans, which is the only meaningful scale for costs near
-    1e16 steps).
+    whose planned cost fits `max_cost` (inf: every row; the default 0: none)
+    are also executed, in eps order, to report realized cost: they reuse the
+    pilot and each other's samples, and `executed_cost` is the total walk
+    steps that `run` with `fixed_L=L` at the same seed would report
+    (tolerances far below that are reported as plans, which is the only
+    meaningful scale for costs near 1e16 steps).
     """
     eps_list = list(eps_list)
     for eps in eps_list:
-        check_tolerance("eps", eps)
+        check_positive("eps", eps)
+    _check_budget(max_cost)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     _check_coarsest(hier, l0)
@@ -384,7 +390,7 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
     stats = pilot(hier, problem, pilot_M, seed, l0=l0,
                   l_max=max(levels, default=l0))
     # plan every row from the pilot moments: executing a row extends them,
-    # `fine_plain`, which the vanilla costs read, included
+    # and at L = l0 the vanilla cost reads `plain`, an estimator term
     plans = [_plan(stats, eps, L, problem.alpha)
              for eps, L in zip(eps_list, levels)]
     rows = []
@@ -399,7 +405,7 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
     # along decreasing eps neither L nor any M falls, so each executed row
     # extends the samples of the last one and ends where its own run would
     for row, plan in zip(rows, plans):
-        if plan.planned_cost <= execute_budget:
+        if plan.planned_cost <= max_cost:
             _extend(hier, problem, seed, stats, plan.finest, plan.M)
             row["executed_cost"] = sum(m.cost for m in stats.terms(plan.finest))
     return rows

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .geometry import Domain, unit_ball
-from .sampling import StableParams, make_params
+from .sampling import StableParams, _check_alpha, make_params
 
 
 def _r2(pts: np.ndarray) -> np.ndarray:
@@ -62,6 +62,7 @@ def example1(alpha: float) -> Problem:
     The solution is the mean first-exit time of the alpha-stable process:
     u(x) = (1 - |x|^2)^(alpha/2) / (2^alpha Gamma(1 + alpha/2)^2).
     """
+    _check_alpha(alpha)  # before 2^alpha can overflow
     coeff = 1.0 / (2.0 ** alpha * gamma(1.0 + alpha / 2.0) ** 2)
     return Problem(alpha=alpha, domain=unit_ball(),
                    f=constant_field(1.0), g=constant_field(0.0),
@@ -70,6 +71,7 @@ def example1(alpha: float) -> Problem:
 
 def example2(alpha: float) -> Problem:
     """Polynomial source whose solution is u(x) = (1 - |x|^2)^(1 + alpha/2)."""
+    _check_alpha(alpha)  # before 2^alpha can overflow
     scale = 2.0 ** alpha * gamma(2.0 + alpha / 2.0) * gamma(1.0 + alpha / 2.0)
     return Problem(alpha=alpha, domain=unit_ball(),
                    f=lambda pts: (1.0 - (1.0 + alpha / 2.0) * _r2(pts)) * scale,

@@ -80,6 +80,17 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
 
 
+def check_positive(name: str, value: float, above: float = 0.0) -> None:
+    """Reject, by name, a value that is NaN, infinite or not above `above`."""
+    if math.isnan(value):
+        raise ValueError(f"{name} must not be NaN")
+    if math.isinf(value):
+        raise ValueError(f"{name} must be finite")
+    if not value > above:
+        raise ValueError(f"{name} must be positive" if above == 0.0
+                         else f"{name} must be greater than {above:g}")
+
+
 @dataclass(frozen=True)
 class StableParams:
     """Precomputed constants of the source-term estimator for one alpha."""

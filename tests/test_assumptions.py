@@ -54,12 +54,26 @@ class TestCheckI2:
         assert ratio == pytest.approx(2.0, rel=0.25)
 
     def test_stress_mode_probes_worse_geometry(self):
-        # boundary-aligned pairs expose contraction failures that uniform
-        # draws almost never hit
+        # a pair near the boundary on a shared inward normal exposes a
+        # contraction failure that uniform draws almost never hit
         uniform = check_I2(cfg(alpha=1.0, M=50000, J=20))
-        stressed = check_I2(cfg(alpha=1.0, M=50000, J=20), stress=True)
+        near_edge = np.array([[[0.5, 1e-3], [0.5, 1.5e-3]]])
+        stressed = check_I2(cfg(alpha=1.0, M=50000, J=20), pairs=near_edge)
         assert stressed.max_over_starts > uniform.max_over_starts
         assert stressed.max_over_starts > 1.0
+
+    @pytest.mark.parametrize("outside", [[0.5, -0.25], [0.5, 0.0]],
+                             ids=["exterior", "boundary"])
+    def test_noninterior_pair_rejected(self, outside, monkeypatch):
+        # such a pair used to give (0, 0): a false "contraction holds"; it
+        # now fails before pair 0 draws a sample
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking every pair")
+
+        monkeypatch.setattr("fracwos.assumptions._estimate", no_sampling)
+        pairs = np.array([[[0.2, 0.3], [0.6, 0.7]], [[0.5, 0.5], outside]])
+        with pytest.raises(ValueError, match="^start pair 1 is not interior$"):
+            check_I2(cfg(), pairs=pairs)
 
     def test_unit_exponent_crossing(self):
         # with the acceptance seed, the mu = 1 series crosses 1 between
@@ -78,6 +92,15 @@ class TestCheckI1:
     def test_noninterior_start_rejected(self):
         with pytest.raises(ValueError, match="interior"):
             check_I1(cfg(), starts=np.array([[0.0, 0.5]]))
+
+    def test_noninterior_start_rejected_before_sampling(self, monkeypatch):
+        # start 0 is fine; start 1 must fail before start 0 draws a sample
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking every start")
+
+        monkeypatch.setattr("fracwos.assumptions._estimate", no_sampling)
+        with pytest.raises(ValueError, match="^start point 1 is not interior$"):
+            check_I1(cfg(), starts=np.array([[0.5, 0.5], [1.5, 0.5]]))
 
     def test_deterministic(self):
         a = check_I1(cfg(M=20000, J=5))
@@ -129,3 +152,11 @@ class TestConfigValidation:
             AssumptionConfig(alpha=1.0, t=1.5)
         with pytest.raises(ValueError):
             AssumptionConfig(alpha=1.0, samples_M=1)
+
+    @pytest.mark.parametrize("A, msg", [
+        (np.nan, "A must not be NaN"), (np.inf, "A must be finite"),
+        (0.0, "A must be positive")])
+    def test_A_must_be_positive_and_finite(self, A, msg):
+        # NaN used to give max_I = nan, and inf to stop on a RuntimeWarning
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            AssumptionConfig(alpha=1.0, A=A)

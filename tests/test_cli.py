@@ -116,26 +116,58 @@ class TestConfigPlumbing:
         p.write_text("alpha = 1.5\nseed = 9   # comment\n\n# full comment\n")
         assert read_config(p) == {"alpha": "1.5", "seed": "9"}
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="solve", alpha=2.5).validate()
-        with pytest.raises(ValueError):
-            RunConfig(command="solve", l0=5, L=4).validate()
-        with pytest.raises(ValueError):
-            RunConfig(command="solve", problem="nope").validate()
+    def test_validation(self, tmp_path, capsys):
+        # validate keeps only the rules that exist in the CLI alone
+        for cfg in (RunConfig(command="solve", problem="custom", f_expr="x"),
+                    RunConfig(command="solve", domain="ball(0,0,1)"),
+                    RunConfig(command="check-assumptions", which="I3")):
+            with pytest.raises(ValueError):
+                cfg.validate()
+        # the library function that reads a value rejects it, by name
+        (tmp_path / "nope.txt").write_text("problem = nope\n")
+        for args, msg in [
+                (["--alpha", "2.5"], "alpha must lie in (0, 2), got 2.5"),
+                (["--l0", "5", "--L", "4"], "l0 = 5 lies outside levels 1..4"),
+                (["--L", "0"], "finest_level = 0 must be at least the base "
+                               "level 1"),
+                (["--config", str(tmp_path / "nope.txt")],
+                 "unknown problem 'nope'")]:
+            assert main(["solve", *args, "--out", str(tmp_path / "o")]) == 1
+            assert f"fracwos: error: {msg}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["eps", "tol", "B", "mu", "t", "A"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
-    def test_infinity_rejected_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            RunConfig(command="solve", **{name: value}).validate()
+    def test_infinity_rejected_by_name(self, tmp_path, capsys, name, value):
+        # through the command that reads the option: RunConfig leaves the
+        # check to the library function that reads the value
+        command = {"eps": "solve", "tol": "eig", "B": "eig"}.get(
+            name, "check-assumptions")
+        levels = ([] if command == "check-assumptions"
+                  else ["--l0", "2", "--L", "3"])
+        out = tmp_path / "o"
+        assert main([command, f"--{name}={value}", *levels,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"fracwos: error: {name} must be finite\n"
+        assert not out.exists()
 
-    def test_infinite_max_cost_means_no_cap(self):
-        RunConfig(command="solve", max_cost=np.inf).validate()
+    def test_infinite_max_cost_means_no_cap(self, tmp_path):
+        # cost-study executes its row whatever the row's planned cost
+        out = tmp_path / "o"
+        assert main(["cost-study", "--max-cost", "inf", "--l0", "2", "--L",
+                     "3", "--eps-list", "0.2", "--pilot", "8",
+                     "--out", str(out)]) == 0
+        row = (out / "study.csv").read_text().splitlines()[1]
+        assert row.split(",")[-1] != ""
 
-    def test_negative_max_cost_rejected_by_name(self):
+    def test_negative_max_cost_rejected_by_name(self, hier6, ex2):
+        # run and cost_comparison share one check of max_cost
         with pytest.raises(ValueError, match="^max_cost must be non-negative$"):
-            RunConfig(command="solve", max_cost=-1.0).validate()
+            mlmc.run(hier6, ex2, eps=0.1, l0=3, seed=1, max_cost=-1.0)
+        with pytest.raises(ValueError, match="^max_cost must be non-negative$"):
+            mlmc.cost_comparison(hier6, ex2, [0.1], l0=3, seed=1,
+                                 max_cost=-1.0)
 
 
 SOLVE_ARGS = ["solve", "--problem", "example2", "--alpha", "1.0", "--eps",

@@ -86,10 +86,15 @@ class TestWosTolerance:
         with pytest.raises(ValueError):
             eigen.wos_tolerance(1, -0.01, 3, 5, None, None)
 
+    @pytest.mark.parametrize("B", [0.5, 1.0])
+    def test_B_must_exceed_one(self, B):
+        with pytest.raises(ValueError, match="^B must be greater than 1$"):
+            eigen.wos_tolerance(1, 0.01, B, 5, None, None)
+
     @pytest.mark.parametrize("tol, B, msg", [
-        (np.nan, 3.0, "tol, B, m must be positive"),
+        (np.nan, 3.0, "tol must not be NaN"),
         (np.inf, 3.0, "tol must be finite"),
-        (0.01, np.nan, "tol, B, m must be positive"),
+        (0.01, np.nan, "B must not be NaN"),
         (0.01, np.inf, "B must be finite")])
     def test_rejects_nonfinite_inputs(self, tol, B, msg):
         with pytest.raises(ValueError, match=f"^{msg}$"):
@@ -188,11 +193,12 @@ class TestApplyInverse:
         assert err <= 4 * 4e-3
         assert cost > 0
 
-    @pytest.mark.parametrize("tol, word", [(np.nan, "positive"),
+    @pytest.mark.parametrize("tol, word", [(np.nan, "NaN"),
                                            (np.inf, "finite")])
     def test_rejects_nonfinite_tolerance(self, hier5, tol, word):
         v = hier5.domain.contains(hier5.level(5).vertices).astype(float)
-        with pytest.raises(ValueError, match=f"^rms_tol must be {word}$"):
+        msg = "must not be NaN" if word == "NaN" else "must be finite"
+        with pytest.raises(ValueError, match=f"^rms_tol {msg}$"):
             eigen.apply_inverse(v, 1.0, hier5, tol, seed=1, l0=3)
 
     def test_walks_the_plan_or_the_pilot_floor(self, hier5, monkeypatch):
@@ -287,7 +293,7 @@ class TestSmallestEigenvalue:
                                       l0=1)
 
     @pytest.mark.parametrize("tol, msg", [
-        (np.nan, "tol, B, m must be positive"), (np.inf, "tol must be finite")])
+        (np.nan, "tol must not be NaN"), (np.inf, "tol must be finite")])
     def test_nonfinite_tol_rejected_before_walking(self, hier5, monkeypatch,
                                                    tol, msg):
         # NaN used to walk the first step's pilot and then blame V
@@ -297,6 +303,21 @@ class TestSmallestEigenvalue:
         monkeypatch.setattr(mlmc, "run", no_run)
         with pytest.raises(ValueError, match=f"^{msg}$"):
             eigen.smallest_eigenvalue(1.0, hier5, tol=tol, B=3, m=3, seed=7,
+                                      l0=3)
+
+    @pytest.mark.parametrize("B, m, msg", [
+        (0.5, 3, "B must be greater than 1"),
+        (1.0, 3, "B must be greater than 1"),
+        (3.0, 1, "m must be at least 2")])
+    def test_B_and_m_rejected_before_walking(self, hier5, monkeypatch, B, m,
+                                             msg):
+        # B = 0.5 used to run, with a base tolerance above tol/m
+        def no_run(*args, **kwargs):
+            raise AssertionError("walked before rejecting B or m")
+
+        monkeypatch.setattr(mlmc, "run", no_run)
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=B, m=m, seed=7,
                                       l0=3)
 
     def test_variable_accuracy_relaxes_tolerances(self, hier5):

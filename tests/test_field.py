@@ -299,6 +299,10 @@ class TestWalkBudget:
         assert peak < vals.nbytes + 256 * budget
 
 
+# test ids name the alpha alone, so a re-pin renames no test
+_BY_ALPHA = ["0.05", "1.0", "1.95"]
+
+
 class TestGoldenBits:
     """Pinned field-walker bits: a change to the walk state's layout, the
     streams or the step arithmetic must leave these values bit-identical.
@@ -314,7 +318,8 @@ class TestGoldenBits:
     @pytest.mark.parametrize("alpha, digest, steps", [
         (0.05, "19a32d1afc7c4385373bd5d650731737da8caa4ca085e50b97fc93832a968595", 1365),
         (1.0, "69a7f7681ec8a4b483076b3e851c4d8311e3cca0db6717e90b8eea5859176b49", 3360),
-        (1.95, "a2f4da38b473d57844b94a2425da39b4629ef93d834da1c9977dfd456b1df48b", 43542)])
+        (1.95, "a2f4da38b473d57844b94a2425da39b4629ef93d834da1c9977dfd456b1df48b", 43542)],
+        ids=_BY_ALPHA)
     def test_walk_starts_ball(self, hier4, alpha, digest, steps):
         lvl = hier4.level(3)
         vals, cost = walk_starts(lvl.vertices[hier4.domain.contains(lvl.vertices)],
@@ -325,7 +330,8 @@ class TestGoldenBits:
     @pytest.mark.parametrize("alpha, digest, steps", [
         (0.05, "962dfa01a1e3d5b02368384cb456d31a853d3a4b5f4be4ce9a067cc09a191f47", 1389),
         (1.0, "8e5da7dc805b41837d8d36aa8089294fed81e41cc3b3549602836a9223e201cb", 3930),
-        (1.95, "32a0daab8fc50cc6167b630f954570bdb9519e32edf5aaf9129ae23b9818a1a0", 46667)])
+        (1.95, "32a0daab8fc50cc6167b630f954570bdb9519e32edf5aaf9129ae23b9818a1a0", 46667)],
+        ids=_BY_ALPHA)
     def test_walk_starts_pentagon(self, hier4, alpha, digest, steps):
         verts = hier4.level(3).vertices
         vals, cost = walk_starts(verts[_PENTAGON.contains(verts)],

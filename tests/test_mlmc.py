@@ -13,7 +13,9 @@ from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
                               point_estimate)
 
 
-NONFINITE = [(np.nan, "positive"), (np.inf, "finite")]
+# a non-finite value, and the rule its message gives
+NONFINITE = [(np.nan, "NaN"), (np.inf, "finite")]
+MUST = {"NaN": "must not be NaN", "finite": "must be finite"}
 
 
 @pytest.fixture
@@ -79,7 +81,7 @@ class TestAllocate:
 
     @pytest.mark.parametrize("eps, word", NONFINITE)
     def test_rejects_nonfinite_eps(self, eps, word):
-        with pytest.raises(ValueError, match=f"^eps must be {word}$"):
+        with pytest.raises(ValueError, match=f"^eps {MUST[word]}$"):
             mlmc.allocate(eps, [1.0], [1.0])
 
 
@@ -109,7 +111,7 @@ class TestChooseLevels:
     @pytest.mark.parametrize("eps, word", NONFINITE)
     def test_rejects_nonfinite_eps(self, eps, word):
         # NaN would fall through to the finest level, inf to the coarsest
-        with pytest.raises(ValueError, match=f"^eps must be {word}$"):
+        with pytest.raises(ValueError, match=f"^eps {MUST[word]}$"):
             mlmc.choose_levels(eps, {3: 0.1, 4: 0.02}, 3, 8)
 
     def test_fit_bias_coefficient(self):
@@ -249,16 +251,21 @@ class TestSampleTerm:
             assert (a.sum_sq, a.count, a.cost) == (b.sum_sq, b.count, b.cost)
 
 
-    def test_extend_grows_fine_plain_with_its_transition(self, hier6, ex2):
+    def test_extend_leaves_fine_plain_at_the_pilot_size(self, hier6, ex2):
+        # only the vanilla costs read fine_plain above l0, and they are
+        # planned from the pilot, so production extends only the terms
         stats = mlmc.pilot(hier6, ex2, 16, 3, l0=3, l_max=5)
+        pilot_fine = {ell: (stats.fine_plain[ell].count,
+                            stats.fine_plain[ell].cost) for ell in (4, 5)}
+        assert pilot_fine == {ell: (16, stats.trans[ell - 1].cost)
+                              for ell in (4, 5)}
         plan = mlmc._plan(stats, 0.05, 5, ex2.alpha)
         assert np.all(plan.M > 16)
         mlmc._extend(hier6, ex2, 3, stats, plan.finest, plan.M)
         assert [m.count for m in stats.terms(5)] == plan.M.tolist()
         assert stats.fine_plain[3] is stats.plain
-        for ell in (4, 5):
-            fine, trans = stats.fine_plain[ell], stats.trans[ell - 1]
-            assert (fine.count, fine.cost) == (trans.count, trans.cost)
+        assert {ell: (stats.fine_plain[ell].count, stats.fine_plain[ell].cost)
+                for ell in (4, 5)} == pilot_fine
 
 
 class TestRun:
@@ -297,14 +304,26 @@ class TestRun:
                                                      no_walks, eps, word):
         # NaN used to walk the pilot and then blame V, inf to return the
         # pilot mean as the solution
-        with pytest.raises(ValueError, match=f"^eps must be {word}$"):
+        with pytest.raises(ValueError, match=f"^eps {MUST[word]}$"):
             mlmc.run(hier6, ex2, eps=eps, l0=3, seed=1)
 
     @pytest.mark.parametrize("cap", [-1.0, np.nan])
     def test_negative_cap_rejected_before_the_pilot(self, hier6, ex2,
                                                     no_walks, cap):
-        with pytest.raises(ValueError, match="^max_cost must be non-negative$"):
+        msg = "not be NaN" if np.isnan(cap) else "be non-negative"
+        with pytest.raises(ValueError, match=f"^max_cost must {msg}$"):
             mlmc.run(hier6, ex2, eps=0.1, l0=3, seed=1, max_cost=cap)
+
+    @pytest.mark.parametrize("l0, fixed_L, msg", [
+        (7, None, "l0 = 7 lies outside levels 1..6"),
+        (0, None, "l0 = 0 lies outside levels 1..6"),
+        (3, 7, "l_max = 7 lies outside levels 3..6")])
+    def test_levels_outside_the_hierarchy_rejected_by_name(
+            self, hier6, ex2, no_walks, l0, fixed_L, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            mlmc.run(hier6, ex2, eps=0.1, l0=l0, seed=1, fixed_L=fixed_L)
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            mlmc.pilot(hier6, ex2, 8, seed=1, l0=l0, l_max=fixed_L or 6)
 
     def test_empty_coarsest_mask_rejected_before_the_pilot(self, hier6, ex2,
                                                            no_walks):
@@ -422,16 +441,30 @@ class TestCostComparison:
             mlmc.cost_comparison(hier6, ex2, eps_list, l0=3, seed=3)
 
     @pytest.mark.parametrize("eps_list, word", [([np.inf, 0.1], "finite"),
-                                                ([0.1, np.nan], "positive")])
+                                                ([0.1, np.nan], "NaN")])
     def test_rejects_nonfinite_eps(self, hier6, ex2, no_walks, eps_list,
                                    word):
         # inf used to end in a bare OverflowError from the dyadic schedule
-        with pytest.raises(ValueError, match=f"^eps must be {word}$"):
+        with pytest.raises(ValueError, match=f"^eps {MUST[word]}$"):
             mlmc.cost_comparison(hier6, ex2, eps_list, l0=3, seed=3)
+
+    @pytest.mark.parametrize("cap, msg", [(np.nan, "not be NaN"),
+                                          (-1.0, "be non-negative")])
+    def test_bad_max_cost_rejected_before_the_pilot(self, hier6, ex2,
+                                                    no_walks, cap, msg):
+        # such a cap used to execute no row, silently
+        with pytest.raises(ValueError, match=f"^max_cost must {msg}$"):
+            mlmc.cost_comparison(hier6, ex2, [0.3, 0.1], l0=3, seed=3,
+                                 max_cost=cap)
+
+    def test_infinite_max_cost_executes_every_row(self, hier6, ex2):
+        rows = mlmc.cost_comparison(hier6, ex2, [0.3, 0.1], l0=3, seed=3,
+                                    pilot_M=16, max_cost=np.inf)
+        assert all(r["executed_cost"] is not None for r in rows)
 
     def test_execute_budget_runs_affordable_points(self, hier6, ex2):
         rows = mlmc.cost_comparison(hier6, ex2, [0.3, 0.1], l0=3, seed=3,
-                                    pilot_M=16, execute_budget=1e7)
+                                    pilot_M=16, max_cost=1e7)
         assert rows[0]["executed_cost"] is not None
         # executed cost includes pilot overhead but stays the same order
         assert rows[0]["executed_cost"] <= 10 * rows[0]["mlmc_cost"] + 1e6
@@ -442,12 +475,12 @@ class TestCostComparison:
         # pinned to the row's level reports, although the rows share the
         # pilot and the second extends the samples of the first
         rows = mlmc.cost_comparison(hier6, ex2, [0.3, 0.1], l0=3, seed=3,
-                                    pilot_M=16, execute_budget=1e7)
+                                    pilot_M=16, max_cost=1e7)
         executed = [r for r in rows if r["executed_cost"] is not None]
         assert [r["L"] for r in executed] == [3, 3]
         for r in executed:
             res = mlmc.run(hier6, ex2, r["eps"], 3, 3, pilot_M=16,
-                           fixed_L=r["L"], max_cost=None)
+                           fixed_L=r["L"], max_cost=np.inf)
             assert r["executed_cost"] == res.total_cost
 
     def test_pilot_runs_once(self, hier6, ex2, monkeypatch):
@@ -466,7 +499,7 @@ class TestCostComparison:
         monkeypatch.setattr(mlmc, "pilot", spy)
         monkeypatch.setattr(mlmc, "run", no_run)
         rows = mlmc.cost_comparison(hier6, ex2, [0.3, 0.1, 0.01], l0=3,
-                                    seed=3, pilot_M=16, execute_budget=1e6)
+                                    seed=3, pilot_M=16, max_cost=1e6)
         assert all(r["executed_cost"] is not None for r in rows)
         assert pilots == [809]
 
@@ -474,7 +507,7 @@ class TestCostComparison:
         # at L = l0 the vanilla cost reads plain, which executing a row
         # extends: every row must be planned before any row executes
         rows = mlmc.cost_comparison(hier6, ex2, [0.1, 0.05], l0=3, seed=3,
-                                    pilot_M=16, execute_budget=1e7)
+                                    pilot_M=16, max_cost=1e7)
         assert [r["L"] for r in rows] == [3, 3]
         assert [r["mlmc_cost"] for r in rows] == [2780.9375, 10972.0625]
         assert [r["vanilla_cost"] for r in rows] == [2780.9375, 10972.0625]

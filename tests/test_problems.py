@@ -89,6 +89,14 @@ class TestRegistry:
             assert np.isfinite(p.f(pts)).all()
             assert np.isfinite(p.g(pts)).all()
 
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+    @pytest.mark.parametrize("alpha", [2000.0, -2000.0, np.nan])
+    def test_alpha_checked_first(self, name, alpha):
+        # example1 and example2 used to raise a bare OverflowError from
+        # 2^alpha before the alpha check
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 2\)"):
+            by_name(name, alpha)
+
 
 # Points inside, on and outside the unit ball, passed as the walk passes its
 # positions: the strided transpose of a (2, N) array.
