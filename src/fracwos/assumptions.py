@@ -13,6 +13,11 @@ domain (20 points, 1e6 samples by default) unless the caller passes them;
 pairs near the boundary on a shared inward normal, the geometry that makes
 the contraction fail, can be passed that way.  Every start point must lie
 inside the domain.
+
+Each check draws its (beta, Theta) from one labelled substream, shared by
+every start (common random numbers): each start's estimate and standard
+error are those of a check run on that start alone, while the estimates of
+different starts are correlated.
 """
 
 from __future__ import annotations
@@ -58,31 +63,38 @@ class AssumptionConfig:
             raise ValueError("mu must be in (0, 1.5]")
         if self.t > 1.0:
             raise ValueError("t must be in (0, 1]")
-        if self.samples_M < 2 or self.start_points_J < 1:
-            raise ValueError("need at least 2 samples and 1 start point")
+        if self.samples_M < 2:
+            raise ValueError("samples_M must be at least 2")
+        if self.start_points_J < 1:
+            raise ValueError("start_points_J must be at least 1")
 
 
-def _estimate(cfg: AssumptionConfig, label: int, j: int,
-              batch) -> tuple[float, float]:
-    """Mean and standard error of cfg.samples_M one-step values at start j.
+def _estimate(cfg: AssumptionConfig, label: int,
+              batches: list) -> list[tuple[float, float]]:
+    """Mean and standard error of cfg.samples_M one-step values per start.
 
-    Each batch of at most _BATCH samples draws beta, then Theta, from start
-    j's substream; `batch(beta, theta)` returns its values.  beta and theta
-    stay bound until the next batch, so the allocator keeps their pages.
+    Each batch of at most _BATCH samples draws beta, then Theta, once from
+    the check's one substream and forms the jump Theta/sqrt(beta), a (2, n)
+    array of an x row and a y row; `batches[j](jump)` turns it into start
+    j's values.  Every start consumes the same draws, so start j's estimate
+    does not depend on which other starts share the call.
     """
-    rng = batch_generator(cfg.seed, label, j)
+    rng = batch_generator(cfg.seed, label)
     n = cfg.samples_M
-    tot = tot_sq = 0.0
+    tot = np.zeros(len(batches))
+    tot_sq = np.zeros(len(batches))
     for done in range(0, n, _BATCH):
         size = min(_BATCH, n - done)
         beta = johnk_beta_rng(cfg.alpha, rng, size)
         theta = unit_vectors(rng.random(size))
-        vals = batch(beta, theta)
-        tot += vals.sum()
-        tot_sq += (vals * vals).sum()
+        jump = np.divide(theta.T, np.sqrt(beta), out=np.empty((2, size)))
+        for j, batch in enumerate(batches):
+            vals = batch(jump)
+            tot[j] += vals.sum()
+            tot_sq[j] += (vals * vals).sum()
     mean = tot / n
-    var = max((tot_sq - n * mean * mean) / (n - 1), 0.0)
-    return mean, float(np.sqrt(var / n))
+    var = np.maximum((tot_sq - n * mean * mean) / (n - 1), 0.0)
+    return list(zip(mean.tolist(), np.sqrt(var / n).tolist()))
 
 
 def _start_distance(domain: Domain, x: np.ndarray, name: str) -> float:
@@ -99,64 +111,70 @@ def check_I2(cfg: AssumptionConfig,
 
     Pairs share (beta, Theta) between their updates; the expectation carries
     the both-survive indicator.  `pairs` overrides the uniform draw with an
-    explicit (J, 2, 2) array of [x0, y0] rows.
+    explicit non-empty (J, 2, 2) array of [x0, y0] rows.
     """
     if pairs is None:
         rng = batch_generator(cfg.seed, _LABEL_STARTS, _LABEL_I2)
         pts = cfg.domain.sample_uniform(rng, 2 * cfg.start_points_J)
         pairs = pts.reshape(cfg.start_points_J, 2, 2)
     pairs = np.asarray(pairs, dtype=np.float64)
-    starts = []  # every pair is checked before any sample is drawn
+    if pairs.ndim != 3 or pairs.shape[1:] != (2, 2) or not len(pairs):
+        raise ValueError("pairs must be a non-empty (J, 2, 2) array")
+    expo = cfg.mu * cfg.alpha
+    batches = []  # every pair is checked before any sample is drawn
     for j, (x0, y0) in enumerate(pairs):
         name = f"start pair {j}"
         r0 = float(np.hypot(*(x0 - y0)))
         if r0 == 0.0:
             raise ValueError(f"{name} is degenerate (x0 == y0)")
-        starts.append((r0, _start_distance(cfg.domain, x0, name),
-                       _start_distance(cfg.domain, y0, name)))
-    per_start = []
-    expo = cfg.mu * cfg.alpha
-    for j, ((x0, y0), (r0, d0x, d0y)) in enumerate(zip(pairs, starts)):
+        d0x = _start_distance(cfg.domain, x0, name)
+        d0y = _start_distance(cfg.domain, y0, name)
 
-        def batch(beta, theta):
-            # jump, x1 and y1 as an x row and a y row
-            jump = np.divide(theta.T, np.sqrt(beta), out=np.empty((2, beta.size)))
+        def batch(jump, x0=x0[:, None], y0=y0[:, None], r0=r0, d0x=d0x,
+                  d0y=d0y):
+            # x1 and y1 as an x row and a y row
             x1 = d0x * jump
-            x1 += x0[:, None]
+            x1 += x0
             y1 = d0y * jump
-            y1 += y0[:, None]
+            y1 += y0
             both = np.asarray(cfg.domain._contains(x1.T)) \
                 & np.asarray(cfg.domain._contains(y1.T))
             x1 -= y1
             r1 = _norm(x1.T)
             return np.where(both, (r1 / r0) ** expo, 0.0)
 
-        per_start.append(_estimate(cfg, _LABEL_I2, j, batch))
+        batches.append(batch)
+    per_start = _estimate(cfg, _LABEL_I2, batches)
     return CheckResult(max(v for v, _ in per_start), per_start)
 
 
 def check_I1(cfg: AssumptionConfig,
              starts: np.ndarray | None = None) -> CheckResult:
-    """One-step moment of the boundary functional, maximized over starts."""
+    """One-step moment of the boundary functional, maximized over starts.
+
+    `starts` overrides the uniform draw with an explicit non-empty (J, 2)
+    array of start points.
+    """
     if starts is None:
         rng = batch_generator(cfg.seed, _LABEL_STARTS, _LABEL_I1)
         starts = cfg.domain.sample_uniform(rng, cfg.start_points_J)
     starts = np.asarray(starts, dtype=np.float64)
-    d0s = [_start_distance(cfg.domain, x0, f"start point {j}")
-           for j, x0 in enumerate(starts)]
-    per_start = []
-    for j, (x0, d0) in enumerate(zip(starts, d0s)):
-        phi0 = max(cfg.A, d0 ** -cfg.t)
+    if starts.ndim != 2 or starts.shape[1] != 2 or not len(starts):
+        raise ValueError("starts must be a non-empty (J, 2) array")
+    batches = []  # every start is checked before any sample is drawn
+    for j, x0 in enumerate(starts):
+        d0 = _start_distance(cfg.domain, x0, f"start point {j}")
 
-        def batch(beta, theta):
-            x1 = np.multiply(theta.T, d0 / np.sqrt(beta),
-                             out=np.empty((2, beta.size)))
-            x1 += x0[:, None]
+        def batch(jump, x0=x0[:, None], d0=d0,
+                  phi0=max(cfg.A, d0 ** -cfg.t)):
+            x1 = d0 * jump
+            x1 += x0
             d1 = cfg.domain._distance(x1.T)
             inside = d1 > 0.0
-            vals = np.zeros(beta.size)
+            vals = np.zeros(d1.size)
             vals[inside] = np.maximum(cfg.A, d1[inside] ** -cfg.t) / phi0
             return vals
 
-        per_start.append(_estimate(cfg, _LABEL_I1, j, batch))
+        batches.append(batch)
+    per_start = _estimate(cfg, _LABEL_I1, batches)
     return CheckResult(max(v for v, _ in per_start), per_start)

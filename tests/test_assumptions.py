@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracwos import assumptions
 from fracwos.assumptions import AssumptionConfig, check_I1, check_I2
 from fracwos.cli import RunConfig, cmd_check_assumptions
 from fracwos.geometry import box
@@ -108,6 +109,71 @@ class TestCheckI1:
         assert a.max_over_starts == b.max_over_starts
 
 
+class TestSharedDraws:
+    """Every start of a check consumes the check's one stream of draws."""
+
+    PAIRS = np.array([[[0.2, 0.3], [0.6, 0.7]], [[0.5, 0.5], [0.55, 0.45]],
+                      [[0.1, 0.9], [0.8, 0.2]]])
+    STARTS = np.array([[0.2, 0.3], [0.5, 0.05], [0.9, 0.6]])
+
+    @pytest.mark.parametrize("check, points", [(check_I2, PAIRS),
+                                               (check_I1, STARTS)],
+                             ids=["I2", "I1"])
+    def test_start_alone_matches_start_among_others(self, check, points):
+        res = check(cfg(M=20000), points)
+        for j in range(len(points)):
+            assert check(cfg(M=20000), points[j:j + 1]).per_start \
+                == [res.per_start[j]]
+
+    @pytest.mark.parametrize("check, points", [(check_I2, PAIRS),
+                                               (check_I1, STARTS)],
+                             ids=["I2", "I1"])
+    def test_reversed_starts_reverse_per_start(self, check, points):
+        fwd = check(cfg(M=20000), points)
+        rev = check(cfg(M=20000), points[::-1])
+        assert rev.per_start == fwd.per_start[::-1]
+
+    def test_one_beta_draw_per_batch_whatever_J(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return johnk(*args)
+
+        johnk = assumptions.johnk_beta_rng
+        monkeypatch.setattr("fracwos.assumptions.johnk_beta_rng", counting)
+        res = check_I2(cfg(M=3 * assumptions._BATCH, J=5))
+        assert len(res.per_start) == 5
+        assert calls == [assumptions._BATCH] * 3
+
+
+class TestStartArrays:
+    """A malformed start array fails by name before any sample is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled before checking the start array")
+
+        monkeypatch.setattr("fracwos.assumptions._estimate", refuse)
+
+    @pytest.mark.parametrize("pairs", [
+        np.empty((0, 2, 2)), [], np.full((3, 2), 0.5),
+        np.full((2, 3, 2), 0.5)], ids=["empty", "empty-list", "J-2", "J-3-2"])
+    def test_pairs_must_be_J_2_2(self, pairs):
+        with pytest.raises(ValueError, match=r"^pairs must be a non-empty "
+                                             r"\(J, 2, 2\) array$"):
+            check_I2(cfg(), pairs=pairs)
+
+    @pytest.mark.parametrize("starts", [
+        np.empty((0, 2)), [], np.array([0.5, 0.5]), np.full((2, 3), 0.5)],
+        ids=["empty", "empty-list", "1-D", "J-3"])
+    def test_starts_must_be_J_2(self, starts):
+        with pytest.raises(ValueError, match=r"^starts must be a non-empty "
+                                             r"\(J, 2\) array$"):
+            check_I1(cfg(), starts=starts)
+
+
 class TestSweep:
     """The check-assumptions command runs one checker at one parameter point
     and writes one study.csv row."""
@@ -152,6 +218,14 @@ class TestConfigValidation:
             AssumptionConfig(alpha=1.0, t=1.5)
         with pytest.raises(ValueError):
             AssumptionConfig(alpha=1.0, samples_M=1)
+
+    @pytest.mark.parametrize("field, value, msg", [
+        ("samples_M", 1, "samples_M must be at least 2"),
+        ("start_points_J", 0, "start_points_J must be at least 1")],
+        ids=["samples_M", "start_points_J"])
+    def test_M_and_J_fail_by_name(self, field, value, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            AssumptionConfig(alpha=1.0, **{field: value})
 
     @pytest.mark.parametrize("A, msg", [
         (np.nan, "A must not be NaN"), (np.inf, "A must be finite"),
