@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Domain, _norm, box
-from .sampling import _check_alpha, check_positive
+from .sampling import _check_alpha, check_count, check_positive
 from .streams import batch_generator, johnk_beta_rng, unit_vectors
 
 _BATCH = 1 << 17
@@ -63,10 +63,8 @@ class AssumptionConfig:
             raise ValueError("mu must be in (0, 1.5]")
         if self.t > 1.0:
             raise ValueError("t must be in (0, 1]")
-        if self.samples_M < 2:
-            raise ValueError("samples_M must be at least 2")
-        if self.start_points_J < 1:
-            raise ValueError("start_points_J must be at least 1")
+        check_count("samples_M", self.samples_M, 2)
+        check_count("start_points_J", self.start_points_J, 1)
 
 
 def _estimate(cfg: AssumptionConfig, label: int,

@@ -91,6 +91,14 @@ def check_positive(name: str, value: float, above: float = 0.0) -> None:
                          else f"{name} must be greater than {above:g}")
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Reject, by name, a non-integer count (NaN, 10.0) or one below `least`."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 @dataclass(frozen=True)
 class StableParams:
     """Precomputed constants of the source-term estimator for one alpha."""
@@ -208,11 +216,10 @@ def walk(starts: np.ndarray, problem, count: int, draw):
 def _generator_draw(alpha: float, rng: np.random.Generator):
     """A `walk` draw with fresh Generator tuples for every live realization."""
     def draw(n, rows):
-        u_dir = rng.random(rows.size)
-        u_src = rng.random(rows.size)
-        u_s = rng.random(rows.size)
+        u = rng.random((3, rows.size))  # direction, source direction, S
         beta = johnk_beta_rng(alpha, rng, rows.size)
-        return beta, unit_vectors(u_dir), u_s, unit_vectors(u_src)
+        theta, phi = unit_vectors(u[:2])
+        return beta, theta, u[2], phi
     return draw
 
 
@@ -224,8 +231,7 @@ def point_estimate(x, problem, M: int, seed: int) -> PointEstimate:
     from the numpy Generator `batch_generator(seed, 0x90, b)`, so results
     are a pure function of (x, problem, M, seed).
     """
-    if M < 2:
-        raise ValueError("need at least two samples")
+    check_count("M", M, 2)
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("non-finite evaluation point")

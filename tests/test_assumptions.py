@@ -227,6 +227,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{msg}$"):
             AssumptionConfig(alpha=1.0, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("samples_M", np.nan), ("samples_M", 1000.5), ("samples_M", 1000.0),
+        ("start_points_J", 2.5)])
+    def test_M_and_J_must_be_integers(self, field, value):
+        # they used to construct, then fail in check_I1 with a bare TypeError
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer, got "):
+            AssumptionConfig(alpha=1.0, **{field: value})
+
     @pytest.mark.parametrize("A, msg", [
         (np.nan, "A must not be NaN"), (np.inf, "A must be finite"),
         (0.0, "A must be positive")])

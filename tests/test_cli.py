@@ -259,8 +259,8 @@ class TestCliRuns:
         assert not (tmp_path / "vs" / "study.csv").exists()
 
     @pytest.mark.parametrize("which, row", [
-        ("I1", "0.5,1.0,10000.0,0.5327005714734429,0.007989312101535428"),
-        ("I2", "0.5,1.0,,0.6966776943955063,0.005512930764754374"),
+        ("I1", "0.5,1.0,10000.0,0.5327005714734427,0.00798931210153543"),
+        ("I2", "0.5,1.0,,0.6966776943955063,0.005512930764754372"),
     ], ids=["I1", "I2"])
     def test_check_assumptions_csv(self, tmp_path, which, row):
         r = run_cli(["check-assumptions", "--which", which, "--alpha", "0.5",

@@ -254,11 +254,12 @@ class TestSmallestEigenvalue:
         # the sampling engine must leave the eigenvalue bit-identical; re-taken
         # when A2 moved from quadrature to its closed form (last bits of A2),
         # when each step's pilot fell from 32 samples per term to 8, and when
-        # the Johnk log-sum and the ball radius moved to vector forms; at
+        # the Johnk log-sum and the ball radius moved to vector forms, and
+        # when the unit vectors moved to the half-angle tan form; at
         # l0 = 2, the coarsest level with triangles inside the ball
         res = eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=11,
                                         l0=2)
-        assert res.lam.hex() == "0x1.008fa6f1f8daep+1"
+        assert res.lam.hex() == "0x1.008fa6f1f8da6p+1"
         assert res.total_cost == 33856
 
     def test_workers_must_be_one(self, hier5, ex2):

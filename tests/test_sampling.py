@@ -14,9 +14,10 @@ from fracwos.geometry import Ball, unit_ball
 from fracwos.problems import Problem, example1, example2
 from fracwos.field import walk_starts
 from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
-                              StableParams, make_params, point_estimate,
-                              reg_inc_beta, walk)
-from fracwos.streams import batch_generator, derive_key, johnk_beta_rng
+                              StableParams, _generator_draw, make_params,
+                              point_estimate, reg_inc_beta, walk)
+from fracwos.streams import (batch_generator, derive_key, johnk_beta_rng,
+                             unit_vectors)
 
 # the directory holding the imported package, for child processes
 PACKAGE_ROOT = str(Path(fracwos.__file__).resolve().parents[1])
@@ -430,11 +431,12 @@ class TestPointEstimate:
     def test_golden_bits(self, ex2):
         # pinned before point estimates moved onto the shared walk kernel;
         # M = 40000 is one full batch and one partial batch; re-taken when A2
-        # moved from quadrature to its closed form (last bits of A2), and
-        # when the Johnk log-sum and the ball radius moved to vector forms
+        # moved from quadrature to its closed form (last bits of A2), when
+        # the Johnk log-sum and the ball radius moved to vector forms, and
+        # when the unit vectors moved to the half-angle tan form
         est = point_estimate((0.4, -0.3), ex2, 40000, seed=12)
         assert est.mean.hex() == "0x1.4cb9c49731500p-1"
-        assert est.variance.hex() == "0x1.cfddee6391efcp-3"
+        assert est.variance.hex() == "0x1.cfddee6391effp-3"
         assert est.total_steps == 96250
 
     def test_golden_bits_constant_source(self, ex1):
@@ -452,8 +454,28 @@ class TestPointEstimate:
         assert est.variance == 0.0 and est.total_steps == 0
 
     def test_needs_two_samples(self, ex1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^M must be at least 2$"):
             point_estimate((0.0, 0.0), ex1, 1, seed=0)
+
+    @pytest.mark.parametrize("M", [np.nan, 1000.5, 10.0])
+    def test_sample_count_must_be_an_integer(self, ex1, M):
+        # each used to raise "'float' object cannot be interpreted as an
+        # integer", naming no input
+        with pytest.raises(ValueError, match="^M must be an integer, got "):
+            point_estimate((0.0, 0.0), ex1, M, seed=0)
+        assert point_estimate((0.0, 0.0), ex1, np.int64(10), seed=0).mean > 0
+
+    def test_generator_draw_keeps_the_three_call_stream(self):
+        # one (3, n) draw is the three n-draws (direction, source direction,
+        # S) of one Generator in that order, so the tuples keep their bits
+        beta, theta, s, phi = _generator_draw(1.3, batch_generator(5, 1))(
+            0, np.arange(1000))
+        rng = batch_generator(5, 1)
+        u_dir, u_src, u_s = (rng.random(1000) for _ in range(3))
+        want = (johnk_beta_rng(1.3, rng, 1000), unit_vectors(u_dir), u_s,
+                unit_vectors(u_src))
+        for got, w in zip((beta, theta, s, phi), want):
+            assert got.tobytes() == w.tobytes()
 
     def test_non_finite_moments_raise(self, ball):
         # at alpha = 0.02 a few exits land ~1e140 away, where x^3 overflows

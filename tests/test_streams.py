@@ -3,9 +3,9 @@ import pytest
 from scipy import stats
 
 from fracwos.sampling import reg_inc_beta
-from fracwos.streams import (_logsum, batch_generator, derive_key, johnk_beta,
-                             johnk_beta_rng, step_tuples, uniform_pair,
-                             unit_vectors)
+from fracwos.streams import (TAG_DIRECTIONS, _logsum, batch_generator,
+                             derive_key, johnk_beta, johnk_beta_rng,
+                             step_tuples, uniform_pair, unit_vectors)
 
 
 class TestCounterHash:
@@ -131,12 +131,35 @@ class TestKernelReferences:
         assert np.all(np.abs(got - want) <= 2 * ulp)
         assert np.array_equal(got[-7:-3], lx[-7:-3] + np.log(2.0))
 
-    @pytest.mark.parametrize("shape", [(), (1,), (1001,), (8, 1001)])
-    def test_unit_vectors_match_the_stacked_form(self, shape):
-        u = np.random.default_rng(3).random(shape)
+    @staticmethod
+    def assert_near_cos_sin(u):
+        # the half-angle form against (cos, sin): 4 ulp of 1, absolute
+        got = unit_vectors(u)
         two_pi = 2.0 * np.pi
         want = np.stack([np.cos(two_pi * u), np.sin(two_pi * u)], axis=-1)
-        assert unit_vectors(u).tobytes() == want.tobytes()
+        assert got.shape == np.shape(u) + (2,)
+        assert np.abs(got - want).max() <= 8.9e-16
+        assert np.abs(np.hypot(got[..., 0], got[..., 1]) - 1.0).max() <= 4.5e-16
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1001,), (8, 1001),
+                                       (2, 8, 1001)])
+    def test_unit_vectors_near_cos_sin(self, shape):
+        self.assert_near_cos_sin(np.random.default_rng(3).random(shape))
+
+    def test_unit_vectors_near_cos_sin_at_the_axes(self):
+        # 0 (Generator.random can return it) and 2^-54 (the smallest
+        # counter uniform) give |t| near 1.6e16 and 5.7e15; at 1/4, 1/2,
+        # 3/4 and 1 cos or sin is 0; each edge also with its neighbours
+        edges = [0.0, 2.0 ** -54, 0.25, 0.5, 0.75, 1.0, 1.0 - 2.0 ** -53]
+        u = np.array([np.nextafter(e, to) for e in edges for to in (0.0, 2.0)]
+                     + edges)
+        self.assert_near_cos_sin(u[(u >= 0.0) & (u <= 1.0)])
+        assert unit_vectors(0.5).tolist() == [-1.0, 0.0]
+
+    def test_unit_vectors_one_stacked_call_matches_separate_calls(self):
+        u = np.random.default_rng(4).random((2, 8, 1001))
+        separate = np.stack([unit_vectors(u[0]), unit_vectors(u[1])])
+        assert unit_vectors(u).tobytes() == separate.tobytes()
 
 
 class TestStepTuples:
@@ -163,6 +186,16 @@ class TestStepTuples:
             for got_k, got_s, want in zip(by_key, by_step, one):
                 assert got_k[:, b].tobytes() == want.tobytes()
                 assert got_s[b].tobytes() == want.tobytes()
+
+    def test_directions_match_per_direction_calls(self):
+        # Theta and Phi come from one unit_vectors call on both direction
+        # uniforms; each equals its own call on the same counters
+        keys = derive_key(23, np.arange(300))[None, :]
+        steps = np.arange(3, 11, dtype=np.uint32)[:, None]
+        _, theta, _, phi = step_tuples(1.0, keys, steps)
+        u_th, u_ph = uniform_pair(keys, 0, steps, TAG_DIRECTIONS)
+        assert theta.tobytes() == unit_vectors(u_th).tobytes()
+        assert phi.tobytes() == unit_vectors(u_ph).tobytes()
 
     def test_components_mutually_independent(self):
         keys = derive_key(13, np.arange(100000))
