@@ -23,7 +23,7 @@ import numpy as np
 from . import mlmc
 from .mesh import MeshHierarchy, interpolate
 from .problems import Problem, constant_field
-from .sampling import check_positive
+from .sampling import check_count, check_positive
 from .streams import derive_key
 
 _BREAKDOWN = 1e-14
@@ -62,8 +62,8 @@ def leading_ritz(H: np.ndarray):
     return float(theta.real), w, gap
 
 
-def wos_tolerance(k: int, tol: float, B: float, m: int,
-                  gap: float | None, r_prev: float | None) -> float:
+def wos_tolerance(tol: float, B: float, m: int, gap: float | None,
+                  r_prev: float | None) -> float:
     """Per-step solve tolerance: base tol/(B m), relaxed by gap/residual.
 
     The relaxation factor is floored at 1 (never tighter than the base) and
@@ -73,7 +73,7 @@ def wos_tolerance(k: int, tol: float, B: float, m: int,
     check_positive("tol", tol)
     check_positive("B", B, above=1.0)
     base = tol / (B * m)
-    if k <= 1 or gap is None or r_prev is None:
+    if gap is None or r_prev is None:
         return base
     with np.errstate(divide="ignore"):
         ratio = gap / r_prev if r_prev > 0 else np.inf
@@ -123,8 +123,7 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
     invariant subspace and ends the iteration.  Without `variable`, every
     step gets the base tolerance tol/(B m).
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    check_count("m", m, 2)
     v0 = np.asarray(v0, dtype=np.float64)
     nrm = np.linalg.norm(v0)
     if nrm == 0:
@@ -135,7 +134,7 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
         k = state.k + 1
         gap = prev_gap if variable else None
         r_prev = state.residual_history[-1] if state.residual_history else None
-        wtol = wos_tolerance(k, tol, B, m, gap, r_prev)
+        wtol = wos_tolerance(tol, B, m, gap, r_prev)
 
         u, cost = apply_op(state.basis[k - 1], wtol, k)
         u = np.asarray(u, dtype=np.float64)

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Ball, Domain, unit_ball
+from .sampling import check_count
 
 _BARY_TOL = 1e-12
 _BLOCK = 1 << 13  # points per locate call in interpolate
@@ -223,9 +224,7 @@ class MeshHierarchy:
 def build_hierarchy(base: MeshLevel, finest_level: int,
                     domain: Domain) -> MeshHierarchy:
     """Refine `base` to `finest_level` (inclusive) for the meshed domain."""
-    if finest_level < base.level:
-        raise ValueError(f"finest_level = {finest_level} must be at least "
-                         f"the base level {base.level}")
+    check_count("finest_level", finest_level, base.level)
     levels = [base]
     edges = []
     while levels[-1].level < finest_level:

@@ -28,7 +28,7 @@ from .field import (FieldMoments, batch_defects, field_values, mass_matrix,
                     mass_norm)
 from .mesh import FieldVector, MeshHierarchy, prolong_to
 from .problems import Problem
-from .sampling import NonFiniteStatisticError, check_positive
+from .sampling import NonFiniteStatisticError, check_count, check_positive
 from .streams import derive_key
 
 _KIND_PLAIN = 1
@@ -161,8 +161,7 @@ def pilot(hier: MeshHierarchy, problem: Problem, samples: int, seed: int,
           l0: int, l_max: int) -> LevelStatistics:
     """Plain moments at l0 and coupled-correction moments per transition up
     to l_max, `samples` of each: the (V_l, C_l) estimates for planning."""
-    if samples < PILOT_FLOOR:
-        raise ValueError(f"pilot needs at least {PILOT_FLOOR} samples per level")
+    check_count("pilot samples per level", samples, PILOT_FLOOR)
     _check_levels(hier, l0, l_max)
     plain = FieldMoments(mass_matrix(hier.level(l0), hier.norm_mask(l0)))
     stats = LevelStatistics(l0=l0, plain=plain, trans={},
@@ -178,11 +177,12 @@ def pilot(hier: MeshHierarchy, problem: Problem, samples: int, seed: int,
 
 
 def _check_levels(hier: MeshHierarchy, l0: int, l_max: int) -> None:
-    """Reject an l0 or l_max outside the hierarchy, by name."""
+    """Reject, by name, an l0 or l_max that is not a level of the hierarchy."""
     for name, ell, lowest in (("l0", l0, hier.coarsest), ("l_max", l_max, l0)):
         if not lowest <= ell <= hier.finest:
             raise ValueError(f"{name} = {ell} lies outside levels "
                              f"{lowest}..{hier.finest}")
+        check_count(name, ell, lowest)
 
 
 def _check_coarsest(hier: MeshHierarchy, l0: int) -> None:

@@ -233,8 +233,6 @@ def point_estimate(x, problem, M: int, seed: int) -> PointEstimate:
     """
     check_count("M", M, 2)
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite evaluation point")
     if not problem.domain.distance(x) > 0.0:  # already exited: no step
         g0 = float(np.asarray(problem.g(x[None, :])).ravel()[0])
         return PointEstimate(g0, 0.0, 0)

@@ -49,8 +49,10 @@ def derive_key(seed: int, *fields) -> np.uint64 | np.ndarray:
     """Hash a master seed and stream labels into a 64-bit stream key.
 
     Fields may be scalars or integer arrays (broadcast); distinct label
-    tuples give statistically independent streams.
+    tuples give statistically independent streams; a float seed is rejected.
     """
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     k = _splitmix64(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
     for f in fields:
         f = np.asarray(f)

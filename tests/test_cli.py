@@ -128,8 +128,7 @@ class TestConfigPlumbing:
         for args, msg in [
                 (["--alpha", "2.5"], "alpha must lie in (0, 2), got 2.5"),
                 (["--l0", "5", "--L", "4"], "l0 = 5 lies outside levels 1..4"),
-                (["--L", "0"], "finest_level = 0 must be at least the base "
-                               "level 1"),
+                (["--L", "0"], "finest_level must be at least 1"),
                 (["--config", str(tmp_path / "nope.txt")],
                  "unknown problem 'nope'")]:
             assert main(["solve", *args, "--out", str(tmp_path / "o")]) == 1
@@ -254,7 +253,7 @@ class TestCliRuns:
         r = run_cli(["variance-study", "--problem", "example1", "--l0", "2",
                      "--L", "3", "--samples", "4", "--out", "vs"], tmp_path)
         assert r.returncode == 1
-        assert ("fracwos: error: pilot needs at least 8 samples per level"
+        assert ("fracwos: error: pilot samples per level must be at least 8"
                 in r.stderr)
         assert not (tmp_path / "vs" / "study.csv").exists()
 

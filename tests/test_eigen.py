@@ -61,35 +61,35 @@ class TestSpectralGap:
 
 class TestWosTolerance:
     def test_base_without_gap(self):
-        assert eigen.wos_tolerance(1, 0.01, 3, 5, None, None) \
+        assert eigen.wos_tolerance(0.01, 3, 5, None, None) \
             == pytest.approx(0.01 / 15)
 
     def test_relaxed_by_gap_ratio(self):
-        assert eigen.wos_tolerance(3, 0.01, 3, 5, 2.0, 0.5) \
+        assert eigen.wos_tolerance(0.01, 3, 5, 2.0, 0.5) \
             == pytest.approx((0.01 / 15) * 4)
 
     def test_floored_at_base(self):
         # a gap smaller than the residual never tightens below the base
-        assert eigen.wos_tolerance(3, 0.01, 3, 5, 0.2, 0.8) \
+        assert eigen.wos_tolerance(0.01, 3, 5, 0.2, 0.8) \
             == pytest.approx(0.01 / 15)
 
     def test_capped(self):
-        assert eigen.wos_tolerance(4, 0.01, 3, 5, 1000.0, 1e-9) \
+        assert eigen.wos_tolerance(0.01, 3, 5, 1000.0, 1e-9) \
             == pytest.approx((0.01 / 15) * 100)
 
     def test_monotone_in_residual(self):
-        tols = [eigen.wos_tolerance(3, 0.01, 3, 5, 0.5, r)
+        tols = [eigen.wos_tolerance(0.01, 3, 5, 0.5, r)
                 for r in (0.4, 0.2, 0.1, 0.01)]
         assert tols == sorted(tols)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            eigen.wos_tolerance(1, -0.01, 3, 5, None, None)
+            eigen.wos_tolerance(-0.01, 3, 5, None, None)
 
     @pytest.mark.parametrize("B", [0.5, 1.0])
     def test_B_must_exceed_one(self, B):
         with pytest.raises(ValueError, match="^B must be greater than 1$"):
-            eigen.wos_tolerance(1, 0.01, B, 5, None, None)
+            eigen.wos_tolerance(0.01, B, 5, None, None)
 
     @pytest.mark.parametrize("tol, B, msg", [
         (np.nan, 3.0, "tol must not be NaN"),
@@ -98,7 +98,7 @@ class TestWosTolerance:
         (0.01, np.inf, "B must be finite")])
     def test_rejects_nonfinite_inputs(self, tol, B, msg):
         with pytest.raises(ValueError, match=f"^{msg}$"):
-            eigen.wos_tolerance(1, tol, B, 5, None, None)
+            eigen.wos_tolerance(tol, B, 5, None, None)
 
 
 class TestArnoldiStub:
@@ -200,6 +200,10 @@ class TestApplyInverse:
         msg = "must not be NaN" if word == "NaN" else "must be finite"
         with pytest.raises(ValueError, match=f"^rms_tol {msg}$"):
             eigen.apply_inverse(v, 1.0, hier5, tol, seed=1, l0=3)
+
+    def test_rejects_a_vector_of_another_length(self, hier5):
+        with pytest.raises(ValueError, match="^vector length does not match"):
+            eigen.apply_inverse(np.ones(7), 1.0, hier5, 0.1, seed=1, l0=3)
 
     def test_walks_the_plan_or_the_pilot_floor(self, hier5, monkeypatch):
         # each term walks max(plan, floor) samples: a relaxed step's plan is
@@ -309,7 +313,9 @@ class TestSmallestEigenvalue:
     @pytest.mark.parametrize("B, m, msg", [
         (0.5, 3, "B must be greater than 1"),
         (1.0, 3, "B must be greater than 1"),
-        (3.0, 1, "m must be at least 2")])
+        (3.0, 1, "m must be at least 2"),
+        (3.0, 2.5, "m must be an integer, got 2.5"),
+        (3.0, np.nan, "m must be an integer, got nan")])
     def test_B_and_m_rejected_before_walking(self, hier5, monkeypatch, B, m,
                                              msg):
         # B = 0.5 used to run, with a base tolerance above tol/m

@@ -118,6 +118,12 @@ class TestBox:
     def test_diameter(self):
         assert box(0.0, 0.0, 3.0, 4.0).diameter == 5.0
 
+    @pytest.mark.parametrize("corners", [(1, 0, 0, 1), (0, 1, 1, 0),
+                                         (0, 0, 0, 1)])
+    def test_rejects_corners_out_of_order(self, corners):
+        with pytest.raises(ValueError, match="^box needs x1 > x0 and y1 > y0$"):
+            box(*corners)
+
 
 class TestConvexPolygon:
     def test_clockwise_input_normalized(self):
@@ -183,12 +189,32 @@ class TestConvexPolygon:
                 for _ in range(2))
         assert p.domain is not q.domain and p == q
 
+    @pytest.mark.parametrize("vertices, msg", [
+        ([[0, 0], [1, 0]], "polygon needs at least 3 vertices"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+         "polygon needs at least 3 vertices"),
+        ([0, 0, 1, 0, 0, 1], "polygon needs at least 3 vertices"),
+        ([[0, 0], [1, np.inf], [0, 1]], "non-finite polygon vertex"),
+        ([[0, 0], [1, 0], [1, 0], [0, 1]], "polygon has a zero-length edge")])
+    def test_rejects_malformed_vertices(self, vertices, msg):
+        with pytest.raises(ValueError, match=f"^{msg}"):
+            ConvexPolygon(vertices)
+
     def test_triangle_incenter(self):
         tri = ConvexPolygon([[0, 0], [1, 0], [0, 1]])
         # incenter radius of the right isoceles triangle
         r = (2 - np.sqrt(2)) / 2
         inc = (r, r)
         assert tri.distance(inc) == pytest.approx(r, rel=1e-12)
+
+
+@pytest.mark.parametrize("domain", CONTAINS_DOMAINS[::2])
+@pytest.mark.parametrize("points", [(0.1, 0.2, 0.3), [[0.1], [0.2]]])
+def test_points_of_another_shape_rejected(domain, points):
+    for query in (domain.contains, domain.distance):
+        with pytest.raises(ValueError, match=r"^points must have shape "
+                                             r"\(\.\.\., 2\)$"):
+            query(points)
 
 
 class TestProperties:

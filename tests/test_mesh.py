@@ -299,6 +299,39 @@ class TestRefinement:
         with pytest.raises(ValueError):
             build_hierarchy(square_ball_base(), 0, domain=unit_ball())
 
+    @pytest.mark.parametrize("finest", [np.nan, 3.5, np.inf])
+    def test_non_integer_finest_level_rejected_before_refining(
+            self, monkeypatch, finest):
+        # NaN used to build level 1 alone, 3.5 levels 1..4, and inf to
+        # refine until memory ran out; the spy stops that after three calls
+        calls, refine = [], fracwos.mesh.refine
+
+        def bounded(level):
+            calls.append(level.level)
+            if len(calls) > 3:
+                raise AssertionError("refined past three levels")
+            return refine(level)
+
+        monkeypatch.setattr(fracwos.mesh, "refine", bounded)
+        with pytest.raises(ValueError, match="^finest_level must be an "
+                                             f"integer, got {finest!r}$"):
+            build_hierarchy(square_ball_base(), finest, domain=unit_ball())
+        assert calls == []
+
+    @pytest.mark.parametrize("vertices, triangles, msg", [
+        ([0, 0, 1, 0, 0, 1], [[0, 1, 2]], "vertices must be a finite"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]],
+         "vertices must be a finite"),
+        ([[0, 0], [1, np.nan], [0, 1]], [[0, 1, 2]],
+         "vertices must be a finite"),
+        ([[0, 0], [1, 0], [0, 1]], [0, 1, 2], "triangles must be an"),
+        ([[0, 0], [1, 0], [0, 1]], [[0, 1, 3]], "triangle index out of range"),
+        ([[0, 0], [1, 0], [0, 1]], [[-1, 1, 2]],
+         "triangle index out of range")])
+    def test_rejects_malformed_base(self, vertices, triangles, msg):
+        with pytest.raises(ValueError, match=f"^{msg}"):
+            make_base(vertices, triangles)
+
     def test_domain_required(self):
         with pytest.raises(TypeError):
             build_hierarchy(square_ball_base(), 3)
@@ -694,6 +727,14 @@ class TestTransferOperators:
             prolong(hier6, FieldVector(5, np.zeros(7)))
         with pytest.raises(ValueError, match="does not match"):
             interpolate(hier6.level(5), np.zeros(7), [(0.0, 0.0)])
+
+    @pytest.mark.parametrize("values, msg", [
+        (np.zeros((2, 3)), "field values must be a flat vector"),
+        ([0.0, np.nan], "non-finite field value"),
+        ([np.inf, 0.0], "non-finite field value")])
+    def test_field_vector_rejects_bad_values(self, values, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            FieldVector(3, values)
 
 
 class TestFieldCsv:

@@ -139,6 +139,18 @@ class TestPilot:
         with pytest.raises(ValueError):
             mlmc.pilot(hier6, ex2, 4, seed=5, l0=3, l_max=6)
 
+    @pytest.mark.parametrize("samples, rule", [
+        (np.nan, "be an integer, got nan"), (10.0, "be an integer, got 10.0"),
+        (7, "be at least 8")])
+    def test_sample_count_rejected_by_name_before_walking(
+            self, hier6, ex2, no_walks, samples, rule):
+        # NaN and 10.0 used to end in a bare TypeError that named no input
+        msg = f"^pilot samples per level must {rule}$"
+        with pytest.raises(ValueError, match=msg):
+            mlmc.pilot(hier6, ex2, samples, seed=5, l0=3, l_max=6)
+        with pytest.raises(ValueError, match=msg):
+            mlmc.run(hier6, ex2, eps=0.1, l0=3, seed=1, pilot_M=samples)
+
     def test_empty_coarsest_mask_still_pilots(self, hier6, ex2):
         # variance-study reads only the corrections, so it may start at a
         # level whose norm mask is empty
@@ -317,7 +329,9 @@ class TestRun:
     @pytest.mark.parametrize("l0, fixed_L, msg", [
         (7, None, "l0 = 7 lies outside levels 1..6"),
         (0, None, "l0 = 0 lies outside levels 1..6"),
-        (3, 7, "l_max = 7 lies outside levels 3..6")])
+        (3, 7, "l_max = 7 lies outside levels 3..6"),
+        (2.0, None, "l0 must be an integer, got 2.0"),
+        (3, 3.0, "l_max must be an integer, got 3.0")])
     def test_levels_outside_the_hierarchy_rejected_by_name(
             self, hier6, ex2, no_walks, l0, fixed_L, msg):
         with pytest.raises(ValueError, match=f"^{msg}$"):

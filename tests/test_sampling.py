@@ -164,6 +164,9 @@ class TestStableParams:
                 make_params(bad)
         with pytest.raises(ValueError):
             StableParams(alpha=1.0, a1=1.0, a2=1.5)
+        for a1 in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^a1 must be positive"):
+                StableParams(alpha=1.0, a1=a1, a2=0.5)
 
 
 class TestSampleBeta:
@@ -464,6 +467,21 @@ class TestPointEstimate:
         with pytest.raises(ValueError, match="^M must be an integer, got "):
             point_estimate((0.0, 0.0), ex1, M, seed=0)
         assert point_estimate((0.0, 0.0), ex1, np.int64(10), seed=0).mean > 0
+
+    @pytest.mark.parametrize("x, seed, msg", [
+        ((np.nan, 0.0), 0, "non-finite point coordinates"),
+        ((0.0, -np.inf), 0, "non-finite point coordinates"),
+        ((0.0, 0.0), 1.5, "seed must be an integer, got 1.5")])
+    def test_bad_point_or_seed_rejected_before_walking(self, ex1, monkeypatch,
+                                                       x, seed, msg):
+        # the domain's distance rejects a non-finite x; a seed of 1.5 used
+        # to give the estimate of seed 1
+        def no_walk(*args):
+            raise AssertionError("walked before rejecting the input")
+
+        monkeypatch.setattr("fracwos.sampling.walk", no_walk)
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            point_estimate(x, ex1, 100, seed=seed)
 
     def test_generator_draw_keeps_the_three_call_stream(self):
         # one (3, n) draw is the three n-draws (direction, source direction,

@@ -69,6 +69,19 @@ class TestCounterHash:
         arr = derive_key(1, 2, np.arange(10))
         assert len(set(arr.tolist())) == 10
 
+    @pytest.mark.parametrize("seed", [1.5, 7.0, np.nan, "3"])
+    def test_non_integer_seed_rejected_by_name(self, seed):
+        # a float seed used to be truncated: 1.5 gave the keys of seed 1
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            derive_key(seed, 2)
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            batch_generator(seed, 0x90, 0)
+
+    def test_negative_and_numpy_seeds_keep_their_keys(self):
+        assert derive_key(-1, 5) == derive_key(2**64 - 1, 5)
+        assert derive_key(np.int64(-3)) == derive_key(2**64 - 3)
+        assert derive_key(np.uint32(9), 1) == derive_key(9, 1)
+
 
 class TestJohnkBeta:
     # at alpha near 2 a double cannot resolve the mass piling onto 1, so the
