@@ -11,10 +11,10 @@ its variance decays with the mesh width -- that is the whole point of the
 coupling.  :class:`FieldMoments` accumulates batches of such fields in the
 L2 norm of the mass matrix, sqrt(v' M v).
 
-The walk itself is :func:`fracwos.sampling.walk`: K independent
-realizations (one key each) times V start vertices run as one flat array
-program, with exited paths compressed away each step.  Its state is 1-D:
-positions are a (2, K V) array, an x row and a y row, and each step
+The walk itself is :func:`fracwos.sampling.walk`: flat (W, 2) start
+points, each with the index of its realization (one key each), run as one
+array program, with exited paths compressed away each step.  Its state is
+1-D: positions are a (2, W) array, an x row and a y row, and each step
 gathers the tuple columns of a walk's realization as 1-D arrays.  Step
 tuples depend only on (key, step), so results are bit-identical no matter
 how realizations are batched.  :func:`walk_starts` draws them in blocks of
@@ -22,7 +22,8 @@ _TUPLE_BLOCK steps, one `step_tuples` call per block, so the values do not
 depend on the block width either.  :func:`field_values` walks its keys in
 sub-blocks of at most _WALK_BUDGET walks (keys times interior vertices), so
 a call's walk state stays bounded however many keys it is given; its output
-is the only part that grows with them.
+is the only part that grows with them.  :func:`pack_values` walks several
+levels' keys in one call, so small terms share the loop's per-step cost.
 """
 
 from __future__ import annotations
@@ -44,17 +45,24 @@ class InsufficientSamplesError(ValueError):
     """Statistics over fewer than two samples were requested."""
 
 
-def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray):
-    """Walk every start point for each keyed realization.
+def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray,
+                realization=None):
+    """Walk start points for keyed realizations.
 
-    starts: (V, 2) points strictly inside the domain; keys: (K,) stream
-    keys, one per realization.  All V paths of realization k consume that
-    realization's step-n tuple at their n-th step.  Tuples are drawn in
+    keys: (K,) stream keys, one per realization.  With `realization`, a (W,)
+    ascending index into keys, walk i starts at starts[i] (W, 2); without
+    it, every key walks all (V, 2) starts.  All paths of a realization
+    consume its step-n tuple at their n-th step.  Tuples are drawn in
     blocks of _TUPLE_BLOCK steps for the realizations with a live path at
     the block's first step; a tuple is pure in (key, step), so the values
-    are those of one draw per step.  Returns (values (K, V), total steps).
+    are those of one draw per step.  Returns (values, total steps, steps
+    per walk), the arrays (W,) or (K, V).
     """
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+    tiled = realization is None
+    if tiled:
+        realization = np.repeat(np.arange(keys.size, dtype=np.int32),
+                                len(starts))
     alpha = problem.alpha
     n0, block_rows, block = -_TUPLE_BLOCK, None, None
 
@@ -70,7 +78,21 @@ def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray):
               else np.searchsorted(block_rows, rows))
         return tuple(v[n - n0, at] for v in block)
 
-    return walk(starts, problem, keys.size, draw)
+    # a tile formed in the call is freed once walk has copied it
+    values, steps = walk(np.tile(starts, (keys.size, 1)) if tiled else starts,
+                         problem, draw, realization)
+    shape = (keys.size, len(starts)) if tiled else (-1,)
+    return values.reshape(shape), int(steps.sum()), steps.reshape(shape)
+
+
+def _exterior(level: MeshLevel, problem: Problem, n_keys: int):
+    """(K, N) values, g at the vertices outside the domain, and the mask of
+    the interior vertices, whose columns are left for the walks."""
+    interior = np.asarray(problem.domain.contains(level.vertices))
+    vals = np.empty((n_keys, level.num_vertices))
+    if (~interior).any():
+        vals[:, ~interior] = np.asarray(problem.g(level.vertices[~interior]))
+    return vals, interior
 
 
 def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray):
@@ -84,19 +106,39 @@ def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray):
     walk steps).
     """
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    interior = np.asarray(problem.domain.contains(level.vertices))
-    vals = np.empty((keys.size, level.num_vertices))
-    if (~interior).any():
-        vals[:, ~interior] = np.asarray(problem.g(level.vertices[~interior]))
+    vals, interior = _exterior(level, problem, keys.size)
     cost = 0
     if interior.any():
         starts = level.vertices[interior]
         block = max(1, _WALK_BUDGET // starts.shape[0])
         for k in range(0, keys.size, block):
-            walked, steps = walk_starts(starts, problem, keys[k:k + block])
+            walked, steps, _ = walk_starts(starts, problem, keys[k:k + block])
             vals[k:k + block, interior] = walked
             cost += steps
     return vals, cost
+
+
+def pack_values(spans, problem: Problem):
+    """:func:`field_values` of each span, a (level, keys) pair, with its
+    bits, from one walk of every span's interior vertices tiled over its
+    keys (a lone span walks in field_values).  Returns [(values, steps)].
+    """
+    if len(spans) == 1:
+        return [field_values(level, problem, keys) for level, keys in spans]
+    filled = [_exterior(level, problem, len(keys)) for level, keys in spans]
+    starts = [level.vertices[interior]
+              for (level, _), (_, interior) in zip(spans, filled)]
+    n_keys = [len(keys) for _, keys in spans]
+    walked, _, steps = walk_starts(
+        np.concatenate([np.tile(v, (k, 1)) for v, k in zip(starts, n_keys)]),
+        problem, np.concatenate([keys for _, keys in spans]),
+        np.repeat(np.arange(sum(n_keys)),
+                  np.repeat([len(v) for v in starts], n_keys)))
+    cut = np.cumsum([len(v) * k for v, k in zip(starts, n_keys)])[:-1]
+    for (vals, interior), part in zip(filled, np.split(walked, cut)):
+        vals[:, interior] = part.reshape(len(vals), -1)
+    return [(vals, int(part.sum()))
+            for (vals, _), part in zip(filled, np.split(steps, cut))]
 
 
 def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.ndarray:

@@ -12,9 +12,10 @@ rule
 which by Cauchy-Schwarz minimizes total cost subject to a statistical
 error of eps^2/2.  Pilot samples are reused as the first production
 samples, and every sample is a pure function of (seed, term, index).  One
-loop, `_sample_term`, walks the samples of a term and adds them to the
-term's running moments in fixed chunks of samples, so results do not depend
-on how many chunks one walk call takes.
+loop, `_sample_phase`, walks the samples of a phase (the pilot, or one
+extension) and adds them to each term's running moments in fixed chunks of
+samples, so results depend neither on how many chunks one walk call takes
+nor on which terms share it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (FieldMoments, batch_defects, field_values, mass_matrix,
-                    mass_norm)
+from .field import (FieldMoments, batch_defects, mass_matrix, mass_norm,
+                    pack_values)
 from .mesh import FieldVector, MeshHierarchy, prolong_to
 from .problems import Problem
 from .sampling import NonFiniteStatisticError, check_count, check_positive
@@ -35,6 +36,7 @@ _KIND_PLAIN = 1
 _KIND_PAIR = 2
 _VAR_FLOOR = 1e-12
 _ROW_BUDGET = 1 << 21  # samples * vertices of one term's moment span
+_PACK_BUDGET = 1 << 16  # samples * vertices of the spans walked together
 _COUNT_LIMIT = 2.0 ** 63  # sample counts and walk steps are int64
 MAX_COST = 2.0 ** 40  # default cap on planned walk steps: ~a week at 2M steps/s
 PILOT_FLOOR = 8  # fewest pilot samples per term that give a usable V_l
@@ -120,38 +122,51 @@ class LevelStatistics:
 # ---------------------------------------------------------------------------
 # term sampling
 
-def _sample_term(hier: MeshHierarchy, problem: Problem, seed: int, kind: int,
-                 ell: int, i0: int, i1: int, *moments) -> None:
-    """Add samples i0..i1-1 of one term to `moments`: [moments] of a plain
-    term, [defect moments] or [defect moments, plain moments of the fine
-    values] of a transition.
+def _sample_phase(hier: MeshHierarchy, problem: Problem, seed: int,
+                  terms) -> None:
+    """Add samples i0..i1-1 of each term (kind, ell, i0, i1, moments) to
+    its moments: [moments] of a plain term, [defect moments] or [defect
+    moments, plain moments of the fine values] of a transition.
 
     _ROW_BUDGET fixes the chunks in which moments are added and their
-    order: one `field_values` call takes `span` samples, as many
-    `rows`-sample chunks (at most 1024) as fit in _ROW_BUDGET values, and
-    they are added chunk by chunk, so the last bits of the sums depend on
-    `rows` but not on the span.  The walk's own memory is bounded by
-    `field._WALK_BUDGET` inside the call.  A call's walk steps go to its
-    first chunk.  Raises NonFiniteStatisticError at the first chunk after
-    which the squared norms are not finite.
+    order: a term is walked in spans of `span` samples, as many `rows`-
+    sample chunks (at most 1024) as fit in _ROW_BUDGET values, added chunk
+    by chunk, so the last bits of the sums depend on `rows` but not on the
+    span.  A span's walk steps go to its first chunk.  Consecutive spans,
+    across terms, share one `pack_values` walk while their values total at
+    most _PACK_BUDGET; a larger span walks alone, in `field._WALK_BUDGET`
+    sub-blocks.  Raises NonFiniteStatisticError at the first chunk after
+    which a term's squared norms are not finite.
     """
-    level = hier.level(ell if kind == _KIND_PLAIN else ell + 1)
-    nv = level.num_vertices
-    rows = int(max(8, min(1024, _ROW_BUDGET // nv)))
-    span = rows * max(1, _ROW_BUDGET // (rows * nv))
-    for first in range(i0, i1, span):
-        keys = derive_key(seed, kind, ell,
-                          np.arange(first, min(first + span, i1)))
-        values, cost = field_values(level, problem, keys)
-        summed = ([values] if kind == _KIND_PLAIN
-                  else [batch_defects(hier, values, ell), values])
-        for j in range(0, keys.size, rows):
-            for mom, vals in zip(moments, summed):
-                mom.add(vals[j:j + rows], cost if j == 0 else 0)
-            if not np.isfinite(moments[0].sum_sq):
-                raise NonFiniteStatisticError(
-                    problem.alpha, _term_name(kind, ell), "V",
-                    moments[0].sum_sq)
+    def walk_pack(pack):
+        out = pack_values([(level, derive_key(seed, kind, ell, idx))
+                           for kind, ell, level, _, idx, _ in pack], problem)
+        for (kind, ell, _, rows, _, moments), (values, cost) in zip(pack, out):
+            summed = ([values] if kind == _KIND_PLAIN
+                      else [batch_defects(hier, values, ell), values])
+            for j in range(0, values.shape[0], rows):
+                for mom, vals in zip(moments, summed):
+                    mom.add(vals[j:j + rows], cost if j == 0 else 0)
+                if not np.isfinite(moments[0].sum_sq):
+                    raise NonFiniteStatisticError(
+                        problem.alpha, _term_name(kind, ell), "V",
+                        moments[0].sum_sq)
+
+    pack, size = [], 0
+    for kind, ell, i0, i1, moments in terms:
+        level = hier.level(ell if kind == _KIND_PLAIN else ell + 1)
+        nv = level.num_vertices
+        rows = int(max(8, min(1024, _ROW_BUDGET // nv)))
+        span = rows * max(1, _ROW_BUDGET // (rows * nv))
+        for first in range(i0, i1, span):
+            idx = np.arange(first, min(first + span, i1))
+            if pack and size + idx.size * nv > _PACK_BUDGET:
+                walk_pack(pack)
+                pack, size = [], 0
+            pack.append((kind, ell, level, rows, idx, moments))
+            size += idx.size * nv
+    if pack:
+        walk_pack(pack)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +181,14 @@ def pilot(hier: MeshHierarchy, problem: Problem, samples: int, seed: int,
     plain = FieldMoments(mass_matrix(hier.level(l0), hier.norm_mask(l0)))
     stats = LevelStatistics(l0=l0, plain=plain, trans={},
                             fine_plain={l0: plain})
-    _sample_term(hier, problem, seed, _KIND_PLAIN, l0, 0, samples, plain)
+    terms = [(_KIND_PLAIN, l0, 0, samples, [plain])]
     for ell in range(l0, l_max):
         mass = mass_matrix(hier.level(ell + 1), hier.norm_mask(ell + 1))
         stats.trans[ell] = FieldMoments(mass)
         stats.fine_plain[ell + 1] = FieldMoments(mass)
-        _sample_term(hier, problem, seed, _KIND_PAIR, ell, 0, samples,
-                     stats.trans[ell], stats.fine_plain[ell + 1])
+        terms.append((_KIND_PAIR, ell, 0, samples,
+                      [stats.trans[ell], stats.fine_plain[ell + 1]]))
+    _sample_phase(hier, problem, seed, terms)
     return stats
 
 
@@ -290,10 +306,10 @@ def _plan(stats: LevelStatistics, eps: float, L: int, alpha: float) -> MlmcPlan:
 def _extend(hier: MeshHierarchy, problem: Problem, seed: int,
             stats: LevelStatistics, L: int, M) -> None:
     """Sample each term l0..L from its current count up to its entry of M."""
-    for term, moments, m_need in zip(_terms(stats.l0, L), stats.terms(L), M):
-        if m_need > moments.count:
-            _sample_term(hier, problem, seed, *term, moments.count,
-                         int(m_need), moments)
+    _sample_phase(hier, problem, seed, [
+        (*term, moments.count, int(m_need), [moments])
+        for term, moments, m_need in zip(_terms(stats.l0, L), stats.terms(L), M)
+        if m_need > moments.count])
 
 
 def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,

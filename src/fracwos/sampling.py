@@ -137,9 +137,9 @@ class PointEstimate(NamedTuple):
     total_steps: int
 
 
-def walk(starts: np.ndarray, problem, count: int, draw):
-    """The walk-outside-spheres loop: `count` realizations, each walking
-    every start point.
+def walk(starts: np.ndarray, problem, draw, realization=None):
+    """The walk-outside-spheres loop: one walk from each of the (W, 2)
+    `starts`, walk i in realization `realization[i]` (ascending; default i).
 
     Each step asks the domain once, for d(x).  A walk with `not d > 0`
     (boundary, exterior or NaN) has exited with g at its position plus its
@@ -148,31 +148,32 @@ def walk(starts: np.ndarray, problem, count: int, draw):
     `draw(n, rows)` returns step n's tuples (beta, Theta, S, Phi) for the
     realizations `rows` (ascending) with a live walk, so all walks of one
     realization consume the same tuple at their n-th step.  Returns
-    (values (count, V), cost), the cost being the number of jumps (0 for a
-    start already outside).  A walk still inside after MAX_WALK_STEPS jumps
-    raises MaxStepsExceededError.
+    (values (W,), steps (W,)), a walk's steps being its jumps (0 for a
+    start already outside).  A walk still inside after MAX_WALK_STEPS
+    jumps raises MaxStepsExceededError.
 
     The live walks' state is 1-D: positions are a (2, n) array, an x row
     and a y row, and the domain, f and g get its (n, 2) view pos.T.
     """
-    starts = np.asarray(starts, dtype=np.float64)
-    nv = starts.shape[0]
+    pos = np.asarray(starts, dtype=np.float64).T.copy()
+    del starts  # a caller's temporary is freed before the walk
     alpha = problem.alpha
     params = problem.params
     inv_alpha = 1.0 / alpha
 
-    pos = np.tile(starts.T, count)
-    slot = np.arange(count * nv)
-    acc = np.zeros(count * nv)
-    out = np.empty(count * nv)
-    cost = 0
+    slot = np.arange(pos.shape[1])
+    acc = np.zeros(slot.size)
+    out = np.empty(slot.size)
+    steps = np.empty(slot.size, dtype=np.int32)  # at most MAX_WALK_STEPS
     for n in range(MAX_WALK_STEPS + 1):
         d = problem.domain._distance(pos.T)
         inside = d > 0.0
         if not inside.all():
             left = ~inside
-            out[slot[left]] = np.asarray(
+            gone = slot[left]
+            out[gone] = np.asarray(
                 problem.g(np.compress(left, pos, axis=1).T)) + acc[left]
+            steps[gone] = n
             pos = np.compress(inside, pos, axis=1)
             slot, acc, d = slot[inside], acc[inside], d[inside]
         if not slot.size:
@@ -180,12 +181,11 @@ def walk(starts: np.ndarray, problem, count: int, draw):
         if n == MAX_WALK_STEPS:
             raise MaxStepsExceededError(
                 f"{slot.size} walks exceeded {MAX_WALK_STEPS} steps")
-        cost += slot.size
         # rows: the live realizations, ascending; at: each walk's position
         # in rows, which indexes its realization's tuple
         rows, at = slot, slice(None)
-        if nv > 1:
-            rows = slot // nv                # each walk's realization
+        if realization is not None:
+            rows = realization[slot]
             first = np.r_[True, rows[1:] != rows[:-1]]
             rows, at = rows[first], np.cumsum(first) - 1
         beta, theta, s, phi = draw(n, rows)
@@ -210,7 +210,7 @@ def walk(starts: np.ndarray, problem, count: int, draw):
         r = d / np.sqrt(beta[at])
         pos[0] += r * theta_x[at]
         pos[1] += r * theta_y[at]
-    return out.reshape(count, nv), cost
+    return out, steps
 
 
 def _generator_draw(alpha: float, rng: np.random.Generator):
@@ -233,15 +233,17 @@ def point_estimate(x, problem, M: int, seed: int) -> PointEstimate:
     """
     check_count("M", M, 2)
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != (2,):
+        raise ValueError(f"x must be one (2,) point, got shape {x.shape}")
     if not problem.domain.distance(x) > 0.0:  # already exited: no step
         g0 = float(np.asarray(problem.g(x[None, :])).ravel()[0])
         return PointEstimate(g0, 0.0, 0)
     total = np.zeros(3)
     for b, i0 in enumerate(range(0, M, POINT_BATCH)):
         draw = _generator_draw(problem.alpha, batch_generator(seed, 0x90, b))
-        vals, steps = walk(x[None, :], problem, min(POINT_BATCH, M - i0), draw)
-        vals = vals[:, 0]
-        total += (vals.sum(), (vals * vals).sum(), steps)
+        starts = np.broadcast_to(x, (min(POINT_BATCH, M - i0), 2))
+        vals, steps = walk(starts, problem, draw)
+        total += (vals.sum(), (vals * vals).sum(), steps.sum())
     mean = total[0] / M
     var = (total[1] - M * mean * mean) / (M - 1)
     for name, value in (("mean", mean), ("variance", var)):

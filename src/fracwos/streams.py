@@ -48,17 +48,17 @@ def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
 def derive_key(seed: int, *fields) -> np.uint64 | np.ndarray:
     """Hash a master seed and stream labels into a 64-bit stream key.
 
-    Fields may be scalars or integer arrays (broadcast); distinct label
-    tuples give statistically independent streams; a float seed is rejected.
+    Fields are integer scalars or arrays (broadcast); distinct label tuples
+    give statistically independent streams; a float seed or label is refused.
     """
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     k = _splitmix64(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    for f in fields:
-        f = np.asarray(f)
-        fu = (f.astype(np.int64).astype(np.uint64)
-              if f.dtype.kind in "iu" else np.uint64(int(f)))
-        k = _splitmix64(k ^ _splitmix64(fu))
+    for label in fields:
+        f = np.asarray(label)
+        if f.dtype.kind not in "iu":
+            raise ValueError(f"label must be an integer, got {label!r}")
+        k = _splitmix64(k ^ _splitmix64(f.astype(np.int64).astype(np.uint64)))
     return k
 
 

@@ -8,7 +8,7 @@ import pytest
 from scipy import linalg
 
 import fracwos
-from fracwos import eigen, mlmc
+from fracwos import eigen, mlmc, sampling
 from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.geometry import Ball, unit_ball
 
@@ -265,6 +265,25 @@ class TestSmallestEigenvalue:
                                         l0=2)
         assert res.lam.hex() == "0x1.008fa6f1f8da6p+1"
         assert res.total_cost == 33856
+
+    def test_walk_loop_iterations_at_the_benchmark_size(self, hier6,
+                                                        monkeypatch):
+        # the benchmark's eig call (alpha 1, tol 0.01, B 3, m 5, l0 3, L 6)
+        # at the seed of CI's eig pin: walking each MLMC phase's terms
+        # together cut its walk-loop iterations (draw calls) from 632, one
+        # walk call per term, to 261
+        draws, kernel = [0], sampling.walk
+
+        def counting_walk(starts, problem, draw, realization=None):
+            def counted(n, rows):
+                draws[0] += 1
+                return draw(n, rows)
+            return kernel(starts, problem, counted, realization)
+
+        monkeypatch.setattr("fracwos.field.walk", counting_walk)
+        res = eigen.smallest_eigenvalue(1.0, hier6, 0.01, 3.0, 5, 1001, l0=3)
+        assert (res.lam, res.total_cost) == (2.0375435165787814, 519308)
+        assert draws[0] == 261
 
     def test_workers_must_be_one(self, hier5, ex2):
         # the keyword stays for old callers; any other value fails up front

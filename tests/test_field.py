@@ -8,7 +8,7 @@ from fracwos import mlmc
 from fracwos.cli import ExprField
 from fracwos.field import (FieldMoments, InsufficientSamplesError,
                            batch_defects, field_values, mass_matrix, mass_norm,
-                           walk_starts)
+                           pack_values, walk_starts)
 from fracwos.geometry import Ball, ConvexPolygon, box
 from fracwos.mesh import build_hierarchy, interpolate, square_ball_base
 from fracwos.problems import Problem, by_name
@@ -116,9 +116,9 @@ class TestSampleField:
         verts = hier6.level(4).vertices
         starts = verts[hier6.domain.contains(verts)]
         keys = derive_key(5, np.arange(3))
-        vals, _ = walk_starts(starts, ex1, keys)
+        vals, _ = walk_starts(starts, ex1, keys)[:2]
         perm = rng.permutation(starts.shape[0])
-        vals_p, _ = walk_starts(starts[perm], ex1, keys)
+        vals_p, _ = walk_starts(starts[perm], ex1, keys)[:2]
         np.testing.assert_array_equal(vals_p, vals[:, perm])
 
     @pytest.mark.parametrize("mesh_domain", [Ball((0.0, 0.0), 0.5), None],
@@ -185,8 +185,8 @@ class TestPowerOfTwoScaling:
         scaled = Problem(alpha=alpha, domain=domain(s), f=zero_f,
                          g=lambda pts: self.g(np.asarray(pts) / s))
         keys = derive_key(17, np.arange(20))
-        vals, steps = walk_starts(starts, base, keys)
-        vals_s, steps_s = walk_starts(starts * s, scaled, keys)
+        vals, steps = walk_starts(starts, base, keys)[:2]
+        vals_s, steps_s = walk_starts(starts * s, scaled, keys)[:2]
         assert np.array_equal(vals_s, vals)
         assert steps_s == steps
 
@@ -199,14 +199,13 @@ class TestWalkStarts:
         prob = by_name("example3", alpha)
         starts = np.array([[0.1, 0.0], [0.2, 0.0], [-0.5, 0.6], [0.05, -0.9]])
         keys = derive_key(11, np.arange(4))
-        vals, cost = walk_starts(starts, prob, keys)
-        total = 0
+        vals, cost, steps = walk_starts(starts, prob, keys)
         for k, key in enumerate(keys):
             for v, start in enumerate(starts):
-                value, steps = replay(start, key, prob)
+                value, n = replay(start, key, prob)
                 assert vals[k, v] == pytest.approx(value, rel=1e-12)
-                total += steps
-        assert cost == total
+                assert steps[k, v] == n
+        assert cost == steps.sum() and type(cost) is int
 
     @pytest.mark.parametrize("block", [1, 3, 8])
     @pytest.mark.parametrize("alpha", [0.05, 1.0, 1.95])
@@ -222,11 +221,14 @@ class TestWalkStarts:
             live.append(rows.size)
             return step_tuples(alpha, keys[rows], np.uint32(n))
 
-        ref, ref_cost = walk(starts, prob, keys.size, step_draw)
+        ref, ref_steps = walk(np.tile(starts, (keys.size, 1)), prob, step_draw,
+                              np.repeat(np.arange(keys.size), len(starts)))
         monkeypatch.setattr("fracwos.field._TUPLE_BLOCK", block)
-        vals, cost = walk_starts(starts, prob, keys)
-        assert vals.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
-        assert cost == ref_cost
+        vals, cost, steps = walk_starts(starts, prob, keys)
+        assert vals.view(np.uint64).ravel().tolist() \
+            == ref.view(np.uint64).tolist()
+        assert steps.ravel().tolist() == ref_steps.tolist()
+        assert cost == ref_steps.sum()
         # realizations finish at different steps, some inside a block
         assert len(set(live)) > 2
         if block > 1:
@@ -239,7 +241,7 @@ class TestWalkStarts:
         # matmul of points by edge normals were rounded by row count
         prob = _pentagon_problem(1.0)
         start, keys = np.array([[0.1, 0.2]]), derive_key(3, np.arange(400))
-        vals, _ = walk_starts(start, prob, keys)
+        vals, _ = walk_starts(start, prob, keys)[:2]
         alone = [walk_starts(start, prob, keys[k:k + 1])[0][0, 0]
                  for k in range(keys.size)]
         assert vals[:, 0].view(np.uint64).tolist() \
@@ -303,6 +305,51 @@ class TestWalkBudget:
 _BY_ALPHA = ["0.05", "1.0", "1.95"]
 
 
+class TestPackedWalk:
+    """Spans of several levels and keys share one walk: each walk's bits and
+    steps depend only on its start and its realization's key."""
+
+    def test_pack_matches_spans_walked_alone(self, hier6, ex3, monkeypatch):
+        spans = [(hier6.level(3), derive_key(4, np.arange(5))),
+                 (hier6.level(5), derive_key(5, np.arange(3))),
+                 (hier6.level(3), derive_key(6, np.arange(2)))]
+        walks, kernel = [], walk_starts
+
+        def counting(starts, problem, keys, realization=None):
+            walks.append(len(starts))
+            return kernel(starts, problem, keys, realization)
+
+        monkeypatch.setattr("fracwos.field.walk_starts", counting)
+        packed = pack_values(spans, ex3)
+        assert walks == [(5 + 2) * 21 + 3 * 401]
+        for (level, keys), (vals, steps) in zip(spans, packed):
+            ref, ref_steps = field_values(level, ex3, keys)
+            assert vals.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+            assert steps == ref_steps and type(steps) is int
+
+    def test_split_realization_keeps_its_bits(self, hier6, ex3):
+        # cut inside realization 1, the two flat walks give its walks the
+        # same tuples, so every value and exit step keeps its bits
+        lvl = hier6.level(4)
+        inner = lvl.vertices[ex3.domain.contains(lvl.vertices)]
+        keys = derive_key(9, np.arange(3))
+        starts = np.tile(inner, (3, 1))
+        realization = np.repeat(np.arange(3), len(inner))
+        vals, total, steps = walk_starts(starts, ex3, keys, realization)
+        assert vals.shape == steps.shape == (3 * len(inner),)
+        assert total == steps.sum() > 0 and type(total) is int
+        cut = len(inner) + len(inner) // 2
+        parts = [walk_starts(starts[a:b], ex3, keys, realization[a:b])
+                 for a, b in ((0, cut), (cut, None))]
+        assert np.concatenate([p[0] for p in parts]).view(np.uint64).tolist() \
+            == vals.view(np.uint64).tolist()
+        assert np.concatenate([p[2] for p in parts]).tolist() == steps.tolist()
+        tiled, tiled_total, _ = walk_starts(inner, ex3, keys)
+        assert tiled.view(np.uint64).ravel().tolist() \
+            == vals.view(np.uint64).tolist()
+        assert tiled_total == total
+
+
 class TestGoldenBits:
     """Pinned field-walker bits: a change to the walk state's layout, the
     streams or the step arithmetic must leave these values bit-identical.
@@ -326,7 +373,7 @@ class TestGoldenBits:
         lvl = hier4.level(3)
         vals, cost = walk_starts(lvl.vertices[hier4.domain.contains(lvl.vertices)],
                                  by_name("example3", alpha),
-                                 derive_key(29, np.arange(64)))
+                                 derive_key(29, np.arange(64)))[:2]
         assert (_sha(vals), cost) == (digest, steps)
 
     @pytest.mark.parametrize("alpha, digest, steps", [
@@ -338,7 +385,7 @@ class TestGoldenBits:
         verts = hier4.level(3).vertices
         vals, cost = walk_starts(verts[_PENTAGON.contains(verts)],
                                  _pentagon_problem(alpha),
-                                 derive_key(29, np.arange(64)))
+                                 derive_key(29, np.arange(64)))[:2]
         assert (_sha(vals), cost) == (digest, steps)
 
     def test_mlmc_solution(self, hier4, ex2):
@@ -407,8 +454,8 @@ class TestLayoutContract:
         for prob in (by_name("example3", alpha), _pentagon_problem(alpha)):
             copy = Problem(alpha=alpha, domain=prob.domain,
                            f=packed(prob.f), g=packed(prob.g))
-            vals, cost = walk_starts(starts, prob, keys)
-            vals_c, cost_c = walk_starts(starts, copy, keys)
+            vals, cost = walk_starts(starts, prob, keys)[:2]
+            vals_c, cost_c = walk_starts(starts, copy, keys)[:2]
             self.assert_same_bits(vals, vals_c)
             assert cost == cost_c
 

@@ -24,7 +24,7 @@ def no_walks(monkeypatch):
     def walk(*args):
         raise AssertionError("walked before rejecting the input")
 
-    monkeypatch.setattr(mlmc, "field_values", walk)
+    monkeypatch.setattr(mlmc, "pack_values", walk)
 
 
 class TestAllocate:
@@ -162,15 +162,17 @@ class TestPilot:
 class TestSampleTerm:
     @staticmethod
     def record_walks(monkeypatch):
-        """Patch mlmc.field_values to record (key count, walk steps)."""
-        calls, walk = [], mlmc.field_values
+        """Patch mlmc.pack_values to record (key count, walk steps) per
+        walk call."""
+        calls, walk = [], mlmc.pack_values
 
-        def spy(level, problem, keys):
-            values, cost = walk(level, problem, keys)
-            calls.append((keys.size, cost))
-            return values, cost
+        def spy(spans, problem):
+            walked = walk(spans, problem)
+            calls.append((sum(keys.size for _, keys in spans),
+                          sum(cost for _, cost in walked)))
+            return walked
 
-        monkeypatch.setattr(mlmc, "field_values", spy)
+        monkeypatch.setattr(mlmc, "pack_values", spy)
         return calls
 
     def test_walk_calls_are_lazy(self, hier6, ex2, monkeypatch):
@@ -182,21 +184,21 @@ class TestSampleTerm:
 
         sizes = []
 
-        def fake(level, problem, keys):
-            sizes.append(keys.size)
+        def fake(spans, problem):
+            sizes.extend(keys.size for _, keys in spans)
             if len(sizes) == 2:
                 raise Stop
-            return np.empty((keys.size, 0)), 0
+            return [(np.empty((keys.size, 0)), 0) for _, keys in spans]
 
-        monkeypatch.setattr(mlmc, "field_values", fake)
+        monkeypatch.setattr(mlmc, "pack_values", fake)
         # moments over zero vertices make the adds free: the peak is the
         # sampler's own
         moments = FieldMoments(sparse.csr_matrix((0, 0)))
         tracemalloc.start()
         try:
             with pytest.raises(Stop):
-                mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 4, 0,
-                                  2 ** 40, moments)
+                mlmc._sample_phase(hier6, ex2, 3, [
+                    (mlmc._KIND_PLAIN, 4, 0, 2 ** 40, [moments])])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -217,14 +219,16 @@ class TestSampleTerm:
         one, split, walked = (FieldMoments(mass), FieldMoments(mass),
                               FieldMoments(mass))
         calls = self.record_walks(monkeypatch)
-        mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000, one)
+        mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PLAIN, 3, 0, 12000,
+                                            [one])])
         monkeypatch.setattr(mlmc, "_ROW_BUDGET", 2048 * level.num_vertices)
-        mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000, split)
+        mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PLAIN, 3, 0, 12000,
+                                            [split])])
         assert [n for n, _ in calls] == [12000] + [2048] * 5 + [1760]
         n_interior = int(ex2.domain.contains(level.vertices).sum())
         monkeypatch.setattr("fracwos.field._WALK_BUDGET", 1000 * n_interior)
-        mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PLAIN, 3, 0, 12000,
-                          walked)
+        mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PLAIN, 3, 0, 12000,
+                                            [walked])])
         for moments in (split, walked):
             np.testing.assert_array_equal(moments.sum_vec, one.sum_vec)
             assert (moments.sum_sq, moments.count, moments.cost) == \
@@ -238,13 +242,35 @@ class TestSampleTerm:
         calls = self.record_walks(monkeypatch)
         monkeypatch.setattr(mlmc, "_ROW_BUDGET",
                             2048 * hier6.level(3).num_vertices)
-        mlmc._sample_term(hier6, ex2, 3, mlmc._KIND_PAIR, 2, 0, 6000,
-                          trans, fine)
+        mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PAIR, 2, 0, 6000,
+                                            [trans, fine])])
         assert [n for n, _ in calls] == [2048, 2048, 1904]
         assert all(cost > 0 for _, cost in calls)
         total = sum(cost for _, cost in calls)
         assert (trans.count, trans.cost) == (fine.count, fine.cost) \
             == (6000, total)
+
+    def test_packed_pilot_matches_terms_walked_alone(self, hier6, ex2,
+                                                     monkeypatch):
+        # an 8-sample pilot from level 2 to 6 holds 22856 values: by default
+        # its five terms share one walk call; a cap of 1592 values packs the
+        # first three and walks 4->5 and 5->6, each above it, alone; a cap
+        # of 0 walks every term alone.  No moment moves a bit
+        calls = self.record_walks(monkeypatch)
+        stats = []
+        for cap in (mlmc._PACK_BUDGET, 1592, 0):
+            monkeypatch.setattr(mlmc, "_PACK_BUDGET", cap)
+            stats.append(mlmc.pilot(hier6, ex2, 8, seed=4, l0=2, l_max=6))
+        assert [n for n, _ in calls] == [40] + [24, 8, 8] + [8] * 5
+        assert len({sum(c for _, c in calls[a:b])
+                    for a, b in ((0, 1), (1, 4), (4, 9))}) == 1
+        ref = stats[-1]
+        for s in stats[:-1]:
+            for a, b in zip(s.terms(6) + list(s.fine_plain.values()),
+                            ref.terms(6) + list(ref.fine_plain.values())):
+                np.testing.assert_array_equal(a.sum_vec, b.sum_vec)
+                assert (a.sum_sq, a.count, a.cost) == \
+                    (b.sum_sq, b.count, b.cost)
 
     @pytest.mark.parametrize("alpha", [0.05, 1.95])
     def test_moments_bit_identical_across_spans(self, hier6, alpha,

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,8 +52,8 @@ def hand_walk(start, tuples, f=zero, g=x_coord, alpha=1.0):
                 np.array([s]), np.array([phi], dtype=np.float64))
 
     prob = Problem(alpha=alpha, domain=unit_ball(), f=f, g=g)
-    vals, steps = walk(np.array([start], dtype=np.float64), prob, 1, draw)
-    return float(vals[0, 0]), steps
+    vals, steps = walk(np.array([start], dtype=np.float64), prob, draw)
+    return float(vals[0]), int(steps[0])
 
 
 class TestRegIncBeta:
@@ -261,7 +262,7 @@ class TestRunPath:
 
         prob = Problem(alpha=1.0, domain=ball, f=record("f"), g=record("g"))
         starts = np.array([[0.2, 0.1], [-0.6, 0.3], [0.0, 0.95]])
-        _, cost = walk_starts(starts, prob, derive_key(5, np.arange(20)))
+        _, cost = walk_starts(starts, prob, derive_key(5, np.arange(20)))[:2]
         inside = np.concatenate(seen["f"])
         exits = np.concatenate(seen["g"])
         assert ball.contains(inside).all() and not ball.contains(exits).any()
@@ -315,14 +316,14 @@ class TestOneGeometryQuery:
         walk_draws = []
         kernel = walk
 
-        def counting_walk(starts, problem, count, draw):
+        def counting_walk(starts, problem, draw, realization=None):
             calls = []
             walk_draws.append(calls)
 
             def counted_draw(n, rows):
                 calls.append(n)
                 return draw(n, rows)
-            return kernel(starts, problem, count, counted_draw)
+            return kernel(starts, problem, counted_draw, realization)
 
         monkeypatch.setattr("fracwos.sampling.walk", counting_walk)
         monkeypatch.setattr("fracwos.field.walk", counting_walk)
@@ -370,11 +371,11 @@ class TestWeightSkip:
             counts["weight"] += 1
             return weight(t, alpha)
 
-        def counting_walk(starts, problem, count, draw):
+        def counting_walk(starts, problem, draw, realization=None):
             def counted_draw(n, rows):
                 counts["steps"] += 1
                 return draw(n, rows)
-            return kernel(starts, problem, count, counted_draw)
+            return kernel(starts, problem, counted_draw, realization)
 
         monkeypatch.setattr("fracwos.sampling.reg_inc_beta", counting_weight)
         monkeypatch.setattr("fracwos.sampling.walk", counting_walk)
@@ -482,6 +483,22 @@ class TestPointEstimate:
         monkeypatch.setattr("fracwos.sampling.walk", no_walk)
         with pytest.raises(ValueError, match=f"^{msg}$"):
             point_estimate(x, ex1, 100, seed=seed)
+
+    @pytest.mark.parametrize("x, shape", [
+        ([[0.1, 0.2]], "(1, 2)"), ([[5.0, 0.0]], "(1, 2)"),
+        ([[0.1, 0.2], [0.3, 0.0]], "(2, 2)"), (0.5, "()"),
+        ((0.1, 0.2, 0.3), "(3,)")])
+    def test_point_must_be_one_2d_point(self, ex1, monkeypatch, x, shape):
+        # [[0.1, 0.2]] used to fail inside the walk with a broadcast error,
+        # two points with an ambiguous truth value, and [[5.0, 0.0]], outside
+        # the domain, returned an estimate
+        def no_walk(*args):
+            raise AssertionError("walked before rejecting the input")
+
+        monkeypatch.setattr("fracwos.sampling.walk", no_walk)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"x must be one (2,) point, got shape {shape}") + "$"):
+            point_estimate(x, ex1, 100, seed=1)
 
     def test_generator_draw_keeps_the_three_call_stream(self):
         # one (3, n) draw is the three n-draws (direction, source direction,

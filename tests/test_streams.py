@@ -82,6 +82,24 @@ class TestCounterHash:
         assert derive_key(np.int64(-3)) == derive_key(2**64 - 3)
         assert derive_key(np.uint32(9), 1) == derive_key(9, 1)
 
+    @pytest.mark.parametrize("label", [2.5, 2.0, np.float64(2.0), np.nan,
+                                       np.array([0.5, 1.5]), "2"])
+    def test_non_integer_label_rejected_by_name(self, label):
+        # a float label used to be truncated: 2.5 gave the key of label 2,
+        # and a float array raised a bare TypeError
+        with pytest.raises(ValueError, match="^label must be an integer, got "):
+            derive_key(1, label)
+        with pytest.raises(ValueError, match="^label must be an integer, got "):
+            batch_generator(3, label)
+
+    def test_integer_numpy_labels_keep_their_keys(self):
+        want = derive_key(7, 2, np.arange(4))
+        for labels in (np.arange(4, dtype=np.int32), np.arange(4, dtype=np.uint8),
+                       [0, 1, 2, 3]):
+            assert derive_key(7, np.int16(2), labels).tolist() == want.tolist()
+        assert derive_key(7, np.uint64(3), -1) == derive_key(7, 3, -1)
+        assert int(derive_key(2**64 - 1, 3, 0xA7)) == 0x2cb32de6fc4bca32
+
 
 class TestJohnkBeta:
     # at alpha near 2 a double cannot resolve the mass piling onto 1, so the
