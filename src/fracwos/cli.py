@@ -173,8 +173,19 @@ def fit_slope(pairs) -> float:
 # ---------------------------------------------------------------------------
 # manifest / config plumbing
 
-_PARSE = {"int": int, "float": float,
-          "bool": lambda v: v.lower() in ("1", "true", "yes")}
+_BOOL = {"true": True, "yes": True, "1": True,
+         "false": False, "no": False, "0": False}
+_PARSE = {"int": int, "float": float, "bool": lambda v: _BOOL[v.lower()]}
+_KIND = {"int": "an integer", "float": "a number", "bool": "true or false"}
+
+
+def _parse(name: str, kind: str, text: str):
+    """A config or environment value as its option's type; a value that does
+    not parse fails by name, as `m must be an integer, got '2.5'`."""
+    try:
+        return _PARSE.get(kind, str)(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"{name} must be {_KIND[kind]}, got {text!r}") from None
 
 
 def _options(command: str) -> list:
@@ -370,7 +381,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"config is for command {val!r}, "
                                  f"not {args.command!r}")
         elif key in own:
-            setattr(cfg, key, _PARSE.get(own[key].type, str)(val))
+            setattr(cfg, key, _parse(key, own[key].type, val))
         elif key in RunConfig.__dataclass_fields__:
             ignored.append(key)
         else:
@@ -385,7 +396,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.seed is None and "seed" not in file_cfg:
         env = os.environ.get("FRACWOS_SEED")
         if env is not None:
-            cfg.seed = int(env)
+            cfg.seed = _parse("FRACWOS_SEED", "int", env)
     return cfg.validate()
 
 

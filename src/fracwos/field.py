@@ -17,13 +17,16 @@ array program, with exited paths compressed away each step.  Its state is
 1-D: positions are a (2, W) array, an x row and a y row, and each step
 gathers the tuple columns of a walk's realization as 1-D arrays.  Step
 tuples depend only on (key, step), so results are bit-identical no matter
-how realizations are batched.  :func:`walk_starts` draws them in blocks of
-_TUPLE_BLOCK steps, one `step_tuples` call per block, so the values do not
-depend on the block width either.  :func:`field_values` walks its keys in
-sub-blocks of at most _WALK_BUDGET walks (keys times interior vertices), so
-a call's walk state stays bounded however many keys it is given; its output
-is the only part that grows with them.  :func:`pack_values` walks several
-levels' keys in one call, so small terms share the loop's per-step cost.
+how realizations are batched.  :func:`walk_starts` hands `walk` the starts
+of a list of keys and draws their tuples in blocks of _TUPLE_BLOCK steps,
+one `step_tuples` call per block, so the values do not depend on the block
+width either.  :func:`field_values` is the one field walker: it takes
+(level, keys) spans -- one level's keys, or the small terms of an MLMC
+phase packed together -- and walks their keys in order, in walk_starts
+calls of at most _WALK_BUDGET walks (keys times interior vertices).  A pack
+of small spans is one call, so small terms share the loop's per-step cost,
+and a large span's walk state stays bounded however many keys it has; its
+output is the only part that grows with them.
 """
 
 from __future__ import annotations
@@ -45,24 +48,20 @@ class InsufficientSamplesError(ValueError):
     """Statistics over fewer than two samples were requested."""
 
 
-def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray,
-                realization=None):
-    """Walk start points for keyed realizations.
+def walk_starts(starts, problem: Problem, keys: np.ndarray):
+    """Walk keyed realizations: starts[k] holds the (n_k, 2) start points of
+    the walks of realization keys[k].
 
-    keys: (K,) stream keys, one per realization.  With `realization`, a (W,)
-    ascending index into keys, walk i starts at starts[i] (W, 2); without
-    it, every key walks all (V, 2) starts.  All paths of a realization
-    consume its step-n tuple at their n-th step.  Tuples are drawn in
-    blocks of _TUPLE_BLOCK steps for the realizations with a live path at
-    the block's first step; a tuple is pure in (key, step), so the values
-    are those of one draw per step.  Returns (values, total steps, steps
-    per walk), the arrays (W,) or (K, V).
+    The walks run flat, in order, in one :func:`fracwos.sampling.walk` call,
+    and all paths of a realization consume its step-n tuple at their n-th
+    step.  Tuples are drawn in blocks of _TUPLE_BLOCK steps for the
+    realizations with a live path at the block's first step; a tuple is pure
+    in (key, step), so the values are those of one draw per step.  Returns
+    (values (W,), total steps, steps per walk (W,)).
     """
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    tiled = realization is None
-    if tiled:
-        realization = np.repeat(np.arange(keys.size, dtype=np.int32),
-                                len(starts))
+    realization = np.repeat(np.arange(keys.size, dtype=np.int32),
+                            [len(s) for s in starts])
     alpha = problem.alpha
     n0, block_rows, block = -_TUPLE_BLOCK, None, None
 
@@ -78,67 +77,55 @@ def walk_starts(starts: np.ndarray, problem: Problem, keys: np.ndarray,
               else np.searchsorted(block_rows, rows))
         return tuple(v[n - n0, at] for v in block)
 
-    # a tile formed in the call is freed once walk has copied it
-    values, steps = walk(np.tile(starts, (keys.size, 1)) if tiled else starts,
-                         problem, draw, realization)
-    shape = (keys.size, len(starts)) if tiled else (-1,)
-    return values.reshape(shape), int(steps.sum()), steps.reshape(shape)
+    # the flat starts, formed in the call, are freed once walk has copied them
+    values, steps = walk(np.concatenate(starts), problem, draw, realization)
+    return values, int(steps.sum()), steps
 
 
-def _exterior(level: MeshLevel, problem: Problem, n_keys: int):
-    """(K, N) values, g at the vertices outside the domain, and the mask of
-    the interior vertices, whose columns are left for the walks."""
-    interior = np.asarray(problem.domain.contains(level.vertices))
-    vals = np.empty((n_keys, level.num_vertices))
-    if (~interior).any():
-        vals[:, ~interior] = np.asarray(problem.g(level.vertices[~interior]))
-    return vals, interior
-
-
-def field_values(level: MeshLevel, problem: Problem, keys: np.ndarray):
-    """Field realizations at all vertices of a level, one row per key.
+def field_values(spans, problem: Problem):
+    """Field realizations at all vertices of each span's level, one row per
+    key of the span, for a list of (level, (K,) keys) spans.
 
     Vertices inside the problem's domain get walk values; the rest get the
     exterior data g exactly (the solution equals g off the domain).  The
-    keys are walked in sub-blocks of at most _WALK_BUDGET walks (at least
-    one key each); a walk's value depends only on its own key, so the
-    values do not depend on the sub-blocks.  Returns (values (K, N), total
-    walk steps).
+    spans' keys are walked in order, in walk_starts calls of at most
+    _WALK_BUDGET walks (keys times interior vertices), cut between keys and
+    at least one key each; a walk's value depends only on its own key, so
+    the values do not depend on the cuts.  Returns [(values (K, N), total
+    walk steps)], one per span.
     """
-    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    vals, interior = _exterior(level, problem, keys.size)
-    cost = 0
-    if interior.any():
-        starts = level.vertices[interior]
-        block = max(1, _WALK_BUDGET // starts.shape[0])
-        for k in range(0, keys.size, block):
-            walked, steps, _ = walk_starts(starts, problem, keys[k:k + block])
-            vals[k:k + block, interior] = walked
-            cost += steps
-    return vals, cost
-
-
-def pack_values(spans, problem: Problem):
-    """:func:`field_values` of each span, a (level, keys) pair, with its
-    bits, from one walk of every span's interior vertices tiled over its
-    keys (a lone span walks in field_values).  Returns [(values, steps)].
-    """
-    if len(spans) == 1:
-        return [field_values(level, problem, keys) for level, keys in spans]
-    filled = [_exterior(level, problem, len(keys)) for level, keys in spans]
-    starts = [level.vertices[interior]
-              for (level, _), (_, interior) in zip(spans, filled)]
-    n_keys = [len(keys) for _, keys in spans]
-    walked, _, steps = walk_starts(
-        np.concatenate([np.tile(v, (k, 1)) for v, k in zip(starts, n_keys)]),
-        problem, np.concatenate([keys for _, keys in spans]),
-        np.repeat(np.arange(sum(n_keys)),
-                  np.repeat([len(v) for v in starts], n_keys)))
-    cut = np.cumsum([len(v) * k for v, k in zip(starts, n_keys)])[:-1]
-    for (vals, interior), part in zip(filled, np.split(walked, cut)):
-        vals[:, interior] = part.reshape(len(vals), -1)
-    return [(vals, int(part.sum()))
-            for (vals, _), part in zip(filled, np.split(steps, cut))]
+    out, starts, calls, size = [], [], [], 0  # calls: [(span, r0, r1)]
+    for s, (level, keys) in enumerate(spans):
+        interior = np.asarray(problem.domain.contains(level.vertices))
+        vals = np.empty((len(keys), level.num_vertices))
+        if not interior.all():
+            vals[:, ~interior] = np.asarray(
+                problem.g(level.vertices[~interior]))
+        out.append((vals, interior))
+        starts.append(level.vertices[interior])
+        n, r = len(starts[-1]), 0
+        while r < len(keys):
+            if not calls or size and size + n > _WALK_BUDGET:
+                calls.append([])  # the next key opens a call
+                size = 0
+            room = max(1, (_WALK_BUDGET - size) // max(n, 1))  # keys that fit
+            take = min(len(keys) - r, room)
+            calls[-1].append((s, r, r + take))
+            size, r = size + take * n, r + take
+    costs = [0] * len(spans)
+    for parts in calls:
+        values, _, steps = walk_starts(
+            [starts[s] for s, r0, r1 in parts for _ in range(r0, r1)], problem,
+            np.concatenate([spans[s][1][r0:r1] for s, r0, r1 in parts]))
+        at = 0
+        for s, r0, r1 in parts:
+            vals, interior = out[s]
+            width = (r1 - r0) * len(starts[s])
+            vals[r0:r1, interior] = values[at:at + width].reshape(r1 - r0, -1)
+            costs[s] += int(steps[at:at + width].sum())
+            at += width
+        del values, steps  # freed before the next call walks
+    return [(vals, cost) for (vals, _), cost in zip(out, costs)]
 
 
 def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.ndarray:

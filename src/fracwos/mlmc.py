@@ -13,9 +13,9 @@ which by Cauchy-Schwarz minimizes total cost subject to a statistical
 error of eps^2/2.  Pilot samples are reused as the first production
 samples, and every sample is a pure function of (seed, term, index).  One
 loop, `_sample_phase`, walks the samples of a phase (the pilot, or one
-extension) and adds them to each term's running moments in fixed chunks of
-samples, so results depend neither on how many chunks one walk call takes
-nor on which terms share it.
+extension), small terms in one `field_values` call, and adds them to each
+term's running moments in fixed chunks of samples, so results depend
+neither on how many chunks one walk call takes nor on which terms share it.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (FieldMoments, batch_defects, mass_matrix, mass_norm,
-                    pack_values)
+from .field import (FieldMoments, batch_defects, field_values, mass_matrix,
+                    mass_norm)
 from .mesh import FieldVector, MeshHierarchy, prolong_to
 from .problems import Problem
 from .sampling import NonFiniteStatisticError, check_count, check_positive
@@ -133,14 +133,14 @@ def _sample_phase(hier: MeshHierarchy, problem: Problem, seed: int,
     sample chunks (at most 1024) as fit in _ROW_BUDGET values, added chunk
     by chunk, so the last bits of the sums depend on `rows` but not on the
     span.  A span's walk steps go to its first chunk.  Consecutive spans,
-    across terms, share one `pack_values` walk while their values total at
-    most _PACK_BUDGET; a larger span walks alone, in `field._WALK_BUDGET`
-    sub-blocks.  Raises NonFiniteStatisticError at the first chunk after
-    which a term's squared norms are not finite.
+    across terms, go to one `field_values` call while their values total
+    at most _PACK_BUDGET; a larger span is a call of its own.  Raises
+    NonFiniteStatisticError at the first chunk after which a term's
+    squared norms are not finite.
     """
     def walk_pack(pack):
-        out = pack_values([(level, derive_key(seed, kind, ell, idx))
-                           for kind, ell, level, _, idx, _ in pack], problem)
+        out = field_values([(level, derive_key(seed, kind, ell, idx))
+                            for kind, ell, level, _, idx, _ in pack], problem)
         for (kind, ell, _, rows, _, moments), (values, cost) in zip(pack, out):
             summed = ([values] if kind == _KIND_PLAIN
                       else [batch_defects(hier, values, ell), values])

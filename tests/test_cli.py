@@ -8,8 +8,9 @@ import pytest
 
 import fracwos
 from fracwos import mlmc
-from fracwos.cli import (ExprField, RunConfig, build_mesh, fit_slope, main,
-                         parse_domain, read_config)
+from fracwos.cli import (ExprField, RunConfig, _build_parser, build_config,
+                         build_mesh, fit_slope, main, parse_domain,
+                         read_config)
 from fracwos.geometry import Ball, ConvexPolygon, unit_ball
 from fracwos.mesh import base_mesh_for, square_ball_base
 
@@ -387,6 +388,42 @@ class TestCliRuns:
         assert r.returncode == 1
         assert ("fracwos: error: config is for command 'eig', not 'solve'"
                 in r.stderr)
+
+    def test_misspelt_boolean_rejected(self, tmp_path):
+        # `ture` used to run as False with exit 0
+        (tmp_path / "c.txt").write_text("fixed_accuracy = ture\n")
+        r = run_cli(["eig", "--config", "c.txt", "--out", "x"], tmp_path)
+        assert r.returncode == 1
+        assert r.stderr == ("fracwos: error: fixed_accuracy must be true or "
+                            "false, got 'ture'\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("True", True), ("YES", True), ("1", True),
+        ("false", False), ("False", False), ("no", False), ("0", False)])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        # manifests write True and False; any case of these six is accepted
+        (tmp_path / "c.txt").write_text(f"fixed_accuracy = {text}\n")
+        args = _build_parser().parse_args(
+            ["eig", "--config", str(tmp_path / "c.txt")])
+        assert build_config(args).fixed_accuracy is value
+
+    @pytest.mark.parametrize("command, line, seed, msg", [
+        ("eig", "m = 2.5", None, "m must be an integer, got '2.5'"),
+        ("solve", "eps = abc", None, "eps must be a number, got 'abc'"),
+        ("solve", "pilot = 1e3", None, "pilot must be an integer, got '1e3'"),
+        ("solve", "", "1.5", "FRACWOS_SEED must be an integer, got '1.5'")],
+        ids=["m", "eps", "pilot", "FRACWOS_SEED"])
+    def test_parse_errors_name_their_key(self, tmp_path, capsys, monkeypatch,
+                                         command, line, seed, msg):
+        (tmp_path / "c.txt").write_text(line + "\n")
+        if seed is not None:
+            monkeypatch.setenv("FRACWOS_SEED", seed)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(tmp_path / "c.txt"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"fracwos: error: {msg}\n"
+        assert not out.exists()
 
 
 # The options each command reads, besides alpha, seed and out, which all

@@ -6,9 +6,10 @@ import pytest
 
 from fracwos import mlmc
 from fracwos.cli import ExprField
+from conftest import tiled_walk
 from fracwos.field import (FieldMoments, InsufficientSamplesError,
                            batch_defects, field_values, mass_matrix, mass_norm,
-                           pack_values, walk_starts)
+                           walk_starts)
 from fracwos.geometry import Ball, ConvexPolygon, box
 from fracwos.mesh import build_hierarchy, interpolate, square_ball_base
 from fracwos.problems import Problem, by_name
@@ -76,20 +77,21 @@ class TestSampleField:
     def test_constant_exterior(self, hier6, ball):
         prob = Problem(alpha=1.0, domain=ball, f=zero_f,
                        g=lambda pts: np.ones(np.asarray(pts).shape[:-1]))
-        vals, cost = field_values(hier6.level(4), prob, derive_key(3, np.arange(2)))
+        keys = derive_key(3, np.arange(2))
+        vals, cost = field_values([(hier6.level(4), keys)], prob)[0]
         np.testing.assert_allclose(vals, 1.0, atol=1e-14)
         assert cost > 0
 
     def test_deterministic_given_sequence(self, hier6, ex1):
         keys = derive_key(42, np.arange(3))
-        a, ca = field_values(hier6.level(4), ex1, keys)
-        b, cb = field_values(hier6.level(4), ex1, keys)
+        a, ca = field_values([(hier6.level(4), keys)], ex1)[0]
+        b, cb = field_values([(hier6.level(4), keys)], ex1)[0]
         np.testing.assert_array_equal(a, b)
         assert ca == cb
 
     def test_exterior_vertices_carry_g(self, hier6, ex3):
         lvl = hier6.level(4)
-        vals, _ = field_values(lvl, ex3, derive_key(9, np.arange(2)))
+        vals, _ = field_values([(lvl, derive_key(9, np.arange(2)))], ex3)[0]
         outside = ~ex3.domain.contains(lvl.vertices)
         for row in vals:
             np.testing.assert_allclose(row[outside],
@@ -103,7 +105,7 @@ class TestSampleField:
         assert np.array_equal(lvl.vertices[vtx], [0.0, 0.0])
         M = 3000
         keys = derive_key(77, np.arange(M))
-        vals, _ = field_values(lvl, ex1, keys)
+        vals, _ = field_values([(lvl, keys)], ex1)[0]
         mean_field = vals[:, vtx].mean()
         se_f = vals[:, vtx].std(ddof=1) / np.sqrt(M)
         est = point_estimate((0.0, 0.0), ex1, 200000, seed=15)
@@ -116,9 +118,9 @@ class TestSampleField:
         verts = hier6.level(4).vertices
         starts = verts[hier6.domain.contains(verts)]
         keys = derive_key(5, np.arange(3))
-        vals, _ = walk_starts(starts, ex1, keys)[:2]
+        vals, _ = tiled_walk(starts, ex1, keys)[:2]
         perm = rng.permutation(starts.shape[0])
-        vals_p, _ = walk_starts(starts[perm], ex1, keys)[:2]
+        vals_p, _ = tiled_walk(starts[perm], ex1, keys)[:2]
         np.testing.assert_array_equal(vals_p, vals[:, perm])
 
     @pytest.mark.parametrize("mesh_domain", [Ball((0.0, 0.0), 0.5), None],
@@ -130,8 +132,8 @@ class TestSampleField:
             return build_hierarchy(square_ball_base(ball), 4, domain=domain).level(4)
 
         keys = derive_key(1, np.arange(64))
-        vals, cost = field_values(level4(mesh_domain), ex1, keys)
-        ref, ref_cost = field_values(level4(ball), ex1, keys)
+        vals, cost = field_values([(level4(mesh_domain), keys)], ex1)[0]
+        ref, ref_cost = field_values([(level4(ball), keys)], ex1)[0]
         assert vals.tobytes() == ref.tobytes()
         assert cost == ref_cost
 
@@ -146,9 +148,9 @@ class TestLinearity:
                        f=lambda pts: p1.f(pts) + p3.f(pts),
                        g=lambda pts: p1.g(pts) + p3.g(pts))
         lvl, keys = hier6.level(4), derive_key(13, np.arange(6))
-        v1, c1 = field_values(lvl, p1, keys)
-        v3, c3 = field_values(lvl, p3, keys)
-        vb, cb = field_values(lvl, both, keys)
+        v1, c1 = field_values([(lvl, keys)], p1)[0]
+        v3, c3 = field_values([(lvl, keys)], p3)[0]
+        vb, cb = field_values([(lvl, keys)], both)[0]
         np.testing.assert_allclose(vb, v1 + v3, rtol=1e-12, atol=0.0)
         assert c1 == c3 == cb
 
@@ -185,8 +187,8 @@ class TestPowerOfTwoScaling:
         scaled = Problem(alpha=alpha, domain=domain(s), f=zero_f,
                          g=lambda pts: self.g(np.asarray(pts) / s))
         keys = derive_key(17, np.arange(20))
-        vals, steps = walk_starts(starts, base, keys)[:2]
-        vals_s, steps_s = walk_starts(starts * s, scaled, keys)[:2]
+        vals, steps = tiled_walk(starts, base, keys)[:2]
+        vals_s, steps_s = tiled_walk(starts * s, scaled, keys)[:2]
         assert np.array_equal(vals_s, vals)
         assert steps_s == steps
 
@@ -199,7 +201,7 @@ class TestWalkStarts:
         prob = by_name("example3", alpha)
         starts = np.array([[0.1, 0.0], [0.2, 0.0], [-0.5, 0.6], [0.05, -0.9]])
         keys = derive_key(11, np.arange(4))
-        vals, cost, steps = walk_starts(starts, prob, keys)
+        vals, cost, steps = tiled_walk(starts, prob, keys)
         for k, key in enumerate(keys):
             for v, start in enumerate(starts):
                 value, n = replay(start, key, prob)
@@ -224,7 +226,7 @@ class TestWalkStarts:
         ref, ref_steps = walk(np.tile(starts, (keys.size, 1)), prob, step_draw,
                               np.repeat(np.arange(keys.size), len(starts)))
         monkeypatch.setattr("fracwos.field._TUPLE_BLOCK", block)
-        vals, cost, steps = walk_starts(starts, prob, keys)
+        vals, cost, steps = tiled_walk(starts, prob, keys)
         assert vals.view(np.uint64).ravel().tolist() \
             == ref.view(np.uint64).tolist()
         assert steps.ravel().tolist() == ref_steps.tolist()
@@ -241,30 +243,60 @@ class TestWalkStarts:
         # matmul of points by edge normals were rounded by row count
         prob = _pentagon_problem(1.0)
         start, keys = np.array([[0.1, 0.2]]), derive_key(3, np.arange(400))
-        vals, _ = walk_starts(start, prob, keys)[:2]
-        alone = [walk_starts(start, prob, keys[k:k + 1])[0][0, 0]
+        vals, _ = tiled_walk(start, prob, keys)[:2]
+        alone = [tiled_walk(start, prob, keys[k:k + 1])[0][0, 0]
                  for k in range(keys.size)]
         assert vals[:, 0].view(np.uint64).tolist() \
             == np.array(alone).view(np.uint64).tolist()
+
+    def test_split_realization_keeps_its_bits(self, hier6, ex3):
+        # cut inside realization 1, the two calls give its walks the same
+        # tuples, so every value and exit step keeps its bits
+        lvl = hier6.level(4)
+        inner = lvl.vertices[ex3.domain.contains(lvl.vertices)]
+        keys = derive_key(9, np.arange(3))
+        vals, total, steps = walk_starts([inner] * 3, ex3, keys)
+        assert vals.shape == steps.shape == (3 * len(inner),)
+        assert total == steps.sum() > 0 and type(total) is int
+        half = len(inner) // 2
+        parts = [walk_starts([inner, inner[:half]], ex3, keys[:2]),
+                 walk_starts([inner[half:], inner], ex3, keys[1:])]
+        assert np.concatenate([p[0] for p in parts]).view(np.uint64).tolist() \
+            == vals.view(np.uint64).tolist()
+        assert np.concatenate([p[2] for p in parts]).tolist() == steps.tolist()
 
     def test_max_steps_error(self, monkeypatch):
         prob = by_name("example1", 1.9)
         starts = np.array([[0.9, 0.0], [0.0, 0.5]])
         keys = derive_key(2, np.arange(20))
-        walk_starts(starts, prob, keys)
+        tiled_walk(starts, prob, keys)
         monkeypatch.setattr("fracwos.sampling.MAX_WALK_STEPS", 3)
         with pytest.raises(MaxStepsExceededError):
-            walk_starts(starts, prob, keys)
+            tiled_walk(starts, prob, keys)
 
 
 class TestWalkBudget:
-    """`field_values` walks its keys in sub-blocks of at most _WALK_BUDGET
-    walks; a walk's bits depend only on its key, so only memory moves."""
+    """`field_values` walks the keys of its (level, keys) spans in order, in
+    walk_starts calls of at most _WALK_BUDGET walks, cut between keys; a
+    walk's bits and steps depend only on its start and its key, so only
+    memory moves."""
 
     @staticmethod
     def level5(hier6, prob):
         lvl = hier6.level(5)
         return lvl, int(prob.domain.contains(lvl.vertices).sum())
+
+    @staticmethod
+    def count_walks(monkeypatch):
+        """Patch field.walk_starts to record the walks of each call."""
+        walks, kernel = [], walk_starts
+
+        def counting(starts, problem, keys):
+            walks.append(sum(len(v) for v in starts))
+            return kernel(starts, problem, keys)
+
+        monkeypatch.setattr("fracwos.field.walk_starts", counting)
+        return walks
 
     @pytest.mark.parametrize(
         "budget", [lambda n: n, lambda n: 3 * n + 1, lambda n: 1],
@@ -275,9 +307,9 @@ class TestWalkBudget:
         # budget below one key's walks, which still walks one key per call
         lvl, n_interior = self.level5(hier6, ex3)
         keys = derive_key(29, np.arange(25))
-        ref, ref_cost = field_values(lvl, ex3, keys)
+        ref, ref_cost = field_values([(lvl, keys)], ex3)[0]
         monkeypatch.setattr("fracwos.field._WALK_BUDGET", budget(n_interior))
-        vals, cost = field_values(lvl, ex3, keys)
+        vals, cost = field_values([(lvl, keys)], ex3)[0]
         np.testing.assert_array_equal(vals, ref)
         assert cost == ref_cost
 
@@ -291,63 +323,54 @@ class TestWalkBudget:
         budget = 16 * n_interior
         monkeypatch.setattr("fracwos.field._WALK_BUDGET", budget)
         keys = derive_key(31, np.arange(n_keys))
-        field_values(lvl, ex2, keys[:1])  # lazy tables and caches first
+        field_values([(lvl, keys[:1])], ex2)  # lazy tables and caches first
         tracemalloc.start()
         try:
-            vals, _ = field_values(lvl, ex2, keys)
+            vals, _ = field_values([(lvl, keys)], ex2)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < vals.nbytes + 256 * budget
 
+    SPANS = [(3, 4, 5), (5, 5, 3), (3, 6, 2)]  # level, key seed, key count
 
-# test ids name the alpha alone, so a re-pin renames no test
-_BY_ALPHA = ["0.05", "1.0", "1.95"]
-
-
-class TestPackedWalk:
-    """Spans of several levels and keys share one walk: each walk's bits and
-    steps depend only on its start and its realization's key."""
+    def spans(self, hier6):
+        return [(hier6.level(ell), derive_key(seed, np.arange(n)))
+                for ell, seed, n in self.SPANS]
 
     def test_pack_matches_spans_walked_alone(self, hier6, ex3, monkeypatch):
-        spans = [(hier6.level(3), derive_key(4, np.arange(5))),
-                 (hier6.level(5), derive_key(5, np.arange(3))),
-                 (hier6.level(3), derive_key(6, np.arange(2)))]
-        walks, kernel = [], walk_starts
-
-        def counting(starts, problem, keys, realization=None):
-            walks.append(len(starts))
-            return kernel(starts, problem, keys, realization)
-
-        monkeypatch.setattr("fracwos.field.walk_starts", counting)
-        packed = pack_values(spans, ex3)
+        # 21 interior vertices at level 3 and 401 at level 5: all ten keys
+        # share one walk call
+        spans = self.spans(hier6)
+        walks = self.count_walks(monkeypatch)
+        packed = field_values(spans, ex3)
         assert walks == [(5 + 2) * 21 + 3 * 401]
         for (level, keys), (vals, steps) in zip(spans, packed):
-            ref, ref_steps = field_values(level, ex3, keys)
+            ref, ref_steps = field_values([(level, keys)], ex3)[0]
             assert vals.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
             assert steps == ref_steps and type(steps) is int
 
-    def test_split_realization_keeps_its_bits(self, hier6, ex3):
-        # cut inside realization 1, the two flat walks give its walks the
-        # same tuples, so every value and exit step keeps its bits
-        lvl = hier6.level(4)
-        inner = lvl.vertices[ex3.domain.contains(lvl.vertices)]
-        keys = derive_key(9, np.arange(3))
-        starts = np.tile(inner, (3, 1))
-        realization = np.repeat(np.arange(3), len(inner))
-        vals, total, steps = walk_starts(starts, ex3, keys, realization)
-        assert vals.shape == steps.shape == (3 * len(inner),)
-        assert total == steps.sum() > 0 and type(total) is int
-        cut = len(inner) + len(inner) // 2
-        parts = [walk_starts(starts[a:b], ex3, keys, realization[a:b])
-                 for a, b in ((0, cut), (cut, None))]
-        assert np.concatenate([p[0] for p in parts]).view(np.uint64).tolist() \
-            == vals.view(np.uint64).tolist()
-        assert np.concatenate([p[2] for p in parts]).tolist() == steps.tolist()
-        tiled, tiled_total, _ = walk_starts(inner, ex3, keys)
-        assert tiled.view(np.uint64).ravel().tolist() \
-            == vals.view(np.uint64).tolist()
-        assert tiled_total == total
+    @pytest.mark.parametrize("budget, walks", [
+        (500, [5 * 21, 401, 401, 401 + 2 * 21]),
+        (1, [21] * 5 + [401] * 3 + [21] * 2)])
+    def test_budget_cuts_between_keys(self, hier6, ex3, budget, walks,
+                                      monkeypatch):
+        # a call takes the next keys, across spans, while their walks fit;
+        # a key above the budget walks alone.  No value or step moves
+        spans = self.spans(hier6)
+        ref = field_values(spans, ex3)
+        monkeypatch.setattr("fracwos.field._WALK_BUDGET", budget)
+        calls = self.count_walks(monkeypatch)
+        for (vals, steps), (ref_vals, ref_steps) in zip(
+                field_values(spans, ex3), ref):
+            assert vals.view(np.uint64).tolist() \
+                == ref_vals.view(np.uint64).tolist()
+            assert steps == ref_steps
+        assert calls == walks
+
+
+# test ids name the alpha alone, so a re-pin renames no test
+_BY_ALPHA = ["0.05", "1.0", "1.95"]
 
 
 class TestGoldenBits:
@@ -371,9 +394,9 @@ class TestGoldenBits:
         ids=_BY_ALPHA)
     def test_walk_starts_ball(self, hier4, alpha, digest, steps):
         lvl = hier4.level(3)
-        vals, cost = walk_starts(lvl.vertices[hier4.domain.contains(lvl.vertices)],
-                                 by_name("example3", alpha),
-                                 derive_key(29, np.arange(64)))[:2]
+        vals, cost = tiled_walk(lvl.vertices[hier4.domain.contains(lvl.vertices)],
+                                by_name("example3", alpha),
+                                derive_key(29, np.arange(64)))[:2]
         assert (_sha(vals), cost) == (digest, steps)
 
     @pytest.mark.parametrize("alpha, digest, steps", [
@@ -383,9 +406,9 @@ class TestGoldenBits:
         ids=_BY_ALPHA)
     def test_walk_starts_pentagon(self, hier4, alpha, digest, steps):
         verts = hier4.level(3).vertices
-        vals, cost = walk_starts(verts[_PENTAGON.contains(verts)],
-                                 _pentagon_problem(alpha),
-                                 derive_key(29, np.arange(64)))[:2]
+        vals, cost = tiled_walk(verts[_PENTAGON.contains(verts)],
+                                _pentagon_problem(alpha),
+                                derive_key(29, np.arange(64)))[:2]
         assert (_sha(vals), cost) == (digest, steps)
 
     def test_mlmc_solution(self, hier4, ex2):
@@ -454,8 +477,8 @@ class TestLayoutContract:
         for prob in (by_name("example3", alpha), _pentagon_problem(alpha)):
             copy = Problem(alpha=alpha, domain=prob.domain,
                            f=packed(prob.f), g=packed(prob.g))
-            vals, cost = walk_starts(starts, prob, keys)[:2]
-            vals_c, cost_c = walk_starts(starts, copy, keys)[:2]
+            vals, cost = tiled_walk(starts, prob, keys)[:2]
+            vals_c, cost_c = tiled_walk(starts, copy, keys)[:2]
             self.assert_same_bits(vals, vals_c)
             assert cost == cost_c
 
@@ -466,9 +489,9 @@ class TestSamplePair:
 
     def test_coarse_is_restriction_bit_exact(self, hier6, ex1):
         keys = derive_key(21, np.arange(4))
-        fine, _ = field_values(hier6.level(6), ex1, keys)
+        fine, _ = field_values([(hier6.level(6), keys)], ex1)[0]
         for ell in (3, 4, 5):
-            coarse, _ = field_values(hier6.level(ell), ex1, keys)
+            coarse, _ = field_values([(hier6.level(ell), keys)], ex1)[0]
             np.testing.assert_array_equal(
                 coarse, fine[:, :hier6.level(ell).num_vertices])
 
@@ -476,13 +499,14 @@ class TestSamplePair:
         # a separate coarse call with a subset of the keys reproduces the
         # matching rows exactly: inherited vertices see identical paths
         keys = derive_key(8, np.arange(5))
-        fine, _ = field_values(hier6.level(5), ex1, keys)
-        coarse, _ = field_values(hier6.level(4), ex1, keys[2:4])
+        fine, _ = field_values([(hier6.level(5), keys)], ex1)[0]
+        coarse, _ = field_values([(hier6.level(4), keys[2:4])], ex1)[0]
         np.testing.assert_array_equal(
             fine[2:4, :hier6.level(4).num_vertices], coarse)
 
     def test_defect_zero_at_inherited(self, hier6, ex1):
-        fine, _ = field_values(hier6.level(5), ex1, derive_key(2, np.arange(3)))
+        keys = derive_key(2, np.arange(3))
+        fine, _ = field_values([(hier6.level(5), keys)], ex1)[0]
         d = batch_defects(hier6, fine, 4)
         nc = hier6.level(4).num_vertices
         np.testing.assert_array_equal(d[:, :nc], 0.0)
@@ -490,7 +514,8 @@ class TestSamplePair:
 
     def test_zero_problem_zero_defect(self, hier6, ball):
         prob = Problem(alpha=1.0, domain=ball, f=zero_f, g=zero_f)
-        fine, _ = field_values(hier6.level(4), prob, derive_key(4, np.arange(3)))
+        keys = derive_key(4, np.arange(3))
+        fine, _ = field_values([(hier6.level(4), keys)], prob)[0]
         np.testing.assert_array_equal(batch_defects(hier6, fine, 3), 0.0)
 
 
@@ -504,7 +529,8 @@ class TestDefectStatistics:
                                         hier.norm_mask(fine_ell)))
 
     def test_identical_defects_zero_variance(self, hier6, ex1):
-        fine, cost = field_values(hier6.level(4), ex1, derive_key(5, [0]))
+        fine, cost = field_values([(hier6.level(4), derive_key(5, [0]))],
+                                  ex1)[0]
         mom = self.moments(hier6, 4)
         mom.add(batch_defects(hier6, np.repeat(fine, 3, axis=0), 3), 3 * cost)
         assert mom.variance == pytest.approx(0.0, abs=1e-18)
@@ -523,7 +549,8 @@ class TestDefectStatistics:
         assert mom.mean_cost == 10 and mom.count == 2
 
     def test_insufficient_samples(self, hier6, ex1):
-        fine, cost = field_values(hier6.level(4), ex1, derive_key(5, [0]))
+        fine, cost = field_values([(hier6.level(4), derive_key(5, [0]))],
+                                  ex1)[0]
         mom = self.moments(hier6, 4)
         mom.add(batch_defects(hier6, fine, 3), cost)
         with pytest.raises(InsufficientSamplesError):
@@ -593,7 +620,7 @@ class TestUnbiasednessAtVertices:
         assert ex1.domain.contains(x)
         M = 4000
         keys = derive_key(99, 7, np.arange(M))
-        vals, _ = field_values(lvl, ex1, keys)
+        vals, _ = field_values([(lvl, keys)], ex1)[0]
         mean_f = vals[:, vtx].mean()
         se_f = vals[:, vtx].std(ddof=1) / np.sqrt(M)
         est = point_estimate(x, ex1, 100000, seed=23)

@@ -24,7 +24,7 @@ def no_walks(monkeypatch):
     def walk(*args):
         raise AssertionError("walked before rejecting the input")
 
-    monkeypatch.setattr(mlmc, "pack_values", walk)
+    monkeypatch.setattr(mlmc, "field_values", walk)
 
 
 class TestAllocate:
@@ -162,9 +162,9 @@ class TestPilot:
 class TestSampleTerm:
     @staticmethod
     def record_walks(monkeypatch):
-        """Patch mlmc.pack_values to record (key count, walk steps) per
+        """Patch mlmc.field_values to record (key count, walk steps) per
         walk call."""
-        calls, walk = [], mlmc.pack_values
+        calls, walk = [], mlmc.field_values
 
         def spy(spans, problem):
             walked = walk(spans, problem)
@@ -172,7 +172,7 @@ class TestSampleTerm:
                           sum(cost for _, cost in walked)))
             return walked
 
-        monkeypatch.setattr(mlmc, "pack_values", spy)
+        monkeypatch.setattr(mlmc, "field_values", spy)
         return calls
 
     def test_walk_calls_are_lazy(self, hier6, ex2, monkeypatch):
@@ -190,7 +190,7 @@ class TestSampleTerm:
                 raise Stop
             return [(np.empty((keys.size, 0)), 0) for _, keys in spans]
 
-        monkeypatch.setattr(mlmc, "pack_values", fake)
+        monkeypatch.setattr(mlmc, "field_values", fake)
         # moments over zero vertices make the adds free: the peak is the
         # sampler's own
         moments = FieldMoments(sparse.csr_matrix((0, 0)))

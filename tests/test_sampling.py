@@ -11,14 +11,14 @@ from scipy import stats
 from scipy.special import betainc, beta as beta_fn, gamma
 
 import fracwos
-from fracwos.geometry import Ball, unit_ball
+from conftest import tiled_walk
+from fracwos.geometry import Ball, box, unit_ball
 from fracwos.problems import Problem, example1, example2
-from fracwos.field import walk_starts
 from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
                               StableParams, _generator_draw, make_params,
                               point_estimate, reg_inc_beta, walk)
 from fracwos.streams import (batch_generator, derive_key, johnk_beta_rng,
-                             unit_vectors)
+                             step_tuples, unit_vectors)
 
 # the directory holding the imported package, for child processes
 PACKAGE_ROOT = str(Path(fracwos.__file__).resolve().parents[1])
@@ -262,7 +262,7 @@ class TestRunPath:
 
         prob = Problem(alpha=1.0, domain=ball, f=record("f"), g=record("g"))
         starts = np.array([[0.2, 0.1], [-0.6, 0.3], [0.0, 0.95]])
-        _, cost = walk_starts(starts, prob, derive_key(5, np.arange(20)))[:2]
+        _, cost = tiled_walk(starts, prob, derive_key(5, np.arange(20)))[:2]
         inside = np.concatenate(seen["f"])
         exits = np.concatenate(seen["g"])
         assert ball.contains(inside).all() and not ball.contains(exits).any()
@@ -333,7 +333,7 @@ class TestOneGeometryQuery:
     def test_walk_starts(self, counted):
         prob, walk_draws = counted
         starts = np.array([[0.2, 0.1], [-0.6, 0.3], [0.0, 0.95]])
-        walk_starts(starts, prob, derive_key(5, np.arange(20)))
+        tiled_walk(starts, prob, derive_key(5, np.arange(20)))
         (draws,) = walk_draws
         # every iteration but the last draws; the last retires the last walk
         assert draws == list(range(len(draws))) and len(draws) > 1
@@ -385,7 +385,7 @@ class TestWeightSkip:
     def run(self, problem):
         point_estimate((0.3, 0.4), problem, 3000, seed=4)
         starts = np.array([[0.2, 0.1], [-0.6, 0.3], [0.0, 0.95]])
-        walk_starts(starts, problem, derive_key(5, np.arange(20)))
+        tiled_walk(starts, problem, derive_key(5, np.arange(20)))
 
     def test_constant_source_never_weighs(self, counts):
         self.run(example1(1.0))
@@ -547,3 +547,42 @@ class TestCouplingContraction:
             tot += np.where(both, (r1 / r0) ** alpha, 0.0).sum()
             n_tot += M
         assert tot / n_tot < 1.0
+
+
+class TestCentralSymmetry:
+    """On a domain symmetric about the origin, with f and g even, the walk
+    from -x whose draw negates Theta and Phi is the walk from x negated
+    step by step: every float operation meets negated operands, so values
+    and exit steps agree bit for bit."""
+
+    @staticmethod
+    def f(pts):
+        pts = np.asarray(pts)
+        return 1.0 + 0.3 * pts[..., 0] * pts[..., 1]
+
+    @staticmethod
+    def g(pts):
+        pts = np.asarray(pts)
+        return pts[..., 0] * (pts[..., 0] + pts[..., 1])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("domain", [box(-0.5, -0.4, 0.5, 0.4),
+                                        Ball((0.0, 0.0), 0.7)],
+                             ids=["box", "ball"])
+    def test_mirrored_walks_bit_identical(self, domain, alpha):
+        prob = Problem(alpha=alpha, domain=domain, f=self.f, g=self.g)
+        starts = domain.sample_uniform(np.random.default_rng(7), 4096)
+        keys = derive_key(41, np.arange(starts.shape[0]))
+
+        def draw(n, rows):
+            return step_tuples(alpha, keys[rows], np.uint32(n))
+
+        def mirrored(n, rows):
+            beta, theta, s, phi = draw(n, rows)
+            return beta, -theta, s, -phi
+
+        vals, steps = walk(starts, prob, draw)
+        vals_m, steps_m = walk(-starts, prob, mirrored)
+        assert vals_m.view(np.uint64).tolist() == vals.view(np.uint64).tolist()
+        assert steps_m.tolist() == steps.tolist()
+        assert steps.min() >= 1 and len(set(steps.tolist())) > 3
