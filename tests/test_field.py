@@ -352,7 +352,7 @@ class TestWalkBudget:
 
     @pytest.mark.parametrize("budget, walks", [
         (500, [5 * 21, 401, 401, 401 + 2 * 21]),
-        (1, [21] * 5 + [401] * 3 + [21] * 2)])
+        (1, [21] * 5 + [401] * 3 + [21] * 2)], ids=["500", "1"])
     def test_budget_cuts_between_keys(self, hier6, ex3, budget, walks,
                                       monkeypatch):
         # a call takes the next keys, across spans, while their walks fit;
