@@ -195,17 +195,21 @@ def _options(command: str) -> list:
 
 
 def read_config(path: str) -> dict:
-    """Parse `key = value` lines; '#' starts a comment."""
-    out = {}
+    """Parse `key = value` lines; '#' starts a comment.  A key given twice
+    is an error, as the later line would silently win."""
+    out, first = {}, {}
     with open(path) as fh:
-        for raw in fh:
+        for n, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = val
+            if key in first:
+                raise ValueError(f"config key {key!r} repeated on lines "
+                                 f"{first[key]} and {n}")
+            out[key], first[key] = val, n
     return out
 
 

@@ -11,6 +11,12 @@ The walk asks only `_distance` and retires a path once `not d > 0`, so each
 shape keeps `_contains(p) == (_distance(p) > 0)`, NaN included; `_contains`
 stays for `contains`, `sample_uniform`, `check_I2` and perfbench's tracer.
 
+A convex polygon's `_contains` ANDs a > b over its edges and its `_edge_min`
+takes the running minimum of a - b, for the pair (a, b) of `_half_planes`.
+For floats a - b > 0 exactly when a > b (gradual underflow) and a NaN fails
+both, so the two still agree.  Axis-aligned edges, a box's four, form no
+product, so an infinite coordinate makes no inf * 0 = NaN there.
+
 A ball's three tests take r = |p - center| as sqrt(dx*dx + dy*dy), within
 2 ulp of np.hypot at a fraction of its cost.  The squares may overflow: a
 point beyond about 1e154 reads r = inf, which is outside, with no warning.
@@ -19,6 +25,7 @@ point beyond about 1e154 reads r = inf, which is outside, with no warning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -107,14 +114,14 @@ class ConvexPolygon(_Domain):
 
     For an interior point of a convex region the nearest boundary point is
     the foot of a perpendicular onto some edge line, so the exact distance
-    is min_i <p - v_i, n_i> over inward edge normals n_i.  Polygons are
-    equal when they list one counter-clockwise cycle of vertices from any
-    start; `vertices` keeps the given order (reversed if clockwise).
+    is min_i <p - v_i, n_i> over inward edge normals n_i (horizontal and
+    vertical edges skip their zero products).  Polygons are equal when they
+    list one counter-clockwise cycle of vertices from any start; `vertices`
+    keeps the given order (reversed if clockwise).
     """
 
     vertices: np.ndarray
-    _normals: np.ndarray = field(init=False, repr=False, compare=False)
-    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _edges: tuple = field(init=False, repr=False, compare=False)
     _diameter: float = field(init=False, repr=False, compare=False)
     _cycle: tuple = field(init=False, repr=False, compare=False)
 
@@ -141,8 +148,11 @@ class ConvexPolygon(_Domain):
             raise ValueError("polygon is degenerate (zero area)")
         normals = np.column_stack([-edges[:, 1], edges[:, 0]]) / lengths[:, None]
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "_normals", normals)
-        object.__setattr__(self, "_offsets", np.einsum("ij,ij->i", normals, v))
+        # (nx, ny, off) per edge as Python floats: a horizontal or vertical
+        # edge's normal is exactly (+-0, +-1) or (+-1, +-0), as hypot(a, 0) = |a|
+        offsets = np.einsum("ij,ij->i", normals, v)
+        object.__setattr__(self, "_edges",
+                           tuple(zip(*normals.T.tolist(), offsets.tolist())))
         d = v[:, None, :] - v[None, :, :]
         object.__setattr__(self, "_diameter",
                            float(np.hypot(d[..., 0], d[..., 1]).max()))
@@ -161,19 +171,32 @@ class ConvexPolygon(_Domain):
     def diameter(self) -> float:
         return self._diameter
 
+    def _half_planes(self, pts: np.ndarray):
+        # per edge (a, b), inside when a > b, at signed distance a - b.  An
+        # axis-aligned edge gives (x, off) or (-off, x), or the same in y:
+        # the bits of x*nx + y*ny - off bar the sign of a zero, which a walk
+        # reads as an exit either way
+        x, y = pts[..., 0], pts[..., 1]
+        for nx, ny, off in self._edges:
+            if ny == 0.0:
+                yield (x, off) if nx > 0.0 else (-off, x)
+            elif nx == 0.0:
+                yield (y, off) if ny > 0.0 else (-off, y)
+            else:
+                yield x * nx + y * ny, off
+
     def _edge_min(self, pts: np.ndarray):
         # smallest signed distance to an edge line, positive inside, as a
         # running minimum one edge at a time: elementwise, so a point's bits
         # do not depend on how many points share the call (a matmul's do)
-        x, y = pts[..., 0], pts[..., 1]
-        (nx, ny), off = self._normals.T, self._offsets
-        m = x * nx[0] + y * ny[0] - off[0]
-        for e in range(1, off.size):
-            m = np.minimum(m, x * nx[e] + y * ny[e] - off[e])
-        return m
+        return reduce(np.minimum, (a - b for a, b in self._half_planes(pts)))
 
     def _contains(self, pts: np.ndarray):
-        return self._edge_min(pts) > 0.0
+        # a - b > 0 exactly when a > b (gradual underflow; NaN fails both)
+        inside = True
+        for a, b in self._half_planes(pts):
+            inside &= a > b
+        return inside
 
     def _distance(self, pts: np.ndarray):
         return np.maximum(self._edge_min(pts), 0.0)

@@ -117,6 +117,17 @@ class TestConfigPlumbing:
         p.write_text("alpha = 1.5\nseed = 9   # comment\n\n# full comment\n")
         assert read_config(p) == {"alpha": "1.5", "seed": "9"}
 
+    def test_repeated_key_fails_by_name(self, tmp_path, capsys):
+        # the later line used to win silently: this ran at alpha = 1.5
+        (tmp_path / "c.txt").write_text("alpha = 0.5\n# alpha\nseed = 3\n"
+                                        "alpha = 1.5\n")
+        args = ["solve", "--config", str(tmp_path / "c.txt"),
+                "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert ("fracwos: error: config key 'alpha' repeated on lines 1 "
+                "and 4") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_validation(self, tmp_path, capsys):
         # validate keeps only the rules that exist in the CLI alone
         for cfg in (RunConfig(command="solve", problem="custom", f_expr="x"),

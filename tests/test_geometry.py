@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwos.geometry import Ball, ConvexPolygon, box, unit_ball
+from fracwos.geometry import _CLOSED_TOL, Ball, ConvexPolygon, box, unit_ball
 
 finite_coord = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -215,6 +215,64 @@ def test_points_of_another_shape_rejected(domain, points):
         with pytest.raises(ValueError, match=r"^points must have shape "
                                              r"\(\.\.\., 2\)$"):
             query(points)
+
+
+def _full_product_edge_min(polygon, pts):
+    """Reference for `_edge_min`: x*nx + y*ny - off on every edge, products
+    with a zero normal component included, as a running minimum."""
+    x, y = pts[..., 0], pts[..., 1]
+    m = None
+    for nx, ny, off in polygon._edges:
+        d = x * nx + y * ny - off
+        m = d if m is None else np.minimum(m, d)
+    return m
+
+
+_ROT = np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
+# each with its count of axis-aligned edges
+EXACT_DOMAINS = [
+    (box(0.0, 0.0, 1.0, 1.0), 4),
+    # the regular pentagon, whose bottom edge is horizontal
+    (ConvexPolygon([(0.0, 1.0), (-0.951057, 0.309017), (-0.587785, -0.809017),
+                    (0.587785, -0.809017), (0.951057, 0.309017)]), 1),
+    (ConvexPolygon([[0.1, 0.2], [2.3, 0.7], [0.9, 1.9]]), 0),
+    (ConvexPolygon([[-1.0, -0.5], [1.0, -0.5], [1.0, 0.5], [-1.0, 0.5]]
+                   @ _ROT.T + (0.2, -0.3)), 0),
+]
+
+
+class TestFullProductReference:
+    @given(case=st.sampled_from(EXACT_DOMAINS), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_queries_keep_the_full_product_bits(self, case, data):
+        # `_contains` compares and axis-aligned edges skip their zero
+        # products; on every kind of point, nudged one ulp either way, the
+        # booleans and every positive distance keep the reference's bits
+        domain, n_axis = case
+        assert sum(0.0 in e[:2] for e in domain._edges) == n_axis
+        pts = np.array(data.draw(st.lists(point_near(domain), min_size=1,
+                                          max_size=20)), dtype=np.float64)
+        pts = np.concatenate([pts, np.nextafter(pts, np.inf),
+                              np.nextafter(pts, -np.inf)])
+        # inf * 0, and sums past the largest float, in the products
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref = _full_product_edge_min(domain, pts)
+            inside, d = domain._contains(pts), domain._distance(pts)
+            closed = domain.contains_closed(pts)
+        np.testing.assert_array_equal(inside, ref > 0.0)
+        assert d[inside].tobytes() == ref[inside].tobytes()
+        assert not (d[~inside] > 0.0).any()
+        np.testing.assert_array_equal(
+            closed, ref >= -_CLOSED_TOL * max(domain.diameter, 1.0))
+
+    def test_box_with_infinite_coordinate_runs_clean(self):
+        b = box(0.0, 0.0, 1.0, 1.0)
+        pts = np.array([[np.inf, 0.5], [-np.inf, 0.5], [0.5, np.inf],
+                        [0.5, -np.inf], [np.inf, -np.inf]])
+        with np.errstate(all="raise"):
+            assert not b._contains(pts).any()
+            assert not (b._distance(pts) > 0.0).any()
+            assert not b.contains_closed(pts).any()
 
 
 class TestProperties:
