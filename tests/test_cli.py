@@ -118,7 +118,7 @@ class TestConfigPlumbing:
         assert read_config(p) == {"alpha": "1.5", "seed": "9"}
 
     def test_repeated_key_fails_by_name(self, tmp_path, capsys):
-        # the later line used to win silently: this ran at alpha = 1.5
+        # the later line must not win silently: this would run at alpha 1.5
         (tmp_path / "c.txt").write_text("alpha = 0.5\n# alpha\nseed = 3\n"
                                         "alpha = 1.5\n")
         args = ["solve", "--config", str(tmp_path / "c.txt"),
