@@ -13,9 +13,9 @@ L2 norm of the mass matrix, sqrt(v' M v).
 
 The walk itself is :func:`fracwos.sampling.walk`: flat (W, 2) start
 points, each with the index of its realization (one key each), run as one
-array program, with exited paths compressed away each step.  Its state is
-1-D: positions are a (2, W) array, an x row and a y row, and each step
-gathers the tuple columns of a walk's realization as 1-D arrays.  Step
+array program on 1-D state: positions are a (2, W) array, an x row and a y
+row.  Each step compacts exited paths away by index, keeps a live-walk
+count per realization and spreads each tuple to its walks by np.repeat.  Step
 tuples depend only on (key, step), so results are bit-identical no matter
 how realizations are batched.  :func:`walk_starts` hands `walk` the starts
 of a list of keys and draws their tuples in blocks of _TUPLE_BLOCK steps,
@@ -158,6 +158,13 @@ def mass_matrix(level: MeshLevel, mask: np.ndarray) -> sparse.csr_matrix:
     cols = np.tile(tris, (1, 3)).ravel()
     n = level.num_vertices
     return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def norm_mass(hier: MeshHierarchy, ell: int) -> sparse.csr_matrix:
+    """Level ell's mass matrix over its norm mask, once per hierarchy."""
+    if ell not in hier._norm_masses:
+        hier._norm_masses[ell] = mass_matrix(hier.level(ell), hier.norm_mask(ell))
+    return hier._norm_masses[ell]
 
 
 def mass_norm(mass: sparse.csr_matrix, v: np.ndarray) -> float:

@@ -25,7 +25,6 @@ point beyond about 1e154 reads r = inf, which is outside, with no warning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -188,8 +187,14 @@ class ConvexPolygon(_Domain):
     def _edge_min(self, pts: np.ndarray):
         # smallest signed distance to an edge line, positive inside, as a
         # running minimum one edge at a time: elementwise, so a point's bits
-        # do not depend on how many points share the call (a matmul's do)
-        return reduce(np.minimum, (a - b for a, b in self._half_planes(pts)))
+        # do not depend on how many points share the call (a matmul's do);
+        # in two buffers of its own, never in the caller's x or y view
+        planes = self._half_planes(pts)
+        m = np.subtract(*next(planes), out=np.empty(pts.shape[:-1]))
+        buf = np.empty_like(m)
+        for a, b in planes:
+            np.minimum(m, np.subtract(a, b, out=buf), out=m)
+        return m
 
     def _contains(self, pts: np.ndarray):
         # a - b > 0 exactly when a > b (gradual underflow; NaN fails both)

@@ -182,6 +182,7 @@ class MeshHierarchy:
     parent_edges: list[np.ndarray]      # transition i: levels[i] -> levels[i+1]
     domain: Domain                      # norm masks, eig; walks use the problem's
     _norm_masks: dict = field(default_factory=dict, repr=False)
+    _norm_masses: dict = field(default_factory=dict, repr=False)  # field.norm_mass
 
     @property
     def coarsest(self) -> int:

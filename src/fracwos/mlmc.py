@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (FieldMoments, batch_defects, field_values, mass_matrix,
-                    mass_norm)
+from .field import (FieldMoments, batch_defects, field_values, mass_norm,
+                    norm_mass)
 from .mesh import FieldVector, MeshHierarchy, prolong_to
 from .problems import Problem
 from .sampling import NonFiniteStatisticError, check_count, check_positive
@@ -178,12 +178,12 @@ def pilot(hier: MeshHierarchy, problem: Problem, samples: int, seed: int,
     to l_max, `samples` of each: the (V_l, C_l) estimates for planning."""
     check_count("pilot samples per level", samples, PILOT_FLOOR)
     _check_levels(hier, l0, l_max)
-    plain = FieldMoments(mass_matrix(hier.level(l0), hier.norm_mask(l0)))
+    plain = FieldMoments(norm_mass(hier, l0))
     stats = LevelStatistics(l0=l0, plain=plain, trans={},
                             fine_plain={l0: plain})
     terms = [(_KIND_PLAIN, l0, 0, samples, [plain])]
     for ell in range(l0, l_max):
-        mass = mass_matrix(hier.level(ell + 1), hier.norm_mask(ell + 1))
+        mass = norm_mass(hier, ell + 1)
         stats.trans[ell] = FieldMoments(mass)
         stats.fine_plain[ell + 1] = FieldMoments(mass)
         terms.append((_KIND_PAIR, ell, 0, samples,
@@ -368,7 +368,7 @@ def error_vs_exact(result: MlmcResult, exact, hier: MeshHierarchy):
     Returns (abs, rel); rel is None when the exact field has zero norm.
     """
     level = hier.level(result.solution.level)
-    mass = mass_matrix(level, hier.norm_mask(level.level))
+    mass = norm_mass(hier, level.level)
     exact_vals = np.asarray(exact(level.vertices), dtype=np.float64)
     abs_err = mass_norm(mass, result.solution.values - exact_vals)
     exact_norm = mass_norm(mass, exact_vals)

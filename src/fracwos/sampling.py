@@ -153,7 +153,9 @@ def walk(starts: np.ndarray, problem, draw, realization=None):
     jumps raises MaxStepsExceededError.
 
     The live walks' state is 1-D: positions are a (2, n) array, an x row
-    and a y row, and the domain, f and g get its (n, 2) view pos.T.
+    and a y row, and the domain, f and g get its (n, 2) view pos.T.  Exits
+    are compacted away by index; live walks are counted per realization,
+    whose tuple reaches its (adjacent) walks by np.repeat.
     """
     pos = np.asarray(starts, dtype=np.float64).T.copy()
     del starts  # a caller's temporary is freed before the walk
@@ -165,35 +167,40 @@ def walk(starts: np.ndarray, problem, draw, realization=None):
     acc = np.zeros(slot.size)
     out = np.empty(slot.size)
     steps = np.empty(slot.size, dtype=np.int32)  # at most MAX_WALK_STEPS
+    # live walks per realization; None: each walk is its own realization
+    live = None if realization is None else np.bincount(realization)
+
+    def spread(v, axis=None):  # a row's value for each of its cnt walks
+        if live is None:  # the walks are the rows; (2, rows) pairs fresh
+            return v if axis is None else v.copy()
+        return np.repeat(v, cnt, axis=axis)
+
     for n in range(MAX_WALK_STEPS + 1):
         d = problem.domain._distance(pos.T)
         inside = d > 0.0
         if not inside.all():
-            left = ~inside
-            gone = slot[left]
+            keep, left = np.flatnonzero(inside), np.flatnonzero(~inside)
+            gone = slot.take(left)
             out[gone] = np.asarray(
-                problem.g(np.compress(left, pos, axis=1).T)) + acc[left]
+                problem.g(pos.take(left, axis=1).T)) + acc.take(left)
             steps[gone] = n
-            pos = np.compress(inside, pos, axis=1)
-            slot, acc, d = slot[inside], acc[inside], d[inside]
+            if live is not None:
+                live -= np.bincount(realization[gone], minlength=live.size)
+            pos = pos.take(keep, axis=1)
+            slot, acc, d = slot.take(keep), acc.take(keep), d.take(keep)
         if not slot.size:
             break
         if n == MAX_WALK_STEPS:
             raise MaxStepsExceededError(
                 f"{slot.size} walks exceeded {MAX_WALK_STEPS} steps")
-        # rows: the live realizations, ascending; at: each walk's position
-        # in rows, which indexes its realization's tuple
-        rows, at = slot, slice(None)
-        if realization is not None:
-            rows = realization[slot]
-            first = np.r_[True, rows[1:] != rows[:-1]]
-            rows, at = rows[first], np.cumsum(first) - 1
+        rows = slot  # the live realizations, ascending
+        if live is not None:
+            rows = np.flatnonzero(live)
+            cnt = live[rows]
         beta, theta, s, phi = draw(n, rows)
-        theta_x, theta_y, s_rad = theta[:, 0], theta[:, 1], s ** inv_alpha
-        phi_x, phi_y = phi[:, 0], phi[:, 1]
         # the source point x + (d S^(1/alpha)) Phi, formed in place
-        src = np.stack((phi_x[at], phi_y[at]))
-        src *= d * s_rad[at]
+        src = spread(phi.T, axis=1)
+        src *= d * spread(s ** inv_alpha)
         src += pos
         fy = problem.f(src.T)
         del src  # freed before f(x) and the sum run
@@ -204,12 +211,12 @@ def walk(starts: np.ndarray, problem, draw, realization=None):
             # the weight only multiplies f(y) - f(x): a step where that is
             # all zero (a constant f) keeps the same zeros without it
             weight = reg_inc_beta(1.0 - s ** (2.0 * inv_alpha), alpha)
-            diff = diff * weight[at]
+            diff = diff * spread(weight)
         acc += params.a1 * d ** alpha * (diff + params.a2 * fx)
         del fx, diff  # freed before the jump
-        r = d / np.sqrt(beta[at])
-        pos[0] += r * theta_x[at]
-        pos[1] += r * theta_y[at]
+        th = spread(theta.T, axis=1)
+        th *= d / spread(np.sqrt(beta))  # sqrt per row: correctly rounded
+        pos += th
     return out, steps
 
 

@@ -265,6 +265,61 @@ class TestWalkStarts:
             == vals.view(np.uint64).tolist()
         assert np.concatenate([p[2] for p in parts]).tolist() == steps.tolist()
 
+    @staticmethod
+    def uneven_keys(hier6, prob):
+        """Per-key starts of 40, 0, 9, 1 and 0 interior vertices of level 5:
+        walks that exit at different steps, and keys without starts in the
+        middle of the key list and at its end."""
+        lvl = hier6.level(5)
+        inner = lvl.vertices[prob.domain.contains(lvl.vertices)]
+        starts = [inner[:40], inner[:0], inner[300:309], inner[7:8], inner[:0]]
+        return starts, derive_key(17, np.arange(len(starts)))
+
+    @staticmethod
+    def spy_draws(monkeypatch):
+        """Patch field.walk to record (n, rows) of every draw call."""
+        draws, kernel = [], walk
+
+        def spying_walk(starts, problem, draw, realization=None):
+            def spy(n, rows):
+                draws.append((n, rows.copy()))
+                return draw(n, rows)
+            return kernel(starts, problem, spy, realization)
+
+        monkeypatch.setattr("fracwos.field.walk", spying_walk)
+        return draws
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.95])
+    def test_rows_are_the_live_realizations(self, hier6, alpha, monkeypatch):
+        # step n draws for exactly the keys with a walk still inside after
+        # n jumps, ascending; a key without starts is never drawn
+        prob = by_name("example3", alpha)
+        starts, keys = self.uneven_keys(hier6, prob)
+        draws = self.spy_draws(monkeypatch)
+        _, _, steps = walk_starts(starts, prob, keys)
+        realization = np.repeat(np.arange(keys.size), [len(s) for s in starts])
+        assert [n for n, _ in draws] == list(range(steps.max()))
+        for n, rows in draws:
+            assert rows.tolist() == np.unique(realization[steps > n]).tolist()
+        assert not {1, 4} & {r for _, rows in draws for r in rows.tolist()}
+        # keys leave the draws at different steps, between other keys
+        assert len({rows.size for _, rows in draws}) > 2
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.95])
+    def test_uneven_keys_match_each_key_walked_alone(self, hier6, alpha):
+        prob = by_name("example3", alpha)
+        starts, keys = self.uneven_keys(hier6, prob)
+        vals, total, steps = walk_starts(starts, prob, keys)
+        at = np.cumsum([0] + [len(s) for s in starts])
+        for k, s in enumerate(starts):
+            alone, alone_total, alone_steps = walk_starts([s], prob,
+                                                          keys[k:k + 1])
+            assert alone.view(np.uint64).tolist() \
+                == vals[at[k]:at[k + 1]].view(np.uint64).tolist()
+            assert alone_steps.tolist() == steps[at[k]:at[k + 1]].tolist()
+            assert alone_total == alone_steps.sum()
+        assert total == steps.sum() > 0
+
     def test_max_steps_error(self, monkeypatch):
         prob = by_name("example1", 1.9)
         starts = np.array([[0.9, 0.0], [0.0, 0.5]])

@@ -265,6 +265,23 @@ class TestFullProductReference:
         np.testing.assert_array_equal(
             closed, ref >= -_CLOSED_TOL * max(domain.diameter, 1.0))
 
+    @pytest.mark.parametrize("case", EXACT_DOMAINS, ids=["box", "pentagon",
+                                                         "triangle", "rotated"])
+    def test_queries_leave_the_points_unmodified(self, case):
+        # the walk hands the domain pos.T, the (n, 2) view of its (2, n)
+        # positions: a query whose x or y view took a - b in place would
+        # move every walk
+        domain = case[0]
+        pos = np.random.default_rng(5).uniform(-1.5, 2.5, (2, 257))
+        pos[:, :3] = [[0.0, -0.0, np.nan], [1.0, np.inf, 0.5]]
+        before = pos.copy()
+        for pts in (pos.T, np.ascontiguousarray(pos.T), pos.T[0]):
+            with np.errstate(invalid="ignore"):  # inf * 0 off the box
+                domain._edge_min(pts)
+                domain._distance(pts)
+                domain.contains_closed(pts)
+            assert pos.tobytes() == before.tobytes()
+
     def test_box_with_infinite_coordinate_runs_clean(self):
         b = box(0.0, 0.0, 1.0, 1.0)
         pts = np.array([[np.inf, 0.5], [-np.inf, 0.5], [0.5, np.inf],

@@ -449,6 +449,24 @@ class TestErrorVsExact:
         area = hier6.masked_area(res.solution.level)
         assert abs_err == pytest.approx(0.25 * np.sqrt(area), rel=1e-12)
 
+    def test_mass_matrices_built_once_per_level(self, ball, ex2, monkeypatch):
+        # two runs and their errors on one hierarchy build each level's
+        # masked mass matrix once, and get the bits of fresh matrices
+        hier = build_hierarchy(square_ball_base(ball), 5, domain=ball)
+        built, build = [], mass_matrix
+        monkeypatch.setattr("fracwos.field.mass_matrix",
+                            lambda level, mask: built.append(level.level)
+                            or build(level, mask))
+        errs = [mlmc.error_vs_exact(
+            mlmc.run(hier, ex2, eps=5e-2, l0=3, seed=2, pilot_M=8),
+            ex2.exact, hier) for _ in range(2)]
+        assert sorted(built) == [3, 4, 5]
+        fresh = build_hierarchy(square_ball_base(ball), 5, domain=ball)
+        monkeypatch.setattr("fracwos.field.mass_matrix", build)
+        assert errs[0] == errs[1] == mlmc.error_vs_exact(
+            mlmc.run(fresh, ex2, eps=5e-2, l0=3, seed=2, pilot_M=8),
+            ex2.exact, fresh)
+
     def test_zero_exact_norm(self, hier6, ex2):
         res = mlmc.run(hier6, ex2, eps=5e-2, l0=3, seed=2, pilot_M=8)
         zero = lambda pts: np.zeros(np.asarray(pts).shape[:-1])
