@@ -288,11 +288,8 @@ def cmd_eig(cfg: RunConfig) -> dict:
     res = eigen.smallest_eigenvalue(
         cfg.alpha, hier, cfg.tol, cfg.B, cfg.m, cfg.seed, l0=cfg.l0,
         variable_accuracy=not cfg.fixed_accuracy)
-    rows = [(r["k"], r["theta"], r["lambda"], r["residual"],
-             r["gap"], r["wos_tol"], r["cost"]) for r in res.history]
-    _write_csv(os.path.join(cfg.out, "iters.csv"),
-               ["k", "theta", "lambda", "residual", "gap", "wos_tol", "cost"],
-               rows)
+    _write_csv(os.path.join(cfg.out, "iters.csv"), list(res.history[0]),
+               [row.values() for row in res.history])
     return {"lambda": res.lam, "theta": res.theta, "residual": res.residual,
             "iterations": res.iterations, "total_cost": res.total_cost}
 

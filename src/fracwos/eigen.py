@@ -82,17 +82,19 @@ def wos_tolerance(tol: float, B: float, m: int, gap: float | None,
 
 @dataclass
 class ArnoldiState:
-    """Orthonormal Krylov basis, growing Hessenberg matrix, and history."""
+    """Orthonormal Krylov basis, growing Hessenberg matrix, and one row per
+    step, keyed k, theta, lambda, residual, gap, wos_tol, cost (iters.csv)."""
 
     basis: list
     H: np.ndarray
-    k: int = 0
     breakdown: bool = False
-    theta_history: list = dfield(default_factory=list)
-    residual_history: list = dfield(default_factory=list)
-    gap_history: list = dfield(default_factory=list)
-    tol_history: list = dfield(default_factory=list)
-    cost_history: list = dfield(default_factory=list)
+    history: list = dfield(default_factory=list)
+
+    @property
+    def cost_history(self) -> list:
+        # read-only: perfbench/tracing.py reads out.state.cost_history[2:],
+        # and the benchmark's code does not change with the library's
+        return [row["cost"] for row in self.history]
 
 
 @dataclass
@@ -106,12 +108,7 @@ class EigenResult:
 
     @property
     def history(self):
-        s = self.state
-        steps = zip(s.theta_history, s.residual_history, s.gap_history,
-                    s.tol_history, s.cost_history)
-        return [{"k": k, "theta": theta, "lambda": 1.0 / theta,
-                 "residual": res, "gap": gap, "wos_tol": wtol, "cost": cost}
-                for k, (theta, res, gap, wtol, cost) in enumerate(steps, 1)]
+        return self.state.history
 
 
 def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
@@ -130,10 +127,10 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
         raise ValueError("zero start vector")
     state = ArnoldiState(basis=[v0 / nrm], H=np.zeros((m + 1, m)))
     prev_gap = None       # spectral gap of the previous step's Ritz values
-    while state.k < m and not state.breakdown:
-        k = state.k + 1
+    while len(state.history) < m and not state.breakdown:
+        k = len(state.history) + 1
         gap = prev_gap if variable else None
-        r_prev = state.residual_history[-1] if state.residual_history else None
+        r_prev = state.history[-1]["residual"] if state.history else None
         wtol = wos_tolerance(tol, B, m, gap, r_prev)
 
         u, cost = apply_op(state.basis[k - 1], wtol, k)
@@ -150,18 +147,15 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
         state.H[k, k - 1] = h_next
 
         theta, w, prev_gap = leading_ritz(state.H[:k, :k])
-        state.k = k
-        state.theta_history.append(theta)
-        state.residual_history.append(h_next * abs(w[-1]))
-        state.gap_history.append(gap)
-        state.tol_history.append(wtol)
-        state.cost_history.append(cost)
+        state.history.append({"k": k, "theta": theta, "lambda": 1.0 / theta,
+                              "residual": h_next * abs(w[-1]), "gap": gap,
+                              "wos_tol": wtol, "cost": cost})
         if h_next < _BREAKDOWN:
             state.breakdown = True
         else:
             state.basis.append(u / h_next)
     return EigenResult(lam=1.0 / theta, theta=theta,
-                       residual=state.residual_history[-1], iterations=state.k,
+                       residual=state.history[-1]["residual"], iterations=k,
                        total_cost=int(sum(state.cost_history)), state=state)
 
 

@@ -136,10 +136,9 @@ def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.nd
     The mean and the difference are formed in the output itself, so the
     parent values' gathers are the only other arrays of its size.
     """
-    parents = hier.parents(ell + 1)
     nc = hier.level(ell).num_vertices
     out = np.zeros_like(fine_vals)
-    pa, pb = parents[nc:, 0], parents[nc:, 1]
+    pa, pb = hier.level(ell + 1).parent_edges.T
     new = out[:, nc:]
     np.add(fine_vals[:, pa], fine_vals[:, pb], out=new)
     new *= 0.5

@@ -41,13 +41,15 @@ class PointOutsideMeshError(ValueError):
 
 @dataclass
 class MeshLevel:
-    """One triangulation of the meshed polygon."""
+    """One triangulation of the meshed polygon; a refined level keeps the
+    level it refines and the parent edge of each of its new vertices."""
 
     level: int
     vertices: np.ndarray          # (N, 2)
     triangles: np.ndarray         # (T, 3) vertex indices, counter-clockwise
     mesh_width: float             # longest edge over all triangles
     parent: "MeshLevel | None" = None
+    parent_edges: np.ndarray | None = None   # (N - N_parent, 2), see refine
     _areas: np.ndarray | None = field(default=None, repr=False)
     _table: "_LocateTable | None" = field(default=None, repr=False)  # built by locate
 
@@ -141,13 +143,13 @@ def base_mesh_for(domain: Domain):
     return make_base(v, t)
 
 
-def refine(level: MeshLevel):
-    """Quadrisect every triangle; returns (fine level, parent-edge table).
+def refine(level: MeshLevel) -> MeshLevel:
+    """Quadrisect every triangle; returns the fine level.
 
-    Row i of the parent table holds the two coarse vertex indices whose
-    midpoint is fine vertex i; inherited vertices (i below the coarse count)
-    hold [i, i].  Midpoints are deduplicated by parent index pair, never by
-    coordinate comparison, so nesting is exact.
+    Row i of its `parent_edges` holds the two coarse vertex indices whose
+    midpoint is fine vertex nc + i, for nc coarse vertices.  Midpoints are
+    deduplicated by parent index pair, never by coordinate comparison, so
+    nesting is exact.
     """
     v = level.vertices
     tris = level.triangles
@@ -167,19 +169,16 @@ def refine(level: MeshLevel):
     pairs = pairs[order]
     mids = 0.5 * (v[pairs[:, 0]] + v[pairs[:, 1]])
     fine_v = np.vstack([v, mids])
-    parents = np.vstack([np.repeat(np.arange(nc, dtype=np.int64)[:, None], 2, axis=1),
-                         pairs])
-    fine = MeshLevel(level=level.level + 1, vertices=fine_v, triangles=new_tris,
-                     mesh_width=_max_edge(fine_v, new_tris), parent=level)
-    return fine, parents
+    return MeshLevel(level=level.level + 1, vertices=fine_v, triangles=new_tris,
+                     mesh_width=_max_edge(fine_v, new_tris), parent=level,
+                     parent_edges=pairs)
 
 
 @dataclass
 class MeshHierarchy:
-    """Nested levels from the base up to the finest, plus parent-edge maps."""
+    """Nested levels from the base up to the finest."""
 
     levels: list[MeshLevel]
-    parent_edges: list[np.ndarray]      # transition i: levels[i] -> levels[i+1]
     domain: Domain                      # norm masks, eig; walks use the problem's
     _norm_masks: dict = field(default_factory=dict, repr=False)
     _norm_masses: dict = field(default_factory=dict, repr=False)  # field.norm_mass
@@ -198,13 +197,6 @@ class MeshHierarchy:
             raise ValueError(f"level {ell} not in hierarchy "
                              f"[{self.coarsest}, {self.finest}]")
         return self.levels[i]
-
-    def parents(self, fine_ell: int) -> np.ndarray:
-        """Parent-edge table of the transition (fine_ell - 1) -> fine_ell."""
-        i = fine_ell - self.coarsest
-        if not 1 <= i < len(self.levels):
-            raise ValueError(f"no transition onto level {fine_ell}")
-        return self.parent_edges[i - 1]
 
     def norm_mask(self, ell: int) -> np.ndarray:
         """Triangles whose three vertices lie in the closed domain.
@@ -227,12 +219,9 @@ def build_hierarchy(base: MeshLevel, finest_level: int,
     """Refine `base` to `finest_level` (inclusive) for the meshed domain."""
     check_count("finest_level", finest_level, base.level)
     levels = [base]
-    edges = []
     while levels[-1].level < finest_level:
-        fine, parents = refine(levels[-1])
-        levels.append(fine)
-        edges.append(parents)
-    return MeshHierarchy(levels=levels, parent_edges=edges, domain=domain)
+        levels.append(refine(levels[-1]))
+    return MeshHierarchy(levels=levels, domain=domain)
 
 
 def _det(x1, y1, x2, y2, x3, y3):
@@ -424,13 +413,12 @@ def interpolate(level: MeshLevel, f, p):
 def prolong(hier: MeshHierarchy, coarse_field: FieldVector) -> FieldVector:
     """Exact linear prolongation onto the next finer level."""
     fine = hier.level(coarse_field.level + 1)
-    parents = hier.parents(fine.level)
     nc = hier.level(coarse_field.level).num_vertices
     if coarse_field.values.shape[0] != nc:
         raise ValueError("field length does not match its level")
     out = np.empty(fine.num_vertices)
     out[:nc] = coarse_field.values
-    pa, pb = parents[nc:, 0], parents[nc:, 1]
+    pa, pb = fine.parent_edges.T
     out[nc:] = 0.5 * (coarse_field.values[pa] + coarse_field.values[pb])
     return FieldVector(fine.level, out)
 

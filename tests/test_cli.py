@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fracwos
-from fracwos import mlmc
+from fracwos import eigen, mlmc
 from fracwos.cli import (ExprField, RunConfig, _build_parser, build_config,
                          build_mesh, fit_slope, main, parse_domain,
                          read_config)
@@ -250,6 +250,35 @@ class TestCliRuns:
         assert_ok(r2)
         assert (tmp_path / "eg" / "iters.csv").read_bytes() \
             == (tmp_path / "eg2" / "iters.csv").read_bytes()
+
+    def test_iters_csv_is_the_arnoldi_rows(self, tmp_path, monkeypatch):
+        # iters.csv is the run's row list as stored: header = row keys, one
+        # line per row; perfbench's tracer reads the cost column through
+        # state.cost_history, so that view must match it too
+        results = []
+        solve = eigen.smallest_eigenvalue
+
+        def spy(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(eigen, "smallest_eigenvalue", spy)
+        assert main(["eig", "--alpha", "1.0", "--tol", "0.05", "--B", "3",
+                     "--m", "3", "--l0", "3", "--L", "4", "--seed", "11",
+                     "--out", str(tmp_path / "eg")]) == 0
+        (res,) = results
+        header, *lines = (tmp_path / "eg" / "iters.csv").read_text().splitlines()
+        assert header.split(",") == list(res.history[0])
+        assert len(lines) == len(res.history) == res.iterations == 3
+        for line, row in zip(lines, res.history):
+            assert list(row) == header.split(",")
+            assert line == ",".join(
+                "" if v is None else repr(float(v)) if isinstance(v, float)
+                else str(v) for v in row.values())
+        col = header.split(",").index("cost")
+        costs = [int(line.split(",")[col]) for line in lines]
+        assert res.state.cost_history == costs
+        assert sum(costs) == res.total_cost
 
     def test_variance_study_csv(self, tmp_path):
         r = run_cli(["variance-study", "--problem", "example1", "--alpha",

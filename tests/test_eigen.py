@@ -146,8 +146,8 @@ class TestArnoldiStub:
         D = np.diag(1.0 / np.arange(1, 7))
         res = eigen.run_arnoldi(_stub_op(D), np.ones(6), m=4, tol=0.02, B=3,
                                 variable=False)
-        assert res.state.tol_history == [0.02 / (3 * 4)] * 4
-        assert res.state.gap_history == [None] * 4
+        assert [r["wos_tol"] for r in res.history] == [0.02 / (3 * 4)] * 4
+        assert [r["gap"] for r in res.history] == [None] * 4
 
     def test_history_reads_each_steps_ritz_value(self):
         rng = np.random.default_rng(7)
@@ -349,7 +349,7 @@ class TestSmallestEigenvalue:
     def test_variable_accuracy_relaxes_tolerances(self, hier5):
         res = eigen.smallest_eigenvalue(1.0, hier5, tol=0.02, B=3, m=4,
                                         seed=11, l0=3)
-        tols = res.state.tol_history
+        tols = [r["wos_tol"] for r in res.history]
         base = 0.02 / (3 * 4)
         assert tols[0] == pytest.approx(base)
         assert tols[-1] > base  # the gap/residual rule kicked in
@@ -359,15 +359,15 @@ class TestSmallestEigenvalue:
         # tolerance never decreases
         res = eigen.smallest_eigenvalue(1.0, hier5, tol=0.02, B=3, m=5,
                                         seed=13, l0=3)
-        s = res.state
-        for i in range(1, s.k):
-            ga, gb = s.gap_history[i - 1], s.gap_history[i]
+        h = res.history
+        for i in range(1, len(h)):
+            ga, gb = h[i - 1]["gap"], h[i]["gap"]
             if ga is None or gb is None:
                 continue
             gap_stable = abs(gb - ga) <= 0.2 * ga
-            resid_down = s.residual_history[i - 1] <= s.residual_history[i - 2]
+            resid_down = h[i - 1]["residual"] <= h[i - 2]["residual"]
             if gap_stable and resid_down:
-                assert s.tol_history[i] >= s.tol_history[i - 1] * (1 - 1e-12)
+                assert h[i]["wos_tol"] >= h[i - 1]["wos_tol"] * (1 - 1e-12)
 
     def test_seed_calibration(self, hier5):
         # eigenvalue spread across master seeds is consistent with 2 tol

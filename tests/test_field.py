@@ -23,7 +23,7 @@ def midpoint_defect(hier, fine_ell, vals):
     mean of its parent edge's end values; zero at inherited vertices."""
     nc = hier.level(fine_ell - 1).num_vertices
     out = np.zeros_like(vals)
-    for i, (a, b) in enumerate(hier.parents(fine_ell)[nc:], start=nc):
+    for i, (a, b) in enumerate(hier.level(fine_ell).parent_edges, start=nc):
         out[i] = vals[i] - 0.5 * (vals[a] + vals[b])
     return out
 
@@ -644,7 +644,7 @@ class TestFieldMoments:
         vals[0] = 1.5e308
         vals[1] = -0.0
         nc = hier6.level(4).num_vertices
-        pa, pb = hier6.parents(5)[nc:, 0], hier6.parents(5)[nc:, 1]
+        pa, pb = hier6.level(5).parent_edges.T
         plain = np.zeros_like(vals)
         with np.errstate(over="ignore", invalid="ignore"):
             plain[:, nc:] = vals[:, nc:] - 0.5 * (vals[:, pa] + vals[:, pb])

@@ -183,7 +183,7 @@ def loop_refine(level):
 
     Numbers each new midpoint when its edge first appears in the order
     ab, bc, ca of triangle 0, 1, ...; returns (vertices, triangles,
-    parent table).
+    parent pairs of the new vertices).
     """
     v, tris = level.vertices, level.triangles
     nc = v.shape[0]
@@ -204,9 +204,7 @@ def loop_refine(level):
                                      (c, mca, mbc), (mab, mbc, mca)]
     pairs = np.array(mid_pairs, dtype=np.int64)
     fine_v = np.vstack([v, 0.5 * (v[pairs[:, 0]] + v[pairs[:, 1]])])
-    parents = np.vstack([np.repeat(np.arange(nc, dtype=np.int64)[:, None], 2,
-                                   axis=1), pairs])
-    return fine_v, new_tris, parents
+    return fine_v, new_tris, pairs
 
 
 def fan_base(poly):
@@ -230,12 +228,12 @@ class TestRefinement:
         hier = build_hierarchy(base, 7, domain=domain)
         for ell in range(2, 8):
             coarse, fine = hier.level(ell - 1), hier.level(ell)
-            v, t, parents = loop_refine(coarse)
+            v, t, pairs = loop_refine(coarse)
             assert fine.triangles.dtype == t.dtype
-            assert hier.parents(ell).dtype == parents.dtype
+            assert fine.parent_edges.dtype == pairs.dtype
             np.testing.assert_array_equal(fine.vertices, v)
             np.testing.assert_array_equal(fine.triangles, t)
-            np.testing.assert_array_equal(hier.parents(ell), parents)
+            np.testing.assert_array_equal(fine.parent_edges, pairs)
 
     def test_vertex_count_after_one_refinement(self):
         hier = build_hierarchy(square_ball_base(), 2, domain=unit_ball())
@@ -273,8 +271,7 @@ class TestRefinement:
             fine = hier6.level(ell)
             nc = coarse.num_vertices
             np.testing.assert_array_equal(fine.vertices[:nc], coarse.vertices)
-            parents = hier6.parents(ell)
-            pa, pb = parents[nc:, 0], parents[nc:, 1]
+            pa, pb = fine.parent_edges.T
             np.testing.assert_array_equal(
                 fine.vertices[nc:],
                 0.5 * (coarse.vertices[pa] + coarse.vertices[pb]))
@@ -292,8 +289,7 @@ class TestRefinement:
             hier6.level(0)
         with pytest.raises(ValueError):
             hier6.level(7)
-        with pytest.raises(ValueError):
-            hier6.parents(1)  # no transition onto the base
+        assert hier6.level(1).parent_edges is None  # the base has no parents
 
     def test_finest_below_base_rejected(self):
         with pytest.raises(ValueError):
@@ -701,9 +697,8 @@ class TestTransferOperators:
     def test_defect_hand_value(self, hier6):
         # midpoint value 3 with parent values 0 and 2 leaves a defect of 2
         nc = hier6.level(4).num_vertices
-        parents = hier6.parents(5)
         vals = np.zeros(hier6.level(5).num_vertices)
-        a, b = parents[nc]
+        a, b = hier6.level(5).parent_edges[0]
         vals[a], vals[b], vals[nc] = 0.0, 2.0, 3.0
         assert defect(hier6, 5, vals)[nc] == pytest.approx(2.0)
 
