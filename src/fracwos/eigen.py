@@ -156,7 +156,8 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
             state.basis.append(u / h_next)
     return EigenResult(lam=1.0 / theta, theta=theta,
                        residual=state.history[-1]["residual"], iterations=k,
-                       total_cost=int(sum(state.cost_history)), state=state)
+                       total_cost=int(sum(row["cost"] for row in state.history)),
+                       state=state)
 
 
 def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,

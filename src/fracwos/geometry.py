@@ -174,22 +174,15 @@ class ConvexPolygon(_Domain):
         # per edge (a, b), inside when a > b, at signed distance a - b.  An
         # axis-aligned edge gives (x, off) or (-off, x), or the same in y:
         # the bits of x*nx + y*ny - off bar the sign of a zero, which a walk
-        # reads as an exit either way.  Other edges form x*nx + y*ny in two
-        # buffers of this call, reused edge by edge (each pair is read before
-        # the next), never in the caller's x or y
+        # reads as an exit either way
         x, y = pts[..., 0], pts[..., 1]
-        buf = tmp = None
         for nx, ny, off in self._edges:
             if ny == 0.0:
                 yield (x, off) if nx > 0.0 else (-off, x)
             elif nx == 0.0:
                 yield (y, off) if ny > 0.0 else (-off, y)
             else:
-                if buf is None:
-                    buf, tmp = np.empty(x.shape), np.empty(x.shape)
-                np.multiply(x, nx, out=buf)
-                buf += np.multiply(y, ny, out=tmp)
-                yield buf, off
+                yield x * nx + y * ny, off
 
     def _edge_min(self, pts: np.ndarray):
         # smallest signed distance to an edge line, positive inside, as a
