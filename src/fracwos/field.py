@@ -32,7 +32,6 @@ output is the only part that grows with them.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .mesh import MeshHierarchy, MeshLevel
 from .problems import Problem
@@ -148,7 +147,9 @@ def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.nd
 
 def mass_matrix(level: MeshLevel, mask: np.ndarray) -> sparse.csr_matrix:
     """PL mass matrix over the triangles that `mask` selects; phi' M phi is
-    the squared L2 norm over them of the piecewise-linear interpolant of phi."""
+    the squared L2 norm over them of the piecewise-linear interpolant of phi.
+    scipy.sparse is imported here, so only field solves load it."""
+    from scipy import sparse
     tris = level.triangles[mask]
     areas = level.areas()[mask]
     local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0

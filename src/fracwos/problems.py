@@ -9,7 +9,8 @@ strided view (the walk passes the transpose of its (2, N) positions).
 Fields must be elementwise: a point's value may not depend on the other
 points in the call, which is what makes walk values independent of
 batching.  g must accept arbitrary finite points since the alpha-stable
-exit overshoots the boundary.
+exit overshoots the boundary.  example1 and example2 import scipy.special's
+gamma when called, not at import.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field as dfield
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma
 
 from .geometry import Domain, unit_ball
 from .sampling import StableParams, _check_alpha, make_params
@@ -62,6 +62,7 @@ def example1(alpha: float) -> Problem:
     The solution is the mean first-exit time of the alpha-stable process:
     u(x) = (1 - |x|^2)^(alpha/2) / (2^alpha Gamma(1 + alpha/2)^2).
     """
+    from scipy.special import gamma
     _check_alpha(alpha)  # before 2^alpha can overflow
     coeff = 1.0 / (2.0 ** alpha * gamma(1.0 + alpha / 2.0) ** 2)
     return Problem(alpha=alpha, domain=unit_ball(),
@@ -71,6 +72,7 @@ def example1(alpha: float) -> Problem:
 
 def example2(alpha: float) -> Problem:
     """Polynomial source whose solution is u(x) = (1 - |x|^2)^(1 + alpha/2)."""
+    from scipy.special import gamma
     _check_alpha(alpha)  # before 2^alpha can overflow
     scale = 2.0 ** alpha * gamma(2.0 + alpha / 2.0) * gamma(1.0 + alpha / 2.0)
     return Problem(alpha=alpha, domain=unit_ball(),

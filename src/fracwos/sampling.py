@@ -15,6 +15,9 @@ whose constants A1 and A2 have closed forms, computed once per problem.
 :func:`walk` is the one step loop.  Point estimates feed it tuples from a
 numpy Generator, one realization per walk; coupled fields (fracwos.field)
 feed it counter-based tuples shared by every walk of a realization.
+
+scipy.special is imported by the functions that call it, on first use, so
+`import fracwos` and the assumption checks load no scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .streams import batch_generator, johnk_beta_rng, unit_vectors
 
@@ -60,11 +62,12 @@ def reg_inc_beta(t, alpha: float):
     complement 1 - I_{1-t}(b, a), where 1 - t is exact: at alpha = 1 scipy's
     closed form for a = b = 1/2 loses accuracy near t = 1 (1e-9 absolute at
     1 - t = 1e-15).  Absolute accuracy below 1e-12; accepts scalars or
-    arrays of t in [0, 1].
+    arrays of t in [0, 1] and rejects NaN.
     """
+    from scipy.special import betainc
     _check_alpha(alpha)
     t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < -1e-12) or np.any(t_arr > 1.0 + 1e-12):
+    if not np.all((t_arr >= -1e-12) & (t_arr <= 1.0 + 1e-12)):  # NaN fails
         raise ValueError("t must lie in [0, 1]")
     t1 = np.clip(np.atleast_1d(t_arr), 0.0, 1.0)
     a, b = 0.5 * alpha, 1.0 - 0.5 * alpha
@@ -121,6 +124,7 @@ def make_params(alpha: float) -> StableParams:
     a2 = E[(1 - beta)^(alpha/2)] = 2 sin(pi alpha/2) / (pi alpha); the sine
     is taken at min(alpha, 2 - alpha), which keeps 2 ulp accuracy near 2.
     """
+    from scipy.special import gammaln
     _check_alpha(alpha)
     a, b = 0.5 * alpha, 1.0 - 0.5 * alpha
     log_a1 = (math.log(2.0) * (1.0 - alpha) - math.log(alpha)

@@ -1,10 +1,40 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracwos
 from fracwos.field import walk_starts
 from fracwos.geometry import unit_ball
 from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.problems import example1, example2, example3
+
+
+# The directory holding the imported fracwos package. A child process gets it
+# as an absolute PYTHONPATH entry, so it imports the same code as this process
+# from any working directory, installed or run from src/.
+PACKAGE_ROOT = str(Path(fracwos.__file__).resolve().parents[1])
+
+
+def fresh_python(args, cwd=None, env_extra=None):
+    """`python ARGS` in a fresh interpreter that imports this process's
+    fracwos; returns the CompletedProcess, with text stdout and stderr."""
+    env = dict(os.environ, **(env_extra or {}))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def fresh_output(code):
+    """The last stdout line of `python -c CODE` in a fresh interpreter; an
+    exit status other than 0 fails the calling test with its stderr."""
+    r = fresh_python(["-c", code])
+    assert r.returncode == 0, r.stderr
+    return r.stdout.strip().splitlines()[-1]
 
 
 @pytest.fixture(scope="session")

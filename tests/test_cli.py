@@ -1,12 +1,9 @@
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fracwos
+from conftest import fresh_python
 from fracwos import eigen, mlmc
 from fracwos.cli import (ExprField, RunConfig, _build_parser, build_config,
                          build_mesh, fit_slope, main, parse_domain,
@@ -15,20 +12,8 @@ from fracwos.geometry import Ball, ConvexPolygon, unit_ball
 from fracwos.mesh import base_mesh_for, square_ball_base
 
 
-# The directory holding the imported fracwos package. The child process gets it
-# as an absolute PYTHONPATH entry, so it imports the same code as this process
-# from any working directory, installed or run from src/.
-PACKAGE_ROOT = str(Path(fracwos.__file__).resolve().parents[1])
-
-
 def run_cli(args, cwd, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "fracwos.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+    return fresh_python(["-m", "fracwos.cli", *args], cwd, env_extra)
 
 
 def assert_ok(r):

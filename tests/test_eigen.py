@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy import linalg
 
-import fracwos
+from conftest import fresh_output
 from fracwos import eigen, mlmc, sampling
 from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.geometry import Ball, unit_ball
@@ -22,13 +17,7 @@ class TestLeadingRitz:
         # numpy.linalg.eig wraps the same LAPACK geev; importing scipy.linalg
         # as well costs about 0.05 s of every run's start-up
         code = "import sys, fracwos; print('scipy.linalg' in sys.modules)"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(fracwos.__file__).resolve().parents[1]),
-                        env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert fresh_output(code) == "False"
 
     def test_diagonal(self):
         theta, w, _ = eigen.leading_ritz(np.diag([0.2, 0.9, 0.5]))
