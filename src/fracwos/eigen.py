@@ -122,6 +122,8 @@ def run_arnoldi(apply_op, v0, m, tol, B, variable=True) -> EigenResult:
     """
     check_count("m", m, 2)
     v0 = np.asarray(v0, dtype=np.float64)
+    if not np.isfinite(v0).all():
+        raise ValueError("start vector must be finite")
     nrm = np.linalg.norm(v0)
     if nrm == 0:
         raise ValueError("zero start vector")
@@ -176,6 +178,8 @@ def apply_inverse(v, alpha: float, hier: MeshHierarchy, rms_tol: float,
     vals = np.asarray(v, dtype=np.float64)
     if vals.shape[0] != level.num_vertices:
         raise ValueError("vector length does not match the finest level")
+    if not np.isfinite(vals).all():
+        raise ValueError("v must be finite")
     if not np.any(vals):
         return np.zeros_like(vals), 0
     problem = Problem(alpha=alpha, domain=hier.domain,

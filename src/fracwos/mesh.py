@@ -95,15 +95,17 @@ def _max_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
 def make_base(vertices, triangles) -> MeshLevel:
     """Validate and wrap a base triangulation as level 1.
 
-    Triangles must be counter-clockwise; duplicate vertices and degenerate
-    or inverted triangles are rejected.
+    Triangles must be a non-empty integer (T, 3) array, counter-clockwise;
+    duplicate vertices and degenerate or inverted triangles are rejected.
     """
     v = np.asarray(vertices, dtype=np.float64)
-    t = np.asarray(triangles, dtype=np.int64)
+    t = np.asarray(triangles)
     if v.ndim != 2 or v.shape[1] != 2 or not np.isfinite(v).all():
         raise ValueError("vertices must be a finite (N, 2) array")
-    if t.ndim != 2 or t.shape[1] != 3:
+    if (t.ndim != 2 or t.shape[1] != 3 or t.shape[0] == 0
+            or not np.issubdtype(t.dtype, np.integer)):
         raise ValueError("triangles must be an (T, 3) index array")
+    t = t.astype(np.int64)
     if t.min() < 0 or t.max() >= v.shape[0]:
         raise ValueError("triangle index out of range")
     if np.unique(v.round(decimals=14), axis=0).shape[0] != v.shape[0]:

@@ -14,7 +14,7 @@ error of eps^2/2.  Pilot samples are reused as the first production
 samples, and every sample is a pure function of (seed, term, index).  One
 loop, `_sample_phase`, walks the samples of a phase (the pilot, or one
 extension), small terms in one `field_values` call, and adds them to each
-term's running moments in fixed chunks of samples, so results depend
+term's one set of moments in fixed chunks of samples, so results depend
 neither on how many chunks one walk call takes nor on which terms share it.
 """
 
@@ -86,33 +86,22 @@ class MlmcResult:
     stat_error_est: float
 
 
-def _terms(l0: int, L: int) -> list[tuple[int, int]]:
-    """(kind, level) of the telescope's terms: plain at l0, then transitions."""
-    return [(_KIND_PLAIN, l0)] + [(_KIND_PAIR, ell) for ell in range(l0, L)]
-
-
 @dataclass
 class LevelStatistics:
-    """Pilot moments per term, reusable as the head of production sampling.
-
-    `fine_plain[l]` holds the plain moments at level l for vanilla planning
-    (`plain` itself at l0); above l0 it is the pilot's plain moments of the
-    fine fields of transition l-1 -> l.  Production extends only the
-    estimator's terms, so above l0 they keep the pilot's count.  `terms(L)`
-    lists the moments in `_terms` order.
-    """
+    """One set of moments per term: `terms(L)` lists the telescope l0..L as
+    (kind, level, moments), the plain term at l0 then each transition."""
 
     l0: int
     plain: FieldMoments                    # plain fields at l0
     trans: dict[int, FieldMoments]         # defect moments, keyed by coarse level
-    fine_plain: dict[int, FieldMoments]    # plain moments, keyed by field level
 
     @property
     def bias_norms(self) -> dict[int, float]:
         return {ell: m.mean_norm for ell, m in self.trans.items()}
 
-    def terms(self, L: int) -> list[FieldMoments]:
-        return [self.plain] + [self.trans[ell] for ell in range(self.l0, L)]
+    def terms(self, L: int) -> list[tuple[int, int, FieldMoments]]:
+        return [(_KIND_PLAIN, self.l0, self.plain)] + [
+            (_KIND_PAIR, ell, self.trans[ell]) for ell in range(self.l0, L)]
 
     @property
     def total_cost(self) -> int:
@@ -125,8 +114,8 @@ class LevelStatistics:
 def _sample_phase(hier: MeshHierarchy, problem: Problem, seed: int,
                   terms) -> None:
     """Add samples i0..i1-1 of each term (kind, ell, i0, i1, moments) to
-    its moments: [moments] of a plain term, [defect moments] or [defect
-    moments, plain moments of the fine values] of a transition.
+    its moments: the fields at level ell of a plain term, the defects of
+    the fine fields at ell+1 of a transition ell -> ell+1.
 
     _ROW_BUDGET fixes the chunks in which moments are added and their
     order: a term is walked in spans of `span` samples, as many `rows`-
@@ -142,15 +131,14 @@ def _sample_phase(hier: MeshHierarchy, problem: Problem, seed: int,
         out = field_values([(level, derive_key(seed, kind, ell, idx))
                             for kind, ell, level, _, idx, _ in pack], problem)
         for (kind, ell, _, rows, _, moments), (values, cost) in zip(pack, out):
-            summed = ([values] if kind == _KIND_PLAIN
-                      else [batch_defects(hier, values, ell), values])
+            if kind == _KIND_PAIR:
+                values = batch_defects(hier, values, ell)
             for j in range(0, values.shape[0], rows):
-                for mom, vals in zip(moments, summed):
-                    mom.add(vals[j:j + rows], cost if j == 0 else 0)
-                if not np.isfinite(moments[0].sum_sq):
+                moments.add(values[j:j + rows], cost if j == 0 else 0)
+                if not np.isfinite(moments.sum_sq):
                     raise NonFiniteStatisticError(
                         problem.alpha, _term_name(kind, ell), "V",
-                        moments[0].sum_sq)
+                        moments.sum_sq)
 
     pack, size = [], 0
     for kind, ell, i0, i1, moments in terms:
@@ -178,17 +166,11 @@ def pilot(hier: MeshHierarchy, problem: Problem, samples: int, seed: int,
     to l_max, `samples` of each: the (V_l, C_l) estimates for planning."""
     check_count("pilot samples per level", samples, PILOT_FLOOR)
     _check_levels(hier, l0, l_max)
-    plain = FieldMoments(norm_mass(hier, l0))
-    stats = LevelStatistics(l0=l0, plain=plain, trans={},
-                            fine_plain={l0: plain})
-    terms = [(_KIND_PLAIN, l0, 0, samples, [plain])]
-    for ell in range(l0, l_max):
-        mass = norm_mass(hier, ell + 1)
-        stats.trans[ell] = FieldMoments(mass)
-        stats.fine_plain[ell + 1] = FieldMoments(mass)
-        terms.append((_KIND_PAIR, ell, 0, samples,
-                      [stats.trans[ell], stats.fine_plain[ell + 1]]))
-    _sample_phase(hier, problem, seed, terms)
+    stats = LevelStatistics(
+        l0=l0, plain=FieldMoments(norm_mass(hier, l0)),
+        trans={ell: FieldMoments(norm_mass(hier, ell + 1))
+               for ell in range(l0, l_max)})
+    _extend(hier, problem, seed, stats, l_max, [samples] * (l_max - l0 + 1))
     return stats
 
 
@@ -256,7 +238,7 @@ def _check_statistics(alpha: float, eps: float, terms, V, C) -> None:
     A finite V can still be so large that the walk steps of the optimal
     allocation, 2 eps^-2 (sum_l sqrt(V_l C_l))^2, overflow int64.
     """
-    for (kind, ell), v, c in zip(terms, V, C):
+    for (kind, ell, _), v, c in zip(terms, V, C):
         for name, value in (("V", v), ("C", c)):
             if not np.isfinite(value):
                 raise NonFiniteStatisticError(alpha, _term_name(kind, ell),
@@ -265,7 +247,7 @@ def _check_statistics(alpha: float, eps: float, terms, V, C) -> None:
     if not cost < _COUNT_LIMIT:
         k = int(np.argmax(V * C))
         raise NonFiniteStatisticError(
-            alpha, _term_name(*terms[k]), "V", float(V[k]),
+            alpha, _term_name(*terms[k][:2]), "V", float(V[k]),
             f"makes the planned cost of {cost:.3g} walk steps overflow int64")
 
 
@@ -290,10 +272,10 @@ def allocate(eps: float, V, C) -> np.ndarray:
 
 def _plan(stats: LevelStatistics, eps: float, L: int, alpha: float) -> MlmcPlan:
     """Optimal allocation of the telescope l0..L from the current moments."""
-    moments = stats.terms(L)
-    V = np.array([m.variance for m in moments])
-    C = np.array([m.mean_cost for m in moments])
-    _check_statistics(alpha, eps, _terms(stats.l0, L), V, C)
+    terms = stats.terms(L)
+    V = np.array([m.variance for _, _, m in terms])
+    C = np.array([m.mean_cost for _, _, m in terms])
+    _check_statistics(alpha, eps, terms, V, C)
     M = allocate(eps, V, C)
     plan = MlmcPlan(eps=eps, coarsest=stats.l0, finest=L, V=V, C=C, M=M,
                     c1_hat=fit_bias_coefficient(stats.bias_norms))
@@ -307,8 +289,8 @@ def _extend(hier: MeshHierarchy, problem: Problem, seed: int,
             stats: LevelStatistics, L: int, M) -> None:
     """Sample each term l0..L from its current count up to its entry of M."""
     _sample_phase(hier, problem, seed, [
-        (*term, moments.count, int(m_need), [moments])
-        for term, moments, m_need in zip(_terms(stats.l0, L), stats.terms(L), M)
+        (kind, ell, moments.count, int(m_need), moments)
+        for (kind, ell, moments), m_need in zip(stats.terms(L), M)
         if m_need > moments.count])
 
 
@@ -354,7 +336,7 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
         corr = prolong_to(hier, FieldVector(ell + 1, stats.trans[ell].mean_field), L)
         solution = FieldVector(L, solution.values + corr.values)
 
-    moments = stats.terms(L)
+    moments = [m for _, _, m in stats.terms(L)]
     used = np.array([m.count for m in moments])
     stat_est = float(np.sum([m.variance / m.count for m in moments]))
     return MlmcResult(solution=solution, plan=plan,
@@ -383,10 +365,11 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
 
     One pilot estimates all level statistics; each eps then gets its finest
     level, its multilevel allocation cost, and the matching vanilla cost
-    M C at the same finest level with M = ceil(2 eps^-2 V_L).  The finest
-    level follows the dyadic schedule L = log2(1/eps)/2 (clamped to the
-    hierarchy), since pilot mean-correction norms are too noisy to resolve
-    bias at these tolerances; the pilot stops at the largest such L.  Rows
+    M C of the plain term at L, with M = ceil(2 eps^-2 V_L): `plain` at l0,
+    above it `pilot_M` plain samples at L, walked once after the pilot.  The
+    finest level follows the dyadic schedule L = log2(1/eps)/2 (clamped to
+    the hierarchy), since pilot mean-correction norms are too noisy to
+    resolve bias at these tolerances; the pilot stops at the largest L.  Rows
     whose planned cost fits `max_cost` (inf: every row; the default 0: none)
     are also executed, in eps order, to report realized cost: they reuse the
     pilot and each other's samples, and `executed_cost` is the total walk
@@ -405,13 +388,18 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
               for eps in eps_list]
     stats = pilot(hier, problem, pilot_M, seed, l0=l0,
                   l_max=max(levels, default=l0))
+    vanillas = {L: FieldMoments(norm_mass(hier, L))
+                for L in sorted(set(levels) - {l0})}
+    _sample_phase(hier, problem, seed, [(_KIND_PLAIN, L, 0, pilot_M, m)
+                                        for L, m in vanillas.items()])
+    vanillas[l0] = stats.plain
     # plan every row from the pilot moments: executing a row extends them,
     # and at L = l0 the vanilla cost reads `plain`, an estimator term
     plans = [_plan(stats, eps, L, problem.alpha)
              for eps, L in zip(eps_list, levels)]
     rows = []
     for plan in plans:
-        vanilla = stats.fine_plain[plan.finest]
+        vanilla = vanillas[plan.finest]
         v_var = max(vanilla.variance, _VAR_FLOOR)
         m_vanilla = max(int(np.ceil(2.0 * plan.eps ** -2 * v_var)), 1)
         rows.append({"eps": plan.eps, "L": plan.finest,
@@ -420,8 +408,8 @@ def cost_comparison(hier: MeshHierarchy, problem: Problem, eps_list, l0: int,
                      "M": plan.M.tolist(), "executed_cost": None})
     # along decreasing eps neither L nor any M falls, so each executed row
     # extends the samples of the last one and ends where its own run would
-    for row, plan in zip(rows, plans):
+    for row, plan, L in zip(rows, plans, levels):
         if plan.planned_cost <= max_cost:
-            _extend(hier, problem, seed, stats, plan.finest, plan.M)
-            row["executed_cost"] = sum(m.cost for m in stats.terms(plan.finest))
+            _extend(hier, problem, seed, stats, L, plan.M)
+            row["executed_cost"] = sum(m.cost for _, _, m in stats.terms(L))
     return rows

@@ -156,6 +156,14 @@ class TestArnoldiStub:
             eigen.run_arnoldi(_stub_op(np.eye(3)), np.zeros(3), m=2,
                               tol=1e-3, B=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_start_rejected_before_applying(self, bad):
+        def no_op(v, tol, k):
+            raise AssertionError("applied the operator to a bad start")
+
+        with pytest.raises(ValueError, match="^start vector must be finite$"):
+            eigen.run_arnoldi(no_op, [1.0, bad, 1.0], m=2, tol=1e-3, B=3)
+
 
 @pytest.fixture(scope="module")
 def hier5():
@@ -193,6 +201,23 @@ class TestApplyInverse:
     def test_rejects_a_vector_of_another_length(self, hier5):
         with pytest.raises(ValueError, match="^vector length does not match"):
             eigen.apply_inverse(np.ones(7), 1.0, hier5, 0.1, seed=1, l0=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("vertex", [4, 3], ids=["interior", "exterior"])
+    def test_rejects_a_nonfinite_vector_before_walking(self, hier5,
+                                                       monkeypatch, bad,
+                                                       vertex):
+        # vertex 4, the center, used to end in RuntimeWarnings and an error
+        # that blamed g; vertex 3, the corner (-1, 1), outside the ball,
+        # to return a finite field
+        def no_run(*args, **kwargs):
+            raise AssertionError("walked before rejecting v")
+
+        monkeypatch.setattr(mlmc, "run", no_run)
+        v = hier5.domain.contains(hier5.level(5).vertices).astype(float)
+        v[vertex] = bad
+        with pytest.raises(ValueError, match="^v must be finite$"):
+            eigen.apply_inverse(v, 1.0, hier5, 0.1, seed=1, l0=3)
 
     def test_walks_the_plan_or_the_pilot_floor(self, hier5, monkeypatch):
         # each term walks max(plan, floor) samples: a relaxed step's plan is

@@ -323,7 +323,12 @@ class TestRefinement:
         ([[0, 0], [1, 0], [0, 1]], [0, 1, 2], "triangles must be an"),
         ([[0, 0], [1, 0], [0, 1]], [[0, 1, 3]], "triangle index out of range"),
         ([[0, 0], [1, 0], [0, 1]], [[-1, 1, 2]],
-         "triangle index out of range")])
+         "triangle index out of range"),
+        # a float index used to be truncated, 1.7 to 1, and no triangle to
+        # fail with numpy's zero-size reduction message
+        ([[0, 0], [1, 0], [0, 1]], [[0, 1.7, 2]], "triangles must be an"),
+        ([[0, 0], [1, 0], [0, 1]], np.zeros((0, 3), dtype=np.int64),
+         "triangles must be an")])
     def test_rejects_malformed_base(self, vertices, triangles, msg):
         with pytest.raises(ValueError, match=f"^{msg}"):
             make_base(vertices, triangles)

@@ -198,7 +198,7 @@ class TestSampleTerm:
         try:
             with pytest.raises(Stop):
                 mlmc._sample_phase(hier6, ex2, 3, [
-                    (mlmc._KIND_PLAIN, 4, 0, 2 ** 40, [moments])])
+                    (mlmc._KIND_PLAIN, 4, 0, 2 ** 40, moments)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -220,15 +220,15 @@ class TestSampleTerm:
                               FieldMoments(mass))
         calls = self.record_walks(monkeypatch)
         mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PLAIN, 3, 0, 12000,
-                                            [one])])
+                                            one)])
         monkeypatch.setattr(mlmc, "_ROW_BUDGET", 2048 * level.num_vertices)
         mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PLAIN, 3, 0, 12000,
-                                            [split])])
+                                            split)])
         assert [n for n, _ in calls] == [12000] + [2048] * 5 + [1760]
         n_interior = int(ex2.domain.contains(level.vertices).sum())
         monkeypatch.setattr("fracwos.field._WALK_BUDGET", 1000 * n_interior)
         mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PLAIN, 3, 0, 12000,
-                                            [walked])])
+                                            walked)])
         for moments in (split, walked):
             np.testing.assert_array_equal(moments.sum_vec, one.sum_vec)
             assert (moments.sum_sq, moments.count, moments.cost) == \
@@ -237,18 +237,16 @@ class TestSampleTerm:
     def test_cost_is_added_once_per_walk_call(self, hier6, ex2, monkeypatch):
         # three calls of two chunks each: adding a call's steps to every
         # chunk would double the cost
-        mass = mass_matrix(hier6.level(3), hier6.norm_mask(3))
-        trans, fine = FieldMoments(mass), FieldMoments(mass)
+        trans = FieldMoments(mass_matrix(hier6.level(3), hier6.norm_mask(3)))
         calls = self.record_walks(monkeypatch)
         monkeypatch.setattr(mlmc, "_ROW_BUDGET",
                             2048 * hier6.level(3).num_vertices)
         mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PAIR, 2, 0, 6000,
-                                            [trans, fine])])
+                                            trans)])
         assert [n for n, _ in calls] == [2048, 2048, 1904]
         assert all(cost > 0 for _, cost in calls)
         total = sum(cost for _, cost in calls)
-        assert (trans.count, trans.cost) == (fine.count, fine.cost) \
-            == (6000, total)
+        assert (trans.count, trans.cost) == (6000, total)
 
     def test_packed_pilot_matches_terms_walked_alone(self, hier6, ex2,
                                                      monkeypatch):
@@ -266,8 +264,8 @@ class TestSampleTerm:
                     for a, b in ((0, 1), (1, 4), (4, 9))}) == 1
         ref = stats[-1]
         for s in stats[:-1]:
-            for a, b in zip(s.terms(6) + list(s.fine_plain.values()),
-                            ref.terms(6) + list(ref.fine_plain.values())):
+            for (*term, a), (*ref_term, b) in zip(s.terms(6), ref.terms(6)):
+                assert term == ref_term
                 np.testing.assert_array_equal(a.sum_vec, b.sum_vec)
                 assert (a.sum_sq, a.count, a.cost) == \
                     (b.sum_sq, b.count, b.cost)
@@ -283,27 +281,10 @@ class TestSampleTerm:
         monkeypatch.setattr(mlmc, "_ROW_BUDGET",
                             1024 * hier6.level(3).num_vertices)
         s2 = mlmc.pilot(hier6, prob, 7000, seed=3, l0=2, l_max=3)
-        for a, b in [(s1.plain, s2.plain), (s1.trans[2], s2.trans[2]),
-                     (s1.fine_plain[3], s2.fine_plain[3])]:
+        for a, b in [(s1.plain, s2.plain), (s1.trans[2], s2.trans[2])]:
             np.testing.assert_array_equal(a.sum_vec, b.sum_vec)
             assert (a.sum_sq, a.count, a.cost) == (b.sum_sq, b.count, b.cost)
 
-
-    def test_extend_leaves_fine_plain_at_the_pilot_size(self, hier6, ex2):
-        # only the vanilla costs read fine_plain above l0, and they are
-        # planned from the pilot, so production extends only the terms
-        stats = mlmc.pilot(hier6, ex2, 16, 3, l0=3, l_max=5)
-        pilot_fine = {ell: (stats.fine_plain[ell].count,
-                            stats.fine_plain[ell].cost) for ell in (4, 5)}
-        assert pilot_fine == {ell: (16, stats.trans[ell - 1].cost)
-                              for ell in (4, 5)}
-        plan = mlmc._plan(stats, 0.05, 5, ex2.alpha)
-        assert np.all(plan.M > 16)
-        mlmc._extend(hier6, ex2, 3, stats, plan.finest, plan.M)
-        assert [m.count for m in stats.terms(5)] == plan.M.tolist()
-        assert stats.fine_plain[3] is stats.plain
-        assert {ell: (stats.fine_plain[ell].count, stats.fine_plain[ell].cost)
-                for ell in (4, 5)} == pilot_fine
 
 
 class TestRun:
@@ -589,9 +570,24 @@ class TestCostComparison:
         assert [r["L"] for r in rows] == [3, 3]
         assert levels == [3]
 
+    def test_vanilla_cost_is_planned_from_a_plain_pilot_at_L(self, hier6,
+                                                             ex2):
+        # each row's vanilla cost is the single-level plan of the plain
+        # term at its L: the plain samples of a pilot from l0 = L, bit for
+        # bit, also above the comparison's l0
+        eps_list = [0.1, 2.0 ** -8, 2.0 ** -10]
+        rows = mlmc.cost_comparison(hier6, ex2, eps_list, l0=3, seed=3,
+                                    pilot_M=16)
+        assert [r["L"] for r in rows] == [3, 4, 5]
+        for r in rows:
+            plain = mlmc.pilot(hier6, ex2, 16, 3, l0=r["L"],
+                               l_max=r["L"]).plain
+            V = max(plain.variance, mlmc._VAR_FLOOR)
+            M = max(int(np.ceil(2.0 * r["eps"] ** -2 * V)), 1)
+            assert r["vanilla_cost"] == M * plain.mean_cost
+
     def test_rows_above_l0_pinned(self, hier6, ex2):
-        # the vanilla cost at L > l0 reads the plain moments of the fine
-        # fields of transition L-1 -> L
+        # the vanilla cost at L > l0 reads pilot_M plain samples at L
         rows = mlmc.cost_comparison(hier6, ex2, [2.0 ** -8, 2.0 ** -10],
                                     l0=3, seed=3, pilot_M=16)
         assert [r["L"] for r in rows] == [4, 5]
@@ -599,8 +595,8 @@ class TestCostComparison:
             float.fromhex("0x1.f8ddbf8000000p+22"),
             float.fromhex("0x1.4b313b0800000p+28")]
         assert [r["vanilla_cost"] for r in rows] == [
-            float.fromhex("0x1.ab3b7e8000000p+23"),
-            float.fromhex("0x1.2956a60c00000p+29")]
+            float.fromhex("0x1.a92ac6a000000p+23"),
+            float.fromhex("0x1.37adc3db00000p+30")]
 
 
 class TestConvergenceOrder:
