@@ -286,7 +286,6 @@ class TestSampleTerm:
             assert (a.sum_sq, a.count, a.cost) == (b.sum_sq, b.count, b.cost)
 
 
-
 class TestRun:
     def test_zero_problem_exact_zero(self, hier6, ball):
         zero = lambda pts: np.zeros(np.asarray(pts).shape[:-1])
