@@ -398,6 +398,8 @@ def interpolate(level: MeshLevel, f, p):
     block with a point outside the mesh raises PointOutsideMeshError.
     """
     vals = np.asarray(f, dtype=np.float64)
+    if vals.ndim != 1:
+        raise ValueError("f must be a 1-D vector")
     if vals.shape[0] != level.num_vertices:
         raise ValueError("field length does not match mesh level")
     pts = np.asarray(p, dtype=np.float64)

@@ -10,6 +10,7 @@ from fracwos.cli import (ExprField, RunConfig, _build_parser, build_config,
                          read_config)
 from fracwos.geometry import Ball, ConvexPolygon, unit_ball
 from fracwos.mesh import base_mesh_for, square_ball_base
+from pins import pin, sha256
 
 
 def run_cli(args, cwd, env_extra=None):
@@ -166,6 +167,58 @@ class TestConfigPlumbing:
                                  max_cost=-1.0)
 
 
+def _lines(path):
+    return path.read_text().splitlines()
+
+
+def _k_lambda_cost(out):
+    """The k, lambda and cost columns of iters.csv, header included."""
+    return [",".join(line.split(",")[i] for i in (0, 2, 6))
+            for line in _lines(out / "iters.csv")]
+
+
+def _counts(out):
+    return [line for line in _lines(out / "manifest.txt")
+            if line.startswith(("# samples = ", "# total_cost = "))]
+
+
+def _counts_and_solution(out):
+    return _counts(out), sha256((out / "solution.csv").read_bytes())
+
+
+def _study(out):
+    return _lines(out / "study.csv")
+
+
+# Pinned end-to-end runs of each command: arguments, and the output fields
+# that are pinned, under the name cli_<key> in tests/pins.py.
+_LEVELS = ["--alpha", "1.0", "--l0", "2", "--L", "4"]
+PINNED_RUNS = {
+    "eig": (["eig", *_LEVELS, "--tol", "0.05", "--B", "3", "--m", "3",
+             "--seed", "3"], _k_lambda_cost),
+    "eig_box": (["eig", "--domain", "box(0,0,1,1)", *_LEVELS, "--tol",
+                 "0.05", "--B", "3", "--m", "3", "--seed", "3"],
+                _k_lambda_cost),
+    "solve": (["solve", "--problem", "example2", *_LEVELS, "--eps", "0.02",
+               "--seed", "3"], _counts_and_solution),
+    "solve6": (["solve", "--problem", "example2", "--alpha", "1.0", "--l0",
+                "4", "--L", "6", "--eps", "0.01", "--seed", "1001"],
+               _counts_and_solution),
+    "custom": (["solve", "--problem", "custom", "--domain", "box(0,0,1,1)",
+                "--f-expr", "sin(3*x)+exp(y)", "--g-expr", "minimum(abs(x),2)",
+                "--alpha", "0.8", "--l0", "2", "--L", "4", "--eps", "0.05",
+                "--seed", "3"], _counts),
+    "variance_study": (["variance-study", "--problem", "example2", "--alpha",
+                        "1.0", "--l0", "2", "--L", "5", "--samples", "64",
+                        "--seed", "3"], _study),
+    "check_assumptions_I1": (["check-assumptions", "--which", "I1", "--alpha",
+                              "0.5", "--M", "20000", "--J", "4", "--seed",
+                              "3"], _study),
+    "check_assumptions_I2": (["check-assumptions", "--which", "I2", "--alpha",
+                              "0.5", "--M", "20000", "--J", "4", "--seed",
+                              "3"], _study),
+}
+
 SOLVE_ARGS = ["solve", "--problem", "example2", "--alpha", "1.0", "--eps",
               "5e-2", "--l0", "3", "--L", "4", "--seed", "7"]
 
@@ -283,17 +336,21 @@ class TestCliRuns:
                 in r.stderr)
         assert not (tmp_path / "vs" / "study.csv").exists()
 
-    @pytest.mark.parametrize("which, row", [
-        ("I1", "0.5,1.0,10000.0,0.5327005714734427,0.00798931210153543"),
-        ("I2", "0.5,1.0,,0.6966776943955063,0.005512930764754372"),
-    ], ids=["I1", "I2"])
-    def test_check_assumptions_csv(self, tmp_path, which, row):
+    @pytest.mark.parametrize("which", ["I1", "I2"])
+    def test_check_assumptions_csv(self, tmp_path, which):
         r = run_cli(["check-assumptions", "--which", which, "--alpha", "0.5",
                      "--A", "1e4", "--t", "1.0", "--M", "20000", "--J", "5",
                      "--seed", "9", "--out", "ca"], tmp_path)
         assert_ok(r)
-        assert (tmp_path / "ca" / "study.csv").read_text() == \
-            f"alpha,mu_or_t,A,max_I,stderr\n{row}\n"
+        header, row = (tmp_path / "ca" / "study.csv").read_text().splitlines()
+        assert header == "alpha,mu_or_t,A,max_I,stderr"
+        pin(f"check_assumptions[{which}]", row)
+
+    @pytest.mark.parametrize("name", PINNED_RUNS)
+    def test_pinned_run(self, tmp_path, name):
+        args, read = PINNED_RUNS[name]
+        assert_ok(run_cli([*args, "--out", "o"], tmp_path))
+        pin(f"cli_{name}", read(tmp_path / "o"))
 
     def test_cost_study_csv(self, tmp_path):
         r = run_cli(["cost-study", "--problem", "example2", "--alpha", "1.0",

@@ -3,6 +3,7 @@ import pytest
 from scipy import linalg
 
 from conftest import fresh_output
+from pins import pin
 from fracwos import eigen, mlmc, sampling
 from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.geometry import Ball, unit_ball
@@ -164,6 +165,14 @@ class TestArnoldiStub:
         with pytest.raises(ValueError, match="^start vector must be finite$"):
             eigen.run_arnoldi(no_op, [1.0, bad, 1.0], m=2, tol=1e-3, B=3)
 
+    def test_2d_start_rejected_before_applying(self):
+        def no_op(v, tol, k):
+            raise AssertionError("applied the operator to a bad start")
+
+        with pytest.raises(ValueError,
+                           match="^start vector must be a 1-D vector$"):
+            eigen.run_arnoldi(no_op, np.ones((3, 2)), m=2, tol=1e-3, B=3)
+
 
 @pytest.fixture(scope="module")
 def hier5():
@@ -218,6 +227,17 @@ class TestApplyInverse:
         v[vertex] = bad
         with pytest.raises(ValueError, match="^v must be finite$"):
             eigen.apply_inverse(v, 1.0, hier5, 0.1, seed=1, l0=3)
+
+    def test_rejects_a_2d_vector_before_walking(self, hier5, monkeypatch):
+        # an (N, 2) v used to fail in numpy's broadcast inside the walk
+        def no_run(*args, **kwargs):
+            raise AssertionError("walked before rejecting v")
+
+        monkeypatch.setattr(mlmc, "run", no_run)
+        v = hier5.domain.contains(hier5.level(5).vertices).astype(float)
+        with pytest.raises(ValueError, match="^v must be a 1-D vector$"):
+            eigen.apply_inverse(np.column_stack([v, v]), 1.0, hier5, 0.1,
+                                seed=1, l0=3)
 
     def test_walks_the_plan_or_the_pilot_floor(self, hier5, monkeypatch):
         # each term walks max(plan, floor) samples: a relaxed step's plan is
@@ -277,15 +297,14 @@ class TestSmallestEigenvalue:
         # l0 = 2, the coarsest level with triangles inside the ball
         res = eigen.smallest_eigenvalue(1.0, hier5, tol=0.05, B=3, m=3, seed=11,
                                         l0=2)
-        assert res.lam.hex() == "0x1.008fa6f1f8da6p+1"
-        assert res.total_cost == 33856
+        pin("eig_golden", (res.lam, res.total_cost))
 
     def test_walk_loop_iterations_at_the_benchmark_size(self, hier6,
                                                         monkeypatch):
         # the benchmark's eig call (alpha 1, tol 0.01, B 3, m 5, l0 3, L 6)
-        # at the seed of CI's eig pin: walking each MLMC phase's terms
-        # together cut its walk-loop iterations (draw calls) from 632, one
-        # walk call per term, to 261
+        # at seed 1001: walking each MLMC phase's terms together cut its
+        # walk-loop iterations (draw calls) from 632, one walk call per
+        # term, to the pinned count; every (k, lambda, cost) row is pinned
         draws, kernel = [0], sampling.walk
 
         def counting_walk(starts, problem, draw, realization=None):
@@ -296,8 +315,8 @@ class TestSmallestEigenvalue:
 
         monkeypatch.setattr("fracwos.field.walk", counting_walk)
         res = eigen.smallest_eigenvalue(1.0, hier6, 0.01, 3.0, 5, 1001, l0=3)
-        assert (res.lam, res.total_cost) == (2.0375435165787814, 519308)
-        assert draws[0] == 261
+        rows = [(row["k"], row["lambda"], row["cost"]) for row in res.history]
+        pin("eig_benchmark_size", (rows, draws[0]))
 
     def test_workers_must_be_one(self, hier5, ex2):
         # the keyword stays for old callers; any other value fails up front

@@ -1,4 +1,3 @@
-import hashlib
 import tracemalloc
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from fracwos import mlmc
 from fracwos.cli import ExprField
 from conftest import tiled_walk
+from pins import pin, sha256
 from fracwos.field import (FieldMoments, InsufficientSamplesError,
                            batch_defects, field_values, mass_matrix, mass_norm,
                            walk_starts)
@@ -67,10 +67,6 @@ def _pentagon_problem(alpha):
     return Problem(alpha=alpha, domain=_PENTAGON,
                    f=lambda pts: np.ones(np.asarray(pts).shape[:-1]),
                    g=lambda pts: np.asarray(pts)[..., 0])
-
-
-def _sha(values):
-    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
 class TestSampleField:
@@ -424,10 +420,6 @@ class TestWalkBudget:
         assert calls == walks
 
 
-# test ids name the alpha alone, so a re-pin renames no test
-_BY_ALPHA = ["0.05", "1.0", "1.95"]
-
-
 class TestGoldenBits:
     """Pinned field-walker bits: a change to the walk state's layout, the
     streams or the step arithmetic must leave these values bit-identical.
@@ -436,41 +428,32 @@ class TestGoldenBits:
     when the Johnk log-sum, the unit vectors and the ball radius moved to
     vector exp/log1p/sqrt forms (last bits), and when the unit vectors
     moved to the half-angle tan form (last bits; at alpha = 1.95 a few
-    exits flip, so the step counts move too)."""
+    exits flip, so the step counts move too).  The values are in
+    tests/pins.py."""
 
     @pytest.fixture(scope="class")
     def hier4(self, ball):
         return build_hierarchy(square_ball_base(ball), 4, domain=ball)
 
-    @pytest.mark.parametrize("alpha, digest, steps", [
-        (0.05, "31d845f098d7dac6d06793f76f7e23e1b8b512ccf820ee37b72dd78a639a297b", 1365),
-        (1.0, "8ee279eafd9e20ce0041c098f4779a65ecbf1df95f0a4f3277782d40b0bd5a3c", 3360),
-        (1.95, "98c29636f58bd6f5b3f2aecbeef35fbd8d1311ad9eecf2fd70b8bfd985be6c06", 43617)],
-        ids=_BY_ALPHA)
-    def test_walk_starts_ball(self, hier4, alpha, digest, steps):
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 1.95])
+    def test_walk_starts_ball(self, hier4, alpha):
         lvl = hier4.level(3)
         vals, cost = tiled_walk(lvl.vertices[hier4.domain.contains(lvl.vertices)],
                                 by_name("example3", alpha),
                                 derive_key(29, np.arange(64)))[:2]
-        assert (_sha(vals), cost) == (digest, steps)
+        pin(f"walk_starts_ball[{alpha}]", (sha256(vals), cost))
 
-    @pytest.mark.parametrize("alpha, digest, steps", [
-        (0.05, "64ad2f7c9e512dc770446fa51de05e097f88c00503b69e7fd246d1da083c0ee4", 1389),
-        (1.0, "b2574f974224b5a1b9f1cec1047abe595910d3a45fb1a8df70cf51a1bb21b85b", 3930),
-        (1.95, "7040e119d7fc2157fd005d8651b305def70994d5b6edb568f55b128a9992072f", 46619)],
-        ids=_BY_ALPHA)
-    def test_walk_starts_pentagon(self, hier4, alpha, digest, steps):
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 1.95])
+    def test_walk_starts_pentagon(self, hier4, alpha):
         verts = hier4.level(3).vertices
         vals, cost = tiled_walk(verts[_PENTAGON.contains(verts)],
                                 _pentagon_problem(alpha),
                                 derive_key(29, np.arange(64)))[:2]
-        assert (_sha(vals), cost) == (digest, steps)
+        pin(f"walk_starts_pentagon[{alpha}]", (sha256(vals), cost))
 
     def test_mlmc_solution(self, hier4, ex2):
         res = mlmc.run(hier4, ex2, eps=0.05, l0=2, seed=5)
-        assert _sha(res.solution.values) == \
-            "0d73496ba4578e5ef94f2ee84769f8d1a897017678d0c9fa95cc1d86838700ff"
-        assert res.total_cost == 58414
+        pin("mlmc_solution", (sha256(res.solution.values), res.total_cost))
 
 
 class TestLayoutContract:

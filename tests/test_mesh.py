@@ -728,6 +728,12 @@ class TestTransferOperators:
         with pytest.raises(ValueError, match="does not match"):
             interpolate(hier6.level(5), np.zeros(7), [(0.0, 0.0)])
 
+    def test_interpolate_rejects_a_2d_field(self, hier6):
+        # an (N, 2) array used to fail in numpy's broadcast
+        lvl = hier6.level(5)
+        with pytest.raises(ValueError, match="^f must be a 1-D vector$"):
+            interpolate(lvl, np.ones((lvl.num_vertices, 2)), [(0.0, 0.0)])
+
     @pytest.mark.parametrize("values, msg", [
         (np.zeros((2, 3)), "field values must be a flat vector"),
         ([0.0, np.nan], "non-finite field value"),

@@ -7,6 +7,7 @@ from scipy import stats
 from scipy.special import betainc, beta as beta_fn, gamma
 
 from conftest import fresh_output, tiled_walk
+from pins import pin
 from fracwos.geometry import Ball, box, unit_ball
 from fracwos.problems import Problem, example1, example2
 from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
@@ -433,18 +434,14 @@ class TestPointEstimate:
         # the Johnk log-sum and the ball radius moved to vector forms, and
         # when the unit vectors moved to the half-angle tan form
         est = point_estimate((0.4, -0.3), ex2, 40000, seed=12)
-        assert est.mean.hex() == "0x1.4cb9c49731500p-1"
-        assert est.variance.hex() == "0x1.cfddee6391effp-3"
-        assert est.total_steps == 96250
+        pin("point_example2", (est.mean, est.variance, est.total_steps))
 
     def test_golden_bits_constant_source(self, ex1):
         # example1's f is constant, so f(y) - f(x) is all zero and the walk
         # skips the incomplete-beta weight; pinned before it did, re-taken
         # when the Johnk log-sum and the ball radius moved to vector forms
         est = point_estimate((0.4, -0.3), ex1, 40000, seed=12)
-        assert est.mean.hex() == "0x1.1a9b1d6b2e854p-1"
-        assert est.variance.hex() == "0x1.ccc5d7663e74cp-4"
-        assert est.total_steps == 96250
+        pin("point_example1", (est.mean, est.variance, est.total_steps))
 
     def test_outside_returns_exterior_data(self, ex3):
         est = point_estimate((2.0, 0.0), ex3, 10, seed=0)
