@@ -193,6 +193,8 @@ def _study(out):
 # Pinned end-to-end runs of each command: arguments, and the output fields
 # that are pinned, under the name cli_<key> in tests/pins.py.
 _LEVELS = ["--alpha", "1.0", "--l0", "2", "--L", "4"]
+_CHECK = ["check-assumptions", "--alpha", "0.5", "--M", "20000", "--J", "4",
+          "--seed", "3"]
 PINNED_RUNS = {
     "eig": (["eig", *_LEVELS, "--tol", "0.05", "--B", "3", "--m", "3",
              "--seed", "3"], _k_lambda_cost),
@@ -211,12 +213,8 @@ PINNED_RUNS = {
     "variance_study": (["variance-study", "--problem", "example2", "--alpha",
                         "1.0", "--l0", "2", "--L", "5", "--samples", "64",
                         "--seed", "3"], _study),
-    "check_assumptions_I1": (["check-assumptions", "--which", "I1", "--alpha",
-                              "0.5", "--M", "20000", "--J", "4", "--seed",
-                              "3"], _study),
-    "check_assumptions_I2": (["check-assumptions", "--which", "I2", "--alpha",
-                              "0.5", "--M", "20000", "--J", "4", "--seed",
-                              "3"], _study),
+    "check_assumptions_I1": ([*_CHECK, "--which", "I1"], _study),
+    "check_assumptions_I2": ([*_CHECK, "--which", "I2"], _study),
 }
 
 SOLVE_ARGS = ["solve", "--problem", "example2", "--alpha", "1.0", "--eps",
