@@ -20,13 +20,12 @@ tuples depend only on (key, step), so results are bit-identical no matter
 how realizations are batched.  :func:`walk_starts` hands `walk` the starts
 of a list of keys and draws their tuples in blocks of _TUPLE_BLOCK steps,
 one `step_tuples` call per block, so the values do not depend on the block
-width either.  :func:`field_values` is the one field walker: it takes
-(level, keys) spans -- one level's keys, or the small terms of an MLMC
-phase packed together -- and walks their keys in order, in walk_starts
-calls of at most _WALK_BUDGET walks (keys times interior vertices).  A pack
-of small spans is one call, so small terms share the loop's per-step cost,
-and a large span's walk state stays bounded however many keys it has; its
-output is the only part that grows with them.
+width either.  :func:`field_values` is the one field walker, and the one
+planner of walk calls: it streams (level, keys) spans, such as all spans of
+an MLMC phase, and walks their keys in order, in walk_starts calls of at
+most _WALK_BUDGET walks (keys times interior vertices).  Small spans share a
+call, and so the loop's per-step cost, and a large span's walk state stays
+bounded however many keys it has; its output is the only part that grows.
 """
 
 from __future__ import annotations
@@ -83,48 +82,56 @@ def walk_starts(starts, problem: Problem, keys: np.ndarray):
 
 def field_values(spans, problem: Problem):
     """Field realizations at all vertices of each span's level, one row per
-    key of the span, for a list of (level, (K,) keys) spans.
+    key of the span, for a (lazy) iterable of (level, (K,) keys) spans.
 
     Vertices inside the problem's domain get walk values; the rest get the
     exterior data g exactly (the solution equals g off the domain).  The
-    spans' keys are walked in order, in walk_starts calls of at most
+    keys of all spans are walked in order, in walk_starts calls of at most
     _WALK_BUDGET walks (keys times interior vertices), cut between keys and
     at least one key each; a walk's value depends only on its own key, so
-    the values do not depend on the cuts.  Returns [(values (K, N), total
-    walk steps)], one per span.
+    the values do not depend on the cuts.  Yields (values (K, N), total walk
+    steps) for each span, in order, once the call holding its last key has
+    walked.  A span's rows are written as they walk, and its g once its last
+    key is in the open call, so a span read ahead takes no memory but its
+    walked rows, and no yielded span is held here while a call walks.
     """
-    out, starts, calls, size = [], [], [], 0  # calls: [(span, r0, r1)]
-    for s, (level, keys) in enumerate(spans):
+    call, size, ended = [], 0, []  # the open call's parts; spans it ends
+    for level, keys in spans:
         interior = np.asarray(problem.domain.contains(level.vertices))
-        vals = np.empty((len(keys), level.num_vertices))
-        if not interior.all():
-            vals[:, ~interior] = np.asarray(
-                problem.g(level.vertices[~interior]))
-        out.append((vals, interior))
-        starts.append(level.vertices[interior])
-        n, r = len(starts[-1]), 0
+        starts = level.vertices[interior]
+        span = [np.empty((len(keys), level.num_vertices)), 0]  # values, steps
+        n, r = len(starts), 0
         while r < len(keys):
-            if not calls or size and size + n > _WALK_BUDGET:
-                calls.append([])  # the next key opens a call
-                size = 0
-            room = max(1, (_WALK_BUDGET - size) // max(n, 1))  # keys that fit
-            take = min(len(keys) - r, room)
-            calls[-1].append((s, r, r + take))
+            if size and size + n > _WALK_BUDGET:  # the next key opens a call
+                _walk_call(call, problem)
+                call, size = [], 0
+                while ended:
+                    yield tuple(ended.pop(0))
+            take = min(len(keys) - r, max(1, (_WALK_BUDGET - size) // max(n, 1)))
+            call.append((span, interior, starts, keys[r:r + take], r))
             size, r = size + take * n, r + take
-    costs = [0] * len(spans)
-    for parts in calls:
-        values, _, steps = walk_starts(
-            [starts[s] for s, r0, r1 in parts for _ in range(r0, r1)], problem,
-            np.concatenate([spans[s][1][r0:r1] for s, r0, r1 in parts]))
-        at = 0
-        for s, r0, r1 in parts:
-            vals, interior = out[s]
-            width = (r1 - r0) * len(starts[s])
-            vals[r0:r1, interior] = values[at:at + width].reshape(r1 - r0, -1)
-            costs[s] += int(steps[at:at + width].sum())
-            at += width
-        del values, steps  # freed before the next call walks
-    return [(vals, cost) for (vals, _), cost in zip(out, costs)]
+        if not interior.all():
+            span[0][:, ~interior] = np.asarray(
+                problem.g(level.vertices[~interior]))
+        ended.append(span)
+    if call:
+        _walk_call(call, problem)
+    while ended:
+        yield tuple(ended.pop(0))
+
+
+def _walk_call(call, problem: Problem) -> None:
+    """Walk one call's (span, interior, starts, keys, first row) parts in one
+    walk_starts call, and write each part's values and steps to its span."""
+    values, _, steps = walk_starts(
+        [starts for _, _, starts, keys, _ in call for _ in keys], problem,
+        np.concatenate([keys for _, _, _, keys, _ in call]))
+    at = 0
+    for span, interior, starts, keys, r in call:
+        k, width = len(keys), len(keys) * len(starts)
+        span[0][r:r + k, interior] = values[at:at + width].reshape(k, -1)
+        span[1] += int(steps[at:at + width].sum())
+        at += width
 
 
 def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.ndarray:

@@ -12,14 +12,15 @@ rule
 which by Cauchy-Schwarz minimizes total cost subject to a statistical
 error of eps^2/2.  Pilot samples are reused as the first production
 samples, and every sample is a pure function of (seed, term, index).  One
-loop, `_sample_phase`, walks the samples of a phase (the pilot, or one
-extension), small terms in one `field_values` call, and adds them to each
-term's one set of moments in fixed chunks of samples, so results depend
-neither on how many chunks one walk call takes nor on which terms share it.
+loop, `_sample_phase`, streams the samples of a phase (the pilot, or one
+extension) through one `field_values` call and adds them to each term's one
+set of moments in fixed chunks of samples, so results depend neither on
+which samples share a walk call nor on how many chunks one call takes.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -36,7 +37,6 @@ _KIND_PLAIN = 1
 _KIND_PAIR = 2
 _VAR_FLOOR = 1e-12
 _ROW_BUDGET = 1 << 21  # samples * vertices of one term's moment span
-_PACK_BUDGET = 1 << 16  # samples * vertices of the spans walked together
 _COUNT_LIMIT = 2.0 ** 63  # sample counts and walk steps are int64
 MAX_COST = 2.0 ** 40  # default cap on planned walk steps: ~a week at 2M steps/s
 PILOT_FLOOR = 8  # fewest pilot samples per term that give a usable V_l
@@ -121,40 +121,33 @@ def _sample_phase(hier: MeshHierarchy, problem: Problem, seed: int,
     order: a term is walked in spans of `span` samples, as many `rows`-
     sample chunks (at most 1024) as fit in _ROW_BUDGET values, added chunk
     by chunk, so the last bits of the sums depend on `rows` but not on the
-    span.  A span's walk steps go to its first chunk.  Consecutive spans,
-    across terms, go to one `field_values` call while their values total
-    at most _PACK_BUDGET; a larger span is a call of its own.  Raises
-    NonFiniteStatisticError at the first chunk after which a term's
-    squared norms are not finite.
+    span.  A span's walk steps go to its first chunk.  All spans go, lazily
+    and in term order, to one `field_values` stream, which alone decides
+    which keys share a walk call.  Raises NonFiniteStatisticError at the
+    first chunk after which a term's squared norms are not finite.
     """
-    def walk_pack(pack):
-        out = field_values([(level, derive_key(seed, kind, ell, idx))
-                            for kind, ell, level, _, idx, _ in pack], problem)
-        for (kind, ell, _, rows, _, moments), (values, cost) in zip(pack, out):
-            if kind == _KIND_PAIR:
-                values = batch_defects(hier, values, ell)
-            for j in range(0, values.shape[0], rows):
-                moments.add(values[j:j + rows], cost if j == 0 else 0)
-                if not np.isfinite(moments.sum_sq):
-                    raise NonFiniteStatisticError(
-                        problem.alpha, _term_name(kind, ell), "V",
-                        moments.sum_sq)
+    def spans():
+        for kind, ell, i0, i1, moments in terms:
+            level = hier.level(ell if kind == _KIND_PLAIN else ell + 1)
+            nv = level.num_vertices
+            rows = int(max(8, min(1024, _ROW_BUDGET // nv)))
+            span = rows * max(1, _ROW_BUDGET // (rows * nv))
+            for first in range(i0, i1, span):
+                idx = np.arange(first, min(first + span, i1))
+                yield kind, ell, rows, moments, level, derive_key(
+                    seed, kind, ell, idx)
 
-    pack, size = [], 0
-    for kind, ell, i0, i1, moments in terms:
-        level = hier.level(ell if kind == _KIND_PLAIN else ell + 1)
-        nv = level.num_vertices
-        rows = int(max(8, min(1024, _ROW_BUDGET // nv)))
-        span = rows * max(1, _ROW_BUDGET // (rows * nv))
-        for first in range(i0, i1, span):
-            idx = np.arange(first, min(first + span, i1))
-            if pack and size + idx.size * nv > _PACK_BUDGET:
-                walk_pack(pack)
-                pack, size = [], 0
-            pack.append((kind, ell, level, rows, idx, moments))
-            size += idx.size * nv
-    if pack:
-        walk_pack(pack)
+    plan, walked = itertools.tee(spans())
+    for values, cost in field_values((s[-2:] for s in walked), problem):
+        kind, ell, rows, moments, _, _ = next(plan)
+        if kind == _KIND_PAIR:
+            values = batch_defects(hier, values, ell)
+        for j in range(0, values.shape[0], rows):
+            moments.add(values[j:j + rows], cost if j == 0 else 0)
+            if not np.isfinite(moments.sum_sq):
+                raise NonFiniteStatisticError(
+                    problem.alpha, _term_name(kind, ell), "V", moments.sum_sq)
+        del values  # freed before the stream walks its next call
 
 
 # ---------------------------------------------------------------------------

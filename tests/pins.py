@@ -70,10 +70,10 @@ PINS = {
     "eig_benchmark_size": {
         AVX512: ([(1, 2.4072812659764855, 207868), (2, 2.048596749871089, 185704),
                   (3, 2.0362184879386014, 48480), (4, 2.037940679917179, 44231),
-                  (5, 2.0375435165787814, 33025)], 261),
+                  (5, 2.0375435165787814, 33025)], 202),
         AVX2: ([(1, 2.4072812659764855, 207868), (2, 2.0485967498710895, 185704),
                 (3, 2.0362184879386023, 48480), (4, 2.0379406799171766, 44231),
-                (5, 2.037543516578781, 33025)], 261)},
+                (5, 2.037543516578781, 33025)], 202)},
     # tests/test_sampling.py::TestPointEstimate: (mean, variance, steps)
     "point_example2": (0.6498547968446076, 0.226497518933904, 96250),
     "point_example1": (0.5519646828972875, 0.11249336376559177, 96250),

@@ -302,9 +302,10 @@ class TestSmallestEigenvalue:
     def test_walk_loop_iterations_at_the_benchmark_size(self, hier6,
                                                         monkeypatch):
         # the benchmark's eig call (alpha 1, tol 0.01, B 3, m 5, l0 3, L 6)
-        # at seed 1001: walking each MLMC phase's terms together cut its
-        # walk-loop iterations (draw calls) from 632, one walk call per
-        # term, to the pinned count; every (k, lambda, cost) row is pinned
+        # at seed 1001: one walk call per term ran 632 walk-loop iterations
+        # (draw calls), packs of at most 2^16 values per phase 261, and one
+        # stream of walk calls per phase runs the pinned count; every
+        # (k, lambda, cost) row is pinned
         draws, kernel = [0], sampling.walk
 
         def counting_walk(starts, problem, draw, realization=None):

@@ -74,20 +74,20 @@ class TestSampleField:
         prob = Problem(alpha=1.0, domain=ball, f=zero_f,
                        g=lambda pts: np.ones(np.asarray(pts).shape[:-1]))
         keys = derive_key(3, np.arange(2))
-        vals, cost = field_values([(hier6.level(4), keys)], prob)[0]
+        vals, cost = next(field_values([(hier6.level(4), keys)], prob))
         np.testing.assert_allclose(vals, 1.0, atol=1e-14)
         assert cost > 0
 
     def test_deterministic_given_sequence(self, hier6, ex1):
         keys = derive_key(42, np.arange(3))
-        a, ca = field_values([(hier6.level(4), keys)], ex1)[0]
-        b, cb = field_values([(hier6.level(4), keys)], ex1)[0]
+        a, ca = next(field_values([(hier6.level(4), keys)], ex1))
+        b, cb = next(field_values([(hier6.level(4), keys)], ex1))
         np.testing.assert_array_equal(a, b)
         assert ca == cb
 
     def test_exterior_vertices_carry_g(self, hier6, ex3):
         lvl = hier6.level(4)
-        vals, _ = field_values([(lvl, derive_key(9, np.arange(2)))], ex3)[0]
+        vals, _ = next(field_values([(lvl, derive_key(9, np.arange(2)))], ex3))
         outside = ~ex3.domain.contains(lvl.vertices)
         for row in vals:
             np.testing.assert_allclose(row[outside],
@@ -101,7 +101,7 @@ class TestSampleField:
         assert np.array_equal(lvl.vertices[vtx], [0.0, 0.0])
         M = 3000
         keys = derive_key(77, np.arange(M))
-        vals, _ = field_values([(lvl, keys)], ex1)[0]
+        vals, _ = next(field_values([(lvl, keys)], ex1))
         mean_field = vals[:, vtx].mean()
         se_f = vals[:, vtx].std(ddof=1) / np.sqrt(M)
         est = point_estimate((0.0, 0.0), ex1, 200000, seed=15)
@@ -128,8 +128,8 @@ class TestSampleField:
             return build_hierarchy(square_ball_base(ball), 4, domain=domain).level(4)
 
         keys = derive_key(1, np.arange(64))
-        vals, cost = field_values([(level4(mesh_domain), keys)], ex1)[0]
-        ref, ref_cost = field_values([(level4(ball), keys)], ex1)[0]
+        vals, cost = next(field_values([(level4(mesh_domain), keys)], ex1))
+        ref, ref_cost = next(field_values([(level4(ball), keys)], ex1))
         assert vals.tobytes() == ref.tobytes()
         assert cost == ref_cost
 
@@ -144,9 +144,9 @@ class TestLinearity:
                        f=lambda pts: p1.f(pts) + p3.f(pts),
                        g=lambda pts: p1.g(pts) + p3.g(pts))
         lvl, keys = hier6.level(4), derive_key(13, np.arange(6))
-        v1, c1 = field_values([(lvl, keys)], p1)[0]
-        v3, c3 = field_values([(lvl, keys)], p3)[0]
-        vb, cb = field_values([(lvl, keys)], both)[0]
+        v1, c1 = next(field_values([(lvl, keys)], p1))
+        v3, c3 = next(field_values([(lvl, keys)], p3))
+        vb, cb = next(field_values([(lvl, keys)], both))
         np.testing.assert_allclose(vb, v1 + v3, rtol=1e-12, atol=0.0)
         assert c1 == c3 == cb
 
@@ -358,9 +358,9 @@ class TestWalkBudget:
         # budget below one key's walks, which still walks one key per call
         lvl, n_interior = self.level5(hier6, ex3)
         keys = derive_key(29, np.arange(25))
-        ref, ref_cost = field_values([(lvl, keys)], ex3)[0]
+        ref, ref_cost = next(field_values([(lvl, keys)], ex3))
         monkeypatch.setattr("fracwos.field._WALK_BUDGET", budget(n_interior))
-        vals, cost = field_values([(lvl, keys)], ex3)[0]
+        vals, cost = next(field_values([(lvl, keys)], ex3))
         np.testing.assert_array_equal(vals, ref)
         assert cost == ref_cost
 
@@ -374,10 +374,11 @@ class TestWalkBudget:
         budget = 16 * n_interior
         monkeypatch.setattr("fracwos.field._WALK_BUDGET", budget)
         keys = derive_key(31, np.arange(n_keys))
-        field_values([(lvl, keys[:1])], ex2)  # lazy tables and caches first
+        # lazy tables and caches first
+        list(field_values([(lvl, keys[:1])], ex2))
         tracemalloc.start()
         try:
-            vals, _ = field_values([(lvl, keys)], ex2)[0]
+            vals, _ = next(field_values([(lvl, keys)], ex2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,10 +395,10 @@ class TestWalkBudget:
         # share one walk call
         spans = self.spans(hier6)
         walks = self.count_walks(monkeypatch)
-        packed = field_values(spans, ex3)
+        packed = list(field_values(spans, ex3))
         assert walks == [(5 + 2) * 21 + 3 * 401]
         for (level, keys), (vals, steps) in zip(spans, packed):
-            ref, ref_steps = field_values([(level, keys)], ex3)[0]
+            ref, ref_steps = next(field_values([(level, keys)], ex3))
             assert vals.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
             assert steps == ref_steps and type(steps) is int
 
@@ -409,7 +410,7 @@ class TestWalkBudget:
         # a call takes the next keys, across spans, while their walks fit;
         # a key above the budget walks alone.  No value or step moves
         spans = self.spans(hier6)
-        ref = field_values(spans, ex3)
+        ref = list(field_values(spans, ex3))
         monkeypatch.setattr("fracwos.field._WALK_BUDGET", budget)
         calls = self.count_walks(monkeypatch)
         for (vals, steps), (ref_vals, ref_steps) in zip(
@@ -418,6 +419,25 @@ class TestWalkBudget:
                 == ref_vals.view(np.uint64).tolist()
             assert steps == ref_steps
         assert calls == walks
+
+
+    def test_stream_reads_spans_as_calls_need_them(self, hier6, ex3,
+                                                   monkeypatch):
+        # at a budget of 500 walks the calls are 5 * 21, 401, 401 and
+        # 401 + 2 * 21: the first span is yielded once the second span's
+        # first key opens a call, and the last two once the last call walks
+        read, log = [], []
+
+        def reading():
+            for span in self.spans(hier6):
+                read.append(len(span[1]))
+                yield span
+
+        monkeypatch.setattr("fracwos.field._WALK_BUDGET", 500)
+        calls = self.count_walks(monkeypatch)
+        for vals, _ in field_values(reading(), ex3):
+            log.append((len(vals), len(read), len(calls)))
+        assert log == [(5, 2, 1), (3, 3, 4), (2, 3, 4)]
 
 
 class TestGoldenBits:
@@ -527,9 +547,9 @@ class TestSamplePair:
 
     def test_coarse_is_restriction_bit_exact(self, hier6, ex1):
         keys = derive_key(21, np.arange(4))
-        fine, _ = field_values([(hier6.level(6), keys)], ex1)[0]
+        fine, _ = next(field_values([(hier6.level(6), keys)], ex1))
         for ell in (3, 4, 5):
-            coarse, _ = field_values([(hier6.level(ell), keys)], ex1)[0]
+            coarse, _ = next(field_values([(hier6.level(ell), keys)], ex1))
             np.testing.assert_array_equal(
                 coarse, fine[:, :hier6.level(ell).num_vertices])
 
@@ -537,14 +557,14 @@ class TestSamplePair:
         # a separate coarse call with a subset of the keys reproduces the
         # matching rows exactly: inherited vertices see identical paths
         keys = derive_key(8, np.arange(5))
-        fine, _ = field_values([(hier6.level(5), keys)], ex1)[0]
-        coarse, _ = field_values([(hier6.level(4), keys[2:4])], ex1)[0]
+        fine, _ = next(field_values([(hier6.level(5), keys)], ex1))
+        coarse, _ = next(field_values([(hier6.level(4), keys[2:4])], ex1))
         np.testing.assert_array_equal(
             fine[2:4, :hier6.level(4).num_vertices], coarse)
 
     def test_defect_zero_at_inherited(self, hier6, ex1):
         keys = derive_key(2, np.arange(3))
-        fine, _ = field_values([(hier6.level(5), keys)], ex1)[0]
+        fine, _ = next(field_values([(hier6.level(5), keys)], ex1))
         d = batch_defects(hier6, fine, 4)
         nc = hier6.level(4).num_vertices
         np.testing.assert_array_equal(d[:, :nc], 0.0)
@@ -553,7 +573,7 @@ class TestSamplePair:
     def test_zero_problem_zero_defect(self, hier6, ball):
         prob = Problem(alpha=1.0, domain=ball, f=zero_f, g=zero_f)
         keys = derive_key(4, np.arange(3))
-        fine, _ = field_values([(hier6.level(4), keys)], prob)[0]
+        fine, _ = next(field_values([(hier6.level(4), keys)], prob))
         np.testing.assert_array_equal(batch_defects(hier6, fine, 3), 0.0)
 
 
@@ -567,8 +587,8 @@ class TestDefectStatistics:
                                         hier.norm_mask(fine_ell)))
 
     def test_identical_defects_zero_variance(self, hier6, ex1):
-        fine, cost = field_values([(hier6.level(4), derive_key(5, [0]))],
-                                  ex1)[0]
+        fine, cost = next(field_values([(hier6.level(4), derive_key(5, [0]))],
+                                  ex1))
         mom = self.moments(hier6, 4)
         mom.add(batch_defects(hier6, np.repeat(fine, 3, axis=0), 3), 3 * cost)
         assert mom.variance == pytest.approx(0.0, abs=1e-18)
@@ -587,8 +607,8 @@ class TestDefectStatistics:
         assert mom.mean_cost == 10 and mom.count == 2
 
     def test_insufficient_samples(self, hier6, ex1):
-        fine, cost = field_values([(hier6.level(4), derive_key(5, [0]))],
-                                  ex1)[0]
+        fine, cost = next(field_values([(hier6.level(4), derive_key(5, [0]))],
+                                  ex1))
         mom = self.moments(hier6, 4)
         mom.add(batch_defects(hier6, fine, 3), cost)
         with pytest.raises(InsufficientSamplesError):
@@ -658,7 +678,7 @@ class TestUnbiasednessAtVertices:
         assert ex1.domain.contains(x)
         M = 4000
         keys = derive_key(99, 7, np.arange(M))
-        vals, _ = field_values([(lvl, keys)], ex1)[0]
+        vals, _ = next(field_values([(lvl, keys)], ex1))
         mean_f = vals[:, vtx].mean()
         se_f = vals[:, vtx].std(ddof=1) / np.sqrt(M)
         est = point_estimate(x, ex1, 100000, seed=23)

@@ -1,10 +1,11 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from fracwos import mlmc
+from fracwos import field, mlmc
 from fracwos.field import FieldMoments, mass_matrix
 from fracwos.geometry import unit_ball
 from fracwos.mesh import build_hierarchy, square_ball_base
@@ -163,33 +164,45 @@ class TestPilot:
 class TestSampleTerm:
     @staticmethod
     def record_walks(monkeypatch):
-        """Patch mlmc.field_values to record (key count, walk steps) per
-        walk call."""
-        calls, walk = [], mlmc.field_values
+        """Patch the field stream to record the key count of each span it
+        reads and (key count, walk steps) of each walk_starts call."""
+        spans, calls = [], []
+        stream, kernel = mlmc.field_values, field.walk_starts
 
-        def spy(spans, problem):
-            walked = walk(spans, problem)
-            calls.append((sum(keys.size for _, keys in spans),
-                          sum(cost for _, cost in walked)))
-            return walked
+        def reading(phase):
+            for level, keys in phase:
+                spans.append(keys.size)
+                yield level, keys
 
-        monkeypatch.setattr(mlmc, "field_values", spy)
-        return calls
+        def counting(starts, problem, keys):
+            out = kernel(starts, problem, keys)
+            calls.append((keys.size, out[1]))
+            return out
+
+        def streaming(phase, problem):
+            return stream(reading(phase), problem)
+
+        monkeypatch.setattr(mlmc, "field_values", streaming)
+        monkeypatch.setattr(field, "walk_starts", counting)
+        return spans, calls
 
     def test_walk_calls_are_lazy(self, hier6, ex2, monkeypatch):
         # 2^40 samples: keys for the whole range would take 8 TB, and a real
-        # runaway term (1e11 samples) all memory; the sampler makes one
-        # span of keys per walk call
+        # runaway term (1e11 samples) all memory; the sampler hands the
+        # stream one span of keys at a time, as the stream reads them
         class Stop(Exception):
             pass
 
         sizes = []
 
         def fake(spans, problem):
-            sizes.extend(keys.size for _, keys in spans)
-            if len(sizes) == 2:
-                raise Stop
-            return [(np.empty((keys.size, 0)), 0) for _, keys in spans]
+            # a walk call of the first span alone: reading a second span
+            # ends the walk
+            for _, keys in spans:
+                sizes.append(keys.size)
+                if len(sizes) == 2:
+                    raise Stop
+                yield np.empty((keys.size, 0)), 0
 
         monkeypatch.setattr(mlmc, "field_values", fake)
         # moments over zero vertices make the adds free: the peak is the
@@ -203,68 +216,103 @@ class TestSampleTerm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one call walks as many 1024-row chunks as fit in the row budget
+        # a span is as many 1024-row chunks as fit in the row budget
         span = 1024 * (mlmc._ROW_BUDGET // (1024 * hier6.level(4).num_vertices))
         assert span > 1024
         assert sizes == [span, span] and moments.count == span
         assert peak < 1 << 20
 
     def test_row_budget_keeps_the_bits(self, hier6, ex2, monkeypatch):
-        # the default budget walks all 12000 samples in one call; two chunks
-        # per call make six calls, the last of them 1024 + 736 rows, whose
-        # chunks must add up to the same bits in the same order.  A walk
-        # budget of 1000 keys' walks splits each call's walk into sub-blocks
-        # that straddle the chunks, and must not move the bits either
+        # the default budget makes all 12000 samples one span; two chunks
+        # per span make six spans, the last of them 1024 + 736 rows, whose
+        # chunks must add up to the same bits in the same order, and the
+        # stream still walks them in one call.  A walk budget of 1000 keys'
+        # walks cuts calls that straddle the spans and their chunks, and
+        # must not move the bits either
         level = hier6.level(3)
         mass = mass_matrix(level, hier6.norm_mask(3))
         one, split, walked = (FieldMoments(mass), FieldMoments(mass),
                               FieldMoments(mass))
-        calls = self.record_walks(monkeypatch)
+        spans, calls = self.record_walks(monkeypatch)
         mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PLAIN, 3, 0, 12000,
                                             one)])
         monkeypatch.setattr(mlmc, "_ROW_BUDGET", 2048 * level.num_vertices)
         mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PLAIN, 3, 0, 12000,
                                             split)])
-        assert [n for n, _ in calls] == [12000] + [2048] * 5 + [1760]
         n_interior = int(ex2.domain.contains(level.vertices).sum())
-        monkeypatch.setattr("fracwos.field._WALK_BUDGET", 1000 * n_interior)
+        monkeypatch.setattr(field, "_WALK_BUDGET", 1000 * n_interior)
         mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PLAIN, 3, 0, 12000,
                                             walked)])
+        assert spans == [12000] + 2 * ([2048] * 5 + [1760])
+        assert [n for n, _ in calls] == [12000, 12000] + [1000] * 12
         for moments in (split, walked):
             np.testing.assert_array_equal(moments.sum_vec, one.sum_vec)
             assert (moments.sum_sq, moments.count, moments.cost) == \
                 (one.sum_sq, one.count, one.cost)
 
     def test_cost_is_added_once_per_walk_call(self, hier6, ex2, monkeypatch):
-        # three calls of two chunks each: adding a call's steps to every
-        # chunk would double the cost
+        # three spans of two chunks each, walked in four calls of 1500 keys
+        # that straddle them: adding a span's steps to every chunk would
+        # double the cost, and adding a call's to every span would count
+        # the straddled steps twice
         trans = FieldMoments(mass_matrix(hier6.level(3), hier6.norm_mask(3)))
-        calls = self.record_walks(monkeypatch)
-        monkeypatch.setattr(mlmc, "_ROW_BUDGET",
-                            2048 * hier6.level(3).num_vertices)
+        spans, calls = self.record_walks(monkeypatch)
+        fine = hier6.level(3)
+        n_interior = int(ex2.domain.contains(fine.vertices).sum())
+        monkeypatch.setattr(mlmc, "_ROW_BUDGET", 2048 * fine.num_vertices)
+        monkeypatch.setattr(field, "_WALK_BUDGET", 1500 * n_interior)
         mlmc._sample_phase(hier6, ex2, 3, [(mlmc._KIND_PAIR, 2, 0, 6000,
                                             trans)])
-        assert [n for n, _ in calls] == [2048, 2048, 1904]
+        assert spans == [2048, 2048, 1904]
+        assert [n for n, _ in calls] == [1500] * 4
         assert all(cost > 0 for _, cost in calls)
         total = sum(cost for _, cost in calls)
         assert (trans.count, trans.cost) == (6000, total)
 
+    def test_no_span_is_held_while_a_call_walks(self, hier6, ex2,
+                                                monkeypatch):
+        # two spans of one 8-row chunk per term, each key walked alone: every
+        # span but the last ends before a call walks, and by then the
+        # sampler and the stream must have dropped the span's values and
+        # its defects, whose chunks the moments saw
+        seen, kernel = [], field.walk_starts
+
+        def adding(moments, vals, cost):
+            seen.append(weakref.ref(vals.base))
+            return add(moments, vals, cost)
+
+        def checking(starts, problem, keys):
+            assert [ref() for ref in seen] == [None] * len(seen)
+            return kernel(starts, problem, keys)
+
+        add = FieldMoments.add
+        monkeypatch.setattr(FieldMoments, "add", adding)
+        monkeypatch.setattr(field, "walk_starts", checking)
+        monkeypatch.setattr(field, "_WALK_BUDGET", 1)
+        monkeypatch.setattr(mlmc, "_ROW_BUDGET", 8 * hier6.level(3).num_vertices)
+        stats = mlmc.pilot(hier6, ex2, 16, seed=4, l0=3, l_max=4)
+        assert len(seen) == 4 and stats.total_cost > 0
+
     def test_packed_pilot_matches_terms_walked_alone(self, hier6, ex2,
                                                      monkeypatch):
-        # an 8-sample pilot from level 2 to 6 holds 22856 values: by default
-        # its five terms share one walk call; a cap of 1592 values packs the
-        # first three and walks 4->5 and 5->6, each above it, alone; a cap
-        # of 0 walks every term alone.  No moment moves a bit
-        calls = self.record_walks(monkeypatch)
-        stats = []
-        for cap in (mlmc._PACK_BUDGET, 1592, 0):
-            monkeypatch.setattr(mlmc, "_PACK_BUDGET", cap)
+        # an 8-sample pilot from level 2 to 6 is five spans of 8 keys: by
+        # default the stream walks all 40 in one call; 1000 times level 2's
+        # interior vertices walks the first four terms in one call and cuts
+        # the last, 5->6, into three; a budget of 1 walks every key alone.
+        # No moment moves a bit
+        spans, calls = self.record_walks(monkeypatch)
+        n_interior = int(ex2.domain.contains(hier6.level(2).vertices).sum())
+        stats, layouts = [], []
+        for budget in (field._WALK_BUDGET, 1000 * n_interior, 1):
+            monkeypatch.setattr(field, "_WALK_BUDGET", budget)
             stats.append(mlmc.pilot(hier6, ex2, 8, seed=4, l0=2, l_max=6))
-        assert [n for n, _ in calls] == [40] + [24, 8, 8] + [8] * 5
-        assert len({sum(c for _, c in calls[a:b])
-                    for a, b in ((0, 1), (1, 4), (4, 9))}) == 1
+            layouts.append([n for n, _ in calls])
+            calls.clear()
+        assert spans == [8] * 15
+        assert layouts == [[40], [32, 3, 3, 2], [1] * 40]
         ref = stats[-1]
         for s in stats[:-1]:
+            assert s.total_cost == ref.total_cost
             for (*term, a), (*ref_term, b) in zip(s.terms(6), ref.terms(6)):
                 assert term == ref_term
                 np.testing.assert_array_equal(a.sum_vec, b.sum_vec)
