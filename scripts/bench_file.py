@@ -70,7 +70,8 @@ def main(argv=None) -> int:
                     help="runs of this code hash (default: this checkout's)")
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
     ap.add_argument("--runs", default=str(ROOT / ".perfbench" / "runs.jsonl"))
-    ap.add_argument("--out", default=str(ROOT), help="output directory")
+    ap.add_argument("--out", default=str(ROOT),
+                    help="output directory, made if missing")
     args = ap.parse_args(argv)
     want = args.code_hash or code_hash()
     with open(args.runs) as fh:
@@ -93,6 +94,7 @@ def main(argv=None) -> int:
     sha = prov["git_sha"]
     name = sha[:7] if isinstance(sha, str) else want
     path = Path(args.out) / f"BENCH_{name}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({"provenance": prov,
                                 "workloads": summarize(records)},
                                indent=1) + "\n")

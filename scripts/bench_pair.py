@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -35,6 +36,18 @@ WORKLOADS = ("solve", "eig", "point", "assumptions")
 def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
                           capture_output=True).stdout.strip()
+
+
+def check_out(out: str) -> None:
+    """Make the --out directory, and exit unless it is writable, before any
+    run: the bench files are written only after the last pair."""
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        sys.exit(f"bench_pair: cannot make --out {out}: {exc}")
+    if not os.access(path, os.W_OK | os.X_OK):
+        sys.exit(f"bench_pair: --out {out} is not writable")
 
 
 def run_once(tree: Path, workload: str, seed: int, args) -> dict:
@@ -112,8 +125,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
     ap.add_argument("--out", default=str(ROOT),
-                    help="directory of the two BENCH_<sha>.json files")
+                    help="directory of the two BENCH_<sha>.json files, "
+                    "made if missing")
     args = ap.parse_args(argv)
+    check_out(args.out)
     workloads = args.workloads.split(",")
     seeds = list(range(args.seed0, args.seed0 + args.pairs))
     shas = {side: git("rev-parse", "--verify", ref + "^{commit}")
