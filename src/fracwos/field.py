@@ -182,22 +182,29 @@ def mass_norm(mass: sparse.csr_matrix, v: np.ndarray) -> float:
 class FieldMoments:
     """Streaming first/second moments of field batches in the masked L2 sense.
 
-    Accumulates the vector sum and the sum of squared norms, which is all
-    the multilevel estimator needs: mean field, unbiased sample variance
-    E||d - Ed||^2, and mean cost.
+    Accumulates the vector sum and the sum of squared norms about a fixed
+    shift K, the first batch's mean field, which is all the multilevel
+    estimator needs: mean field, unbiased sample variance E||d - Ed||^2, and
+    mean cost.  The shift keeps the variance's digits when the mean's norm
+    dwarfs the spread.
     """
 
     def __init__(self, mass: sparse.csr_matrix):
         self.mass = mass
         self.sum_vec = np.zeros(mass.shape[0])
-        self.sum_sq = 0.0
+        self.shift = None
+        self.sum_sq = 0.0  # sum of ||v - shift||^2
         self.count = 0
         self.cost = 0
 
     def add(self, vals: np.ndarray, cost: int) -> None:
         vals = np.atleast_2d(vals)
+        if self.shift is None:
+            self.shift = vals.mean(axis=0)
         self.sum_vec += vals.sum(axis=0)
-        self.sum_sq += float(np.einsum("kn,kn->", vals @ self.mass, vals))
+        for j in range(0, vals.shape[0], 128):  # keeps dev's copies small
+            dev = vals[j:j + 128] - self.shift
+            self.sum_sq += float(np.einsum("kn,kn->", dev @ self.mass, dev))
         self.count += vals.shape[0]
         self.cost += cost
 
@@ -213,7 +220,7 @@ class FieldMoments:
     def variance(self) -> float:
         if self.count < 2:
             raise InsufficientSamplesError("need at least two samples")
-        m = self.mean_field
+        m = self.mean_field - self.shift
         mean_sq = float(m @ (self.mass @ m))
         return max((self.sum_sq - self.count * mean_sq) / (self.count - 1), 0.0)
 

@@ -249,14 +249,15 @@ def point_estimate(x, problem, M: int, seed: int) -> PointEstimate:
     if not problem.domain.distance(x) > 0.0:  # already exited: no step
         g0 = float(np.asarray(problem.g(x[None, :])).ravel()[0])
         return PointEstimate(g0, 0.0, 0)
-    total = np.zeros(3)
+    total, shift = np.zeros(3), None  # squares about the first batch's mean
     for b, i0 in enumerate(range(0, M, POINT_BATCH)):
         draw = _generator_draw(problem.alpha, batch_generator(seed, 0x90, b))
         starts = np.broadcast_to(x, (min(POINT_BATCH, M - i0), 2))
         vals, steps = walk(starts, problem, draw)
-        total += (vals.sum(), (vals * vals).sum(), steps.sum())
+        shift = vals.mean() if shift is None else shift
+        total += (vals.sum(), ((vals - shift) ** 2).sum(), steps.sum())
     mean = total[0] / M
-    var = (total[1] - M * mean * mean) / (M - 1)
+    var = (total[1] - M * (mean - shift) ** 2) / (M - 1)
     for name, value in (("mean", mean), ("variance", var)):
         if not np.isfinite(value):
             raise NonFiniteStatisticError(problem.alpha,

@@ -335,6 +335,65 @@ class TestSampleTerm:
             assert (a.sum_sq, a.count, a.cost) == (b.sum_sq, b.count, b.cost)
 
 
+class TestLargeMean:
+    """g = c adds c to the solution of example2 and leaves every variance
+    alone.  Sums of squares about 0 would cancel at c = 1e8 and read V as
+    0; the moments sum their squares about their first chunk's mean, and
+    the point estimate about its first batch's, so V keeps its digits."""
+
+    @staticmethod
+    def run(hier6, c, monkeypatch):
+        """mlmc.run at eps 0.02, levels 3..5, with g = c, and the rows each
+        of its term moments saw, in term order."""
+        seen, add = {}, FieldMoments.add
+
+        def recording(moments, vals, cost):
+            seen.setdefault(moments, []).append(np.array(vals))
+            return add(moments, vals, cost)
+
+        prob = Problem(alpha=1.0, domain=unit_ball(), f=example2(1.0).f,
+                       g=lambda pts: np.full(np.asarray(pts).shape[:-1], c))
+        with monkeypatch.context() as m:
+            m.setattr(FieldMoments, "add", recording)
+            res = mlmc.run(hier6, prob, eps=0.02, l0=3, seed=1, fixed_L=5)
+        return prob, res, [(m, np.concatenate(r)) for m, r in seen.items()]
+
+    @staticmethod
+    def two_pass(moments, rows):
+        d = rows - rows.mean(axis=0)
+        return float(np.einsum("kn,kn->", d @ moments.mass, d)) / (len(rows) - 1)
+
+    @pytest.mark.parametrize("c", [0.0, 1e8])
+    def test_variances_match_two_pass(self, hier6, c, monkeypatch):
+        # the plan's V, from the 32 pilot samples of each term, and
+        # stat_error_est, from all of them, against the two-pass variance
+        # of the very samples the moments saw
+        _, res, terms = self.run(hier6, c, monkeypatch)
+        assert len(terms) == 3
+        np.testing.assert_allclose(
+            res.plan.V, [self.two_pass(m, rows[:32]) for m, rows in terms],
+            rtol=1e-9)
+        assert res.stat_error_est == pytest.approx(
+            sum(self.two_pass(m, rows) / len(rows) for m, rows in terms),
+            rel=1e-9)
+
+    def test_variances_do_not_depend_on_the_mean(self, hier6, monkeypatch):
+        # the samples u + 1e8 round by up to half an ulp of 1e8, 7.5e-9,
+        # which moves V and stat_error_est by about 1e-9 relative (at most
+        # 1.8e-9 here); the point variance averages it over 2^16 samples
+        out = []
+        for c in (0.0, 1e8):
+            prob, res, _ = self.run(hier6, c, monkeypatch)
+            point = point_estimate((0.3, 0.4), prob, 2 ** 16, seed=5)
+            out.append((res.plan.V, res.stat_error_est, point.variance,
+                        res.samples_used.tolist()))
+        (V0, s0, p0, n0), (V8, s8, p8, n8) = out
+        assert n8 == n0
+        np.testing.assert_allclose(V8, V0, rtol=1e-8)
+        assert s8 == pytest.approx(s0, rel=1e-8)
+        assert p8 == pytest.approx(p0, rel=1e-9)
+
+
 class TestRun:
     def test_zero_problem_exact_zero(self, hier6, ball):
         zero = lambda pts: np.zeros(np.asarray(pts).shape[:-1])
