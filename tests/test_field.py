@@ -587,8 +587,8 @@ class TestDefectStatistics:
                                         hier.norm_mask(fine_ell)))
 
     def test_identical_defects_zero_variance(self, hier6, ex1):
-        fine, cost = next(field_values([(hier6.level(4), derive_key(5, [0]))],
-                                  ex1))
+        fine, cost = next(field_values(
+            [(hier6.level(4), derive_key(5, [0]))], ex1))
         mom = self.moments(hier6, 4)
         mom.add(batch_defects(hier6, np.repeat(fine, 3, axis=0), 3), 3 * cost)
         assert mom.variance == pytest.approx(0.0, abs=1e-18)
@@ -607,8 +607,8 @@ class TestDefectStatistics:
         assert mom.mean_cost == 10 and mom.count == 2
 
     def test_insufficient_samples(self, hier6, ex1):
-        fine, cost = next(field_values([(hier6.level(4), derive_key(5, [0]))],
-                                  ex1))
+        fine, cost = next(field_values(
+            [(hier6.level(4), derive_key(5, [0]))], ex1))
         mom = self.moments(hier6, 4)
         mom.add(batch_defects(hier6, fine, 3), cost)
         with pytest.raises(InsufficientSamplesError):
