@@ -11,7 +11,8 @@ triangles followed by one lookup in a per-level grid table: constant work
 per point at any depth, vectorized over many query points.  The first
 `locate` on a level builds its table (the grid, and every triangle's corner
 indices, corner coordinates and determinant, each in contiguous rows), so a
-query gathers whole rows and repeats no per-triangle arithmetic.  Points
+query gathers whole rows and repeats no per-triangle arithmetic.  The grid
+is the query's own rule applied to every fine triangle's centroid.  Points
 are always (P, 2) arrays.  A hierarchy is built for the domain D it meshes:
 D decides the triangles each level's L2 norm counts (`norm_mask`).
 """
@@ -83,7 +84,8 @@ class FieldVector:
 
 
 def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    return 0.5 * _det(*vertices[triangles].reshape(-1, 6).T)
+    x1, y1, x2, y2, x3, y3 = vertices[triangles].reshape(-1, 6).T
+    return 0.5 * ((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1))
 
 
 def _max_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
@@ -226,19 +228,6 @@ def build_hierarchy(base: MeshLevel, finest_level: int,
     return MeshHierarchy(levels=levels, domain=domain)
 
 
-def _det(x1, y1, x2, y2, x3, y3):
-    """Twice the signed area of triangle 1-2-3."""
-    return (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-
-
-def _bary(x1, y1, x2, y2, x3, y3, px, py):
-    """First two barycentric coordinates of (px, py) in triangle 1-2-3."""
-    det = _det(x1, y1, x2, y2, x3, y3)
-    w1 = ((x2 - px) * (y3 - py) - (y2 - py) * (x3 - px)) / det
-    w2 = ((x3 - px) * (y1 - py) - (y3 - py) * (x1 - px)) / det
-    return w1, w2
-
-
 class _LocateTable(NamedTuple):
     """What `locate` reads of one level, each part in contiguous rows."""
 
@@ -246,7 +235,7 @@ class _LocateTable(NamedTuple):
     corners: np.ndarray    # (3, T) vertex indices of corners 1, 2, 3
     coords: np.ndarray     # (3, 2, T) x and y of corners 2, 3, 1: pairs (2, 3)
                            # and (3, 1) are adjacent slices
-    det: np.ndarray        # (T,) _det of every triangle
+    det: np.ndarray        # (T,) twice every triangle's signed area
 
 
 def _root(level: MeshLevel) -> MeshLevel:
@@ -262,7 +251,7 @@ def _table(level: MeshLevel) -> _LocateTable:
         xy = level.vertices[corners].transpose(0, 2, 1)    # (3, 2, T)
         level._table = _LocateTable(
             _cell_table(level, _root(level)), corners,
-            np.ascontiguousarray(xy[[1, 2, 0]]), _det(*xy.reshape(6, -1)))
+            np.ascontiguousarray(xy[[1, 2, 0]]), 2.0 * level.areas())
     return level._table
 
 
@@ -273,22 +262,16 @@ def _cell_table(level: MeshLevel, base: MeshLevel) -> np.ndarray:
     quadrisection descendants are the cells of a uniform grid with
     n = 2^D: cell (i, j) is split by its diagonal into a lower half (o = 0)
     and an upper half (o = 1).  Entry ((b n + i) n + j) 2 + o holds the
-    fine triangle covering half o of cell (i, j) of base triangle b.  Halves
-    past the far edge (i + j + o >= n) hold an inside half that touches
-    that edge, so points on it, perturbed by rounding, still resolve.
+    fine triangle that the query's own rule, `_cell`, puts there from its
+    centroid.  Halves past the far edge (i + j + o >= n) hold an inside
+    half that touches that edge, so points on it, perturbed by rounding,
+    still resolve.
     """
     n = 1 << (level.level - base.level)
-    fine = np.arange(level.num_triangles)
-    owner = fine // (n * n)        # descendants of b are b n^2 .. (b + 1) n^2 - 1
-    cx = level.vertices[level.triangles, 0].mean(axis=1)
-    cy = level.vertices[level.triangles, 1].mean(axis=1)
-    xy = base.vertices[base.triangles[owner]].reshape(-1, 6)   # x1, y1, ...
-    w1, w2 = _bary(*xy.T, cx, cy)
-    s, t = n * w1, n * w2
-    i, j = np.floor(s).astype(np.int64), np.floor(t).astype(np.int64)
-    o = ((s - i) + (t - j) >= 1.0).astype(np.int64)
-    table = np.empty((base.num_triangles, n, n, 2), dtype=np.int64)
-    table[owner, i, j, o] = fine
+    table = np.empty(base.num_triangles * n * n * 2, dtype=np.int64)
+    centroids = level.vertices[level.triangles].mean(axis=1).T   # (2, T)
+    table[_cell(base, n, centroids)] = np.arange(level.num_triangles)
+    table = table.reshape(-1, n, n, 2)
     i, j, o = np.meshgrid(np.arange(n), np.arange(n), [0, 1], indexing="ij")
     past = i + j + o >= n
     i, j = i[past], j[past]
@@ -302,12 +285,12 @@ def _base_search(base: MeshLevel, pxy: np.ndarray):
     """Base triangle and its (w1, w2) rows for points given as (x, y) rows.
 
     A triangle's score is its smallest barycentric coordinate and the first
-    best triangle wins.  This is _bary's arithmetic on offsets that each
-    base vertex takes once; triangles that share an edge share its cross
+    best triangle wins.  Its cross products are of offsets that each base
+    vertex takes once; triangles that share an edge share its cross
     product, since (v, u)'s is exactly the negative of (u, v)'s.  Points
     whose best score is below the tolerance, or NaN, raise.
     """
-    det = _table(base).det.tolist()
+    det = (2.0 * base.areas()).tolist()
     d = base.vertices[:, :, None] - pxy            # (V, 2, P) offsets
     dx, dy = d[:, 0], d[:, 1]
     size = pxy.shape[1]
@@ -341,6 +324,23 @@ def _base_search(base: MeshLevel, pxy: np.ndarray):
     return tri, np.take(w.reshape(2, -1), tri * size + np.arange(size), axis=1)
 
 
+def _cell(base: MeshLevel, n: int, pxy: np.ndarray) -> np.ndarray:
+    """Flat index ((b n + i) n + j) 2 + o of the grid half-cell (see
+    _cell_table) of points given as (x, y) rows: (i, j) is the cell of the
+    base coordinates (s, t) = n (w1, w2), clamped into the grid."""
+    tri, st = _base_search(base, pxy)
+    st *= n
+    ij = st.astype(np.intp)
+    np.maximum(ij, 0, out=ij)
+    np.minimum(ij, n - 1, out=ij)
+    st -= ij
+    tri *= 2 * n * n
+    tri += (2 * n) * ij[0]
+    tri += 2 * ij[1]
+    tri += st[0] + st[1] >= 1.0
+    return tri
+
+
 def locate(level: MeshLevel, p):
     """Containing triangles (P,) and barycentric coordinates (P, 3) of the
     (P, 2) query points p.
@@ -355,23 +355,10 @@ def locate(level: MeshLevel, p):
     if pxy.ndim != 2 or pxy.shape[0] != 2:
         raise ValueError("query points must be a (P, 2) array")
     base = _root(level)
-    tri, st = _base_search(base, pxy)
-
-    # the grid cell of the base coordinates (s, t) = n (w1, w2)
-    n = 1 << (level.level - base.level)
-    st *= n
-    ij = st.astype(np.intp)
-    np.maximum(ij, 0, out=ij)
-    np.minimum(ij, n - 1, out=ij)
-    st -= ij
-    tri *= 2 * n * n
-    tri += (2 * n) * ij[0]
-    tri += 2 * ij[1]
-    tri += st[0] + st[1] >= 1.0
     tab = _table(level)
-    tri = tab.cells[tri]
+    tri = tab.cells[_cell(base, 1 << (level.level - base.level), pxy)]
 
-    # _bary's arithmetic on the fine corners' offsets from the points
+    # _base_search's arithmetic on the fine corners' offsets from the points
     d = np.take(tab.coords, tri, axis=2)          # corners 2, 3, 1
     d -= pxy
     w = np.empty((3, pxy.shape[1]))

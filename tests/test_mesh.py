@@ -7,7 +7,7 @@ import fracwos.mesh
 from fracwos.cli import write_field_csv
 from fracwos.field import batch_defects, mass_matrix, mass_norm
 from fracwos.geometry import Ball, ConvexPolygon, box, unit_ball
-from fracwos.mesh import (_BARY_TOL, FieldVector, PointOutsideMeshError, _bary,
+from fracwos.mesh import (_BARY_TOL, FieldVector, PointOutsideMeshError,
                           _cell_table, base_mesh_for, build_hierarchy,
                           interpolate, locate, make_base, prolong, prolong_to,
                           square_ball_base)
@@ -102,13 +102,48 @@ def descent_locate(level, pts):
     return tri, w
 
 
-def grid_locate_reference(level, pts):
-    """Reference point location: the grid table with the old weight tail.
+def _bary(x1, y1, x2, y2, x3, y3, px, py):
+    """First two barycentric coordinates of (px, py) in triangle 1-2-3."""
+    det = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    w1 = ((x2 - px) * (y3 - py) - (y2 - py) * (x3 - px)) / det
+    w2 = ((x3 - px) * (y1 - py) - (y3 - py) * (x1 - px)) / det
+    return w1, w2
 
-    The base brute force and the cell-table lookup of `locate`, followed by
-    the (P, 3) weight tail it used before the column-wise one: stack the
-    three coordinates, reject by the row minimum, clip, and divide by the
-    row sum.
+
+def cell_table_oracle(level, base):
+    """Reference grid table, built as the library built it before the
+    query's own rule did: each fine triangle's centroid, in barycentric
+    coordinates of the base triangle that owns it, gives its half-cell by
+    np.floor.  The far-edge fill is the library's."""
+    n = 1 << (level.level - base.level)
+    fine = np.arange(level.num_triangles)
+    owner = fine // (n * n)        # descendants of b are b n^2 .. (b + 1) n^2 - 1
+    cx = level.vertices[level.triangles, 0].mean(axis=1)
+    cy = level.vertices[level.triangles, 1].mean(axis=1)
+    xy = base.vertices[base.triangles[owner]].reshape(-1, 6)   # x1, y1, ...
+    w1, w2 = _bary(*xy.T, cx, cy)
+    s, t = n * w1, n * w2
+    i, j = np.floor(s).astype(np.int64), np.floor(t).astype(np.int64)
+    o = ((s - i) + (t - j) >= 1.0).astype(np.int64)
+    table = np.empty((base.num_triangles, n, n, 2), dtype=np.int64)
+    table[owner, i, j, o] = fine
+    i, j, o = np.meshgrid(np.arange(n), np.arange(n), [0, 1], indexing="ij")
+    past = i + j + o >= n
+    i, j = i[past], j[past]
+    e = i + j - (n - 1)            # grid steps past the far edge
+    di = np.where(i >= j, (e + 1) // 2, e // 2)
+    table[:, past] = table[:, i - di, j - (e - di), 0]
+    return table.ravel()
+
+
+def grid_locate_reference(level, pts):
+    """Reference point location: the oracle grid table with the old weight
+    tail.
+
+    The base brute force of `locate` and a lookup in `cell_table_oracle`,
+    followed by the (P, 3) weight tail `locate` used before the
+    column-wise one: stack the three coordinates, reject by the row
+    minimum, clip, and divide by the row sum.
     """
     px, py = pts[:, 0].copy(), pts[:, 1].copy()
     base = level
@@ -132,7 +167,7 @@ def grid_locate_reference(level, pts):
     i = np.clip(s.astype(np.int64), 0, n - 1)
     j = np.clip(t.astype(np.int64), 0, n - 1)
     o = (s - i) + (t - j) >= 1.0
-    tri = _cell_table(level, base)[((tri * n + i) * n + j) * 2 + o]
+    tri = cell_table_oracle(level, base)[((tri * n + i) * n + j) * 2 + o]
     x, y = level.vertices[:, 0], level.vertices[:, 1]
     c1, c2, c3 = level.triangles[tri].T
     w1, w2 = _bary(x[c1], y[c1], x[c2], y[c2], x[c3], y[c3], px, py)
@@ -415,6 +450,30 @@ class TestLocateAgainstDescent:
             with np.errstate(invalid="ignore"), \
                     pytest.raises(PointOutsideMeshError):
                 locate(lvl, np.array([bad]))
+
+
+class TestCellTable:
+    @pytest.mark.parametrize("mesh_name, ell", LEVELS)
+    def test_matches_oracle(self, request, mesh_name, ell):
+        hier = request.getfixturevalue(mesh_name)
+        lvl, base = hier.level(ell), hier.level(1)
+        np.testing.assert_array_equal(_cell_table(lvl, base),
+                                      cell_table_oracle(lvl, base))
+
+    @pytest.mark.parametrize("domain", [box(0.0, 0.0, 2.0, 1.0),
+                                        Ball((2.5, -1.0), 0.75)],
+                             ids=["box", "off_centre_ball"])
+    def test_matches_oracle_on_other_bases(self, domain):
+        hier = build_hierarchy(base_mesh_for(domain), 6, domain=domain)
+        for lvl in hier.levels:
+            np.testing.assert_array_equal(_cell_table(lvl, hier.levels[0]),
+                                          cell_table_oracle(lvl, hier.levels[0]))
+
+    def test_fine_query_builds_no_base_table(self, rng):
+        hier = build_hierarchy(square_ball_base(), 6, domain=unit_ball())
+        locate(hier.level(6), rng.uniform(-1.0, 1.0, (300, 2)))
+        assert hier.level(6)._table is not None
+        assert hier.level(1)._table is None
 
 
 class TestLocateAgainstOldTail:
