@@ -312,10 +312,10 @@ def cmd_variance_study(cfg: RunConfig) -> dict:
 
 
 def cmd_cost_study(cfg: RunConfig) -> dict:
+    eps_list = ([_parse("eps_list", "float", s) for s in cfg.eps_list.split(",")
+                 if s] if cfg.eps_list else _EPS_SCHEDULE)
     problem = build_problem(cfg)
     hier = build_mesh(cfg, problem.domain)
-    eps_list = ([float(s) for s in cfg.eps_list.split(",") if s]
-                if cfg.eps_list else _EPS_SCHEDULE)
     rows = mlmc.cost_comparison(hier, problem, eps_list, cfg.l0, cfg.seed,
                                 pilot_M=cfg.pilot, max_cost=cfg.max_cost)
     _write_csv(os.path.join(cfg.out, "study.csv"),

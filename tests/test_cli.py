@@ -505,6 +505,23 @@ class TestCliRuns:
         assert capsys.readouterr().err == f"fracwos: error: {msg}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_eps_list_entry_named_before_meshing(self, tmp_path, capsys,
+                                                 monkeypatch, source):
+        # it used to fail as "could not convert string to float: 'abc'",
+        # after the mesh was built
+        built = []
+        monkeypatch.setattr("fracwos.cli.build_mesh",
+                            lambda *a: built.append(a))
+        (tmp_path / "c.txt").write_text("eps_list = 0.1,abc\n")
+        args = {"flag": ["--eps-list", "0.1,abc"],
+                "config": ["--config", str(tmp_path / "c.txt")]}[source]
+        out = tmp_path / "o"
+        assert main(["cost-study", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("fracwos: error: eps_list must be "
+                                           "a number, got 'abc'\n")
+        assert built == [] and not out.exists()
+
 
 # The options each command reads, besides alpha, seed and out, which all
 # five read. Written out here, not taken from fracwos.cli.
