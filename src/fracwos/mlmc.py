@@ -246,8 +246,11 @@ def _check_statistics(alpha: float, eps: float, terms, V, C) -> None:
 
 def allocate(eps: float, V, C) -> np.ndarray:
     """Optimal sample counts: M_l = ceil(2 eps^-2 sqrt(V_l/C_l) sum sqrt(V C))."""
-    V = np.maximum(np.asarray(V, dtype=np.float64), 0.0)
+    V = np.asarray(V, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
+    for name, value in (("V", V), ("C", C)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
     if np.any(C <= 0):
         raise ValueError("costs must be positive")
     check_positive("eps", eps)

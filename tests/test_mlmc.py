@@ -86,6 +86,14 @@ class TestAllocate:
         with pytest.raises(ValueError, match=f"^eps {MUST[word]}$"):
             mlmc.allocate(eps, [1.0], [1.0])
 
+    @pytest.mark.parametrize("V, C, name", [
+        ([np.nan, 1.0], [1.0, 1.0], "V"), ([1.0, -np.inf], [1.0, 1.0], "V"),
+        ([1.0, 1.0], [np.nan, 1.0], "C"), ([1.0, 1.0], [1.0, np.inf], "C")])
+    def test_rejects_nonfinite_statistics(self, V, C, name):
+        # a NaN used to surface as "sample allocation nan overflows int64"
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            mlmc.allocate(0.1, V, C)
+
 
 class TestChooseLevels:
     def test_solves_inequality(self):
