@@ -269,15 +269,20 @@ def _cell_table(level: MeshLevel, base: MeshLevel) -> np.ndarray:
     """
     n = 1 << (level.level - base.level)
     table = np.empty(base.num_triangles * n * n * 2, dtype=np.int64)
-    centroids = level.vertices[level.triangles].mean(axis=1).T   # (2, T)
-    table[_cell(base, n, centroids)] = np.arange(level.num_triangles)
+    for lo in range(0, level.num_triangles, _BLOCK):  # temporaries of _BLOCK
+        tris = level.triangles[lo:lo + _BLOCK]
+        centroids = level.vertices[tris].mean(axis=1).T   # (2, B)
+        table[_cell(base, n, centroids)] = np.arange(lo, lo + len(tris))
     table = table.reshape(-1, n, n, 2)
-    i, j, o = np.meshgrid(np.arange(n), np.arange(n), [0, 1], indexing="ij")
-    past = i + j + o >= n
-    i, j = i[past], j[past]
-    e = i + j - (n - 1)            # grid steps past the far edge
-    di = np.where(i >= j, (e + 1) // 2, e // 2)
-    table[:, past] = table[:, i - di, j - (e - di), 0]
+    rows = max(_BLOCK // (2 * n), 1)  # grid rows of about _BLOCK halves
+    for i0 in range(0, n, rows):  # the inside halves read are never past
+        i, j, o = np.meshgrid(np.arange(i0, min(i0 + rows, n)), np.arange(n),
+                              [0, 1], indexing="ij")
+        past = i + j + o >= n
+        i, j = i[past], j[past]
+        e = i + j - (n - 1)            # grid steps past the far edge
+        di = np.where(i >= j, (e + 1) // 2, e // 2)
+        table[:, i0:i0 + rows][:, past] = table[:, i - di, j - (e - di), 0]
     return table.ravel()
 
 

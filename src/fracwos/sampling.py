@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
 
 from .streams import batch_generator, johnk_beta_rng, unit_vectors
 
-POINT_BATCH = 1 << 15  # fixed batch width; estimates are pure in (seed, M)
+POINT_BATCH = 1 << 15  # live walks (lanes) of a point-estimate walk call
+_POINT_CALL = 8 * POINT_BATCH  # walks per call; estimates are pure in (seed, M)
 MAX_WALK_STEPS = 1_000_000
 
 
@@ -141,7 +143,7 @@ class PointEstimate(NamedTuple):
     total_steps: int
 
 
-def walk(starts: np.ndarray, problem, draw, realization=None):
+def walk(starts: np.ndarray, problem, draw, realization=None, lanes=None):
     """The walk-outside-spheres loop: one walk from each of the (W, 2)
     `starts`, walk i in realization `realization[i]` (ascending; default i).
 
@@ -149,28 +151,37 @@ def walk(starts: np.ndarray, problem, draw, realization=None):
     (boundary, exterior or NaN) has exited with g at its position plus its
     source sum; every other walk adds F(x; S, Phi) to that sum and jumps to
     x + Theta d(x)/sqrt(beta), leaving the inscribed ball B(x, d(x)).
-    `draw(n, rows)` returns step n's tuples (beta, Theta, S, Phi) for the
-    realizations `rows` (ascending) with a live walk, so all walks of one
-    realization consume the same tuple at their n-th step.  Returns
+    `draw(n, rows)` returns loop iteration n's tuples (beta, Theta, S, Phi)
+    for the realizations `rows` (ascending) with a live walk, so all walks
+    of one realization consume the same tuple at their n-th step.  Returns
     (values (W,), steps (W,)), a walk's steps being its jumps (0 for a
-    start already outside).  A walk still inside after MAX_WALK_STEPS
-    jumps raises MaxStepsExceededError.
+    start already outside).  A walk still inside after MAX_WALK_STEPS of
+    its own jumps raises MaxStepsExceededError.
+
+    With `lanes` (not with `realization`), at most `lanes` walks are live:
+    whenever fewer than half are, the next starts are admitted in order, up
+    to `lanes`, so a few long walks do not run alone.  Iteration n is then
+    the own step n only of the walks admitted at iteration 0.
 
     The live walks' state is 1-D: positions are a (2, n) array, an x row
     and a y row, and the domain, f and g get its (n, 2) view pos.T.  Exits
     are compacted away by index; live walks are counted per realization,
     whose tuple reaches its (adjacent) walks by np.repeat.
     """
-    pos = np.asarray(starts, dtype=np.float64).T.copy()
-    del starts  # a caller's temporary is freed before the walk
+    if lanes is not None and realization is not None:
+        raise ValueError("lanes cannot be combined with realization")
+    starts = np.asarray(starts, dtype=np.float64)
+    width = starts.shape[0]
+    lanes = width if lanes is None else lanes
     alpha = problem.alpha
     params = problem.params
     inv_alpha = 1.0 / alpha
 
-    slot = np.arange(pos.shape[1])
-    acc = np.zeros(slot.size)
-    out = np.empty(slot.size)
-    steps = np.empty(slot.size, dtype=np.int32)  # at most MAX_WALK_STEPS
+    pos, slot, acc, admitted = np.empty((2, 0)), np.arange(0), None, 0
+    out = np.empty(width)
+    # -(iteration of admission) until the exit adds its iteration; a walk's
+    # jumps are at most MAX_WALK_STEPS
+    steps = np.empty(width, dtype=np.int32)
     # live walks per realization; None: each walk is its own realization
     live = None if realization is None else np.bincount(realization)
 
@@ -179,7 +190,19 @@ def walk(starts: np.ndarray, problem, draw, realization=None):
             return v if axis is None else v.copy()
         return np.repeat(v, cnt, axis=axis)
 
-    for n in range(MAX_WALK_STEPS + 1):
+    for n in count():
+        if 2 * slot.size < lanes and admitted < width:
+            a, b = admitted, min(admitted + lanes - slot.size, width)
+            pos = np.concatenate((pos, starts[a:b].T), axis=1)  # a copy
+            if slot.size:
+                slot = np.concatenate((slot, np.arange(a, b)))
+                acc = np.concatenate((acc, np.zeros(b - a)))
+            else:
+                slot, acc = np.arange(a, b), np.zeros(b - a)
+            steps[a:b] = -n
+            admitted = b
+            if admitted == width:
+                starts = None  # a caller's temporary is freed while walking
         d = problem.domain._distance(pos.T)
         inside = d > 0.0
         if not inside.all():
@@ -187,16 +210,20 @@ def walk(starts: np.ndarray, problem, draw, realization=None):
             gone = slot.take(left)
             out[gone] = np.asarray(
                 problem.g(pos.take(left, axis=1).T)) + acc.take(left)
-            steps[gone] = n
+            steps[gone] += n
             if live is not None:
                 live -= np.bincount(realization[gone], minlength=live.size)
             pos = pos.take(keep, axis=1)
             slot, acc, d = slot.take(keep), acc.take(keep), d.take(keep)
         if not slot.size:
-            break
-        if n == MAX_WALK_STEPS:
+            if admitted == width:
+                break
+            continue
+        # the first live walk was admitted first, so it has jumped the most
+        if n + steps[slot[0]] >= MAX_WALK_STEPS:
+            capped = np.count_nonzero(n + steps[slot] >= MAX_WALK_STEPS)
             raise MaxStepsExceededError(
-                f"{slot.size} walks exceeded {MAX_WALK_STEPS} steps")
+                f"{capped} walks exceeded {MAX_WALK_STEPS} steps")
         rows = slot  # the live realizations, ascending
         if live is not None:
             rows = np.flatnonzero(live)
@@ -238,26 +265,33 @@ def point_estimate(x, problem, M: int, seed: int) -> PointEstimate:
     """Sample mean and unbiased sample variance of M walk realizations at x.
 
     The estimator is unbiased for the solution value u(x).  Realizations run
-    through :func:`walk` in batches of POINT_BATCH; batch b draws its tuples
-    from the numpy Generator `batch_generator(seed, 0x90, b)`, so results
-    are a pure function of (x, problem, M, seed).
+    through :func:`walk` in calls of _POINT_CALL walks, each through
+    POINT_BATCH lanes that are refilled as walks exit, so a call's few long
+    walks do not run alone; call b draws its tuples from the numpy Generator
+    `batch_generator(seed, 0x90, b)`, so results are a pure function of
+    (x, problem, M, seed).  No array grows with M.  A start outside the
+    domain returns g(x) with no step; a non-finite mean or variance, g(x)
+    included, raises NonFiniteStatisticError.
     """
     check_count("M", M, 2)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (2,):
         raise ValueError(f"x must be one (2,) point, got shape {x.shape}")
-    if not problem.domain.distance(x) > 0.0:  # already exited: no step
-        g0 = float(np.asarray(problem.g(x[None, :])).ravel()[0])
-        return PointEstimate(g0, 0.0, 0)
-    total, shift = np.zeros(3), None  # squares about the first batch's mean
-    for b, i0 in enumerate(range(0, M, POINT_BATCH)):
-        draw = _generator_draw(problem.alpha, batch_generator(seed, 0x90, b))
-        starts = np.broadcast_to(x, (min(POINT_BATCH, M - i0), 2))
-        vals, steps = walk(starts, problem, draw)
-        shift = vals.mean() if shift is None else shift
-        total += (vals.sum(), ((vals - shift) ** 2).sum(), steps.sum())
-    mean = total[0] / M
-    var = (total[1] - M * (mean - shift) ** 2) / (M - 1)
+    total, shift = np.zeros(3), None  # sums about the first call's mean
+    if problem.domain.distance(x) > 0.0:
+        for b, i0 in enumerate(range(0, M, _POINT_CALL)):
+            draw = _generator_draw(problem.alpha,
+                                   batch_generator(seed, 0x90, b))
+            starts = np.broadcast_to(x, (min(_POINT_CALL, M - i0), 2))
+            vals, steps = walk(starts, problem, draw, lanes=POINT_BATCH)
+            shift = vals.mean() if shift is None else shift
+            vals -= shift  # squared in place: no temporary of the call size
+            total += (vals.sum(), np.square(vals, out=vals).sum(), steps.sum())
+            del vals, steps  # freed before the next call walks
+        mean = shift + total[0] / M
+        var = (total[1] - total[0] * (total[0] / M)) / (M - 1)
+    else:  # already exited: no step
+        mean, var = np.asarray(problem.g(x[None, :])).ravel()[0], 0.0
     for name, value in (("mean", mean), ("variance", var)):
         if not np.isfinite(value):
             raise NonFiniteStatisticError(problem.alpha,

@@ -75,8 +75,8 @@ PINS = {
                 (3, 2.0362184879386023, 48480), (4, 2.0379406799171766, 44231),
                 (5, 2.037543516578781, 33025)], 202)},
     # tests/test_sampling.py::TestPointEstimate: (mean, variance, steps)
-    "point_example2": (0.6498547968446076, 0.2264975189339038, 96250),
-    "point_example1": (0.5519646828972875, 0.1124933637655917, 96250),
+    "point_example2": (0.6493589484794204, 0.2250067370894258, 97179),
+    "point_example1": (0.5526893375971521, 0.11334907251728717, 97179),
     # tests/test_mlmc.py::TestCostComparison: (L, mlmc_cost, vanilla_cost,
     # M, executed_cost) per row; (L, mlmc_cost, vanilla_cost) per row; the
     # pilot's steps

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,86 @@ class TestRunPath:
                                    (0.25, (0.0, 1.0), 0.5, (1.0, 0.0))])
 
 
+class TestLanes:
+    """`walk` with `lanes` keeps at most that many walks live, admitting the
+    next starts in order whenever fewer than half are."""
+
+    @staticmethod
+    def own_step_draw(alpha, keys):
+        """Tuples pure in (walk, the walk's own step), whatever the loop
+        iteration: each live walk draws once per jump."""
+        own = np.zeros(keys.size, dtype=np.uint32)
+
+        def draw(n, rows):
+            tuples = step_tuples(alpha, keys[rows], own[rows])
+            own[rows] += 1
+            return tuples
+        return draw
+
+    @pytest.mark.parametrize("lanes", [1, 3, 150, 300, None])
+    def test_lanes_keep_every_bit(self, ex2, lanes):
+        starts = ex2.domain.sample_uniform(np.random.default_rng(3), 300)
+        keys = derive_key(9, np.arange(300))
+        ref = walk(starts, ex2, self.own_step_draw(1.0, keys))
+        got = walk(starts, ex2, self.own_step_draw(1.0, keys), lanes=lanes)
+        assert got[0].view(np.uint64).tolist() == \
+            ref[0].view(np.uint64).tolist()
+        assert got[1].tolist() == ref[1].tolist()
+        assert ref[1].min() >= 1 and ref[1].max() > 3
+
+    @staticmethod
+    def one_jump_walks(monkeypatch, long_walk=None):
+        """(values, steps, draw calls) of 40 walks from the origin of the
+        unit ball through 2 lanes under a 3-jump cap: each jumps to (2, 0)
+        and exits, except `long_walk`, whose jumps are 1e-3 of d."""
+        monkeypatch.setattr("fracwos.sampling.MAX_WALK_STEPS", 3)
+        calls = []
+
+        def draw(n, rows):
+            calls.append(n)
+            beta = np.where(rows == long_walk, 1e6, 0.25)
+            unit = np.tile([1.0, 0.0], (rows.size, 1))
+            return beta, unit, np.full(rows.size, 0.5), unit
+
+        prob = Problem(alpha=1.0, domain=unit_ball(), f=zero, g=x_coord)
+        vals, steps = walk(np.zeros((40, 2)), prob, draw, lanes=2)
+        return vals, steps, calls
+
+    def test_cap_counts_each_walks_own_jumps(self, monkeypatch):
+        # two walks jump at each even iteration and exit at the odd one,
+        # so the loop runs to iteration 39, far past the cap
+        vals, steps, calls = self.one_jump_walks(monkeypatch)
+        assert calls == list(range(0, 40, 2))
+        assert vals.tolist() == [2.0] * 40 and steps.tolist() == [1] * 40
+
+    def test_walk_past_the_cap_raises(self, monkeypatch):
+        with pytest.raises(MaxStepsExceededError,
+                           match="^1 walks exceeded 3 steps$"):
+            self.one_jump_walks(monkeypatch, long_walk=25)
+
+    def test_lanes_take_no_realization(self, ex1):
+        with pytest.raises(ValueError,
+                           match="^lanes cannot be combined with realization$"):
+            walk(np.zeros((4, 2)), ex1, None, realization=np.arange(4),
+                 lanes=2)
+
+    def test_point_estimate_memory_does_not_grow_with_M(self, monkeypatch):
+        # no array has length M: eight calls' walks peak no higher than
+        # one call's (at these sizes an array of length M takes 512 KB)
+        monkeypatch.setattr("fracwos.sampling.POINT_BATCH", 1 << 10)
+        monkeypatch.setattr("fracwos.sampling._POINT_CALL", 1 << 13)
+        prob = example1(1.5)
+        peaks = []
+        for M in (1 << 13, 1 << 16):
+            tracemalloc.start()
+            try:
+                point_estimate((0.3, 0.2), prob, M, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (1 << 14), peaks
+
+
 class CountingBall(Ball):
     """The unit ball, counting the calls of its raw geometry methods."""
 
@@ -311,14 +392,15 @@ class TestOneGeometryQuery:
         walk_draws = []
         kernel = walk
 
-        def counting_walk(starts, problem, draw, realization=None):
+        def counting_walk(starts, problem, draw, realization=None,
+                          lanes=None):
             calls = []
             walk_draws.append(calls)
 
             def counted_draw(n, rows):
                 calls.append(n)
                 return draw(n, rows)
-            return kernel(starts, problem, counted_draw, realization)
+            return kernel(starts, problem, counted_draw, realization, lanes)
 
         monkeypatch.setattr("fracwos.sampling.walk", counting_walk)
         monkeypatch.setattr("fracwos.field.walk", counting_walk)
@@ -366,11 +448,12 @@ class TestWeightSkip:
             counts["weight"] += 1
             return weight(t, alpha)
 
-        def counting_walk(starts, problem, draw, realization=None):
+        def counting_walk(starts, problem, draw, realization=None,
+                          lanes=None):
             def counted_draw(n, rows):
                 counts["steps"] += 1
                 return draw(n, rows)
-            return kernel(starts, problem, counted_draw, realization)
+            return kernel(starts, problem, counted_draw, realization, lanes)
 
         monkeypatch.setattr("fracwos.sampling.reg_inc_beta", counting_weight)
         monkeypatch.setattr("fracwos.sampling.walk", counting_walk)
@@ -429,10 +512,11 @@ class TestPointEstimate:
 
     def test_golden_bits(self, ex2):
         # pinned before point estimates moved onto the shared walk kernel;
-        # M = 40000 is one full batch and one partial batch; re-taken when A2
-        # moved from quadrature to its closed form (last bits of A2), when
-        # the Johnk log-sum and the ball radius moved to vector forms, and
-        # when the unit vectors moved to the half-angle tan form
+        # M = 40000 is one walk call whose lanes are refilled; re-taken when
+        # A2 moved from quadrature to its closed form (last bits of A2), when
+        # the Johnk log-sum and the ball radius moved to vector forms, when
+        # the unit vectors moved to the half-angle tan form, and when the
+        # calls of POINT_BATCH walks became refilled lanes
         est = point_estimate((0.4, -0.3), ex2, 40000, seed=12)
         pin("point_example2", (est.mean, est.variance, est.total_steps))
 
@@ -440,6 +524,7 @@ class TestPointEstimate:
         # example1's f is constant, so f(y) - f(x) is all zero and the walk
         # skips the incomplete-beta weight; pinned before it did, re-taken
         # when the Johnk log-sum and the ball radius moved to vector forms
+        # and when the calls of POINT_BATCH walks became refilled lanes
         est = point_estimate((0.4, -0.3), ex1, 40000, seed=12)
         pin("point_example1", (est.mean, est.variance, est.total_steps))
 
@@ -447,6 +532,18 @@ class TestPointEstimate:
         est = point_estimate((2.0, 0.0), ex3, 10, seed=0)
         assert est.mean == pytest.approx(np.sin(4.0))
         assert est.variance == 0.0 and est.total_steps == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_outside_start_with_non_finite_data_raises(self, ball, value):
+        # it used to return PointEstimate(mean=nan, variance=0.0, ...), while
+        # an interior start raised
+        prob = Problem(alpha=1.0, domain=ball, f=zero,
+                       g=lambda pts: np.full(np.asarray(pts).shape[:-1], value))
+        with pytest.raises(NonFiniteStatisticError) as exc:
+            point_estimate((2.0, 0.0), prob, 10, seed=1)
+        e = exc.value
+        assert e.name == "mean" and e.term == "point estimate at (2.0, 0.0)"
+        np.testing.assert_equal(e.value, value)
 
     def test_needs_two_samples(self, ex1):
         with pytest.raises(ValueError, match="^M must be at least 2$"):
