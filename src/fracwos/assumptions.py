@@ -151,7 +151,10 @@ def check_I1(cfg: AssumptionConfig,
     """One-step moment of the boundary functional, maximized over starts.
 
     `starts` overrides the uniform draw with an explicit non-empty (J, 2)
-    array of start points.
+    array of start points.  x1 has a density that stays positive up to the
+    boundary, so for t >= 1/2 Phi(x1)/Phi(x0) has infinite variance in 2-D
+    and the standard error is no error bar; at t = 1, the default, the mean
+    itself diverges logarithmically.
     """
     if starts is None:
         rng = batch_generator(cfg.seed, _LABEL_STARTS, _LABEL_I1)

@@ -9,7 +9,8 @@ values.  The multilevel fine-minus-coarse correction is therefore the fine
 field minus the interpolant of its own prefix (:func:`batch_defects`), and
 its variance decays with the mesh width -- that is the whole point of the
 coupling.  :class:`FieldMoments` accumulates batches of such fields in the
-L2 norm of the mass matrix, sqrt(v' M v).
+masked L2 norm sqrt(v' M v), the P1 mass matrix M in element form, read by
+:func:`squared_norms` alone: sum_T |T|/12 ((a+b+c)^2 + a^2 + b^2 + c^2).
 
 The walk itself is :func:`fracwos.sampling.walk`: flat (W, 2) start
 points, each with the index of its realization (one key each), run as one
@@ -152,31 +153,28 @@ def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.nd
     return out
 
 
-def mass_matrix(level: MeshLevel, mask: np.ndarray) -> sparse.csr_matrix:
-    """PL mass matrix over the triangles that `mask` selects; phi' M phi is
-    the squared L2 norm over them of the piecewise-linear interpolant of phi.
-    scipy.sparse is imported here, so only field solves load it."""
-    from scipy import sparse
-    tris = level.triangles[mask]
-    areas = level.areas()[mask]
-    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    data = (areas[:, None, None] * local).ravel()
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    n = level.num_vertices
-    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+def mass_matrix(level: MeshLevel, mask: np.ndarray):
+    """Element form of the P1 mass matrix over the triangles that `mask`
+    selects: their corner indices, (3, T) contiguous, and weights |T|/12."""
+    return (np.ascontiguousarray(level.triangles[mask].T),
+            level.areas()[mask] / 12.0)
 
 
-def norm_mass(hier: MeshHierarchy, ell: int) -> sparse.csr_matrix:
-    """Level ell's mass matrix over its norm mask, once per hierarchy."""
-    if ell not in hier._norm_masses:
-        hier._norm_masses[ell] = mass_matrix(hier.level(ell), hier.norm_mask(ell))
-    return hier._norm_masses[ell]
+def norm_mass(hier: MeshHierarchy, ell: int):  # over level ell's norm mask
+    return mass_matrix(hier.level(ell), hier.norm_mask(ell))
 
 
-def mass_norm(mass: sparse.csr_matrix, v: np.ndarray) -> float:
+def squared_norms(mass, v: np.ndarray):
+    """v' M v of a vector, or of each row of a 2-D array, for the element
+    form M of :func:`mass_matrix`; a sum of squares, so never negative."""
+    x = np.take(v, mass[0], axis=-1)  # (..., 3, T) corner values
+    q = x.sum(axis=-2) ** 2 + np.einsum("...ct,...ct->...t", x, x)
+    return q @ mass[1]
+
+
+def mass_norm(mass, v: np.ndarray) -> float:
     """L2 norm sqrt(v' M v) of the interpolant of v under mass matrix M."""
-    return float(np.sqrt(max(v @ (mass @ v), 0.0)))
+    return float(np.sqrt(squared_norms(mass, v)))
 
 
 class FieldMoments:
@@ -189,9 +187,9 @@ class FieldMoments:
     dwarfs the spread.
     """
 
-    def __init__(self, mass: sparse.csr_matrix):
+    def __init__(self, mass):
         self.mass = mass
-        self.sum_vec = np.zeros(mass.shape[0])
+        self.sum_vec = 0.0  # the vector sum from the first add on
         self.shift = None
         self.sum_sq = 0.0  # sum of ||v - shift||^2
         self.count = 0
@@ -202,9 +200,9 @@ class FieldMoments:
         if self.shift is None:
             self.shift = vals.mean(axis=0)
         self.sum_vec += vals.sum(axis=0)
-        for j in range(0, vals.shape[0], 128):  # keeps dev's copies small
-            dev = vals[j:j + 128] - self.shift
-            self.sum_sq += float(np.einsum("kn,kn->", dev @ self.mass, dev))
+        for j in range(0, vals.shape[0], 16):  # dev and its gathers stay small
+            dev = vals[j:j + 16] - self.shift
+            self.sum_sq += float(squared_norms(self.mass, dev).sum())
         self.count += vals.shape[0]
         self.cost += cost
 
@@ -221,7 +219,7 @@ class FieldMoments:
         if self.count < 2:
             raise InsufficientSamplesError("need at least two samples")
         m = self.mean_field - self.shift
-        mean_sq = float(m @ (self.mass @ m))
+        mean_sq = float(squared_norms(self.mass, m))
         return max((self.sum_sq - self.count * mean_sq) / (self.count - 1), 0.0)
 
     @property

@@ -180,12 +180,11 @@ def refine(level: MeshLevel) -> MeshLevel:
 
 @dataclass
 class MeshHierarchy:
-    """Nested levels from the base up to the finest."""
+    """Nested levels from the base up to the finest, and their norm masks."""
 
     levels: list[MeshLevel]
     domain: Domain                      # norm masks, eig; walks use the problem's
-    _norm_masks: dict = field(default_factory=dict, repr=False)
-    _norm_masses: dict = field(default_factory=dict, repr=False)  # field.norm_mass
+    _norm_masks: dict = field(default_factory=dict, repr=False)  # norm_mask's
 
     @property
     def coarsest(self) -> int:

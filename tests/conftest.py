@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import fracwos
 from fracwos.field import walk_starts
@@ -74,3 +75,16 @@ def tiled_walk(starts, problem, keys):
     keys = np.atleast_1d(keys)
     values, total, steps = walk_starts([starts] * keys.size, problem, keys)
     return values.reshape(keys.size, -1), total, steps.reshape(keys.size, -1)
+
+
+def assembled_mass(level, mask):
+    """The P1 mass matrix over the triangles that `mask` selects, assembled
+    as a CSR matrix from the local matrices |T|/12 [[2,1,1],[1,2,1],[1,1,2]]:
+    the reference for the element form that fracwos.field reads."""
+    tris = level.triangles[mask]
+    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    data = (level.areas()[mask][:, None, None] * local).ravel()
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    n = level.num_vertices
+    return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()

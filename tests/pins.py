@@ -115,13 +115,13 @@ PINS = {
                "8b01ec8bed905fd3fa467b49ee8eaf3979a510be64ac57d053b3183b5c28acdf")},
     "cli_custom": ["# samples = [1354, 365, 162]", "# total_cost = 73841"],
     "cli_variance_study": {
-        AVX512: ["level,h,V,C,M", "2,1.0,0.1135331943116882,50.953125,64",
-                 "3,0.5,0.0670827531293605,268.609375,64",
-                 "4,0.25,0.03245939508907765,1093.609375,64",
+        AVX512: ["level,h,V,C,M", "2,1.0,0.11353319431168821,50.953125,64",
+                 "3,0.5,0.06708275312936052,268.609375,64",
+                 "4,0.25,0.03245939508907764,1093.609375,64",
                  "# slope = 0.9032030742118946"],
         AVX2: ["level,h,V,C,M", "2,1.0,0.1135331943116882,50.953125,64",
-               "3,0.5,0.0670827531293605,268.609375,64",
-               "4,0.25,0.03245939508907766,1093.609375,64",
+               "3,0.5,0.06708275312936052,268.609375,64",
+               "4,0.25,0.03245939508907765,1093.609375,64",
                "# slope = 0.9032030742118946"]},
     "cli_check_assumptions_I1": [
         "alpha,mu_or_t,A,max_I,stderr",

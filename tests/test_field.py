@@ -5,13 +5,14 @@ import pytest
 
 from fracwos import mlmc
 from fracwos.cli import ExprField
-from conftest import tiled_walk
+from conftest import assembled_mass, tiled_walk
 from pins import pin, sha256
 from fracwos.field import (FieldMoments, InsufficientSamplesError,
                            batch_defects, field_values, mass_matrix, mass_norm,
-                           walk_starts)
+                           squared_norms, walk_starts)
 from fracwos.geometry import Ball, ConvexPolygon, box
-from fracwos.mesh import build_hierarchy, interpolate, square_ball_base
+from fracwos.mesh import (base_mesh_for, build_hierarchy, interpolate,
+                          square_ball_base)
 from fracwos.problems import Problem, by_name
 from fracwos.sampling import (MaxStepsExceededError, point_estimate,
                               reg_inc_beta, walk)
@@ -653,6 +654,40 @@ class TestFieldMoments:
             plain[:, nc:] = vals[:, nc:] - 0.5 * (vals[:, pa] + vals[:, pb])
             out = batch_defects(hier6, vals, 4)
         assert out.view(np.uint64).tolist() == plain.view(np.uint64).tolist()
+
+
+class TestNormOracle:
+    """The element-form norm against v' A v, A the assembled CSR matrix
+    (conftest.assembled_mass), on levels 1-6 of the ball and pentagon
+    hierarchies, over all triangles, the norm mask and none."""
+
+    @pytest.fixture(scope="class", params=["ball", "pentagon"])
+    def hier(self, request, hier6):
+        if request.param == "ball":
+            return hier6
+        return build_hierarchy(base_mesh_for(_PENTAGON), 6, domain=_PENTAGON)
+
+    @pytest.mark.parametrize("which", ["full", "norm", "empty"])
+    @pytest.mark.parametrize("ell", range(1, 7))
+    def test_matches_assembled(self, hier, ell, which, rng):
+        lvl = hier.level(ell)
+        mask = {"full": np.ones(lvl.num_triangles, dtype=bool),
+                "norm": hier.norm_mask(ell),
+                "empty": np.zeros(lvl.num_triangles, dtype=bool)}[which]
+        mass, oracle = mass_matrix(lvl, mask), assembled_mass(lvl, mask)
+        rows = rng.normal(size=(20, lvl.num_vertices)) + 0.5
+        want = np.array([v @ (oracle @ v) for v in rows])
+        assert (want == 0.0).all() == (not mask.any())
+        np.testing.assert_allclose(squared_norms(mass, rows), want,
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose([mass_norm(mass, v) for v in rows],
+                                   np.sqrt(want), rtol=1e-13, atol=0.0)
+        mom = FieldMoments(mass)
+        for chunk in np.split(rows, [7]):
+            mom.add(chunk, cost=1)
+        d = rows - rows.mean(axis=0)
+        two_pass = sum(v @ (oracle @ v) for v in d) / (len(rows) - 1)
+        assert mom.variance == pytest.approx(two_pass, rel=1e-13, abs=0.0)
 
 
 class TestVarianceDecay:

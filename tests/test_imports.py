@@ -1,9 +1,11 @@
 """Which scipy modules each entry point loads, each case in a fresh process.
 
-`import fracwos` loads no scipy: scipy.special (gammaln, gamma, betainc) and
-scipy.sparse (the mass matrix) are imported by the functions that call them,
-on first use. The assumption checks use numpy alone, a point estimate needs
-scipy.special for its constants, and a field solve needs both.
+`import fracwos` loads no scipy: scipy.special (gammaln, gamma, betainc), the
+only scipy module fracwos uses, is imported by the functions that call it, on
+first use. The assumption checks use numpy alone, and a point estimate, a
+field solve and the eigensolver need scipy.special. The masked L2 norm is
+numpy on the element form of the mass matrix, so no entry point loads
+scipy.sparse.
 """
 
 import ast
@@ -49,13 +51,19 @@ def test_make_params_loads_special_only():
     assert not any(m.startswith("scipy.sparse") for m in loaded)
 
 
-def test_field_solve_loads_special_and_sparse():
-    # the lazy imports still fire where they are needed
-    code = ("from fracwos import example2, mlmc, unit_ball\n"
+@pytest.mark.parametrize("call", [
+    "mlmc.run(hier, example2(1.0), eps=0.2, l0=2, seed=1, pilot_M=8, "
+    "fixed_L=3)",
+    "eigen.smallest_eigenvalue(1.0, hier, tol=0.2, B=3, m=2, seed=1, l0=2)"],
+    ids=["solve", "eig"])
+def test_field_solve_and_eig_load_special_only(call):
+    # the lazy import still fires where it is needed, and the norm's
+    # element form loads no sparse matrices
+    code = ("from fracwos import eigen, example2, mlmc, unit_ball\n"
             "from fracwos.mesh import build_hierarchy, square_ball_base\n"
             "d = unit_ball()\n"
             "hier = build_hierarchy(square_ball_base(d), 3, domain=d)\n"
-            "mlmc.run(hier, example2(1.0), eps=0.2, l0=2, seed=1, "
-            "pilot_M=8, fixed_L=3)")
+            + call)
     loaded = scipy_after(code)
-    assert "scipy.special" in loaded and "scipy.sparse" in loaded
+    assert "scipy.special" in loaded
+    assert not any(m.startswith("scipy.sparse") for m in loaded)

@@ -3,7 +3,6 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from fracwos import field, mlmc
 from fracwos.field import FieldMoments, mass_matrix
@@ -12,6 +11,7 @@ from fracwos.mesh import build_hierarchy, square_ball_base
 from fracwos.problems import Problem, example1, example2
 from fracwos.sampling import (MaxStepsExceededError, NonFiniteStatisticError,
                               point_estimate)
+from conftest import assembled_mass
 from pins import pin
 
 
@@ -213,9 +213,9 @@ class TestSampleTerm:
                 yield np.empty((keys.size, 0)), 0
 
         monkeypatch.setattr(mlmc, "field_values", fake)
-        # moments over zero vertices make the adds free: the peak is the
-        # sampler's own
-        moments = FieldMoments(sparse.csr_matrix((0, 0)))
+        # moments over zero vertices, an empty element form, make the adds
+        # free: the peak is the sampler's own
+        moments = FieldMoments((np.empty((3, 0), dtype=np.intp), np.empty(0)))
         tracemalloc.start()
         try:
             with pytest.raises(Stop):
@@ -367,9 +367,13 @@ class TestLargeMean:
         return prob, res, [(m, np.concatenate(r)) for m, r in seen.items()]
 
     @staticmethod
-    def two_pass(moments, rows):
+    def two_pass(hier, rows):
+        """The unbiased variance of `rows`, fields on the level of hier with
+        as many vertices, in the norm of the assembled mass matrix."""
+        (lvl,) = [lv for lv in hier.levels if lv.num_vertices == rows.shape[1]]
         d = rows - rows.mean(axis=0)
-        return float(np.einsum("kn,kn->", d @ moments.mass, d)) / (len(rows) - 1)
+        mass = assembled_mass(lvl, hier.norm_mask(lvl.level))
+        return float(np.einsum("kn,nk->", d, mass @ d.T)) / (len(rows) - 1)
 
     @pytest.mark.parametrize("c", [0.0, 1e8])
     def test_variances_match_two_pass(self, hier6, c, monkeypatch):
@@ -379,10 +383,10 @@ class TestLargeMean:
         _, res, terms = self.run(hier6, c, monkeypatch)
         assert len(terms) == 3
         np.testing.assert_allclose(
-            res.plan.V, [self.two_pass(m, rows[:32]) for m, rows in terms],
+            res.plan.V, [self.two_pass(hier6, rows[:32]) for _, rows in terms],
             rtol=1e-9)
         assert res.stat_error_est == pytest.approx(
-            sum(self.two_pass(m, rows) / len(rows) for m, rows in terms),
+            sum(self.two_pass(hier6, rows) / len(rows) for _, rows in terms),
             rel=1e-9)
 
     def test_variances_do_not_depend_on_the_mean(self, hier6, monkeypatch):
@@ -545,20 +549,15 @@ class TestErrorVsExact:
         area = hier6.masked_area(res.solution.level)
         assert abs_err == pytest.approx(0.25 * np.sqrt(area), rel=1e-12)
 
-    def test_mass_matrices_built_once_per_level(self, ball, ex2, monkeypatch):
-        # two runs and their errors on one hierarchy build each level's
-        # masked mass matrix once, and get the bits of fresh matrices
+    def test_reused_hierarchy_keeps_the_bits(self, ball, ex2):
+        # two runs and their errors on one hierarchy get the bits of a run
+        # on a fresh hierarchy: what the first run leaves on it (its norm
+        # masks) changes no later result
         hier = build_hierarchy(square_ball_base(ball), 5, domain=ball)
-        built, build = [], mass_matrix
-        monkeypatch.setattr("fracwos.field.mass_matrix",
-                            lambda level, mask: built.append(level.level)
-                            or build(level, mask))
         errs = [mlmc.error_vs_exact(
             mlmc.run(hier, ex2, eps=5e-2, l0=3, seed=2, pilot_M=8),
             ex2.exact, hier) for _ in range(2)]
-        assert sorted(built) == [3, 4, 5]
         fresh = build_hierarchy(square_ball_base(ball), 5, domain=ball)
-        monkeypatch.setattr("fracwos.field.mass_matrix", build)
         assert errs[0] == errs[1] == mlmc.error_vs_exact(
             mlmc.run(fresh, ex2, eps=5e-2, l0=3, seed=2, pilot_M=8),
             ex2.exact, fresh)
