@@ -156,20 +156,6 @@ def build_mesh(cfg: RunConfig, domain: Domain) -> MeshHierarchy:
     return build_hierarchy(base_mesh_for(domain), cfg.L, domain=domain)
 
 
-def fit_slope(pairs) -> float:
-    """Least-squares slope of log2 V against log2 h over (h, V) pairs."""
-    pairs = list(pairs)
-    if len(pairs) < 3:
-        raise ValueError("need at least 3 (h, V) pairs")
-    h = np.array([p[0] for p in pairs], dtype=float)
-    v = np.array([p[1] for p in pairs], dtype=float)
-    if np.any(h <= 0) or np.any(v <= 0):
-        raise ValueError("slope fit needs positive h and V")
-    x, y = np.log2(h), np.log2(v)
-    xc = x - x.mean()
-    return float((xc @ (y - y.mean())) / (xc @ xc))
-
-
 # ---------------------------------------------------------------------------
 # manifest / config plumbing
 
@@ -304,7 +290,7 @@ def cmd_variance_study(cfg: RunConfig) -> dict:
         mom = stats.trans[ell]
         rows.append((ell, hier.level(ell).mesh_width, mom.variance,
                      mom.mean_cost, mom.count))
-    slope = fit_slope([(r[1], r[2]) for r in rows]) if len(rows) >= 3 else None
+    slope = mlmc.fit_slope([(r[1], r[2]) for r in rows]) if len(rows) >= 3 else None
     _write_csv(os.path.join(cfg.out, "study.csv"),
                ["level", "h", "V", "C", "M"], rows, last=f"# slope = {slope}")
     return {"slope": slope, "levels": [r[0] for r in rows],

@@ -5,9 +5,9 @@ of a mesh level, one row per realization key: step n of every vertex's path
 consumes that key's step-n tuple, and paths that exit early simply stop
 consuming.  Coarse vertices keep their indices on the finer level, so the
 level-l values of a key are the first n_l columns of its level-(l+1)
-values.  The multilevel fine-minus-coarse correction is therefore the fine
-field minus the interpolant of its own prefix (:func:`batch_defects`), and
-its variance decays with the mesh width -- that is the whole point of the
+values.  The multilevel fine-minus-coarse correction (:func:`batch_defects`)
+is therefore the fine field minus `mesh.prolong` of its own prefix, and its
+variance decays with the mesh width -- that is the whole point of the
 coupling.  :class:`FieldMoments` accumulates batches of such fields in the
 masked L2 norm sqrt(v' M v), the P1 mass matrix M in element form, read by
 :func:`squared_norms` alone: sum_T |T|/12 ((a+b+c)^2 + a^2 + b^2 + c^2).
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MeshHierarchy, MeshLevel
+from .mesh import MeshHierarchy, MeshLevel, prolong
 from .problems import Problem
 from .sampling import walk
 from .streams import step_tuples
@@ -137,20 +137,12 @@ def _walk_call(call, problem: Problem) -> None:
 
 def batch_defects(hier: MeshHierarchy, fine_vals: np.ndarray, ell: int) -> np.ndarray:
     """Fine-minus-coarse corrections of batched fine fields (rows) at
-    transition ell -> ell+1: zero at inherited vertices, and at each new
-    vertex its value minus the mean of its two parent values.
-
-    The mean and the difference are formed in the output itself, so the
-    parent values' gathers are the only other arrays of its size.
-    """
-    nc = hier.level(ell).num_vertices
-    out = np.zeros_like(fine_vals)
-    pa, pb = hier.level(ell + 1).parent_edges.T
-    new = out[:, nc:]
-    np.add(fine_vals[:, pa], fine_vals[:, pb], out=new)
-    new *= 0.5
-    np.subtract(fine_vals[:, nc:], new, out=new)
-    return out
+    transition ell -> ell+1: each row minus `prolong` of its own level-ell
+    prefix, subtracted in prolong's output.  So +0.0 at inherited vertices,
+    and at each new vertex its value minus the mean of its parent values."""
+    fine = hier.level(ell + 1)
+    out = prolong(fine, fine_vals[:, :fine.parent.num_vertices])
+    return np.subtract(fine_vals, out, out=out)
 
 
 def mass_matrix(level: MeshLevel, mask: np.ndarray):

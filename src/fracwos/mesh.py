@@ -15,6 +15,8 @@ query gathers whole rows and repeats no per-triangle arithmetic.  The grid
 is the query's own rule applied to every fine triangle's centroid.  Points
 are always (P, 2) arrays.  A hierarchy is built for the domain D it meshes:
 D decides the triangles each level's L2 norm counts (`norm_mask`).
+`prolong` is the one prolongation, of the MLMC telescope's term means and
+of its corrections alike: it works on rows of raw vertex values.
 """
 
 from __future__ import annotations
@@ -405,20 +407,26 @@ def interpolate(level: MeshLevel, f, p):
     return out
 
 
-def prolong(hier: MeshHierarchy, coarse_field: FieldVector) -> FieldVector:
-    """Exact linear prolongation onto the next finer level."""
-    fine = hier.level(coarse_field.level + 1)
-    nc = hier.level(coarse_field.level).num_vertices
-    if coarse_field.values.shape[0] != nc:
+def prolong(level: MeshLevel, coarse) -> np.ndarray:
+    """Exact linear prolongation of rows (any leading shape) of vertex values
+    on `level`'s parent: inherited vertices are copied, and each new vertex
+    is (a + b) * 0.5 of its parent edge's ends, formed in the output."""
+    coarse = np.asarray(coarse, dtype=np.float64)
+    if level.parent is None:
+        raise ValueError(f"level {level.level} has no coarser level")
+    nc = level.parent.num_vertices
+    if coarse.shape[-1] != nc:
         raise ValueError("field length does not match its level")
-    out = np.empty(fine.num_vertices)
-    out[:nc] = coarse_field.values
-    pa, pb = fine.parent_edges.T
-    out[nc:] = 0.5 * (coarse_field.values[pa] + coarse_field.values[pb])
-    return FieldVector(fine.level, out)
+    out = np.empty(coarse.shape[:-1] + (level.num_vertices,))
+    out[..., :nc] = coarse
+    pa, pb = level.parent_edges.T
+    new = np.add(coarse[..., pa], coarse[..., pb], out=out[..., nc:])
+    new *= 0.5
+    return out
 
 
-def prolong_to(hier: MeshHierarchy, f: FieldVector, ell: int) -> FieldVector:
-    while f.level < ell:
-        f = prolong(hier, f)
-    return f
+def prolong_to(hier: MeshHierarchy, values, ell: int, L: int) -> np.ndarray:
+    """Vertex values on level ell prolonged level by level onto level L."""
+    for fine in range(ell + 1, L + 1):
+        values = prolong(hier.level(fine), values)
+    return values

@@ -195,6 +195,20 @@ def fit_bias_coefficient(bias_norms: dict[int, float]) -> float:
     return float(2.0 ** np.mean(np.log2(md) + BIAS_RATE * ls))
 
 
+def fit_slope(pairs) -> float:
+    """Least-squares slope of log2 V against log2 h over (h, V) pairs."""
+    pairs = list(pairs)
+    if len(pairs) < 3:
+        raise ValueError("need at least 3 (h, V) pairs")
+    h = np.array([p[0] for p in pairs], dtype=float)
+    v = np.array([p[1] for p in pairs], dtype=float)
+    if np.any(h <= 0) or np.any(v <= 0):
+        raise ValueError("slope fit needs positive h and V")
+    x, y = np.log2(h), np.log2(v)
+    xc = x - x.mean()
+    return float((xc @ (y - y.mean())) / (xc @ xc))
+
+
 def choose_levels(eps: float, bias_norms: dict[int, float], l0: int,
                   l_max: int) -> int:
     """Smallest L with fitted bias c1 2^(-BIAS_RATE*L) at most eps/2.
@@ -327,15 +341,14 @@ def run(hier: MeshHierarchy, problem: Problem, eps: float, l0: int, seed: int,
 
     _extend(hier, problem, seed, stats, plan.finest, plan.M)
 
-    solution = prolong_to(hier, FieldVector(l0, stats.plain.mean_field), L)
+    solution = prolong_to(hier, stats.plain.mean_field, l0, L)
     for ell in range(l0, L):
-        corr = prolong_to(hier, FieldVector(ell + 1, stats.trans[ell].mean_field), L)
-        solution = FieldVector(L, solution.values + corr.values)
+        solution += prolong_to(hier, stats.trans[ell].mean_field, ell + 1, L)
 
     moments = [m for _, _, m in stats.terms(L)]
     used = np.array([m.count for m in moments])
     stat_est = float(np.sum([m.variance / m.count for m in moments]))
-    return MlmcResult(solution=solution, plan=plan,
+    return MlmcResult(solution=FieldVector(L, solution), plan=plan,
                       total_cost=int(stats.total_cost),
                       samples_used=used, stat_error_est=stat_est)
 

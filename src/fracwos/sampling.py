@@ -177,7 +177,7 @@ def walk(starts: np.ndarray, problem, draw, realization=None, lanes=None):
     params = problem.params
     inv_alpha = 1.0 / alpha
 
-    pos, slot, acc, admitted = np.empty((2, 0)), np.arange(0), None, 0
+    pos, slot, acc, admitted = np.empty((2, 0)), np.arange(0), np.empty(0), 0
     out = np.empty(width)
     # -(iteration of admission) until the exit adds its iteration; a walk's
     # jumps are at most MAX_WALK_STEPS
@@ -194,11 +194,8 @@ def walk(starts: np.ndarray, problem, draw, realization=None, lanes=None):
         if 2 * slot.size < lanes and admitted < width:
             a, b = admitted, min(admitted + lanes - slot.size, width)
             pos = np.concatenate((pos, starts[a:b].T), axis=1)  # a copy
-            if slot.size:
-                slot = np.concatenate((slot, np.arange(a, b)))
-                acc = np.concatenate((acc, np.zeros(b - a)))
-            else:
-                slot, acc = np.arange(a, b), np.zeros(b - a)
+            slot = np.concatenate((slot, np.arange(a, b)))
+            acc = np.concatenate((acc, np.zeros(b - a)))
             steps[a:b] = -n
             admitted = b
             if admitted == width:

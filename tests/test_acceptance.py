@@ -12,10 +12,10 @@ from scipy import linalg, stats
 
 from fracwos import eigen, mlmc
 from fracwos.assumptions import AssumptionConfig, check_I1, check_I2
-from fracwos.cli import fit_slope
 from fracwos.field import field_values, mass_matrix, mass_norm
 from fracwos.geometry import unit_ball
 from fracwos.mesh import build_hierarchy, square_ball_base
+from fracwos.mlmc import fit_slope
 from fracwos.problems import by_name, example1, example2
 from fracwos.sampling import make_params, point_estimate, reg_inc_beta
 from fracwos.streams import derive_key, johnk_beta

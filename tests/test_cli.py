@@ -6,10 +6,10 @@ import pytest
 from conftest import fresh_python
 from fracwos import eigen, mlmc
 from fracwos.cli import (ExprField, RunConfig, _build_parser, build_config,
-                         build_mesh, fit_slope, main, parse_domain,
-                         read_config)
+                         build_mesh, main, parse_domain, read_config)
 from fracwos.geometry import Ball, ConvexPolygon, unit_ball
 from fracwos.mesh import base_mesh_for, square_ball_base
+from fracwos.mlmc import fit_slope
 from pins import pin, sha256
 
 

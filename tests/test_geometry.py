@@ -17,14 +17,60 @@ CONTAINS_DOMAINS = [
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 
+def log_uniform(lo, hi):
+    """10^e for e uniform in [lo, hi]."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def thin_box(draw):
+    """A box of width 1e-3..1e3 and aspect ratio up to 1e6, either way up."""
+    w, aspect = draw(log_uniform(-3, 3)), draw(log_uniform(0, 6))
+    h = w / aspect
+    if draw(st.booleans()):
+        w, h = h, w
+    x0, y0 = draw(finite_coord), draw(finite_coord)
+    return box(x0, y0, x0 + w, y0 + h)
+
+
+@st.composite
+def off_centre_ball(draw):
+    return Ball((draw(finite_coord), draw(finite_coord)),
+                draw(log_uniform(-6, 6)))
+
+
+@st.composite
+def ellipse_polygon(draw):
+    """A convex polygon on the ellipse of semi-axes a and a b (b up to 1e3
+    either way): 3 to 12 vertices at sorted angles, no gap below a tenth of
+    the largest."""
+    k = draw(st.integers(3, 12))
+    gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+    t = draw(st.floats(0.0, 2 * np.pi)) + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    a, b = draw(log_uniform(-3, 3)), draw(log_uniform(-3, 3))
+    c = np.array([draw(finite_coord), draw(finite_coord)])
+    return ConvexPolygon(c + a * np.column_stack([np.cos(t), b * np.sin(t)]))
+
+
+any_domain = st.one_of(st.sampled_from(CONTAINS_DOMAINS), thin_box(),
+                       off_centre_ball(), ellipse_polygon())
+
+
 @st.composite
 def point_near(draw, domain):
-    """A random point, a point built on the boundary, a far point, or one
-    with a NaN or infinite coordinate (where a wild jump can land)."""
-    kind = draw(st.sampled_from(["random", "boundary", "vertex", "far",
+    """A random point, one within a diameter of the domain, a point built on
+    the boundary, a far point, or one with a NaN or infinite coordinate
+    (where a wild jump can land)."""
+    kind = draw(st.sampled_from(["random", "near", "boundary", "vertex", "far",
                                  "nonfinite"]))
     if kind == "random":
         return draw(finite_coord), draw(finite_coord)
+    if kind == "near":
+        c = (domain.center if isinstance(domain, Ball)
+             else domain.vertices.mean(axis=0))
+        off = st.floats(min_value=-1.0, max_value=1.0)
+        return (c[0] + domain.diameter * draw(off),
+                c[1] + domain.diameter * draw(off))
     if kind == "nonfinite":
         odd = st.sampled_from([np.nan, np.inf, -np.inf])
         return draw(odd), draw(st.one_of(odd, finite_coord))
@@ -309,7 +355,7 @@ class TestProperties:
         assert abs(float(d.distance(p)) - float(d.distance(q))) \
             <= np.linalg.norm(p - q) + 1e-12
 
-    @given(domain=st.sampled_from(CONTAINS_DOMAINS), data=st.data())
+    @given(domain=any_domain, data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_contains_is_positive_distance(self, domain, data):
         # the walk retires a path once `not distance > 0` and never asks
@@ -319,6 +365,8 @@ class TestProperties:
         with np.errstate(invalid="ignore"):  # inf * 0 in the polygon's edge products
             np.testing.assert_array_equal(domain._contains(pts),
                                           domain._distance(pts) > 0.0)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        assert domain.contains(domain.sample_uniform(rng, 64)).all()
 
     @pytest.mark.parametrize("domain", [
         unit_ball(), box(0.0, 0.0, 2.0, 1.0),

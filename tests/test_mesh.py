@@ -728,9 +728,9 @@ class TestL2Norm:
 
     def test_refinement_invariance(self, hier6, rng):
         vals = rng.normal(size=hier6.level(4).num_vertices)
-        f5 = prolong(hier6, FieldVector(4, vals))
+        f5 = prolong(hier6.level(5), vals)
         assert mass_l2(hier6.level(4), vals) == pytest.approx(
-            mass_l2(hier6.level(5), f5.values), rel=1e-12)
+            mass_l2(hier6.level(5), f5), rel=1e-12)
 
     def test_mass_matrix_route_agrees(self, hier6, rng):
         lvl = hier6.level(5)
@@ -748,13 +748,14 @@ class TestTransferOperators:
     def test_restrict_copies_inherited(self, hier6, rng):
         # the prefix of a prolonged field gives the coarse field back exactly
         vals = rng.normal(size=hier6.level(4).num_vertices)
-        fine = prolong(hier6, FieldVector(4, vals))
-        np.testing.assert_array_equal(fine.values[:vals.size], vals)
+        fine = prolong(hier6.level(5), vals)
+        np.testing.assert_array_equal(fine[:vals.size], vals)
 
     def test_restrict_constant(self, hier6):
-        fine = prolong_to(hier6, FieldVector(3, np.full(
-            hier6.level(3).num_vertices, 4.2)), 6)
-        assert np.all(fine.values == 4.2)
+        fine = prolong_to(hier6, np.full(hier6.level(3).num_vertices, 4.2),
+                          3, 6)
+        assert fine.shape == (hier6.level(6).num_vertices,)
+        assert np.all(fine == 4.2)
 
     def test_restrict_linear_field(self, hier6):
         # the prefix is the fine interpolant evaluated at the coarse vertices
@@ -787,20 +788,60 @@ class TestTransferOperators:
         # defect norm equals the norm of fine minus prolonged restriction
         vals = rng.normal(size=hier6.level(5).num_vertices)
         nc = hier6.level(4).num_vertices
-        recon = prolong(hier6, FieldVector(4, vals[:nc]))
+        recon = prolong(hier6.level(5), vals[:nc])
         assert mass_l2(hier6.level(5), defect(hier6, 5, vals)) == pytest.approx(
-            mass_l2(hier6.level(5), vals - recon.values), rel=1e-12)
+            mass_l2(hier6.level(5), vals - recon), rel=1e-12)
 
     def test_prolong_to_multiple_levels(self, hier6):
         phi = lambda p: p[..., 0] - 3.0 * p[..., 1]
-        f3 = FieldVector(3, phi(hier6.level(3).vertices))
-        f6 = prolong_to(hier6, f3, 6)
-        np.testing.assert_allclose(f6.values, phi(hier6.level(6).vertices),
+        f6 = prolong_to(hier6, phi(hier6.level(3).vertices), 3, 6)
+        np.testing.assert_allclose(f6, phi(hier6.level(6).vertices),
                                    atol=1e-12)
+
+    @pytest.fixture(scope="class", params=["ball", "pentagon"])
+    def hier(self, request, hier6):
+        if request.param == "ball":
+            return hier6
+        return build_hierarchy(base_mesh_for(_PENTAGON), 6, domain=_PENTAGON)
+
+    @staticmethod
+    def coarse_rows(rng, n):
+        """Random rows over many scales, a row of -0.0, and rows near
+        +-1e307, whose parent sums stay finite."""
+        rows = rng.normal(size=(6, n)) * 10.0 ** rng.integers(-300, 300, (6, n))
+        rows[1] = -0.0
+        rows[2] = rng.uniform(1.0, 4.0, n) * 1e307
+        rows[3] = -rows[2]
+        rows[4] = rows[2] * rng.choice([-1.0, 1.0], n)
+        return rows
+
+    def test_defects_of_prolonged_rows_are_positive_zero(self, hier, rng):
+        # batch_defects subtracts the same prolong it is given: +0.0 bits
+        for ell in range(hier.coarsest, hier.finest):
+            coarse = self.coarse_rows(rng, hier.level(ell).num_vertices)
+            d = batch_defects(hier, prolong(hier.level(ell + 1), coarse), ell)
+            assert d.shape == (coarse.shape[0], hier.level(ell + 1).num_vertices)
+            assert not d.view(np.uint64).any()
+
+    def test_prolong_of_a_batch_is_prolong_of_each_row(self, hier, rng):
+        for ell in range(hier.coarsest, hier.finest):
+            fine = hier.level(ell + 1)
+            coarse = self.coarse_rows(rng, hier.level(ell).num_vertices)
+            rows = np.array([prolong(fine, c) for c in coarse])
+            assert prolong(fine, coarse).tobytes() == rows.tobytes()
+            stacked = prolong(fine, coarse.reshape(2, 3, -1))
+            assert stacked.tobytes() == rows.tobytes()
+
+    def test_prolong_to_its_own_level_is_the_identity(self, hier, rng):
+        for ell in range(hier.coarsest, hier.finest + 1):
+            v = self.coarse_rows(rng, hier.level(ell).num_vertices)[0]
+            assert prolong_to(hier, v, ell, ell).tobytes() == v.tobytes()
 
     def test_level_mismatch_rejected(self, hier6):
         with pytest.raises(ValueError, match="does not match"):
-            prolong(hier6, FieldVector(5, np.zeros(7)))
+            prolong(hier6.level(6), np.zeros(7))
+        with pytest.raises(ValueError, match="^level 1 has no coarser level$"):
+            prolong(hier6.level(1), np.zeros(5))
         with pytest.raises(ValueError, match="does not match"):
             interpolate(hier6.level(5), np.zeros(7), [(0.0, 0.0)])
 
