@@ -32,6 +32,7 @@ from .sampling import _check_alpha, check_count, check_positive
 from .streams import batch_generator, johnk_beta_rng, unit_vectors
 
 _BATCH = 1 << 17
+_BLOCK = 1 << 14   # samples per closure call: a block's rows stay in L2
 _LABEL_STARTS = 0x57A7
 _LABEL_I1 = 0x11
 _LABEL_I2 = 0x12
@@ -76,6 +77,10 @@ def _estimate(cfg: AssumptionConfig, label: int,
     array of an x row and a y row; `batches[j](jump)` turns it into start
     j's values.  Every start consumes the same draws, so start j's estimate
     does not depend on which other starts share the call.
+
+    Closures see the jump in column blocks of _BLOCK samples, whose rows
+    stay in cache; they are elementwise and the sums run over the batch's
+    values in order, so no bit depends on _BLOCK (the draws do on _BATCH).
     """
     rng = batch_generator(cfg.seed, label)
     n = cfg.samples_M
@@ -86,8 +91,10 @@ def _estimate(cfg: AssumptionConfig, label: int,
         beta = johnk_beta_rng(cfg.alpha, rng, size)
         theta = unit_vectors(rng.random(size))
         jump = np.divide(theta.T, np.sqrt(beta), out=np.empty((2, size)))
+        vals = np.empty(size)
         for j, batch in enumerate(batches):
-            vals = batch(jump)
+            for lo in range(0, size, _BLOCK):
+                vals[lo:lo + _BLOCK] = batch(jump[:, lo:lo + _BLOCK])
             tot[j] += vals.sum()
             tot_sq[j] += (vals * vals).sum()
     mean = tot / n
@@ -138,8 +145,12 @@ def check_I2(cfg: AssumptionConfig,
             both = np.asarray(cfg.domain._contains(x1.T)) \
                 & np.asarray(cfg.domain._contains(y1.T))
             x1 -= y1
-            r1 = _norm(x1.T)
-            return np.where(both, (r1 / r0) ** expo, 0.0)
+            # ** keeps numpy's scalar fast path (a sqrt at expo 0.5); v * both
+            # is np.where's cheaper twin but for inf * 0 = NaN outside D
+            v = (_norm(x1.T) / r0) ** expo
+            with np.errstate(invalid="ignore"):
+                out = v * both
+            return np.where(both, v, 0.0) if np.isnan(out).any() else out
 
         batches.append(batch)
     per_start = _estimate(cfg, _LABEL_I2, batches)
@@ -165,9 +176,13 @@ def check_I1(cfg: AssumptionConfig,
     batches = []  # every start is checked before any sample is drawn
     for j, x0 in enumerate(starts):
         d0 = _start_distance(cfg.domain, x0, f"start point {j}")
+        try:
+            phi0 = max(cfg.A, d0 ** -cfg.t)
+        except OverflowError:  # d0 ** -t past the largest float
+            raise ValueError(f"start point {j} is too near the boundary: "
+                             f"d = {d0!r} overflows d ** -t") from None
 
-        def batch(jump, x0=x0[:, None], d0=d0,
-                  phi0=max(cfg.A, d0 ** -cfg.t)):
+        def batch(jump, x0=x0[:, None], d0=d0, phi0=phi0):
             x1 = d0 * jump
             x1 += x0
             d1 = cfg.domain._distance(x1.T)

@@ -216,12 +216,22 @@ class ConvexPolygon(_Domain):
         return (v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max())
 
     def sample_uniform(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        # a box draws in the bounding box it fills, any other polygon on its
+        # triangle fan from vertex 0: a round keeps nearly every candidate
         x0, y0, x1, y1 = self.bounding_box()
+        v = self.vertices
+        e1, e2 = v[1:-1] - v[0], v[2:] - v[0]
+        cum = np.cumsum(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         out = np.empty((size, 2))
         have = 0
         while have < size:
             n = max(2 * (size - have), 64)
-            cand = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
+            if all(nx == 0.0 or ny == 0.0 for nx, ny, _ in self._edges):
+                cand = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
+            else:  # barycentric (1 - b, b - a, a) of sorted uniforms a <= b
+                tri = np.searchsorted(cum[:-1], rng.uniform(0.0, cum[-1], n), "right")
+                a, b = np.sort(rng.random((2, n)), axis=0)
+                cand = v[0] + (b - a)[:, None] * e1[tri] + a[:, None] * e2[tri]
             cand = cand[self._contains(cand)]
             take = min(cand.shape[0], size - have)
             out[have:have + take] = cand[:take]

@@ -129,6 +129,16 @@ PINS = {
     "cli_check_assumptions_I2": [
         "alpha,mu_or_t,A,max_I,stderr",
         "0.5,1.0,,0.29600364798195117,0.003265728051554596"],
+    "cli_check_assumptions_I1_batches": {
+        AVX512: ["alpha,mu_or_t,A,max_I,stderr",
+                 "0.5,1.0,10000.0,0.4541840275914796,0.0014240355039303492"],
+        AVX2: ["alpha,mu_or_t,A,max_I,stderr",
+               "0.5,1.0,10000.0,0.4541840275914791,0.0014240355039302913"]},
+    "cli_check_assumptions_I2_batches": {
+        AVX512: ["alpha,mu_or_t,A,max_I,stderr",
+                 "0.5,1.0,,0.2618924734073169,0.0012352259284362014"],
+        AVX2: ["alpha,mu_or_t,A,max_I,stderr",
+               "0.5,1.0,,0.2618924734073169,0.0012352259284362014"]},
 }
 
 

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import unblocked_I1, unblocked_I2
 from fracwos import assumptions
 from fracwos.assumptions import AssumptionConfig, check_I1, check_I2
 from fracwos.cli import RunConfig, cmd_check_assumptions
-from fracwos.geometry import box
+from fracwos.geometry import ConvexPolygon, box, unit_ball
+from test_geometry import any_domain
 
 
 def cfg(alpha=0.5, mu=1.0, t=1.0, A=1e4, M=50000, J=10, seed=9, domain=None):
@@ -107,6 +113,113 @@ class TestCheckI1:
         a = check_I1(cfg(M=20000, J=5))
         b = check_I1(cfg(M=20000, J=5))
         assert a.max_over_starts == b.max_over_starts
+
+
+class TestNearBoundaryStart:
+    """A start so near the boundary that Phi(x0) = d(x0)^-t passes the
+    largest float fails by name, as a start that is not interior does."""
+
+    @pytest.mark.parametrize("d0", [1e-310, 5e-324])
+    def test_overflowing_start_fails_by_name(self, d0):
+        # it used to raise a bare OverflowError from the float power
+        with pytest.raises(ValueError, match=r"^start point 0 is too near "
+                                             r"the boundary: d = "):
+            check_I1(cfg(), starts=np.array([[d0, 0.5]]))
+
+    def test_overflowing_start_fails_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking every start")
+
+        monkeypatch.setattr("fracwos.assumptions._estimate", no_sampling)
+        with pytest.raises(ValueError, match="^start point 1 is too near"):
+            check_I1(cfg(), starts=np.array([[0.5, 0.5], [1e-310, 0.5]]))
+
+    def test_start_at_1e_300_runs(self):
+        res = check_I1(cfg(M=1000), starts=np.array([[1e-300, 0.5]]))
+        assert np.isfinite(res.per_start).all()
+
+
+def _bits(per_start):
+    return [(v.hex(), se.hex()) for v, se in per_start]
+
+
+_B = assumptions._BLOCK
+_PENTAGON = ConvexPolygon(np.column_stack(
+    [np.cos(np.pi / 2 + 0.4 * np.pi * np.arange(5)),
+     np.sin(np.pi / 2 + 0.4 * np.pi * np.arange(5))]))
+# (block, samples_M), each case at most 4096 blocks a batch
+_BLOCK_CASES = [(block, M) for block in (1, 7, _B, 2 * assumptions._BATCH)
+                for M in (2, _B - 1, _B + 1, assumptions._BATCH + 3 * _B + 5)
+                if M <= 4096 * block]
+
+
+class TestBlocks:
+    """Each start's closure sees the jump in blocks of _BLOCK samples; the
+    estimates are those of the unblocked closures on the whole batch, bit
+    for bit, whatever the block and however M ends within a block."""
+
+    @pytest.mark.parametrize("block, M", _BLOCK_CASES,
+                             ids=[f"block{b}-M{m}" for b, m in _BLOCK_CASES])
+    @pytest.mark.parametrize("domain", [box(0.0, 0.0, 1.0, 1.0), _PENTAGON,
+                                        unit_ball()],
+                             ids=["box", "pentagon", "ball"])
+    def test_per_start_bits_of_the_unblocked_check(self, domain, block, M,
+                                                   monkeypatch):
+        c = cfg(M=M, J=2, domain=domain, seed=5)
+        pts = domain.sample_uniform(np.random.default_rng(11), 4)
+        pairs = pts.reshape(2, 2, 2)
+        want = _bits(unblocked_I2(c, pairs)), _bits(unblocked_I1(c, pts[:2]))
+        monkeypatch.setattr(assumptions, "_BLOCK", block)
+        got = (_bits(check_I2(c, pairs).per_start),
+               _bits(check_I1(c, pts[:2]).per_start))
+        assert got == want
+
+    def test_overflow_outside_the_domain_adds_zero(self, monkeypatch):
+        # beta = 1e-280 sends x1 and y1 about 1e140 d away, and at
+        # mu alpha = 2.85 (r1/r0)^(mu alpha) overflows to inf there: such a
+        # sample must add +0.0, as np.where gave, not inf * 0 = NaN
+        johnk = assumptions.johnk_beta_rng
+
+        def tiny_betas(alpha, rng, size):
+            beta = johnk(alpha, rng, size)
+            beta[::97] = 1e-280
+            return beta
+
+        monkeypatch.setattr("fracwos.assumptions.johnk_beta_rng", tiny_betas)
+        c = cfg(alpha=1.9, mu=1.5, M=_B + 5, J=2, seed=3)
+        pairs = np.array([[[0.2, 0.3], [0.6, 0.65]], [[0.5, 0.1], [0.45, 0.4]]])
+        for x0, y0 in pairs:  # overflows, whatever the direction
+            d = abs(float(c.domain.distance(x0) - c.domain.distance(y0)))
+            r0 = math.hypot(*(x0 - y0))
+            assert 2.85 * math.log10(d * 1e140 / r0 - 1.0) > 309.0
+        with np.errstate(over="ignore"):
+            want = unblocked_I2(c, pairs)
+            got = check_I2(c, pairs).per_start
+        assert np.isfinite(want).all() and _bits(got) == _bits(want)
+
+
+class TestFuzz:
+    """On boxes of aspect ratio up to 1e6, off-centre balls, polygons on
+    ellipses and rotated thin ones, at any alpha in [0.02, 1.98] and mu in
+    (0, 1.5], each check gives a finite estimate and a standard error >= 0,
+    or a ValueError."""
+
+    @given(domain=any_domain, alpha=st.floats(0.02, 1.98),
+           mu=st.floats(0.0, 1.5, exclude_min=True),
+           t=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=150, deadline=None)
+    def test_finite_estimate_or_typed_error(self, domain, alpha, mu, t, seed):
+        c = AssumptionConfig(alpha=alpha, mu=mu, t=t, samples_M=64,
+                             start_points_J=2, domain=domain, seed=seed)
+        for check in (check_I1, check_I2):
+            try:
+                res = check(c)
+            except ValueError:
+                continue
+            per_start = np.array(res.per_start)
+            assert np.isfinite(per_start).all()
+            assert (per_start[:, 1] >= 0.0).all()
+            assert res.max_over_starts == per_start[:, 0].max()
 
 
 class TestSharedDraws:

@@ -195,6 +195,8 @@ def _study(out):
 _LEVELS = ["--alpha", "1.0", "--l0", "2", "--L", "4"]
 _CHECK = ["check-assumptions", "--alpha", "0.5", "--M", "20000", "--J", "4",
           "--seed", "3"]
+_CHECK_BATCHES = ["check-assumptions", "--alpha", "0.5", "--M", "140000",
+                  "--J", "2", "--seed", "3"]
 PINNED_RUNS = {
     "eig": (["eig", *_LEVELS, "--tol", "0.05", "--B", "3", "--m", "3",
              "--seed", "3"], _k_lambda_cost),
@@ -215,6 +217,9 @@ PINNED_RUNS = {
                         "--seed", "3"], _study),
     "check_assumptions_I1": ([*_CHECK, "--which", "I1"], _study),
     "check_assumptions_I2": ([*_CHECK, "--which", "I2"], _study),
+    # past one _BATCH of draws, and 140000 samples end on a partial block
+    "check_assumptions_I1_batches": ([*_CHECK_BATCHES, "--which", "I1"], _study),
+    "check_assumptions_I2_batches": ([*_CHECK_BATCHES, "--which", "I2"], _study),
 }
 
 SOLVE_ARGS = ["solve", "--problem", "example2", "--alpha", "1.0", "--eps",

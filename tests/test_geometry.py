@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from fracwos.geometry import _CLOSED_TOL, Ball, ConvexPolygon, box, unit_ball
@@ -40,20 +40,30 @@ def off_centre_ball(draw):
 
 
 @st.composite
-def ellipse_polygon(draw):
-    """A convex polygon on the ellipse of semi-axes a and a b (b up to 1e3
-    either way): 3 to 12 vertices at sorted angles, no gap below a tenth of
-    the largest."""
+def ellipse_polygon(draw, aspect=(-3, 3), turn=False):
+    """A convex polygon on the ellipse of semi-axes a and a b, b = 10^e for e
+    in `aspect` (up to 1e3 either way by default): 3 to 12 vertices at
+    sorted angles, no gap below a tenth of the largest.  With `turn`, the
+    ellipse is rotated by any angle, so a thin one fills as little as about
+    1e-6 of its bounding box."""
     k = draw(st.integers(3, 12))
     gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
     t = draw(st.floats(0.0, 2 * np.pi)) + 2 * np.pi * np.cumsum(gaps) / gaps.sum()
-    a, b = draw(log_uniform(-3, 3)), draw(log_uniform(-3, 3))
+    a, b = draw(log_uniform(-3, 3)), draw(log_uniform(*aspect))
     c = np.array([draw(finite_coord), draw(finite_coord)])
-    return ConvexPolygon(c + a * np.column_stack([np.cos(t), b * np.sin(t)]))
+    v = a * np.column_stack([np.cos(t), b * np.sin(t)])
+    if turn:
+        phi = draw(st.floats(0.0, np.pi))
+        v = v @ np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
+    try:
+        return ConvexPolygon(c + v)
+    except ValueError:  # rounding bent a nearly straight turn the wrong way
+        reject()
 
 
 any_domain = st.one_of(st.sampled_from(CONTAINS_DOMAINS), thin_box(),
-                       off_centre_ball(), ellipse_polygon())
+                       off_centre_ball(), ellipse_polygon(),
+                       ellipse_polygon(aspect=(-6, -1), turn=True))
 
 
 @st.composite
@@ -399,3 +409,84 @@ class TestProperties:
         pts = domain.sample_uniform(rng, 500)
         assert np.all(np.asarray(domain.distance(pts)) <= domain.diameter / 2 + 1e-12)
 
+
+
+def _polygon_moments(v):
+    """E[x], E[y], E[x^2], E[x y], E[y^2] of the uniform law on the polygon
+    with counter-clockwise vertices v, from the shoelace-type formulas."""
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    c = x * yn - xn * y
+    area = c.sum() / 2.0
+    return np.array([((x + xn) * c).sum() / 6.0, ((y + yn) * c).sum() / 6.0,
+                     ((x * x + x * xn + xn * xn) * c).sum() / 12.0,
+                     ((x * yn + 2.0 * (x * y + xn * yn) + xn * y) * c).sum() / 24.0,
+                     ((y * y + y * yn + yn * yn) * c).sum() / 12.0]) / area
+
+
+def _turned_ellipse_polygon(k, b, turn, centre):
+    t = 2 * np.pi * np.arange(k) / k
+    x, y = np.cos(t), b * np.sin(t)
+    return ConvexPolygon(np.asarray(centre) + np.column_stack(
+        [x * np.cos(turn) - y * np.sin(turn), x * np.sin(turn) + y * np.cos(turn)]))
+
+
+class TestSampleUniform:
+    """A polygon draws its uniform points on its triangle fan, in a round or
+    two however little of its bounding box it fills; a box, which fills it,
+    keeps drawing there."""
+
+    @staticmethod
+    def counting_contains(monkeypatch):
+        calls = []
+        contains = ConvexPolygon._contains
+
+        def counting(self, pts):
+            calls.append(len(pts))
+            return contains(self, pts)
+
+        monkeypatch.setattr(ConvexPolygon, "_contains", counting)
+        return calls
+
+    @pytest.mark.parametrize("w", [1e-2, 1e-4, 1e-6])
+    def test_thin_quadrilateral_in_few_rounds(self, w, monkeypatch):
+        # a bounding-box round kept a share w of its candidates: 64 points
+        # took 16 s at w = 1e-6
+        quad = ConvexPolygon([[0.0, 0.0], [1.0, 1.0 - w], [1.0, 1.0], [0.0, w]])
+        calls = self.counting_contains(monkeypatch)
+        pts = quad.sample_uniform(np.random.default_rng(4), 64)
+        assert len(calls) <= 3 and sum(calls) <= 3 * 128
+        monkeypatch.undo()
+        assert pts.shape == (64, 2) and quad.contains(pts).all()
+
+    @pytest.mark.parametrize("corners", [(0.0, 0.0, 1.0, 1.0),
+                                         (-1.0, -2.0, 3.0, 1.5),
+                                         (2.0, 5.0, 2.001, 9.0)])
+    @pytest.mark.parametrize("size", [1, 5, 40, 100])
+    def test_box_draws_in_its_bounding_box_as_before(self, corners, size):
+        # the rule criterion 8 and the check-assumptions pins drew with
+        x0, y0, x1, y1 = corners
+        rng = np.random.default_rng(8)
+        out = np.empty((0, 2))
+        while len(out) < size:
+            n = max(2 * (size - len(out)), 64)
+            cand = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
+            inside = (cand > [x0, y0]).all(axis=1) & (cand < [x1, y1]).all(axis=1)
+            out = np.vstack([out, cand[inside]])
+        got = box(*corners).sample_uniform(np.random.default_rng(8), size)
+        assert got.tobytes() == out[:size].tobytes()
+
+    @pytest.mark.parametrize("polygon", [
+        ConvexPolygon([[0, 0], [2, 0], [3, 2], [1, 3], [-1, 1]]),
+        _turned_ellipse_polygon(12, 1e-4, 0.3, (2.0, -1.0))],
+        ids=["pentagon", "turned-thin"])
+    def test_fan_points_are_uniform(self, polygon):
+        # the first and second moments about the vertex mean, each within
+        # five standard errors of the polygon's own
+        shift = polygon.vertices.mean(axis=0)
+        p = polygon.sample_uniform(np.random.default_rng(6), 100_000) - shift
+        x, y = p[:, 0], p[:, 1]
+        stats = np.array([x, y, x * x, x * y, y * y])
+        want = _polygon_moments(polygon.vertices - shift)
+        z = (stats.mean(axis=1) - want) / (stats.std(axis=1) / np.sqrt(len(p)))
+        assert np.abs(z).max() < 5.0, z
